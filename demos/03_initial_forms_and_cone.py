@@ -7,8 +7,7 @@ reproduces every matrix initial form.
 """
 
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.initial_forms import inequality_set, initial_form
-from grassdegen.plucker import all_relations
+from grassdegen.initial_forms import initial_terms, relation_table
 from grassdegen.sequences import IteratedSequence
 from grassdegen.valuation import weighting_matrix
 
@@ -16,14 +15,12 @@ from grassdegen.valuation import weighting_matrix
 def main():
     seq = IteratedSequence.parse("6:[2,4,1|3,1,2|1,2,3]")
     M = weighting_matrix(seq)
-    relations = all_relations(6)
+    table = relation_table(6)
 
-    forms = [initial_form(seq, M, R) for R in relations]
-    print(f"{sum(f.is_binomial for f in forms)} of {len(forms)} initial forms are binomial")
-    sample = forms[0]
-    print("example:", [(t.sign, t.monomial) for t in sample.initial_terms])
+    initials, diffs = initial_terms(M.rows, table)
+    print(f"{sum(len(t) == 2 for t in initials)} of {len(initials)} initial forms are binomial")
+    print("example:", list(initials[0]))
 
-    diffs = inequality_set(seq, M, relations)
     print(f"\n{len(diffs)} distinct strict inequalities, e.g. {diffs[0]}")
 
     e = strict_interior_point(diffs, 9)
@@ -31,15 +28,14 @@ def main():
     print("slacks:", sorted({sum(a * b for a, b in zip(e, d)) for d in diffs}))
 
     w = weight_vector(e, M)
-    lookup = dict(zip(M.triples, w))
     agreements = 0
-    for R, form in zip(relations, forms):
-        scores = [lookup[t.factors[0].entries] + lookup[t.factors[1].entries] for t in R.terms]
+    for terms, initial in zip(table, initials):
+        scores = [w[a] + w[b] for _, a, b, _ in terms]
         low = min(scores)
-        scalar = {t.monomial for t, s in zip(R.terms, scores) if s == low}
-        if scalar == {t.monomial for t in form.initial_terms}:
+        scalar = {mono for (_, _, _, mono), s in zip(terms, scores) if s == low}
+        if scalar == {mono for _, mono in initial}:
             agreements += 1
-    print(f"\nscalar weight w = e.M reproduces {agreements}/{len(relations)} initial forms")
+    print(f"\nscalar weight w = e.M reproduces {agreements}/{len(table)} initial forms")
     print("w =", w)
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .initial_forms import initial_form
-from .plucker import all_relations
+from .initial_forms import initial_terms, relation_table
 from .sequences import IteratedSequence, Label, all_labels, representative_sequence
 from .valuation import WeightingMatrix, weighting_matrix
 
@@ -37,23 +36,24 @@ def canonical_binomial(sign_a: int, mono_a: Monomial, sign_b: int, mono_b: Monom
     return (mono_b, mono_a, sign_a * sign_b)
 
 
-@lru_cache(maxsize=8)
-def _relations(n: int):
-    return tuple(all_relations(n))
+def binomial_generators(initials) -> Fingerprint:
+    """Sorted canonical binomials of the initial forms that have two terms."""
+    gens = set()
+    for terms in initials:
+        if len(terms) == 2:
+            (sa, ma), (sb, mb) = terms
+            gens.add(canonical_binomial(sa, ma, sb, mb))
+    return tuple(sorted(gens))
 
 
 def fingerprint(seq: IteratedSequence, matrix: WeightingMatrix | None = None) -> Fingerprint:
     """Sorted canonical initial binomials of all nonzero relations."""
     if matrix is None:
         matrix = weighting_matrix(seq)
-    gens = set()
-    for relation in _relations(seq.n):
-        form = initial_form(seq, matrix, relation)
-        if not form.is_binomial:
-            raise ValueError(f"non-binomial initial form for {seq.serialize()}")
-        (ta, tb) = form.initial_terms
-        gens.add(canonical_binomial(ta.sign, ta.monomial, tb.sign, tb.monomial))
-    return tuple(sorted(gens))
+    initials, _ = initial_terms(matrix.rows, relation_table(seq.n))
+    if any(len(terms) != 2 for terms in initials):
+        raise ValueError(f"non-binomial initial form for {seq.serialize()}")
+    return binomial_generators(initials)
 
 
 def _map_triple(i: int, t: Triple) -> tuple[Triple, int]:
@@ -173,6 +173,9 @@ def matches_o3(label: Label) -> bool:
 # attached as annotation only.
 ORBIT_CLASS_NAMES = {"O1": "EEFF1", "O2": "EFFG", "O3": "EEFF2", "O4": "EEFG"}
 
+# Full orbit size of the Gr(3,6) classes that no label pattern identifies.
+_UNPATTERNED_BY_AMBIENT = {90: "O1", 360: "O4"}
+
 
 def annotate_gr36_orbits(
     reports: list[OrbitReport],
@@ -180,8 +183,9 @@ def annotate_gr36_orbits(
 ) -> dict[int, str]:
     """Map orbit ids to the classes O1..O4 for Gr(3,6).
 
-    O2 and O3 are identified by their label patterns; O1 is the remaining
-    orbit meeting the input set in 48 ideals, O4 is the rest.
+    O2 and O3 are identified by their label patterns.  Of the other two,
+    O1 has 90 ideals in its full orbit and O4 has 360; the ambient size does
+    not depend on which sequences the run included.
     """
     names: dict[int, str] = {}
     for report in reports:
@@ -193,7 +197,7 @@ def annotate_gr36_orbits(
     for report in reports:
         if report.orbit_id in names:
             continue
-        names[report.orbit_id] = "O1" if report.intersection_size == 48 else "O4"
+        names[report.orbit_id] = _UNPATTERNED_BY_AMBIENT[report.ambient_size]
     return names
 
 

@@ -16,7 +16,14 @@ from . import __version__
 from .classify import ORBIT_CLASS_NAMES, NotFound, classify_gr36, fingerprint
 from .cone import DEFAULT_BOX_BOUND, Infeasible, strict_interior_point, weight_vector
 from .initial_forms import inequalities_from_csv
-from .pipeline import dump_json, resolve_jobs, run_pipeline, write_outputs
+from .pipeline import (
+    dump_json,
+    resolve_jobs,
+    run_pipeline,
+    verify_fingerprints,
+    verify_payload,
+    write_outputs,
+)
 from .sequences import (
     IteratedSequence,
     all_labels,
@@ -26,11 +33,12 @@ from .sequences import (
     representative_sequence,
     validate_label,
 )
-from .toricity import binomial_form, graded_rank, lattice_saturation, relation_form
-from .plucker import all_relations
 from .valuation import WeightingMatrix
 
 DEFAULT_MAX_N = 8
+# Triple keys, matrix CSVs, label file names and the schemas write one digit
+# per index.
+LARGEST_MAX_N = 9
 
 
 def load_config(path: str) -> dict:
@@ -51,6 +59,8 @@ def load_config(path: str) -> dict:
             config[key] = int(raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
+    if not 4 <= config.get("max_n", DEFAULT_MAX_N) <= LARGEST_MAX_N:
+        raise ValueError(f"max_n must be in 4..{LARGEST_MAX_N}, got {config['max_n']}")
     return config
 
 
@@ -193,31 +203,8 @@ def cmd_verify(args, parser, config) -> int:
     else:
         n = args.n
         _check_n(parser, n, config.get("max_n", DEFAULT_MAX_N))
-        if n == 4:
-            fps = [fingerprint(representative_sequence((), 4))]
-        else:
-            fps = sorted({fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)})
-    reference = [relation_form(R) for R in all_relations(n)]
-    payload = {
-        "n": n,
-        "plucker": {
-            "rank2": graded_rank(reference, 2, n).rank,
-            "rank3": graded_rank(reference, 3, n).rank,
-        },
-        "fingerprints": [],
-    }
-    for fid, fp in enumerate(fps):
-        forms = [binomial_form(g) for g in fp]
-        cert = lattice_saturation(fp)
-        payload["fingerprints"].append(
-            {
-                "id": fid,
-                "rank2": graded_rank(forms, 2, n).rank,
-                "rank3": graded_rank(forms, 3, n).rank,
-                "snf_ok": cert.saturated,
-                "pure_difference": cert.pure_difference,
-            }
-        )
+        fps = sorted({fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)})
+    payload = verify_payload(n, *verify_fingerprints(fps, n))
     if args.output:
         dump_json(args.output, payload)
     else:

@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, sub
 
-from .plucker import PluckerRelation, SignedTerm, all_relations
+from .plucker import PluckerRelation, all_relations, all_triples
 from .sequences import IteratedSequence
 from .valuation import DimensionError, Vector, WeightingMatrix, height_weight
 
@@ -39,37 +40,40 @@ def order_compare(seq: IteratedSequence, a: Vector, b: Vector) -> int:
     return LESS if a > b else GREATER
 
 
-@dataclass(frozen=True)
-class TermValuation:
-    term: SignedTerm
-    vector: Vector
-    weight: int
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+# One term sign * p_A * p_B as (sign, row of A, row of B, monomial), the rows
+# indexing the lex-ordered triples of the weighting matrix.
+CompiledTerm = tuple[int, int, int, Monomial]
+RelationTable = tuple[tuple[CompiledTerm, ...], ...]
+InitialTerms = tuple[tuple[int, Monomial], ...]
 
 
-@dataclass(frozen=True)
-class InitialForm:
-    relation: PluckerRelation
-    term_valuations: tuple[TermValuation, ...]
-    initial_terms: tuple[SignedTerm, ...]
-    is_binomial: bool
+@lru_cache(maxsize=None)
+def _compiled(n: int) -> tuple[RelationTable, dict]:
+    relations = all_relations(n)
+    position = {t: i for i, t in enumerate(all_triples(n))}
+    table = tuple(
+        tuple(
+            (t.sign, position[t.factors[0].entries], position[t.factors[1].entries], t.monomial)
+            for t in relation.terms
+        )
+        for relation in relations
+    )
+    by_indices = {(R.I.entries, R.J.entries): terms for R, terms in zip(relations, table)}
+    return table, by_indices
 
 
-def term_vector(matrix: WeightingMatrix, term: SignedTerm) -> Vector:
-    a, b = term.factors
-    ra, rb = matrix.row(a.entries), matrix.row(b.entries)
-    return tuple(x + y for x, y in zip(ra, rb))
+def relation_table(n: int, relations: list[PluckerRelation] | None = None) -> RelationTable:
+    """Compiled terms of the given relations of Gr(3,n), by default all of
+    them in ``all_relations`` order.
 
-
-def initial_form(seq: IteratedSequence, matrix: WeightingMatrix, relation: PluckerRelation) -> InitialForm:
-    """Terms of the relation attaining the lex-max valuation vector."""
-    valued = []
-    for t in relation.terms:
-        v = term_vector(matrix, t)
-        valued.append(TermValuation(t, v, height_weight(seq, v)))
-    valued = tuple(valued)
-    best = max(tv.vector for tv in valued)
-    initial = tuple(tv.term for tv in valued if tv.vector == best)
-    return InitialForm(relation, valued, initial, len(initial) == 2)
+    The table of each n is built on first use; a relation is looked up by
+    its index sets I and J.
+    """
+    table, by_indices = _compiled(n)
+    if relations is None:
+        return table
+    return tuple(by_indices[R.I.entries, R.J.entries] for R in relations)
 
 
 def reduce_content(d: Vector) -> Vector:
@@ -77,27 +81,36 @@ def reduce_content(d: Vector) -> Vector:
     return d if g in (0, 1) else tuple(x // g for x in d)
 
 
+def initial_terms(
+    rows, table: RelationTable
+) -> tuple[tuple[InitialTerms, ...], tuple[Vector, ...]]:
+    """Initial terms of every relation of the table, and the inequality set.
+
+    ``rows`` are the rows of a weighting matrix.  A term is valued by the sum
+    of its two factors' rows; the initial terms of a relation, as
+    (sign, monomial) pairs, are those attaining the lex-max vector.  The
+    inequality set holds the differences v(non-initial) - v(initial) over
+    all relations, reduced by the gcd of their entries, deduplicated and
+    sorted; the leading nonzero entry of each is negative.
+    """
+    initials = []
+    diffs = set()
+    for terms in table:
+        vectors = [tuple(map(add, rows[a], rows[b])) for _, a, b, _ in terms]
+        best = max(vectors)
+        initials.append(tuple((s, mono) for v, (s, _, _, mono) in zip(vectors, terms) if v == best))
+        diffs.update(tuple(map(sub, v, best)) for v in vectors if v != best)
+    return tuple(initials), tuple(sorted({reduce_content(d) for d in diffs}))
+
+
 def inequality_set(
     seq: IteratedSequence,
     matrix: WeightingMatrix,
     relations: list[PluckerRelation] | None = None,
 ) -> tuple[Vector, ...]:
-    """Deduplicated difference vectors v(non-initial) - v(initial).
-
-    Vectors are reduced by the gcd of their entries and returned sorted; the
-    leading nonzero entry of each is negative because the initial vector is
-    the lex-max.
-    """
-    if relations is None:
-        relations = all_relations(seq.n)
-    diffs = set()
-    for relation in relations:
-        vectors = [term_vector(matrix, t) for t in relation.terms]
-        best = max(vectors)
-        for v in vectors:
-            if v != best:
-                diffs.add(reduce_content(tuple(x - y for x, y in zip(v, best))))
-    return tuple(sorted(diffs))
+    """The inequality set of ``initial_terms`` for the given relations,
+    by default all of Gr(3,n)."""
+    return initial_terms(matrix.rows, relation_table(seq.n, relations))[1]
 
 
 def inequalities_to_csv(diffs) -> str:

@@ -1,8 +1,7 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
 -> toricity evidence, fanned out over sequences with a deterministic merge.
 
-The per-sequence sweep uses a compiled relation table (term signs plus row
-indices into the weighting matrix) so the inner loop stays allocation-light;
+Each sequence goes through the initial-form kernel of ``initial_forms``;
 results are merged in enumeration order, fingerprints are renumbered in
 canonical sorted order, and all emitted files are byte-stable across runs.
 """
@@ -20,14 +19,14 @@ from . import __version__
 from .classify import (
     Fingerprint,
     annotate_gr36_orbits,
-    canonical_binomial,
+    binomial_generators,
     compute_orbits,
     ORBIT_CLASS_NAMES,
     OrbitReport,
 )
 from .cone import DEFAULT_BOX_BOUND, strict_interior_point
 from .exactlinalg import exact_rank
-from .initial_forms import reduce_content
+from .initial_forms import initial_terms, relation_table
 from .plucker import all_relations, all_triples
 from .sequences import (
     IteratedSequence,
@@ -108,15 +107,7 @@ class _Context:
         self.n = n
         self.box_bound = box_bound
         self.triples = all_triples(n)
-        position = {t: i for i, t in enumerate(self.triples)}
-        self.compiled = []
-        for relation in all_relations(n):
-            self.compiled.append(
-                tuple(
-                    (t.sign, position[t.factors[0].entries], position[t.factors[1].entries], t.monomial)
-                    for t in relation.terms
-                )
-            )
+        self.table = relation_table(n)
         self.dim = 3 * (n - 3)
         self.solver_cache: dict = {}
 
@@ -137,40 +128,20 @@ def _sweep_one(ctx: _Context, serialized: str):
     seq = IteratedSequence.parse(serialized)
     rows = [compute_valuation(seq, K) for K in ctx.triples]
 
-    gens = set()
-    diffs = set()
-    binomial = True
-    matrix_initials = []
-    for terms in ctx.compiled:
-        valued = [
-            (tuple(x + y for x, y in zip(rows[a], rows[b])), s, mono)
-            for (s, a, b, mono) in terms
-        ]
-        best = max(v for v, _, _ in valued)
-        initial = [(s, mono) for v, s, mono in valued if v == best]
-        if len(initial) != 2:
-            binomial = False
-        else:
-            (sa, ma), (sb, mb) = initial
-            gens.add(canonical_binomial(sa, ma, sb, mb))
-        matrix_initials.append(frozenset(mono for _, mono in initial))
-        for v, _, _ in valued:
-            if v != best:
-                diffs.add(reduce_content(tuple(x - y for x, y in zip(v, best))))
-
-    fp = tuple(sorted(gens))
+    initials, diffs = initial_terms(rows, ctx.table)
+    binomial = all(len(terms) == 2 for terms in initials)
+    fp = binomial_generators(initials)
     rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
 
-    ordered_diffs = tuple(sorted(diffs))
-    e = ctx.solve(ordered_diffs)
-    sound = all(sum(a * b for a, b in zip(e, d)) >= 1 for d in ordered_diffs)
+    e = ctx.solve(diffs)
+    sound = all(sum(a * b for a, b in zip(e, d)) >= 1 for d in diffs)
 
     weights = [sum(a * b for a, b in zip(e, row)) for row in rows]
     scalar_ok = True
-    for terms, expected in zip(ctx.compiled, matrix_initials):
+    for terms, initial in zip(ctx.table, initials):
         scored = [(weights[a] + weights[b], mono) for (_, a, b, mono) in terms]
         low = min(s for s, _ in scored)
-        if frozenset(mono for s, mono in scored if s == low) != expected:
+        if {mono for s, mono in scored if s == low} != {mono for _, mono in initial}:
             scalar_ok = False
             break
 
@@ -214,6 +185,46 @@ def _verify_chunk(payload):
 def _chunked(items: list, pieces: int) -> list[list]:
     size = max(1, (len(items) + pieces - 1) // pieces)
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def verify_fingerprints(
+    fingerprints: list[Fingerprint], n: int, jobs: int = 1
+) -> tuple[tuple[int, int], list[VerificationRecord]]:
+    """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and one
+    record per fingerprint, with ids numbering the fingerprints in order."""
+    reference_forms = [relation_form(R) for R in all_relations(n)]
+    plucker_ranks = (
+        graded_rank(reference_forms, 2, n).rank,
+        graded_rank(reference_forms, 3, n).rank,
+    )
+    items = list(enumerate(fingerprints))
+    if jobs > 1 and len(items) > 16:
+        payloads = [(chunk, n) for chunk in _chunked(items, jobs * 2)]
+        with Pool(jobs) as pool:
+            records = [r for part in pool.map(_verify_chunk, payloads) for r in part]
+    else:
+        records = _verify_chunk((items, n))
+    return plucker_ranks, records
+
+
+def verify_payload(
+    n: int, plucker_ranks: tuple[int, int], records: list[VerificationRecord]
+) -> dict:
+    """The verify.json document."""
+    return {
+        "n": n,
+        "plucker": {"rank2": plucker_ranks[0], "rank3": plucker_ranks[1]},
+        "fingerprints": [
+            {
+                "id": r.fingerprint_id,
+                "rank2": r.rank2,
+                "rank3": r.rank3,
+                "snf_ok": r.snf_ok,
+                "pure_difference": r.pure_difference,
+            }
+            for r in records
+        ],
+    }
 
 
 def run_pipeline(
@@ -277,20 +288,7 @@ def run_pipeline(
     verification: list[VerificationRecord] = []
     if not skip_verify:
         start = time.perf_counter()
-        reference_forms = [relation_form(R) for R in all_relations(n)]
-        plucker_ranks = (
-            graded_rank(reference_forms, 2, n).rank,
-            graded_rank(reference_forms, 3, n).rank,
-        )
-        items = list(enumerate(distinct))
-        if jobs > 1 and len(items) > 16:
-            payloads = [(chunk, n) for chunk in _chunked(items, jobs * 2)]
-            with Pool(jobs) as pool:
-                for part in pool.map(_verify_chunk, payloads):
-                    verification.extend(part)
-        else:
-            verification = _verify_chunk((items, n))
-        verification.sort(key=lambda r: r.fingerprint_id)
+        plucker_ranks, verification = verify_fingerprints(distinct, n, jobs)
         timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
@@ -421,25 +419,8 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
     written.append(path)
 
     if result.verification:
-        verify_payload = {
-            "n": result.n,
-            "plucker": {
-                "rank2": result.plucker_ranks[0],
-                "rank3": result.plucker_ranks[1],
-            },
-            "fingerprints": [
-                {
-                    "id": r.fingerprint_id,
-                    "rank2": r.rank2,
-                    "rank3": r.rank3,
-                    "snf_ok": r.snf_ok,
-                    "pure_difference": r.pure_difference,
-                }
-                for r in result.verification
-            ],
-        }
         path = os.path.join(outdir, "verify.json")
-        dump_json(path, verify_payload)
+        dump_json(path, verify_payload(result.n, result.plucker_ranks, result.verification))
         written.append(path)
 
     manifest = {

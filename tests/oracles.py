@@ -3,7 +3,9 @@
 Everything here is deliberately brute force and shares no code with the
 package internals: polynomial expansion with explicit cancellation, dense
 rational Gaussian elimination, and semistandard-tableau enumeration for
-graded dimensions.
+graded dimensions.  The one exception is the brute-force fingerprint, which
+takes its valuations from the full pullback-support recursion, itself the
+package's oracle for the greedy valuation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,42 @@ def expand_relation(i_pair, j_quad):
         key = (a, b) if a <= b else (b, a)
         poly[key] = poly.get(key, 0) + sign
     return {k: v for k, v in poly.items() if v}
+
+
+def brute_force_fingerprint(seq):
+    """Sorted canonical initial binomials of every nonzero relation.
+
+    Each relation is expanded by ``expand_relation``; a term p_A p_B is
+    valued by the sum of the lex-max exponent vectors of the supports of p_A
+    and p_B.  The initial terms are the order-minimal ones: the smallest
+    height-weighted total, ties going to the lex-larger vector.  Each
+    binomial is (smaller monomial, larger monomial, product of the signs).
+    """
+    from grassdegen.valuation import pullback_support
+
+    n = seq.n
+    heights = [n - t - i for t, triple in enumerate(seq.triples) for i in triple]
+    valuation = {
+        K: max(pullback_support(seq, K)) for K in itertools.combinations(range(1, n + 1), 3)
+    }
+
+    def order_key(monomial):
+        a, b = monomial
+        v = [x + y for x, y in zip(valuation[a], valuation[b])]
+        return sum(h * x for h, x in zip(heights, v)), [-x for x in v]
+
+    gens = set()
+    for i_pair in itertools.combinations(range(1, n + 1), 2):
+        for j_quad in itertools.combinations(range(1, n + 1), 4):
+            poly = expand_relation(i_pair, j_quad)
+            if not poly:
+                continue
+            low = min(order_key(m) for m in poly)
+            initial = sorted(m for m in poly if order_key(m) == low)
+            assert len(initial) == 2, (seq, i_pair, j_quad)
+            lead, trail = initial
+            gens.add((lead, trail, poly[lead] * poly[trail]))
+    return tuple(sorted(gens))
 
 
 def count_nonzero_relations(n):

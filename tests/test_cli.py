@@ -165,6 +165,12 @@ def test_config_file(tmp_path):
     bad.write_text("nonsense=1\n")
     proc = run_cli("--config", str(bad), "enumerate", "-n", "5")
     assert proc.returncode == 2
+    # indices are written one digit each, so n >= 10 cannot be represented
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("max_n=10\n")
+    proc = run_cli("--config", str(wide), "enumerate", "-n", "5")
+    assert proc.returncode == 2
+    assert "max_n" in proc.stderr
 
 
 def test_jobs_env_variable(tmp_path):

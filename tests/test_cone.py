@@ -1,11 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from grassdegen.cone import Infeasible, strict_interior_point, weight_vector
-from grassdegen.initial_forms import inequality_set
+from grassdegen.initial_forms import inequality_set, initial_terms, relation_table
 from grassdegen.plucker import all_relations
-from grassdegen.sequences import enumerate_sequences, standard_sequence
+from grassdegen.sequences import (
+    IteratedSequence,
+    enumerate_sequences,
+    sequence_count,
+    standard_sequence,
+)
 from grassdegen.valuation import DimensionError, weighting_matrix
 
 
@@ -112,3 +118,36 @@ def test_scalar_weights_reproduce_matrix_initial_forms():
                 t.monomial for t, s in zip(R.terms, scores) if s == low
             }
             assert scalar_initial == matrix_initial
+
+
+def strided_sequences(n, stride):
+    """Every stride-th sequence of ``enumerate_sequences(n)``, decoded from its
+    index in the product of the level pools, so n=7 is not enumerated."""
+    pools = [list(itertools.permutations(range(1, n - t), 3)) for t in range(n - 4)]
+    pools.append(list(itertools.permutations((1, 2, 3))))
+    for index in range(0, sequence_count(n), stride):
+        combo = []
+        for pool in reversed(pools):
+            index, digit = divmod(index, len(pool))
+            combo.append(pool[digit])
+        combo.reverse()
+        yield IteratedSequence(n, tuple(combo[:-1]), combo[-1])
+
+
+@pytest.mark.parametrize("n, stride", [(5, 1), (6, 397), (7, 20011)])
+def test_cone_is_never_empty_on_real_inputs(n, stride):
+    """Every inequality set the kernel produces has entries in [-2, 2] and a
+    negative leading entry, so e_i = -3^(dim-1-i) satisfies e.d >= 1; the
+    solver must then find a sound point and never report Infeasible."""
+    dim = 3 * (n - 3)
+    certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
+    table = relation_table(n)
+    sample = list(strided_sequences(n, stride))
+    if n < 7:
+        assert sample == list(enumerate_sequences(n))[::stride]
+    for seq in sample:
+        _, diffs = initial_terms(weighting_matrix(seq).rows, table)
+        assert all(-2 <= x <= 2 for d in diffs for x in d)
+        assert min(dot(certificate, d) for d in diffs) >= 1
+        e = strict_interior_point(diffs, dim)
+        assert all(dot(e, d) >= 1 for d in diffs)

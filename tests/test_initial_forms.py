@@ -9,9 +9,10 @@ from grassdegen.initial_forms import (
     inequalities_from_csv,
     inequalities_to_csv,
     inequality_set,
-    initial_form,
+    initial_terms,
     order_compare,
     reduce_content,
+    relation_table,
 )
 from grassdegen.plucker import MultiIndex, all_relations, plucker_relation
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
@@ -49,63 +50,74 @@ def test_order_compare_is_a_total_order():
         assert order_compare(S, x, y) in (LESS, EQUAL)
 
 
+def term_vectors(M, R):
+    return [
+        tuple(x + y for x, y in zip(M.row(t.factors[0].entries), M.row(t.factors[1].entries)))
+        for t in R.terms
+    ]
+
+
 def test_worked_initial_form():
     S = standard_sequence(6)
     M = weighting_matrix(S)
     R = plucker_relation(MultiIndex((1, 2), 6), MultiIndex((3, 4, 5, 6), 6))
-    form = initial_form(S, M, R)
-    assert form.is_binomial
-    assert {(t.sign, t.monomial) for t in form.initial_terms} == {
+    (initial,), _ = initial_terms(M.rows, relation_table(6, [R]))
+    assert set(initial) == {
         (-1, ((1, 2, 3), (4, 5, 6))),
         (1, ((1, 2, 4), (3, 5, 6))),
     }
-    assert all(tv.vector == (1, 0, 0, 0, 1, 0, 0, 0, 1) for tv in form.term_valuations[:2])
+    vector_of = {(t.sign, t.monomial): v for t, v in zip(R.terms, term_vectors(M, R))}
+    assert all(vector_of[term] == (1, 0, 0, 0, 1, 0, 0, 0, 1) for term in initial)
 
 
 def test_initial_form_weight_is_constant_within_a_relation():
     S = standard_sequence(6)
     M = weighting_matrix(S)
     for R in all_relations(6):
-        form = initial_form(S, M, R)
-        weights = {tv.weight for tv in form.term_valuations}
+        weights = {height_weight(S, v) for v in term_vectors(M, R)}
         assert weights == {sum(R.I) + sum(R.J) - 12}
+        # the kernel's differences then all have weight zero
+        _, diffs = initial_terms(M.rows, relation_table(6, [R]))
+        assert {height_weight(S, d) for d in diffs} == {0}
 
 
 def test_min_order_equals_lex_max_on_every_relation():
     """The two routes to the initial terms coincide: full order comparison
-    versus the lexicographic shortcut."""
+    versus the kernel's lexicographic shortcut."""
     S = IteratedSequence(6, ((3, 1, 4), (2, 3, 1)), (3, 2, 1))
     M = weighting_matrix(S)
-    for R in all_relations(6):
-        form = initial_form(S, M, R)
-        vectors = [tv.vector for tv in form.term_valuations]
+    relations = all_relations(6)
+    initials, _ = initial_terms(M.rows, relation_table(6))
+    for R, initial in zip(relations, initials):
+        vectors = term_vectors(M, R)
         minimal = [
             v
             for v in vectors
             if all(order_compare(S, v, u) in (LESS, EQUAL) for u in vectors)
         ]
         assert set(minimal) == {max(vectors)}
+        chosen = {(t.sign, t.monomial) for t, v in zip(R.terms, vectors) if v in minimal}
+        assert set(initial) == chosen
 
 
 @pytest.mark.parametrize("n", [5])
 def test_binomiality_exhaustive_small(n):
-    relations = all_relations(n)
+    table = relation_table(n)
+    assert len(table) == len(all_relations(n))
     for seq in enumerate_sequences(n):
-        M = weighting_matrix(seq)
-        for R in relations:
-            assert initial_form(seq, M, R).is_binomial
+        initials, _ = initial_terms(weighting_matrix(seq).rows, table)
+        assert all(len(terms) == 2 for terms in initials)
 
 
 def test_binomiality_sampled_n8():
-    relations = all_relations(8)
-    assert len(relations) == 1540
+    table = relation_table(8)
+    assert len(table) == 1540
     rng = random.Random(5)
     for _ in range(20):
         levels = tuple(tuple(rng.sample(range(1, 8 - t), 3)) for t in range(4))
         seq = IteratedSequence(8, levels, tuple(rng.sample((1, 2, 3), 3)))
-        M = weighting_matrix(seq)
-        for R in relations:
-            assert initial_form(seq, M, R).is_binomial
+        initials, _ = initial_terms(weighting_matrix(seq).rows, table)
+        assert all(len(terms) == 2 for terms in initials)
 
 
 def test_inequality_set_worked_example():

@@ -4,8 +4,10 @@ import os
 import jsonschema
 import pytest
 
+from grassdegen.classify import classify_gr36
 from grassdegen.pipeline import run_pipeline, write_outputs
-from grassdegen.sequences import IteratedSequence
+from grassdegen.sequences import IteratedSequence, representative_sequence
+from oracles import brute_force_fingerprint
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -69,16 +71,15 @@ def test_outputs_are_deterministic_and_schema_valid(tmp_path):
 
 
 def test_fast_path_matches_reference_fingerprints():
-    """The compiled sweep and the per-relation reference implementation
-    must produce identical fingerprints."""
-    from grassdegen.classify import fingerprint
+    """The sweep's fingerprints equal the brute-force oracle's, which expands
+    every relation and applies the height-weighted order term by term."""
     from grassdegen.sequences import enumerate_sequences
 
     sample = list(enumerate_sequences(6))[::1517]
     result = run_pipeline(6, jobs=1, sequences=sample, skip_verify=True)
     for outcome in result.outcomes:
         seq = IteratedSequence.parse(outcome.serialized)
-        assert result.fingerprints[outcome.fingerprint_id] == fingerprint(seq)
+        assert result.fingerprints[outcome.fingerprint_id] == brute_force_fingerprint(seq)
 
 
 def test_weights_payload_contents(tmp_path):
@@ -89,3 +90,23 @@ def test_weights_payload_contents(tmp_path):
     entry = payload["labels"]["(1,2)"]
     assert entry["w"]["123"] == 0
     assert len(entry["e"]) == 6
+
+
+@pytest.mark.parametrize(
+    "label, name",
+    [
+        (((1, 2), (3, 4)), "O1"),
+        (((1, 3), (2, 1)), "O2"),
+        (((3, 1), (2, 1)), "O3"),
+        (((1, 2), (1, 3)), "O4"),
+    ],
+)
+def test_single_sequence_run_names_the_full_run_class(label, name):
+    classification = classify_gr36()
+    fp = classification.fingerprint_of_label[label]
+    assert classification.orbit_names[classification.orbit_of_fingerprint[fp]] == name
+    result = run_pipeline(
+        6, jobs=1, sequences=[representative_sequence(label, 6)], skip_verify=True
+    )
+    (report,) = result.orbit_reports
+    assert result.orbit_names == {report.orbit_id: name}
