@@ -2,8 +2,8 @@
 version.
 
 Exit codes: 0 on success, 1 on an internal invariant violation, 2 on usage
-errors.  A key=value config file can override the solver box bound and the
-ambient-size ceiling; GRASS_DEGEN_JOBS sets the default worker count.
+errors.  n must be in 4..8; ``pipeline --jobs`` sets the worker count
+(default: the CPU count).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import sys
 
 from . import __version__
 from .classify import ORBIT_CLASS_NAMES, NotFound, classify_gr36, fingerprint
-from .cone import DEFAULT_BOX_BOUND, Infeasible, strict_interior_point, weight_vector
+from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import inequalities_from_csv
 from .pipeline import (
     dump_json,
-    resolve_jobs,
     run_pipeline,
     verify_fingerprints,
     verify_payload,
@@ -35,33 +34,10 @@ from .sequences import (
 )
 from .valuation import WeightingMatrix
 
-DEFAULT_MAX_N = 8
 # Triple keys, matrix CSVs, label file names and the schemas write one digit
-# per index.
-LARGEST_MAX_N = 9
-
-
-def load_config(path: str) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, raw = line.partition("=")
-            if not _:
-                raise ValueError(f"malformed config line {line!r}")
-            values[key.strip()] = raw.strip()
-    config = {}
-    for key, raw in values.items():
-        if key in ("solver_box_bound", "max_n"):
-            config[key] = int(raw)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    if not 4 <= config.get("max_n", DEFAULT_MAX_N) <= LARGEST_MAX_N:
-        raise ValueError(f"max_n must be in 4..{LARGEST_MAX_N}, got {config['max_n']}")
-    return config
+# per index, so n cannot pass 9; n = 9 itself has 7.3e10 sequences, so the
+# ceiling is 8.
+MAX_N = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="grass-degen",
         description="Toric degenerations of Gr(3,n) from iterated birational sequences",
     )
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all iterated sequences")
@@ -100,13 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_n(parser, n: int, max_n: int):
-    if not 4 <= n <= max_n:
-        parser.error(f"n must be in 4..{max_n}, got {n}")
+def _check_n(parser, n: int):
+    if not 4 <= n <= MAX_N:
+        parser.error(f"n must be in 4..{MAX_N}, got {n}")
 
 
-def cmd_enumerate(args, parser, config) -> int:
-    _check_n(parser, args.n, config.get("max_n", DEFAULT_MAX_N))
+def cmd_enumerate(args, parser) -> int:
+    _check_n(parser, args.n)
     out = open(args.output, "w") if args.output else sys.stdout
     count = 0
     try:
@@ -120,12 +95,8 @@ def cmd_enumerate(args, parser, config) -> int:
     return 0
 
 
-def cmd_pipeline(args, parser, config) -> int:
-    _check_n(parser, args.n, config.get("max_n", DEFAULT_MAX_N))
-    try:
-        resolve_jobs(args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_pipeline(args, parser) -> int:
+    _check_n(parser, args.n)
     sequences = None
     if args.seq:
         try:
@@ -136,11 +107,7 @@ def cmd_pipeline(args, parser, config) -> int:
             parser.error(f"--seq has n={seq.n}, but -n {args.n} was given")
         sequences = [seq]
     result = run_pipeline(
-        args.n,
-        jobs=args.jobs,
-        skip_verify=args.skip_verify,
-        sequences=sequences,
-        box_bound=config.get("solver_box_bound", DEFAULT_BOX_BOUND),
+        args.n, jobs=args.jobs, skip_verify=args.skip_verify, sequences=sequences
     )
     broken = [
         o.serialized
@@ -195,14 +162,14 @@ def _fingerprints_from_file(path: str):
     return payload["n"], fps
 
 
-def cmd_verify(args, parser, config) -> int:
+def cmd_verify(args, parser) -> int:
     if bool(args.fingerprints) == bool(args.n):
         parser.error("give exactly one of --fingerprints or -n")
     if args.fingerprints:
         n, fps = _fingerprints_from_file(args.fingerprints)
     else:
         n = args.n
-        _check_n(parser, n, config.get("max_n", DEFAULT_MAX_N))
+        _check_n(parser, n)
         fps = sorted({fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)})
     payload = verify_payload(n, *verify_fingerprints(fps, n))
     if args.output:
@@ -213,15 +180,16 @@ def cmd_verify(args, parser, config) -> int:
     return 0
 
 
-def cmd_solve_cone(args, parser, config) -> int:
+def cmd_solve_cone(args, parser) -> int:
     with open(args.inequalities) as fh:
         diffs = inequalities_from_csv(fh.read())
     with open(args.matrix) as fh:
         text = fh.read()
     n = max((int(c) for line in text.splitlines() if line for c in line.split(",", 1)[0]), default=4)
     matrix = WeightingMatrix.from_csv(text, n)
-    dim = len(matrix.rows[0])
-    e = strict_interior_point(diffs, dim, config.get("solver_box_bound", DEFAULT_BOX_BOUND))
+    if not matrix.rows:
+        parser.error(f"{args.matrix} has no matrix rows")
+    e = strict_interior_point(diffs, len(matrix.rows[0]))
     w = weight_vector(e, matrix)
     payload = {
         "e": list(e),
@@ -238,23 +206,17 @@ def cmd_solve_cone(args, parser, config) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    if args.config:
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
     try:
         if args.command == "enumerate":
-            return cmd_enumerate(args, parser, config)
+            return cmd_enumerate(args, parser)
         if args.command == "pipeline":
-            return cmd_pipeline(args, parser, config)
+            return cmd_pipeline(args, parser)
         if args.command == "orbit-of":
             return cmd_orbit_of(args, parser)
         if args.command == "verify":
-            return cmd_verify(args, parser, config)
+            return cmd_verify(args, parser)
         if args.command == "solve-cone":
-            return cmd_solve_cone(args, parser, config)
+            return cmd_solve_cone(args, parser)
         if args.command == "version":
             print(__version__)
             return 0

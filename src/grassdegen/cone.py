@@ -2,13 +2,14 @@
 
 The strict system is solved as a slack-maximization LP over the rationals:
 
-    maximize t   subject to   e.d >= t for all d,   -B <= e_i <= B,
+    maximize t   subject to   e.d >= t for all d,   -1 <= e_i <= 1,
 
-with e split into nonnegative parts and the box bound B growing on failure.
-The simplex tableau is kept integral by fraction-free pivoting (every entry
-is the stored integer divided by one common denominator), so the optimum is
-exact.  A positive optimum is scaled to an integer certificate with
-e.d >= 1 everywhere; an optimum of zero at every box size certifies that the
+with e split into nonnegative parts.  The open cone is closed under positive
+scaling, so it meets the unit box exactly when it is nonempty: one LP
+decides it.  The simplex tableau is kept integral by fraction-free pivoting
+(every entry is the stored integer divided by one common denominator), so
+the optimum is exact.  A positive optimum is scaled to an integer
+certificate with e.d >= 1 everywhere; an optimum of zero certifies that the
 open cone is empty.
 """
 
@@ -18,8 +19,6 @@ import math
 from fractions import Fraction
 
 from .valuation import DimensionError, Vector, WeightingMatrix
-
-DEFAULT_BOX_BOUND = 4096
 
 # Dantzig pricing is used while the objective moves; after this many pivots
 # without improvement the rule switches to smallest-index (Bland), which
@@ -46,8 +45,8 @@ def _pivot(tableau: list[list[int]], basis: list[int], r: int, c: int, denom: in
     return p
 
 
-def _solve_box_lp(diffs: tuple[Vector, ...], dim: int, box: int):
-    """Max-slack LP at a fixed box size; returns (t*, e*) as Fractions."""
+def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
+    """Max-slack LP over the unit box; returns (t*, e*) as Fractions."""
     num_d = len(diffs)
     nvars = 2 * dim + 1
     m = num_d + 2 * dim
@@ -67,7 +66,7 @@ def _solve_box_lp(diffs: tuple[Vector, ...], dim: int, box: int):
         row = [0] * width
         row[i] = 1
         row[nvars + num_d + i] = 1
-        row[rhs] = box
+        row[rhs] = 1
         tableau.append(row)
     objective = [0] * width
     objective[t_col] = -1
@@ -112,15 +111,10 @@ def _solve_box_lp(diffs: tuple[Vector, ...], dim: int, box: int):
     return t_value, e
 
 
-def strict_interior_point(
-    diffs,
-    dim: int,
-    box_bound: int = DEFAULT_BOX_BOUND,
-) -> Vector:
+def strict_interior_point(diffs, dim: int) -> Vector:
     """Integer e with e.d >= 1 for every d; all-ones when no constraints.
 
-    Raises Infeasible when the LP optimum stays at zero for every box size
-    up to ``box_bound``.
+    Raises Infeasible when the LP optimum is zero.
     """
     diffs = tuple(tuple(d) for d in diffs)
     if any(len(d) != dim for d in diffs):
@@ -128,25 +122,18 @@ def strict_interior_point(
     if not diffs:
         return (1,) * dim
 
-    box = 1
-    while True:
-        t_value, e = _solve_box_lp(diffs, dim, box)
-        if t_value > 0:
-            scale = math.lcm(*(x.denominator for x in e))
-            cleared = [int(x * scale) for x in e]
-            g = math.gcd(*cleared)
-            if g > 1:
-                cleared = [x // g for x in cleared]
-            point = tuple(cleared)
-            bad = [d for d in diffs if sum(a * b for a, b in zip(point, d)) < 1]
-            if bad:
-                raise RuntimeError(f"solver returned unsound projection {point}")
-            return point
-        if box >= box_bound:
-            raise Infeasible(
-                f"slack optimum {t_value} <= 0 for every box size up to {box_bound}"
-            )
-        box = min(box * 16, box_bound)
+    t_value, e = _solve_box_lp(diffs, dim)
+    if t_value <= 0:
+        raise Infeasible(f"open cone is empty (slack optimum {t_value})")
+    scale = math.lcm(*(x.denominator for x in e))
+    cleared = [int(x * scale) for x in e]
+    g = math.gcd(*cleared)
+    if g > 1:
+        cleared = [x // g for x in cleared]
+    point = tuple(cleared)
+    if any(sum(a * b for a, b in zip(point, d)) < 1 for d in diffs):
+        raise RuntimeError(f"solver returned unsound projection {point}")
+    return point
 
 
 def weight_vector(e: Vector, matrix: WeightingMatrix) -> Vector:

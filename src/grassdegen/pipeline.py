@@ -24,7 +24,7 @@ from .classify import (
     ORBIT_CLASS_NAMES,
     OrbitReport,
 )
-from .cone import DEFAULT_BOX_BOUND, strict_interior_point
+from .cone import strict_interior_point
 from .exactlinalg import exact_rank
 from .initial_forms import initial_terms, relation_table
 from .plucker import all_relations, all_triples
@@ -37,8 +37,6 @@ from .sequences import (
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, relation_form
 from .valuation import compute_valuation, weighting_matrix
-
-DEFAULT_JOBS_ENV = "GRASS_DEGEN_JOBS"
 
 
 @dataclass(frozen=True)
@@ -86,26 +84,13 @@ class PipelineResult:
         )
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get(DEFAULT_JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{DEFAULT_JOBS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 # Worker-side state, rebuilt once per process.
 _CTX = None
 
 
 class _Context:
-    def __init__(self, n: int, box_bound: int):
+    def __init__(self, n: int):
         self.n = n
-        self.box_bound = box_bound
         self.triples = all_triples(n)
         self.table = relation_table(n)
         self.dim = 3 * (n - 3)
@@ -114,14 +99,14 @@ class _Context:
     def solve(self, diffs: tuple) -> tuple[int, ...]:
         e = self.solver_cache.get(diffs)
         if e is None:
-            e = strict_interior_point(diffs, self.dim, self.box_bound)
+            e = strict_interior_point(diffs, self.dim)
             self.solver_cache[diffs] = e
         return e
 
 
-def _init_worker(n: int, box_bound: int):
+def _init_worker(n: int):
     global _CTX
-    _CTX = _Context(n, box_bound)
+    _CTX = _Context(n)
 
 
 def _sweep_one(ctx: _Context, serialized: str):
@@ -155,7 +140,10 @@ def _sweep_chunk(chunk: list[str]):
     records = []
     label_weights = {}
     for serialized in chunk:
-        seq, fp, rank, e, weights, sound, scalar_ok, binomial = _sweep_one(ctx, serialized)
+        try:
+            seq, fp, rank, e, weights, sound, scalar_ok, binomial = _sweep_one(ctx, serialized)
+        except Exception as exc:
+            raise RuntimeError(f"sequence {serialized}: {exc}") from exc
         local = fp_index.get(fp)
         if local is None:
             local = len(fp_table)
@@ -232,11 +220,10 @@ def run_pipeline(
     jobs: int | None = None,
     skip_verify: bool = False,
     sequences: list[IteratedSequence] | None = None,
-    box_bound: int | None = None,
 ) -> PipelineResult:
-    """Run the whole chain for Gr(3,n); raises Infeasible only on a bug."""
-    jobs = resolve_jobs(jobs)
-    box = box_bound if box_bound is not None else DEFAULT_BOX_BOUND
+    """Run the whole chain for Gr(3,n); raises RuntimeError, naming the
+    sequence, only on a bug.  ``jobs`` defaults to the CPU count."""
+    jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
@@ -249,10 +236,10 @@ def run_pipeline(
     start = time.perf_counter()
     chunks = _chunked(serialized, jobs * 8)
     if jobs > 1 and len(serialized) > 64:
-        with Pool(jobs, initializer=_init_worker, initargs=(n, box)) as pool:
+        with Pool(jobs, initializer=_init_worker, initargs=(n,)) as pool:
             chunk_results = pool.map(_sweep_chunk, chunks)
     else:
-        _init_worker(n, box)
+        _init_worker(n)
         chunk_results = [_sweep_chunk(c) for c in chunks]
 
     raw_records = []
@@ -332,6 +319,16 @@ def _label_filename(label: Label) -> str:
     if not label:
         return "base.csv"
     return "-".join(f"{a}{b}" for a, b in label) + ".csv"
+
+
+def _inputs_sha256(result: PipelineResult, command: str) -> str:
+    """Hash of what determines the outputs: n, the command, the sequences in
+    run order and whether verify ran (the worker count does not matter)."""
+    settings = {"n": result.n, "command": command, "verify": result.plucker_ranks is not None}
+    digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
+    for outcome in result.outcomes:
+        digest.update(f"\n{outcome.serialized}".encode())
+    return digest.hexdigest()
 
 
 def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline") -> str:
@@ -427,11 +424,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
         "command": command,
         "n": result.n,
         "version": __version__,
-        "inputs": {
-            "sha256": hashlib.sha256(
-                json.dumps({"n": result.n, "command": command}, sort_keys=True).encode()
-            ).hexdigest()
-        },
+        "inputs": {"sha256": _inputs_sha256(result, command)},
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "outputs": [
             {

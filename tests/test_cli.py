@@ -60,9 +60,8 @@ def test_pipeline_n4_degenerate(tmp_path):
     assert payload["fingerprints"][0]["generators"] == []
 
 
-def test_bad_jobs_env_is_usage_error(tmp_path):
-    env = dict(os.environ, GRASS_DEGEN_JOBS="soon")
-    proc = run_cli("pipeline", "-n", "5", "--out", str(tmp_path / "x"), env=env)
+def test_bad_jobs_is_usage_error(tmp_path):
+    proc = run_cli("pipeline", "-n", "5", "--jobs", "two", "--out", str(tmp_path / "x"))
     assert proc.returncode == 2
 
 
@@ -135,6 +134,17 @@ def test_solve_cone_infeasible_exit_code(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_solve_cone_empty_matrix_is_usage_error(tmp_path):
+    ineq = tmp_path / "ineq.csv"
+    ineq.write_text("1,0,0,0,0,0,0,0,0\n")
+    matrix = tmp_path / "empty.csv"
+    matrix.write_text("")
+    proc = run_cli("solve-cone", "--inequalities", str(ineq), "--matrix", str(matrix))
+    assert proc.returncode == 2
+    assert "no matrix rows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_from_fingerprints_file(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(
@@ -154,27 +164,17 @@ def test_verify_from_fingerprints_file(tmp_path):
     assert all(f["rank2"] == 5 and f["rank3"] == 45 for f in payload["fingerprints"])
 
 
-def test_config_file(tmp_path):
-    config = tmp_path / "grass.cfg"
-    config.write_text("max_n=5\nsolver_box_bound=64\n")
-    proc = run_cli("--config", str(config), "enumerate", "-n", "6")
+def test_n_ceiling_is_usage_error(tmp_path):
+    # indices are written one digit each and n = 9 cannot finish, so n stops at 8
+    proc = run_cli("enumerate", "-n", "9")
     assert proc.returncode == 2
-    proc = run_cli("--config", str(config), "enumerate", "-n", "5")
-    assert proc.returncode == 0
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nonsense=1\n")
-    proc = run_cli("--config", str(bad), "enumerate", "-n", "5")
+    assert "n must be in 4..8" in proc.stderr
+    proc = run_cli("pipeline", "-n", "10", "--out", str(tmp_path / "p10"))
     assert proc.returncode == 2
-    # indices are written one digit each, so n >= 10 cannot be represented
-    wide = tmp_path / "wide.cfg"
-    wide.write_text("max_n=10\n")
-    proc = run_cli("--config", str(wide), "enumerate", "-n", "5")
-    assert proc.returncode == 2
-    assert "max_n" in proc.stderr
+    assert "n must be in 4..8" in proc.stderr
 
 
-def test_jobs_env_variable(tmp_path):
-    env = dict(os.environ, GRASS_DEGEN_JOBS="2")
-    proc = run_cli("pipeline", "-n", "5", "--out", str(tmp_path / "env5"), env=env)
+def test_jobs_flag(tmp_path):
+    proc = run_cli("pipeline", "-n", "5", "--jobs", "2", "--out", str(tmp_path / "j5"))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "sequences=144 ideals=12 orbits=[12]"

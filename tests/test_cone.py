@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from grassdegen import cone
 from grassdegen.cone import Infeasible, strict_interior_point, weight_vector
 from grassdegen.initial_forms import inequality_set, initial_terms, relation_table
 from grassdegen.plucker import all_relations
@@ -19,6 +20,19 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def count_lp_solves(monkeypatch):
+    """Wrap the solver's LP so each call is recorded; returns the call list."""
+    calls = []
+    solve = cone._solve_box_lp
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cone, "_solve_box_lp", counted)
+    return calls
+
+
 def test_empty_set_gives_all_ones():
     assert strict_interior_point((), 9) == (1,) * 9
 
@@ -26,6 +40,14 @@ def test_empty_set_gives_all_ones():
 def test_contradictory_constraints_are_infeasible():
     with pytest.raises(Infeasible):
         strict_interior_point(((1, 0), (-1, 0)), 2)
+
+
+def test_infeasible_after_one_lp(monkeypatch):
+    # the cone is closed under scaling, so the unit-box LP alone decides it
+    calls = count_lp_solves(monkeypatch)
+    with pytest.raises(Infeasible):
+        strict_interior_point(((1, 0), (-1, 0)), 2)
+    assert len(calls) == 1
 
 
 def test_cyclic_contradiction_is_infeasible():
@@ -56,8 +78,10 @@ def test_solver_is_deterministic():
     assert strict_interior_point(diffs, 9) == strict_interior_point(diffs, 9)
 
 
-def test_random_feasible_cones():
-    """Instances made feasible by construction must solve soundly."""
+def test_random_feasible_cones(monkeypatch):
+    """Instances made feasible by construction must solve soundly, each with
+    one LP."""
+    calls = count_lp_solves(monkeypatch)
     rng = random.Random(20240)
     for trial in range(40):
         dim = rng.randrange(3, 8)
@@ -69,8 +93,10 @@ def test_random_feasible_cones():
             d = tuple(rng.randrange(-3, 4) for _ in range(dim))
             if dot(witness, d) >= 1:
                 diffs.append(d)
+        del calls[:]
         e = strict_interior_point(tuple(diffs), dim)
         assert all(dot(e, d) >= 1 for d in diffs)
+        assert len(calls) == 1
 
 
 def test_weight_vector_examples():

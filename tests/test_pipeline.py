@@ -4,6 +4,7 @@ import os
 import jsonschema
 import pytest
 
+from grassdegen import pipeline
 from grassdegen.classify import classify_gr36
 from grassdegen.pipeline import run_pipeline, write_outputs
 from grassdegen.sequences import IteratedSequence, representative_sequence
@@ -110,3 +111,29 @@ def test_single_sequence_run_names_the_full_run_class(label, name):
     )
     (report,) = result.orbit_reports
     assert result.orbit_names == {report.orbit_id: name}
+
+
+def test_manifest_inputs_hash(result_n5, tmp_path):
+    """The inputs hash follows the sequences and the verify stage, not the
+    worker count."""
+
+    def inputs_sha256(result, name):
+        with open(write_outputs(result, str(tmp_path / name))) as fh:
+            return json.load(fh)["inputs"]["sha256"]
+
+    full = inputs_sha256(result_n5, "full")
+    one = [IteratedSequence.parse("5:[1,2,3|1,2,3]")]
+    assert inputs_sha256(run_pipeline(5, jobs=1, sequences=one), "one") != full
+    assert inputs_sha256(run_pipeline(5, jobs=1, skip_verify=True), "skip") != full
+    assert inputs_sha256(run_pipeline(5, jobs=2), "jobs2") == full
+
+
+def test_sweep_failure_names_its_sequence(monkeypatch):
+    def broken(diffs, dim):
+        raise ValueError("solver exploded")
+
+    monkeypatch.setattr(pipeline, "strict_interior_point", broken)
+    seq = IteratedSequence.parse("5:[2,1,3|1,2,3]")
+    with pytest.raises(RuntimeError, match=r"sequence 5:\[2,1,3\|1,2,3\]: solver exploded") as info:
+        run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
+    assert isinstance(info.value.__cause__, ValueError)
