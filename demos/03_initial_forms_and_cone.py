@@ -27,7 +27,7 @@ def main():
     print("projection e =", e)
     print("slacks:", sorted({sum(a * b for a, b in zip(e, d)) for d in diffs}))
 
-    w = weight_vector(e, M)
+    w = weight_vector(e, M.rows)
     agreements = 0
     for terms, initial in zip(table, initials):
         scores = [w[a] + w[b] for _, a, b, _ in terms]

@@ -21,16 +21,16 @@ def main():
     reference = [relation_form(R) for R in all_relations(6)]
     r2 = graded_rank(reference, 2, 6)
     r3 = graded_rank(reference, 3, 6)
-    print(f"relation ideal: degree-2 rank {r2.rank} (of 210 monomials), "
-          f"degree-3 rank {r3.rank} (of 1540)")
+    print(f"relation ideal: degree-2 rank {r2} (of 210 monomials), "
+          f"degree-3 rank {r3} (of 1540)")
 
     fp = fingerprint(representative_sequence(((2, 4), (3, 1)), 6))
     print(f"\nfingerprint of label (2,4;3,1): {len(fp)} binomial generators")
     forms = [binomial_form(g) for g in fp]
     f2 = graded_rank(forms, 2, 6)
     f3 = graded_rank(forms, 3, 6)
-    print(f"graded ranks {f2.rank} / {f3.rank} "
-          f"({'match' if (f2.rank, f3.rank) == (r2.rank, r3.rank) else 'MISMATCH'})")
+    print(f"graded ranks {f2} / {f3} "
+          f"({'match' if (f2, f3) == (r2, r3) else 'MISMATCH'})")
 
     cert = lattice_saturation(fp)
     print(f"\nlattice rank {len(cert.invariant_factors)}, "

@@ -81,17 +81,6 @@ def apply_transposition(i: int, fp: Fingerprint) -> Fingerprint:
     return tuple(sorted(out))
 
 
-def apply_word(word, fp: Fingerprint) -> Fingerprint:
-    """Apply a word in simple transpositions, rightmost letter first.
-
-    General signed permutations are realized this way; the sign of a
-    composite is whatever the letter-by-letter composition yields.
-    """
-    for i in reversed(tuple(word)):
-        fp = apply_transposition(i, fp)
-    return fp
-
-
 def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
     """Full orbit of a fingerprint under the group generated by s_1..s_{n-1}."""
     seen = {fp}
@@ -209,16 +198,16 @@ class Gr36Classification:
     orbit_names: dict[int, str]
 
 
+def label_fingerprints(n: int) -> dict[Label, Fingerprint]:
+    """Fingerprint of each label of Gr(3,n), from its representative
+    sequence; constancy on label fibers is covered by the test suite."""
+    return {lab: fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)}
+
+
 @lru_cache(maxsize=1)
 def classify_gr36() -> Gr36Classification:
-    """Orbit classification of the 240 initial ideals of Gr(3,6).
-
-    Fingerprints are computed from one representative sequence per label;
-    constancy on label fibers is covered by the test suite.
-    """
-    fingerprint_of_label = {
-        lab: fingerprint(representative_sequence(lab, 6)) for lab in all_labels(6)
-    }
+    """Orbit classification of the 240 initial ideals of Gr(3,6)."""
+    fingerprint_of_label = label_fingerprints(6)
     labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]] = {}
     for lab, fp in fingerprint_of_label.items():
         labels_by_fingerprint[fp] = labels_by_fingerprint.get(fp, ()) + (lab,)
@@ -230,12 +219,3 @@ def classify_gr36() -> Gr36Classification:
     return Gr36Classification(
         tuple(reports), fingerprint_of_label, orbit_of_fingerprint, names
     )
-
-
-def label_orbit_membership(label: Label) -> int:
-    """Orbit id of the initial ideal with the given Gr(3,6) label."""
-    classification = classify_gr36()
-    fp = classification.fingerprint_of_label.get(tuple(tuple(p) for p in label))
-    if fp is None:
-        raise NotFound(f"no Gr(3,6) ideal with label {label}")
-    return classification.orbit_of_fingerprint[fp]

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .classify import ORBIT_CLASS_NAMES, NotFound, classify_gr36, fingerprint
+from .classify import ORBIT_CLASS_NAMES, NotFound, classify_gr36, label_fingerprints
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import inequalities_from_csv
 from .pipeline import (
@@ -23,13 +23,12 @@ from .pipeline import (
     verify_payload,
     write_outputs,
 )
+from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
-    all_labels,
     enumerate_sequences,
     format_label,
     parse_label,
-    representative_sequence,
     validate_label,
 )
 from .valuation import WeightingMatrix
@@ -75,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_n(parser, n: int):
+def _check_n(parser, n: int, where: str = ""):
     if not 4 <= n <= MAX_N:
-        parser.error(f"n must be in 4..{MAX_N}, got {n}")
+        parser.error(f"{where}n must be in 4..{MAX_N}, got {n}")
 
 
 def cmd_enumerate(args, parser) -> int:
@@ -144,33 +143,58 @@ def cmd_orbit_of(args, parser) -> int:
     return 0
 
 
-def _fingerprints_from_file(path: str):
+def _fingerprints_from_file(parser, path: str):
+    """n and the fingerprints of a fingerprints.json; a file of the wrong
+    shape is a usage error that names the path."""
+
+    def need(ok: bool, what: str):
+        if not ok:
+            parser.error(f"{path}: {what}")
+
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            parser.error(f"{path}: not JSON ({exc})")
+    need(isinstance(payload, dict) and type(payload.get("n")) is int, "needs an integer 'n'")
+    n = payload["n"]
+    _check_n(parser, n, f"{path}: ")
+    keys = {"".join(str(x) for x in t): t for t in all_triples(n)}
 
-    def triple(text: str):
-        return tuple(int(c) for c in text)
+    def monomial(pair):
+        need(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(k, str) and k in keys for k in pair),
+            f"{pair!r} is not two increasing triples in 1..{n}",
+        )
+        # the graded ranks index a monomial by its sorted pair of triples
+        return tuple(sorted((keys[pair[0]], keys[pair[1]])))
 
+    entries = payload.get("fingerprints")
+    need(isinstance(entries, list), "needs a 'fingerprints' list")
     fps = []
-    for entry in payload["fingerprints"]:
+    for entry in entries:
+        need(isinstance(entry, dict) and isinstance(entry.get("generators"), list),
+             "every fingerprint needs a 'generators' list")
         gens = []
         for g in entry["generators"]:
-            lead = (triple(g["lead"][0]), triple(g["lead"][1]))
-            trail = (triple(g["trail"][0]), triple(g["trail"][1]))
-            gens.append((lead, trail, g["sign"]))
+            need(isinstance(g, dict) and {"lead", "trail", "sign"} <= g.keys(),
+                 "every generator needs 'lead', 'trail' and 'sign'")
+            need(type(g["sign"]) is int and g["sign"] in (1, -1), "a sign must be 1 or -1")
+            gens.append((monomial(g["lead"]), monomial(g["trail"]), g["sign"]))
         fps.append(tuple(sorted(gens)))
-    return payload["n"], fps
+    return n, fps
 
 
 def cmd_verify(args, parser) -> int:
     if bool(args.fingerprints) == bool(args.n):
         parser.error("give exactly one of --fingerprints or -n")
     if args.fingerprints:
-        n, fps = _fingerprints_from_file(args.fingerprints)
+        n, fps = _fingerprints_from_file(parser, args.fingerprints)
     else:
         n = args.n
         _check_n(parser, n)
-        fps = sorted({fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)})
+        fps = sorted(set(label_fingerprints(n).values()))
     payload = verify_payload(n, *verify_fingerprints(fps, n))
     if args.output:
         dump_json(args.output, payload)
@@ -190,7 +214,7 @@ def cmd_solve_cone(args, parser) -> int:
     if not matrix.rows:
         parser.error(f"{args.matrix} has no matrix rows")
     e = strict_interior_point(diffs, len(matrix.rows[0]))
-    w = weight_vector(e, matrix)
+    w = weight_vector(e, matrix.rows)
     payload = {
         "e": list(e),
         "w": {"".join(str(x) for x in t): value for t, value in zip(matrix.triples, w)},

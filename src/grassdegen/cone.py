@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .valuation import DimensionError, Vector, WeightingMatrix
+from .valuation import DimensionError, Vector
 
 # Dantzig pricing is used while the objective moves; after this many pivots
 # without improvement the rule switches to smallest-index (Bland), which
@@ -136,8 +136,8 @@ def strict_interior_point(diffs, dim: int) -> Vector:
     return point
 
 
-def weight_vector(e: Vector, matrix: WeightingMatrix) -> Vector:
-    """Scalar weights e . row(K), aligned with the matrix row order."""
-    if any(len(row) != len(e) for row in matrix.rows):
+def weight_vector(e: Vector, rows) -> Vector:
+    """Scalar weights e . row(K), one per row of a weighting matrix."""
+    if any(len(row) != len(e) for row in rows):
         raise DimensionError("projection length does not match matrix rows")
-    return tuple(sum(a * b for a, b in zip(e, row)) for row in matrix.rows)
+    return tuple(sum(a * b for a, b in zip(e, row)) for row in rows)

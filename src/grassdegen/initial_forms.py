@@ -1,10 +1,13 @@
 """Initial forms of Pluecker relations under a weighting matrix.
 
-Each term p_A * p_B of a relation is valued by row(A) + row(B).  All terms
-of one relation share the same height-weighted total, so the minimum in the
-height-weighted reverse lexicographic order is attained exactly at the
-lexicographically largest valuation vectors; those terms form the initial
-form.  Every non-initial term contributes the strict inequality
+Each term p_A * p_B of a relation is valued by row(A) + row(B).  The initial
+form is the set of terms that are minimal in the height-weighted reverse
+lexicographic order: smallest height-weighted total, ties going to the
+lexicographically larger vector.  All terms of one relation share the same
+height-weighted total, so that minimum is attained exactly at the
+lexicographically largest valuation vectors, and the kernel selects those
+without computing the order; ``tests/oracles.py`` holds the order and checks
+this lemma.  Every non-initial term contributes the strict inequality
 e . (v(term) - v(initial)) > 0 that an order-preserving projection e has to
 satisfy.
 """
@@ -19,26 +22,7 @@ from operator import add, sub
 
 from .plucker import PluckerRelation, all_relations, all_triples
 from .sequences import IteratedSequence
-from .valuation import DimensionError, Vector, WeightingMatrix, height_weight
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-def order_compare(seq: IteratedSequence, a: Vector, b: Vector) -> int:
-    """Compare in the height-weighted reverse lexicographic order.
-
-    a precedes b iff its height-weighted total is smaller, or the totals tie
-    and a is lexicographically larger.  Returns LESS, EQUAL or GREATER.
-    """
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    wa, wb = height_weight(seq, a), height_weight(seq, b)
-    if wa != wb:
-        return LESS if wa < wb else GREATER
-    if a == b:
-        return EQUAL
-    return LESS if a > b else GREATER
-
+from .valuation import Vector, WeightingMatrix
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 # One term sign * p_A * p_B as (sign, row of A, row of B, monomial), the rows
@@ -111,14 +95,6 @@ def inequality_set(
     """The inequality set of ``initial_terms`` for the given relations,
     by default all of Gr(3,n)."""
     return initial_terms(matrix.rows, relation_table(seq.n, relations))[1]
-
-
-def inequalities_to_csv(diffs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for d in diffs:
-        writer.writerow(d)
-    return buf.getvalue()
 
 
 def inequalities_from_csv(text: str) -> tuple[Vector, ...]:

@@ -24,7 +24,7 @@ from .classify import (
     ORBIT_CLASS_NAMES,
     OrbitReport,
 )
-from .cone import strict_interior_point
+from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
 from .initial_forms import initial_terms, relation_table
 from .plucker import all_relations, all_triples
@@ -121,7 +121,7 @@ def _sweep_one(ctx: _Context, serialized: str):
     e = ctx.solve(diffs)
     sound = all(sum(a * b for a, b in zip(e, d)) >= 1 for d in diffs)
 
-    weights = [sum(a * b for a, b in zip(e, row)) for row in rows]
+    weights = weight_vector(e, rows)
     scalar_ok = True
     for terms, initial in zip(ctx.table, initials):
         scored = [(weights[a] + weights[b], mono) for (_, a, b, mono) in terms]
@@ -130,7 +130,7 @@ def _sweep_one(ctx: _Context, serialized: str):
             scalar_ok = False
             break
 
-    return seq, fp, rank, e, tuple(weights), sound, scalar_ok, binomial
+    return seq, fp, rank, e, weights, sound, scalar_ok, binomial
 
 
 def _sweep_chunk(chunk: list[str]):
@@ -161,12 +161,9 @@ def _verify_chunk(payload):
     out = []
     for fp_id, fp in items:
         forms = [binomial_form(g) for g in fp]
-        rank2 = graded_rank(forms, 2, n).rank
-        rank3 = graded_rank(forms, 3, n).rank
+        ranks = (graded_rank(forms, 2, n), graded_rank(forms, 3, n))
         cert = lattice_saturation(fp)
-        out.append(
-            VerificationRecord(fp_id, rank2, rank3, cert.saturated, cert.pure_difference)
-        )
+        out.append(VerificationRecord(fp_id, *ranks, cert.saturated, cert.pure_difference))
     return out
 
 
@@ -181,10 +178,7 @@ def verify_fingerprints(
     """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and one
     record per fingerprint, with ids numbering the fingerprints in order."""
     reference_forms = [relation_form(R) for R in all_relations(n)]
-    plucker_ranks = (
-        graded_rank(reference_forms, 2, n).rank,
-        graded_rank(reference_forms, 3, n).rank,
-    )
+    plucker_ranks = (graded_rank(reference_forms, 2, n), graded_rank(reference_forms, 3, n))
     items = list(enumerate(fingerprints))
     if jobs > 1 and len(items) > 16:
         payloads = [(chunk, n) for chunk in _chunked(items, jobs * 2)]

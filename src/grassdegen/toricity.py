@@ -32,13 +32,7 @@ def binomial_form(gen: Binomial) -> Form:
     return {lead: 1, trail: sign}
 
 
-@dataclass(frozen=True)
-class GradedPieceRank:
-    degree: int
-    rank: int
-
-
-def graded_rank(generators, degree: int, n: int) -> GradedPieceRank:
+def graded_rank(generators, degree: int, n: int) -> int:
     """Exact rank of the degree-d Macaulay matrix of degree-2 generators.
 
     Rows are generator * (degree-(d-2) monomial) coefficient vectors against
@@ -56,12 +50,11 @@ def graded_rank(generators, degree: int, n: int) -> GradedPieceRank:
         )
     else:
         raise Unsupported(f"degree must be 2 or 3, got {degree}")
-    return GradedPieceRank(degree, exact_rank(rows))
+    return exact_rank(rows)
 
 
 @dataclass(frozen=True)
 class LatticeCertificate:
-    basis: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
     non_pure_generators: tuple[Binomial, ...]
 
@@ -121,4 +114,4 @@ def lattice_saturation(fp: Fingerprint) -> LatticeCertificate:
     offenders = _sign_normalizable(basis, [gen[2] for gen in fp])
     non_pure = tuple(fp[i] for i in offenders)
     factors = smith_invariant_factors([list(r) for r in basis]) if basis else []
-    return LatticeCertificate(tuple(basis), tuple(factors), non_pure)
+    return LatticeCertificate(tuple(factors), non_pure)

@@ -5,8 +5,8 @@ greedy descent: walk the levels top-down and, whenever the current top index
 sits in the multi-index, trade it for the first admissible index of the
 level's triple, charging one unit to the corresponding position.  The result
 is the lexicographic maximum of the monomial support of the pullback of p_I
-under the birational parametrization; the recursion computing that support
-in full serves as an independent oracle.
+under the birational parametrization.  ``tests/oracles.py`` expands that
+support in full by recursion and checks the greedy result against it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .plucker import all_triples
 from .sequences import IteratedSequence
@@ -22,36 +21,8 @@ from .sequences import IteratedSequence
 Vector = tuple[int, ...]
 
 
-class InvalidRoot(ValueError):
-    """Not a positive root: requires i < j."""
-
-
 class DimensionError(ValueError):
     """Vector length does not match 3(n-3)."""
-
-
-def height(i: int, j: int) -> int:
-    """Height of the positive root with support (i, j): j - i."""
-    if i >= j:
-        raise InvalidRoot(f"need i < j, got ({i}, {j})")
-    return j - i
-
-
-def root_heights(seq: IteratedSequence) -> Vector:
-    """Heights of the sequence's roots, one per position 3t+j."""
-    heights = []
-    for t, triple in enumerate(seq.triples):
-        top = seq.n - t
-        heights.extend(height(i, top) for i in triple)
-    return tuple(heights)
-
-
-def height_weight(seq: IteratedSequence, vector: Vector) -> int:
-    """Height-weighted total of an exponent vector."""
-    heights = root_heights(seq)
-    if len(vector) != len(heights):
-        raise DimensionError(f"expected length {len(heights)}, got {len(vector)}")
-    return sum(m * h for m, h in zip(vector, heights))
 
 
 def compute_valuation(seq: IteratedSequence, I) -> Vector:
@@ -73,34 +44,6 @@ def compute_valuation(seq: IteratedSequence, I) -> Vector:
     return tuple(coords)
 
 
-def pullback_support(seq: IteratedSequence, I) -> frozenset[Vector]:
-    """Exponent-vector support of the pullback of p_I (coefficients dropped).
-
-    Recursive: with top index r absent, prepend a zero triad to the level
-    below; with r present, branch over the admissible triple entries.  The
-    branches write distinct units into the leading triad, so no two of them
-    collide and the union is disjoint.
-    """
-    triples = seq.triples
-
-    def expand(r: int, idx: frozenset[int]) -> list[Vector]:
-        if r == 3:
-            return [()]
-        triple = triples[seq.n - r]
-        if r not in idx:
-            return [(0, 0, 0) + v for v in expand(r - 1, idx)]
-        rest = idx - {r}
-        out = []
-        for j, candidate in enumerate(triple):
-            if candidate in rest:
-                continue
-            unit = tuple(1 if u == j else 0 for u in range(3))
-            out.extend(unit + v for v in expand(r - 1, rest | {candidate}))
-        return out
-
-    return frozenset(expand(seq.n, frozenset(I)))
-
-
 @dataclass(frozen=True)
 class WeightingMatrix:
     """One valuation row per K in lex-ordered I_{3,n}."""
@@ -108,9 +51,6 @@ class WeightingMatrix:
     n: int
     triples: tuple[tuple[int, int, int], ...]
     rows: tuple[Vector, ...]
-
-    def row(self, K) -> Vector:
-        return self.rows[_triple_position(self.n)[tuple(K)]]
 
     def items(self):
         return zip(self.triples, self.rows)
@@ -131,11 +71,6 @@ class WeightingMatrix:
             triples.append(tuple(int(c) for c in record[0]))
             rows.append(tuple(int(x) for x in record[1:]))
         return cls(n, tuple(triples), tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _triple_position(n: int) -> dict[tuple[int, int, int], int]:
-    return {t: i for i, t in enumerate(all_triples(n))}
 
 
 def weighting_matrix(seq: IteratedSequence) -> WeightingMatrix:

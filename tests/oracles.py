@@ -1,11 +1,11 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is deliberately brute force and shares no code with the
-package internals: polynomial expansion with explicit cancellation, dense
-rational Gaussian elimination, and semistandard-tableau enumeration for
-graded dimensions.  The one exception is the brute-force fingerprint, which
-takes its valuations from the full pullback-support recursion, itself the
-package's oracle for the greedy valuation.
+Everything here is deliberately brute force and imports nothing from the
+package: the full pullback-support recursion behind the greedy valuation,
+the height-weighted order behind the lex-max initial-term rule, polynomial
+expansion with explicit cancellation, dense rational Gaussian elimination,
+and semistandard-tableau enumeration for graded dimensions.  A sequence is
+read only through its ``n`` and ``triples`` attributes.
 """
 
 from __future__ import annotations
@@ -31,27 +31,67 @@ def expand_relation(i_pair, j_quad):
     return {k: v for k, v in poly.items() if v}
 
 
+def root_heights(seq):
+    """Heights j - i of the sequence's roots, one per position 3t+j: level
+    t has top index n - t, and i runs over the level's triple."""
+    return tuple(seq.n - t - i for t, triple in enumerate(seq.triples) for i in triple)
+
+
+def height_order_key(seq, v):
+    """Sort key of the height-weighted reverse lexicographic order: the
+    height-weighted total, then the negated vector, so that ties go to the
+    lexicographically larger vector."""
+    heights = root_heights(seq)
+    if len(v) != len(heights):
+        raise ValueError(f"expected length {len(heights)}, got {len(v)}")
+    return sum(h * x for h, x in zip(heights, v)), tuple(-x for x in v)
+
+
+def pullback_support(seq, I):
+    """Exponent-vector support of the pullback of p_I (coefficients dropped).
+
+    Recursive: with top index r absent, prepend a zero triad to the level
+    below; with r present, branch over the admissible triple entries.  The
+    branches write distinct units into the leading triad, so no two of them
+    collide and the union is disjoint.
+    """
+    triples = seq.triples
+
+    def expand(r, idx):
+        if r == 3:
+            return [()]
+        triple = triples[seq.n - r]
+        if r not in idx:
+            return [(0, 0, 0) + v for v in expand(r - 1, idx)]
+        rest = idx - {r}
+        out = []
+        for j, candidate in enumerate(triple):
+            if candidate in rest:
+                continue
+            unit = tuple(1 if u == j else 0 for u in range(3))
+            out.extend(unit + v for v in expand(r - 1, rest | {candidate}))
+        return out
+
+    return frozenset(expand(seq.n, frozenset(I)))
+
+
 def brute_force_fingerprint(seq):
     """Sorted canonical initial binomials of every nonzero relation.
 
     Each relation is expanded by ``expand_relation``; a term p_A p_B is
     valued by the sum of the lex-max exponent vectors of the supports of p_A
-    and p_B.  The initial terms are the order-minimal ones: the smallest
-    height-weighted total, ties going to the lex-larger vector.  Each
-    binomial is (smaller monomial, larger monomial, product of the signs).
+    and p_B.  The initial terms are the minima of ``height_order_key``.
+    Each binomial is (smaller monomial, larger monomial, product of the
+    signs).
     """
-    from grassdegen.valuation import pullback_support
-
     n = seq.n
-    heights = [n - t - i for t, triple in enumerate(seq.triples) for i in triple]
     valuation = {
         K: max(pullback_support(seq, K)) for K in itertools.combinations(range(1, n + 1), 3)
     }
 
     def order_key(monomial):
         a, b = monomial
-        v = [x + y for x, y in zip(valuation[a], valuation[b])]
-        return sum(h * x for h, x in zip(heights, v)), [-x for x in v]
+        return height_order_key(seq, [x + y for x, y in zip(valuation[a], valuation[b])])
 
     gens = set()
     for i_pair in itertools.combinations(range(1, n + 1), 2):

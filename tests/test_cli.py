@@ -4,8 +4,14 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
+
+
+def inequalities_to_csv(diffs) -> str:
+    """One CSV line per inequality vector, the input of ``solve-cone``."""
+    return "".join(",".join(str(x) for x in d) + "\n" for d in diffs)
 
 
 def run_cli(*args, **kwargs):
@@ -99,7 +105,7 @@ def test_orbit_of_usage_error():
 
 
 def test_solve_cone_roundtrip(tmp_path):
-    from grassdegen.initial_forms import inequalities_to_csv, inequality_set
+    from grassdegen.initial_forms import inequality_set
     from grassdegen.sequences import standard_sequence
     from grassdegen.valuation import weighting_matrix
 
@@ -162,6 +168,67 @@ def test_verify_from_fingerprints_file(tmp_path):
     jsonschema.validate(payload, schema)
     assert payload["plucker"] == {"rank2": 5, "rank3": 45}
     assert all(f["rank2"] == 5 and f["rank3"] == 45 for f in payload["fingerprints"])
+
+
+GOOD_GENERATOR = {"lead": ["123", "145"], "trail": ["124", "135"], "sign": -1}
+
+
+def _fingerprints_file(**generator):
+    return {"n": 5, "fingerprints": [{"generators": [dict(GOOD_GENERATOR, **generator)]}]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"n": 9, "fingerprints": []}, "n must be in 4..8", id="n-above-ceiling"),
+        pytest.param({"n": "5", "fingerprints": []}, "needs an integer 'n'", id="n-not-int"),
+        pytest.param([{"n": 5}], "needs an integer 'n'", id="json-list"),
+        pytest.param({"n": 5}, "needs a 'fingerprints' list", id="no-fingerprints"),
+        pytest.param({"n": 5, "fingerprints": [{"id": 0}]}, "'generators' list", id="no-generators"),
+        pytest.param(
+            {"n": 5, "fingerprints": [{"generators": [{"lead": ["123", "145"]}]}]},
+            "'sign'",
+            id="no-sign",
+        ),
+        pytest.param(_fingerprints_file(sign="-"), "1 or -1", id="sign-not-int"),
+        pytest.param(
+            _fingerprints_file(lead=["132", "145"]), "increasing triples in 1..5", id="not-increasing"
+        ),
+        pytest.param(
+            _fingerprints_file(trail=["124", "136"]), "increasing triples in 1..5", id="index-above-n"
+        ),
+        pytest.param(
+            _fingerprints_file(trail="124"), "increasing triples in 1..5", id="monomial-not-a-pair"
+        ),
+        pytest.param("{", "not JSON", id="not-json"),
+    ],
+)
+def test_verify_bad_fingerprints_file_is_usage_error(tmp_path, payload, message):
+    path = tmp_path / "fingerprints.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    proc = run_cli("verify", "--fingerprints", str(path))
+    assert proc.returncode == 2
+    assert str(path) in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_fingerprints_file_reads_a_monomial_in_either_order(tmp_path):
+    # p123*p145 - p124*p135, p124*p135 - p125*p134 and p123*p145 - p125*p134
+    # span a space of dimension 2, whichever way the first monomial is written
+    reports = []
+    for first in (["123", "145"], ["145", "123"]):
+        generators = [
+            {"lead": ["123", "145"], "trail": ["124", "135"], "sign": -1},
+            {"lead": ["124", "135"], "trail": ["125", "134"], "sign": -1},
+            {"lead": first, "trail": ["125", "134"], "sign": -1},
+        ]
+        path = tmp_path / "fingerprints.json"
+        path.write_text(json.dumps({"n": 5, "fingerprints": [{"generators": generators}]}))
+        proc = run_cli("verify", "--fingerprints", str(path))
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout))
+    assert reports[0] == reports[1]
+    assert reports[0]["fingerprints"][0]["rank2"] == 2
 
 
 def test_n_ceiling_is_usage_error(tmp_path):

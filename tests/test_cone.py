@@ -102,14 +102,14 @@ def test_random_feasible_cones(monkeypatch):
 def test_weight_vector_examples():
     S = standard_sequence(6)
     M = weighting_matrix(S)
-    zero = weight_vector((0,) * 9, M)
+    zero = weight_vector((0,) * 9, M.rows)
     assert zero == (0,) * 20
     diffs = inequality_set(S, M)
     e = strict_interior_point(diffs, 9)
-    w = weight_vector(e, M)
+    w = weight_vector(e, M.rows)
     assert w[M.triples.index((1, 2, 3))] == 0
     with pytest.raises(DimensionError):
-        weight_vector((1, 2), M)
+        weight_vector((1, 2), M.rows)
 
 
 def test_scalar_weights_reproduce_matrix_initial_forms():
@@ -121,14 +121,12 @@ def test_scalar_weights_reproduce_matrix_initial_forms():
         M = weighting_matrix(seq)
         diffs = inequality_set(seq, M, relations)
         e = strict_interior_point(diffs, 9)
-        w = weight_vector(e, M)
+        w = weight_vector(e, M.rows)
         lookup = dict(zip(M.triples, w))
+        row = dict(M.items())
         for R in relations:
             vectors = [
-                tuple(
-                    x + y
-                    for x, y in zip(M.row(t.factors[0].entries), M.row(t.factors[1].entries))
-                )
+                tuple(x + y for x, y in zip(row[t.factors[0].entries], row[t.factors[1].entries]))
                 for t in R.terms
             ]
             best = max(vectors)

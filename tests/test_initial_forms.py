@@ -3,34 +3,38 @@ import random
 import pytest
 
 from grassdegen.initial_forms import (
-    EQUAL,
-    GREATER,
-    LESS,
     inequalities_from_csv,
-    inequalities_to_csv,
     inequality_set,
     initial_terms,
-    order_compare,
     reduce_content,
     relation_table,
 )
 from grassdegen.plucker import MultiIndex, all_relations, plucker_relation
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
-from grassdegen.valuation import DimensionError, height_weight, weighting_matrix
+from grassdegen.valuation import weighting_matrix
+
+from oracles import height_order_key
+from test_cli import inequalities_to_csv
+
+
+def height_weight(seq, vector):
+    return height_order_key(seq, vector)[0]
 
 
 def test_order_compare_examples():
     S = standard_sequence(6)
     a = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    assert order_compare(S, a, a) == EQUAL
+    assert height_order_key(S, a) == (9, (-1, 0, 0, 0, -1, 0, 0, 0, -1))
     # heights 5 versus 1: the second vector has the smaller weighted total
-    assert order_compare(S, (1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 0, 1)) == GREATER
+    assert height_order_key(S, (1, 0, 0, 0, 0, 0, 0, 0, 0)) > height_order_key(
+        S, (0, 0, 0, 0, 0, 0, 0, 0, 1)
+    )
     # equal totals, first is lex-larger, hence earlier in the order
     b = (1, 0, 0, 0, 0, 1, 0, 1, 0)
     assert height_weight(S, a) == height_weight(S, b) == 9
-    assert order_compare(S, a, b) == LESS
-    with pytest.raises(DimensionError):
-        order_compare(S, (1, 0), (0, 1))
+    assert height_order_key(S, a) < height_order_key(S, b)
+    with pytest.raises(ValueError):
+        height_order_key(S, (1, 0))
 
 
 def test_order_compare_is_a_total_order():
@@ -39,20 +43,18 @@ def test_order_compare_is_a_total_order():
     vectors = [tuple(rng.randrange(3) for _ in range(9)) for _ in range(25)]
     for a in vectors:
         for b in vectors:
-            ab, ba = order_compare(S, a, b), order_compare(S, b, a)
-            assert ab == -ba
-            assert (ab == EQUAL) == (a == b)
-    # antisymmetry + transitivity via sort consistency
-    import functools
-
-    ordered = sorted(vectors, key=functools.cmp_to_key(lambda x, y: order_compare(S, x, y)))
+            # the key is injective, so the order it induces is total
+            assert (height_order_key(S, a) == height_order_key(S, b)) == (a == b)
+    ordered = sorted(vectors, key=lambda v: height_order_key(S, v))
     for x, y in zip(ordered, ordered[1:]):
-        assert order_compare(S, x, y) in (LESS, EQUAL)
+        assert height_weight(S, x) <= height_weight(S, y)
+        assert height_weight(S, x) < height_weight(S, y) or x >= y
 
 
 def term_vectors(M, R):
+    row = dict(M.items())
     return [
-        tuple(x + y for x, y in zip(M.row(t.factors[0].entries), M.row(t.factors[1].entries)))
+        tuple(x + y for x, y in zip(row[t.factors[0].entries], row[t.factors[1].entries]))
         for t in R.terms
     ]
 
@@ -90,11 +92,8 @@ def test_min_order_equals_lex_max_on_every_relation():
     initials, _ = initial_terms(M.rows, relation_table(6))
     for R, initial in zip(relations, initials):
         vectors = term_vectors(M, R)
-        minimal = [
-            v
-            for v in vectors
-            if all(order_compare(S, v, u) in (LESS, EQUAL) for u in vectors)
-        ]
+        low = min(height_order_key(S, v) for v in vectors)
+        minimal = [v for v in vectors if height_order_key(S, v) == low]
         assert set(minimal) == {max(vectors)}
         chosen = {(t.sign, t.monomial) for t, v in zip(R.terms, vectors) if v in minimal}
         assert set(initial) == chosen
