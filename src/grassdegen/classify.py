@@ -25,10 +25,6 @@ Binomial = tuple[Monomial, Monomial, int]
 Fingerprint = tuple[Binomial, ...]
 
 
-class NotFound(KeyError):
-    """Label has no fingerprint in the classified set."""
-
-
 def canonical_binomial(sign_a: int, mono_a: Monomial, sign_b: int, mono_b: Monomial) -> Binomial:
     """Normalize sign_a*mono_a + sign_b*mono_b to lead coefficient +1."""
     if mono_a <= mono_b:

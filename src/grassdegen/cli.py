@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .classify import ORBIT_CLASS_NAMES, NotFound, classify_gr36, label_fingerprints
+from .classify import ORBIT_CLASS_NAMES, classify_gr36, label_fingerprints
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import inequalities_from_csv
 from .pipeline import (
@@ -128,10 +128,7 @@ def cmd_orbit_of(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     classification = classify_gr36()
-    try:
-        fp = classification.fingerprint_of_label[label]
-    except KeyError:
-        raise NotFound(args.label)
+    fp = classification.fingerprint_of_label[label]
     orbit_id = classification.orbit_of_fingerprint[fp]
     report = next(r for r in classification.reports if r.orbit_id == orbit_id)
     name = classification.orbit_names[orbit_id]
@@ -244,7 +241,7 @@ def main(argv=None) -> int:
         if args.command == "version":
             print(__version__)
             return 0
-    except (Infeasible, NotFound, RuntimeError, AssertionError) as exc:
+    except (Infeasible, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

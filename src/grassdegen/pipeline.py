@@ -46,7 +46,6 @@ class SequenceOutcome:
     fingerprint_id: int
     all_binomial: bool
     matrix_rank: int
-    projection: tuple[int, ...]
     projection_sound: bool
     scalar_matches: bool
 
@@ -72,6 +71,7 @@ class PipelineResult:
     plucker_ranks: tuple[int, int] | None
     verification: list[VerificationRecord]
     timings: dict[str, float]
+    counters: dict[str, int]
 
     def orbit_sizes(self) -> list[int]:
         return sorted(r.intersection_size for r in self.orbit_reports)
@@ -84,64 +84,55 @@ class PipelineResult:
         )
 
 
-# Worker-side state, rebuilt once per process.
-_CTX = None
-
-
-class _Context:
-    def __init__(self, n: int):
-        self.n = n
-        self.triples = all_triples(n)
-        self.table = relation_table(n)
-        self.dim = 3 * (n - 3)
-        self.solver_cache: dict = {}
-
-    def solve(self, diffs: tuple) -> tuple[int, ...]:
-        e = self.solver_cache.get(diffs)
-        if e is None:
-            e = strict_interior_point(diffs, self.dim)
-            self.solver_cache[diffs] = e
-        return e
-
-
-def _init_worker(n: int):
-    global _CTX
-    _CTX = _Context(n)
-
-
-def _sweep_one(ctx: _Context, serialized: str):
+def _sweep_one(serialized: str, triples, table, certificate):
     seq = IteratedSequence.parse(serialized)
-    rows = [compute_valuation(seq, K) for K in ctx.triples]
+    rows = [compute_valuation(seq, K) for K in triples]
 
-    initials, diffs = initial_terms(rows, ctx.table)
+    initials, diffs = initial_terms(rows, table)
     binomial = all(len(terms) == 2 for terms in initials)
     fp = binomial_generators(initials)
     rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
 
-    e = ctx.solve(diffs)
-    sound = all(sum(a * b for a, b in zip(e, d)) >= 1 for d in diffs)
+    sound = all(sum(a * b for a, b in zip(certificate, d)) >= 1 for d in diffs)
 
-    weights = weight_vector(e, rows)
+    weights = weight_vector(certificate, rows)
     scalar_ok = True
-    for terms, initial in zip(ctx.table, initials):
+    for terms, initial in zip(table, initials):
         scored = [(weights[a] + weights[b], mono) for (_, a, b, mono) in terms]
         low = min(s for s, _ in scored)
         if {mono for s, mono in scored if s == low} != {mono for _, mono in initial}:
             scalar_ok = False
             break
 
-    return seq, fp, rank, e, weights, sound, scalar_ok, binomial
+    return seq, rows, diffs, fp, rank, sound, scalar_ok, binomial
 
 
-def _sweep_chunk(chunk: list[str]):
-    ctx = _CTX
+def _sweep_chunk(payload):
+    """Sweep one chunk of serialized sequences of Gr(3,n).
+
+    Every sequence is checked against the closed-form point of the ``cone``
+    lemma.  The LP runs only for the first sequence of each label in the
+    chunk: the merge keeps the earliest chunk's entry, so no other sequence
+    reaches weights.json.
+    """
+    chunk, n = payload
+    triples = all_triples(n)
+    table = relation_table(n)
+    dim = 3 * (n - 3)
+    certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
     fp_table: list[Fingerprint] = []
     fp_index: dict[Fingerprint, int] = {}
     records = []
     label_weights = {}
     for serialized in chunk:
         try:
-            seq, fp, rank, e, weights, sound, scalar_ok, binomial = _sweep_one(ctx, serialized)
+            seq, rows, diffs, fp, rank, sound, scalar_ok, binomial = _sweep_one(
+                serialized, triples, table, certificate
+            )
+            label = label_of(seq)
+            if label not in label_weights:
+                e = strict_interior_point(diffs, dim)
+                label_weights[label] = (serialized, e, weight_vector(e, rows))
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
         local = fp_index.get(fp)
@@ -149,10 +140,7 @@ def _sweep_chunk(chunk: list[str]):
             local = len(fp_table)
             fp_index[fp] = local
             fp_table.append(fp)
-        label = label_of(seq)
-        if label not in label_weights:
-            label_weights[label] = (serialized, e, weights)
-        records.append((serialized, label, local, binomial, rank, e, sound, scalar_ok))
+        records.append((serialized, label, local, binomial, rank, sound, scalar_ok))
     return records, fp_table, label_weights
 
 
@@ -228,13 +216,12 @@ def run_pipeline(
     timings["enumerate"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    chunks = _chunked(serialized, jobs * 8)
+    payloads = [(chunk, n) for chunk in _chunked(serialized, jobs * 8)]
     if jobs > 1 and len(serialized) > 64:
-        with Pool(jobs, initializer=_init_worker, initargs=(n,)) as pool:
-            chunk_results = pool.map(_sweep_chunk, chunks)
+        with Pool(jobs) as pool:
+            chunk_results = pool.map(_sweep_chunk, payloads)
     else:
-        _init_worker(n)
-        chunk_results = [_sweep_chunk(c) for c in chunks]
+        chunk_results = [_sweep_chunk(p) for p in payloads]
 
     raw_records = []
     label_weights: dict[Label, tuple] = {}
@@ -250,10 +237,10 @@ def run_pipeline(
     fp_id = {fp: i for i, fp in enumerate(distinct)}
     outcomes = []
     labels_of_fingerprint: dict[int, list[Label]] = {}
-    for (serialized_seq, label, local, binomial, rank, e, sound, scalar_ok), fp_table in raw_records:
+    for (serialized_seq, label, local, binomial, rank, sound, scalar_ok), fp_table in raw_records:
         fid = fp_id[fp_table[local]]
         outcomes.append(
-            SequenceOutcome(serialized_seq, label, fid, binomial, rank, e, sound, scalar_ok)
+            SequenceOutcome(serialized_seq, label, fid, binomial, rank, sound, scalar_ok)
         )
         bucket = labels_of_fingerprint.setdefault(fid, [])
         if label not in bucket:
@@ -283,6 +270,7 @@ def run_pipeline(
         plucker_ranks=plucker_ranks,
         verification=verification,
         timings=timings,
+        counters={"lp_solves": sum(len(chunk_weights) for _, _, chunk_weights in chunk_results)},
     )
 
 
@@ -323,6 +311,16 @@ def _inputs_sha256(result: PipelineResult, command: str) -> str:
     for outcome in result.outcomes:
         digest.update(f"\n{outcome.serialized}".encode())
     return digest.hexdigest()
+
+
+def _output_entry(path: str, outdir: str) -> dict:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {
+        "path": os.path.relpath(path, outdir),
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+    }
 
 
 def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline") -> str:
@@ -420,14 +418,8 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
         "version": __version__,
         "inputs": {"sha256": _inputs_sha256(result, command)},
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
-        "outputs": [
-            {
-                "path": os.path.relpath(p, outdir),
-                "sha256": hashlib.sha256(open(p, "rb").read()).hexdigest(),
-                "bytes": os.path.getsize(p),
-            }
-            for p in written
-        ],
+        "counters": result.counters,
+        "outputs": [_output_entry(p, outdir) for p in written],
     }
     manifest_path = os.path.join(outdir, "manifest.json")
     dump_json(manifest_path, manifest)

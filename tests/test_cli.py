@@ -14,6 +14,11 @@ def inequalities_to_csv(diffs) -> str:
     return "".join(",".join(str(x) for x in d) + "\n" for d in diffs)
 
 
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "grassdegen.cli", *args],
@@ -62,7 +67,7 @@ def test_pipeline_n4_degenerate(tmp_path):
     proc = run_cli("pipeline", "-n", "4", "--out", str(tmp_path / "p4"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "sequences=6 ideals=1 orbits=[1]"
-    payload = json.load(open(tmp_path / "p4" / "fingerprints.json"))
+    payload = load_json(tmp_path / "p4" / "fingerprints.json")
     assert payload["fingerprints"][0]["generators"] == []
 
 
@@ -79,7 +84,7 @@ def test_pipeline_single_sequence(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "sequences=1 ideals=1 orbits=[1]"
-    payload = json.load(open(out / "fingerprints.json"))
+    payload = load_json(out / "fingerprints.json")
     gens = payload["fingerprints"][0]["generators"]
     assert {"lead": ["123", "456"], "trail": ["124", "356"], "sign": -1} in gens
 
@@ -120,7 +125,7 @@ def test_solve_cone_roundtrip(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    schema = json.load(open(os.path.join(SCHEMA_DIR, "cone_solution.schema.json")))
+    schema = load_json(os.path.join(SCHEMA_DIR, "cone_solution.schema.json"))
     jsonschema.validate(payload, schema)
     assert payload["w"]["123"] == 0
     diffs = [tuple(int(x) for x in line.split(",")) for line in ineq_path.read_text().splitlines()]
@@ -163,8 +168,8 @@ def test_verify_from_fingerprints_file(tmp_path):
         "-o", str(tmp_path / "verify.json"),
     )
     assert proc.returncode == 0, proc.stderr
-    payload = json.load(open(tmp_path / "verify.json"))
-    schema = json.load(open(os.path.join(SCHEMA_DIR, "verify.schema.json")))
+    payload = load_json(tmp_path / "verify.json")
+    schema = load_json(os.path.join(SCHEMA_DIR, "verify.schema.json"))
     jsonschema.validate(payload, schema)
     assert payload["plucker"] == {"rank2": 5, "rank3": 45}
     assert all(f["rank2"] == 5 and f["rank3"] == 45 for f in payload["fingerprints"])

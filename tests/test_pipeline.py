@@ -6,16 +6,23 @@ import pytest
 
 from grassdegen import pipeline
 from grassdegen.classify import classify_gr36
+from grassdegen.cone import strict_interior_point, weight_vector
+from grassdegen.initial_forms import inequality_set
 from grassdegen.pipeline import run_pipeline, write_outputs
-from grassdegen.sequences import IteratedSequence, representative_sequence
+from grassdegen.sequences import IteratedSequence, format_label, representative_sequence
+from grassdegen.valuation import weighting_matrix
 from oracles import brute_force_fingerprint
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
 
-def load_schema(name):
-    with open(os.path.join(SCHEMA_DIR, name)) as fh:
+def load_json(path):
+    with open(path) as fh:
         return json.load(fh)
+
+
+def load_schema(name):
+    return load_json(os.path.join(SCHEMA_DIR, name))
 
 
 @pytest.fixture(scope="module")
@@ -85,12 +92,68 @@ def test_fast_path_matches_reference_fingerprints():
 
 def test_weights_payload_contents(tmp_path):
     write_outputs(run_pipeline(5, jobs=1), str(tmp_path))
-    payload = json.load(open(tmp_path / "weights.json"))
+    payload = load_json(tmp_path / "weights.json")
     assert payload["n"] == 5
     assert len(payload["labels"]) == 12
     entry = payload["labels"]["(1,2)"]
     assert entry["w"]["123"] == 0
     assert len(entry["e"]) == 6
+
+
+@pytest.mark.parametrize(
+    "jobs, sequences",
+    [(1, None), (2, None), (1, ["6:[1,3,2|2,1,3|1,2,3]"])],
+    ids=["n5-jobs1", "n5-jobs2", "seq"],
+)
+def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
+    tmp_path, jobs, sequences
+):
+    """Only the first sequence of each label in run order solves the LP; its
+    point and e.M are what weights.json holds."""
+    if sequences is not None:
+        sequences = [IteratedSequence.parse(s) for s in sequences]
+    n = sequences[0].n if sequences else 5
+    result = run_pipeline(n, jobs=jobs, sequences=sequences, skip_verify=True)
+    write_outputs(result, str(tmp_path))
+    payload = load_json(tmp_path / "weights.json")
+
+    first = {}
+    for outcome in result.outcomes:
+        first.setdefault(outcome.label, outcome.serialized)
+    assert {witness for witness, _, _ in result.label_weights.values()} == set(first.values())
+    assert set(payload["labels"]) == {format_label(label) for label in first}
+    for label, witness in first.items():
+        seq = IteratedSequence.parse(witness)
+        matrix = weighting_matrix(seq)
+        e = strict_interior_point(inequality_set(seq, matrix), 3 * (n - 3))
+        w = weight_vector(e, matrix.rows)
+        entry = payload["labels"][format_label(label)]
+        assert entry["e"] == list(e)
+        assert entry["w"] == {"".join(map(str, t)): x for t, x in zip(matrix.triples, w)}
+
+
+def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(diffs, dim):
+        calls.append(diffs)
+        return strict_interior_point(diffs, dim)
+
+    monkeypatch.setattr(pipeline, "strict_interior_point", counting)
+
+    def lp_solves(result, name):
+        manifest = load_json(write_outputs(result, str(tmp_path / name)))
+        return manifest["counters"]["lp_solves"]
+
+    one = [IteratedSequence.parse("5:[2,1,3|1,2,3]")]
+    assert lp_solves(run_pipeline(5, jobs=1, sequences=one, skip_verify=True), "seq") == 1
+    assert len(calls) == 1
+    del calls[:]
+    # 12 labels in 8 chunks: one LP per label, plus one for each fiber that
+    # a chunk boundary splits.
+    k = lp_solves(run_pipeline(5, jobs=1, skip_verify=True), "n5")
+    assert k == len(calls)
+    assert 12 <= k <= 12 + 7
 
 
 @pytest.mark.parametrize(
