@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .initial_forms import initial_terms, relation_table
+from .initial_forms import Monomial, initial_terms, relation_table
+from .plucker import Triple
 from .sequences import IteratedSequence, Label, all_labels, representative_sequence
-from .valuation import WeightingMatrix, weighting_matrix
+from .valuation import weighting_matrix
 
-Triple = tuple[int, int, int]
-Monomial = tuple[Triple, Triple]
 Binomial = tuple[Monomial, Monomial, int]
 Fingerprint = tuple[Binomial, ...]
 
@@ -42,11 +41,9 @@ def binomial_generators(initials) -> Fingerprint:
     return tuple(sorted(gens))
 
 
-def fingerprint(seq: IteratedSequence, matrix: WeightingMatrix | None = None) -> Fingerprint:
+def fingerprint(seq: IteratedSequence) -> Fingerprint:
     """Sorted canonical initial binomials of all nonzero relations."""
-    if matrix is None:
-        matrix = weighting_matrix(seq)
-    initials, _ = initial_terms(matrix.rows, relation_table(seq.n))
+    initials, _ = initial_terms(weighting_matrix(seq).rows, relation_table(seq.n))
     if any(len(terms) != 2 for terms in initials):
         raise ValueError(f"non-binomial initial form for {seq.serialize()}")
     return binomial_generators(initials)

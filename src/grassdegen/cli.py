@@ -23,7 +23,7 @@ from .pipeline import (
     verify_payload,
     write_outputs,
 )
-from .plucker import all_triples
+from .plucker import all_triples, triple_key
 from .sequences import (
     IteratedSequence,
     enumerate_sequences,
@@ -108,10 +108,11 @@ def cmd_pipeline(args, parser) -> int:
     result = run_pipeline(
         args.n, jobs=args.jobs, skip_verify=args.skip_verify, sequences=sequences
     )
+    dim = 3 * (args.n - 3)
     broken = [
         o.serialized
         for o in result.outcomes
-        if not (o.all_binomial and o.projection_sound and o.scalar_matches)
+        if not (o.all_binomial and o.matrix_rank == dim and o.projection_sound and o.scalar_matches)
     ]
     if broken:
         print(f"internal invariant violation for {broken[0]}", file=sys.stderr)
@@ -156,7 +157,7 @@ def _fingerprints_from_file(parser, path: str):
     need(isinstance(payload, dict) and type(payload.get("n")) is int, "needs an integer 'n'")
     n = payload["n"]
     _check_n(parser, n, f"{path}: ")
-    keys = {"".join(str(x) for x in t): t for t in all_triples(n)}
+    keys = {triple_key(t): t for t in all_triples(n)}
 
     def monomial(pair):
         need(
@@ -178,9 +179,20 @@ def _fingerprints_from_file(parser, path: str):
             need(isinstance(g, dict) and {"lead", "trail", "sign"} <= g.keys(),
                  "every generator needs 'lead', 'trail' and 'sign'")
             need(type(g["sign"]) is int and g["sign"] in (1, -1), "a sign must be 1 or -1")
-            gens.append((monomial(g["lead"]), monomial(g["trail"]), g["sign"]))
+            lead, trail = monomial(g["lead"]), monomial(g["trail"])
+            need(lead != trail, "a generator's lead and trail must be different monomials")
+            gens.append((lead, trail, g["sign"]))
         fps.append(tuple(sorted(gens)))
     return n, fps
+
+
+def _emit(path: str | None, payload) -> None:
+    """Write a JSON document to ``path``, or to stdout when it is None."""
+    if path:
+        dump_json(path, payload)
+    else:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        print()
 
 
 def cmd_verify(args, parser) -> int:
@@ -192,12 +204,7 @@ def cmd_verify(args, parser) -> int:
         n = args.n
         _check_n(parser, n)
         fps = sorted(set(label_fingerprints(n).values()))
-    payload = verify_payload(n, *verify_fingerprints(fps, n))
-    if args.output:
-        dump_json(args.output, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args.output, verify_payload(n, *verify_fingerprints(fps, n)))
     return 0
 
 
@@ -212,15 +219,7 @@ def cmd_solve_cone(args, parser) -> int:
         parser.error(f"{args.matrix} has no matrix rows")
     e = strict_interior_point(diffs, len(matrix.rows[0]))
     w = weight_vector(e, matrix.rows)
-    payload = {
-        "e": list(e),
-        "w": {"".join(str(x) for x in t): value for t, value in zip(matrix.triples, w)},
-    }
-    if args.output:
-        dump_json(args.output, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(args.output, {"e": list(e), "w": dict(zip(map(triple_key, matrix.triples), w))})
     return 0
 
 

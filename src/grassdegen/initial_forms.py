@@ -10,6 +10,10 @@ without computing the order; ``tests/oracles.py`` holds the order and checks
 this lemma.  Every non-initial term contributes the strict inequality
 e . (v(term) - v(initial)) > 0 that an order-preserving projection e has to
 satisfy.
+
+The kernel reads a relation table: the (I, J, terms) tuples of ``plucker``
+compiled so that each term (sign, A, B) becomes (sign, row of A, row of B,
+monomial).
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import math
 from functools import lru_cache
 from operator import add, sub
 
-from .plucker import PluckerRelation, all_relations, all_triples
+from .plucker import Relation, Triple, all_relations, all_triples
 from .sequences import IteratedSequence
 from .valuation import Vector, WeightingMatrix
 
-Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+Monomial = tuple[Triple, Triple]
 # One term sign * p_A * p_B as (sign, row of A, row of B, monomial), the rows
 # indexing the lex-ordered triples of the weighting matrix.
 CompiledTerm = tuple[int, int, int, Monomial]
@@ -32,32 +36,23 @@ RelationTable = tuple[tuple[CompiledTerm, ...], ...]
 InitialTerms = tuple[tuple[int, Monomial], ...]
 
 
-@lru_cache(maxsize=None)
-def _compiled(n: int) -> tuple[RelationTable, dict]:
-    relations = all_relations(n)
+def _compile(relations, n: int) -> RelationTable:
     position = {t: i for i, t in enumerate(all_triples(n))}
-    table = tuple(
-        tuple(
-            (t.sign, position[t.factors[0].entries], position[t.factors[1].entries], t.monomial)
-            for t in relation.terms
-        )
-        for relation in relations
+    return tuple(
+        tuple((sign, position[A], position[B], (A, B)) for sign, A, B in terms)
+        for _, _, terms in relations
     )
-    by_indices = {(R.I.entries, R.J.entries): terms for R, terms in zip(relations, table)}
-    return table, by_indices
 
 
-def relation_table(n: int, relations: list[PluckerRelation] | None = None) -> RelationTable:
-    """Compiled terms of the given relations of Gr(3,n), by default all of
-    them in ``all_relations`` order.
+@lru_cache(maxsize=None)
+def _full_table(n: int) -> RelationTable:
+    return _compile(all_relations(n), n)
 
-    The table of each n is built on first use; a relation is looked up by
-    its index sets I and J.
-    """
-    table, by_indices = _compiled(n)
-    if relations is None:
-        return table
-    return tuple(by_indices[R.I.entries, R.J.entries] for R in relations)
+
+def relation_table(n: int, relations: list[Relation] | None = None) -> RelationTable:
+    """Compiled terms of the given relations of Gr(3,n); by default all of
+    them in ``all_relations`` order, a table built once per n."""
+    return _full_table(n) if relations is None else _compile(relations, n)
 
 
 def reduce_content(d: Vector) -> Vector:
@@ -90,7 +85,7 @@ def initial_terms(
 def inequality_set(
     seq: IteratedSequence,
     matrix: WeightingMatrix,
-    relations: list[PluckerRelation] | None = None,
+    relations: list[Relation] | None = None,
 ) -> tuple[Vector, ...]:
     """The inequality set of ``initial_terms`` for the given relations,
     by default all of Gr(3,n)."""

@@ -27,7 +27,7 @@ from .classify import (
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
 from .initial_forms import initial_terms, relation_table
-from .plucker import all_relations, all_triples
+from .plucker import all_relations, all_triples, triple_key
 from .sequences import (
     IteratedSequence,
     Label,
@@ -278,15 +278,11 @@ def run_pipeline(
 # serialization of results
 
 
-def _triple_key(triple) -> str:
-    return "".join(str(x) for x in triple)
-
-
 def generator_to_json(gen) -> dict:
     lead, trail, sign = gen
     return {
-        "lead": [_triple_key(lead[0]), _triple_key(lead[1])],
-        "trail": [_triple_key(trail[0]), _triple_key(trail[1])],
+        "lead": [triple_key(lead[0]), triple_key(lead[1])],
+        "trail": [triple_key(trail[0]), triple_key(trail[1])],
         "sign": sign,
     }
 
@@ -346,7 +342,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
         "labels": {
             format_label(label): {
                 "e": list(e),
-                "w": {_triple_key(t): value for t, value in zip(triples, w)},
+                "w": {triple_key(t): value for t, value in zip(triples, w)},
             }
             for label, (_, e, w) in result.label_weights.items()
         },

@@ -1,153 +1,62 @@
-"""Multi-index arithmetic and the quadratic Pluecker relations of Gr(3,n).
+"""The quadratic Pluecker relations of Gr(3,n), as plain tuples.
 
 Plucker variables p_K are indexed by strictly increasing triples K in [n].
-For a pair I (|I| = 2) and J (|J| = 4) the relation R_{I,J} is the signed sum
-over j in J of p_{I+j} * p_{J-j}, where p_{I+j} is zero whenever j already
-lies in I.  Relations with |I & J| >= 2 vanish identically (the surviving
-terms cancel in pairs) and are represented as ``None``.
+For a pair I and a quadruple J, both strictly increasing, the relation
+R_{I,J} is the sum over j in J of (-1)^(#{i in I : i < j} + #{j' in J : j < j'})
+* p_{I+j} * p_{J-j}, where p_{I+j} is zero whenever j already lies in I.
+
+A relation is the tuple (I, J, terms).  Each term is (sign, A, B) with
+A <= B, so that (A, B) is its monomial; the terms follow the order of J.
+Relations with |I & J| >= 2 vanish identically (the two surviving terms
+carry the same monomial with opposite signs) and are represented as ``None``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-
-class InvalidIndex(ValueError):
-    """Index outside [n], or incompatible with the multi-index."""
+Triple = tuple[int, int, int]
+Term = tuple[int, Triple, Triple]
+Relation = tuple[tuple[int, ...], tuple[int, ...], tuple[Term, ...]]
 
 
 class InvalidSize(ValueError):
     """Ambient size n is too small for the requested construction."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class MultiIndex:
-    """Strictly increasing tuple of integers in 1..n."""
-
-    entries: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        e = self.entries
-        if any(not (1 <= x <= self.n) for x in e):
-            raise InvalidIndex(f"entries {e} not within 1..{self.n}")
-        if any(a >= b for a, b in zip(e, e[1:])):
-            raise InvalidIndex(f"entries {e} not strictly increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __contains__(self, j):
-        return j in self.entries
-
-    def __str__(self):
-        return "".join(str(x) for x in self.entries)
+def triple_key(t) -> str:
+    """The digits of an index tuple, ``"124"`` for (1, 2, 4): how the CSV and
+    JSON files write a triple."""
+    return "".join(str(x) for x in t)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class SignedTerm:
-    """One summand sign * p_A * p_B of a Pluecker relation, with A <= B."""
-
-    sign: int
-    factors: tuple[MultiIndex, MultiIndex]
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        a, b = self.factors
-        if a.n != b.n:
-            raise InvalidIndex("factors live in different ambient sizes")
-        if a.entries > b.entries:
-            raise ValueError("factors must be stored in lex order")
-
-    @property
-    def monomial(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        a, b = self.factors
-        return (a.entries, b.entries)
-
-
-@dataclass(frozen=True, slots=True)
-class PluckerRelation:
-    """Nonzero relation R_{I,J}; 3 terms if |I & J| = 1, else 4 terms."""
-
-    I: MultiIndex
-    J: MultiIndex
-    terms: tuple[SignedTerm, ...]
-
-    def __post_init__(self):
-        common = len(set(self.I) & set(self.J))
-        expected = 3 if common == 1 else 4
-        if common >= 2 or len(self.terms) != expected:
-            raise ValueError(f"malformed relation for I={self.I}, J={self.J}")
-
-
-def insert_index(I: MultiIndex, j: int) -> MultiIndex | None:
-    """Insert j into I in sorted position; ``None`` if j already occurs.
-
-    ``None`` encodes the zero Pluecker variable p_{I+j} = 0.
-    """
-    if not 1 <= j <= I.n:
-        raise InvalidIndex(f"index {j} outside 1..{I.n}")
-    if j in I:
-        return None
-    return MultiIndex(tuple(sorted(I.entries + (j,))), I.n)
-
-
-def remove_index(J: MultiIndex, j: int) -> MultiIndex:
-    """Remove j from J, reducing the arity by one."""
-    if j not in J:
-        raise InvalidIndex(f"index {j} does not occur in {J.entries}")
-    return MultiIndex(tuple(x for x in J.entries if x != j), J.n)
-
-
-def _term_sign(I: MultiIndex, J: MultiIndex, j: int) -> int:
-    exponent = sum(1 for i in I if i < j) + sum(1 for jp in J if j < jp)
-    return -1 if exponent % 2 else 1
-
-
-def plucker_relation(I: MultiIndex, J: MultiIndex) -> PluckerRelation | None:
-    """The relation R_{I,J}, or ``None`` when it vanishes identically.
-
-    For |I & J| >= 2 the two surviving summands carry the same monomial with
-    opposite signs, so the relation is the zero polynomial.
-    """
-    if I.n != J.n:
-        raise InvalidIndex("I and J live in different ambient sizes")
+def plucker_relation(I: tuple[int, ...], J: tuple[int, ...]) -> Relation | None:
+    """The relation R_{I,J}, or ``None`` when |I & J| >= 2."""
     if len(set(I) & set(J)) >= 2:
         return None
     terms = []
     for j in J:
-        A = insert_index(I, j)
-        if A is None:
+        if j in I:
             continue
-        B = remove_index(J, j)
-        pair = (A, B) if A.entries <= B.entries else (B, A)
-        terms.append(SignedTerm(_term_sign(I, J, j), pair))
-    return PluckerRelation(I, J, tuple(terms))
+        A = tuple(sorted((*I, j)))
+        B = tuple(x for x in J if x != j)
+        exponent = sum(i < j for i in I) + sum(j < x for x in J)
+        terms.append((-1 if exponent % 2 else 1, min(A, B), max(A, B)))
+    return (I, J, tuple(terms))
 
 
-def all_triples(n: int) -> list[tuple[int, int, int]]:
+def all_triples(n: int) -> list[Triple]:
     """All strictly increasing triples in [n], lexicographically ordered."""
     return list(itertools.combinations(range(1, n + 1), 3))
 
 
-def all_relations(n: int) -> list[PluckerRelation]:
+def all_relations(n: int) -> list[Relation]:
     """Every nonzero R_{I,J} in lexicographic (I, J) order."""
     if n < 4:
         raise InvalidSize(f"need n >= 4, got {n}")
-    out = []
-    for i_entries in itertools.combinations(range(1, n + 1), 2):
-        I = MultiIndex(i_entries, n)
-        for j_entries in itertools.combinations(range(1, n + 1), 4):
-            R = plucker_relation(I, MultiIndex(j_entries, n))
-            if R is not None:
-                out.append(R)
-    return out
+    relations = (
+        plucker_relation(I, J)
+        for I in itertools.combinations(range(1, n + 1), 2)
+        for J in itertools.combinations(range(1, n + 1), 4)
+    )
+    return [R for R in relations if R is not None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .classify import Binomial, Fingerprint
 from .exactlinalg import exact_rank, smith_invariant_factors
-from .plucker import PluckerRelation, all_triples
+from .plucker import Relation, all_triples
 
 Form = dict  # degree-2 monomial (pair of variable triples) -> int coefficient
 
@@ -23,8 +23,9 @@ class Unsupported(ValueError):
     """Graded ranks are only computed in degrees 2 and 3."""
 
 
-def relation_form(relation: PluckerRelation) -> Form:
-    return {t.monomial: t.sign for t in relation.terms}
+def relation_form(relation: Relation) -> Form:
+    _, _, terms = relation
+    return {(A, B): sign for sign, A, B in terms}
 
 
 def binomial_form(gen: Binomial) -> Form:

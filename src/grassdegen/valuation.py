@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .plucker import all_triples
+from .plucker import all_triples, triple_key
 from .sequences import IteratedSequence
 
 Vector = tuple[int, ...]
@@ -59,7 +59,7 @@ class WeightingMatrix:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for triple, row in self.items():
-            writer.writerow(["".join(str(x) for x in triple), *row])
+            writer.writerow([triple_key(triple), *row])
         return buf.getvalue()
 
     @classmethod

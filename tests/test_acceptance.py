@@ -92,8 +92,7 @@ def test_criterion_4_binomiality(pipeline6):
     triples5 = all_triples(5)
     position5 = {t: i for i, t in enumerate(triples5)}
     compiled5 = [
-        [(position5[t.factors[0].entries], position5[t.factors[1].entries]) for t in R.terms]
-        for R in relations5
+        [(position5[a], position5[b]) for _, a, b in terms] for _, _, terms in relations5
     ]
     for seq in enumerate_sequences(5):
         rows = [compute_valuation(seq, K) for K in triples5]
@@ -108,8 +107,7 @@ def test_criterion_4_binomiality(pipeline6):
     triples7 = all_triples(7)
     position7 = {t: i for i, t in enumerate(triples7)}
     compiled7 = [
-        [(position7[t.factors[0].entries], position7[t.factors[1].entries]) for t in R.terms]
-        for R in relations7
+        [(position7[a], position7[b]) for _, a, b in terms] for _, _, terms in relations7
     ]
     assert len(relations7) == 525
     for _ in range(1000):

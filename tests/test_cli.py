@@ -205,6 +205,16 @@ def _fingerprints_file(**generator):
         pytest.param(
             _fingerprints_file(trail="124"), "increasing triples in 1..5", id="monomial-not-a-pair"
         ),
+        pytest.param(
+            {
+                "n": 4,
+                "fingerprints": [
+                    {"generators": [{"lead": ["123", "124"], "trail": ["124", "123"], "sign": -1}]}
+                ],
+            },
+            "lead and trail must be different monomials",
+            id="zero-generator",
+        ),
         pytest.param("{", "not JSON", id="not-json"),
     ],
 )

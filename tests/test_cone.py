@@ -124,23 +124,14 @@ def test_scalar_weights_reproduce_matrix_initial_forms():
         w = weight_vector(e, M.rows)
         lookup = dict(zip(M.triples, w))
         row = dict(M.items())
-        for R in relations:
-            vectors = [
-                tuple(x + y for x, y in zip(row[t.factors[0].entries], row[t.factors[1].entries]))
-                for t in R.terms
-            ]
+        for _, _, terms in relations:
+            monomials = [(a, b) for _, a, b in terms]
+            vectors = [tuple(x + y for x, y in zip(row[a], row[b])) for a, b in monomials]
             best = max(vectors)
-            matrix_initial = {
-                t.monomial for t, v in zip(R.terms, vectors) if v == best
-            }
-            scores = [
-                lookup[t.factors[0].entries] + lookup[t.factors[1].entries]
-                for t in R.terms
-            ]
+            matrix_initial = {m for m, v in zip(monomials, vectors) if v == best}
+            scores = [lookup[a] + lookup[b] for a, b in monomials]
             low = min(scores)
-            scalar_initial = {
-                t.monomial for t, s in zip(R.terms, scores) if s == low
-            }
+            scalar_initial = {m for m, s in zip(monomials, scores) if s == low}
             assert scalar_initial == matrix_initial
 
 

@@ -9,7 +9,7 @@ from grassdegen.initial_forms import (
     reduce_content,
     relation_table,
 )
-from grassdegen.plucker import MultiIndex, all_relations, plucker_relation
+from grassdegen.plucker import all_relations, plucker_relation
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
 from grassdegen.valuation import weighting_matrix
 
@@ -53,22 +53,20 @@ def test_order_compare_is_a_total_order():
 
 def term_vectors(M, R):
     row = dict(M.items())
-    return [
-        tuple(x + y for x, y in zip(row[t.factors[0].entries], row[t.factors[1].entries]))
-        for t in R.terms
-    ]
+    _, _, terms = R
+    return [tuple(x + y for x, y in zip(row[a], row[b])) for _, a, b in terms]
 
 
 def test_worked_initial_form():
     S = standard_sequence(6)
     M = weighting_matrix(S)
-    R = plucker_relation(MultiIndex((1, 2), 6), MultiIndex((3, 4, 5, 6), 6))
+    R = plucker_relation((1, 2), (3, 4, 5, 6))
     (initial,), _ = initial_terms(M.rows, relation_table(6, [R]))
     assert set(initial) == {
         (-1, ((1, 2, 3), (4, 5, 6))),
         (1, ((1, 2, 4), (3, 5, 6))),
     }
-    vector_of = {(t.sign, t.monomial): v for t, v in zip(R.terms, term_vectors(M, R))}
+    vector_of = {(sign, (a, b)): v for (sign, a, b), v in zip(R[2], term_vectors(M, R))}
     assert all(vector_of[term] == (1, 0, 0, 0, 1, 0, 0, 0, 1) for term in initial)
 
 
@@ -77,7 +75,8 @@ def test_initial_form_weight_is_constant_within_a_relation():
     M = weighting_matrix(S)
     for R in all_relations(6):
         weights = {height_weight(S, v) for v in term_vectors(M, R)}
-        assert weights == {sum(R.I) + sum(R.J) - 12}
+        I, J, _ = R
+        assert weights == {sum(I) + sum(J) - 12}
         # the kernel's differences then all have weight zero
         _, diffs = initial_terms(M.rows, relation_table(6, [R]))
         assert {height_weight(S, d) for d in diffs} == {0}
@@ -95,7 +94,7 @@ def test_min_order_equals_lex_max_on_every_relation():
         low = min(height_order_key(S, v) for v in vectors)
         minimal = [v for v in vectors if height_order_key(S, v) == low]
         assert set(minimal) == {max(vectors)}
-        chosen = {(t.sign, t.monomial) for t, v in zip(R.terms, vectors) if v in minimal}
+        chosen = {(sign, (a, b)) for (sign, a, b), v in zip(R[2], vectors) if v in minimal}
         assert set(initial) == chosen
 
 
@@ -106,6 +105,18 @@ def test_binomiality_exhaustive_small(n):
     for seq in enumerate_sequences(n):
         initials, _ = initial_terms(weighting_matrix(seq).rows, table)
         assert all(len(terms) == 2 for terms in initials)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_relation_table_of_explicit_relations_equals_the_full_table(n):
+    relations = all_relations(n)
+    full = relation_table(n)
+    assert relation_table(n, relations) == full
+    # a sublist compiles to the matching rows, in the order given
+    mid = len(relations) // 2
+    assert relation_table(n, [relations[-1], relations[0], relations[mid]]) == (
+        full[-1], full[0], full[mid]
+    )
 
 
 def test_binomiality_sampled_n8():
@@ -122,7 +133,7 @@ def test_binomiality_sampled_n8():
 def test_inequality_set_worked_example():
     S = standard_sequence(6)
     M = weighting_matrix(S)
-    R = plucker_relation(MultiIndex((1, 2), 6), MultiIndex((3, 4, 5, 6), 6))
+    R = plucker_relation((1, 2), (3, 4, 5, 6))
     diffs = inequality_set(S, M, [R])
     assert set(diffs) == {
         (0, 0, 0, 0, -1, 1, 0, 1, -1),

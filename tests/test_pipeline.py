@@ -200,3 +200,15 @@ def test_sweep_failure_names_its_sequence(monkeypatch):
     with pytest.raises(RuntimeError, match=r"sequence 5:\[2,1,3\|1,2,3\]: solver exploded") as info:
         run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeypatch, capsys):
+    from grassdegen.cli import main
+
+    monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
+    serialized = "5:[2,1,3|1,2,3]"
+    out = tmp_path / "out"
+    code = main(["pipeline", "-n", "5", "--seq", serialized, "--skip-verify", "--out", str(out)])
+    assert code == 1
+    assert f"internal invariant violation for {serialized}" in capsys.readouterr().err
+    assert not out.exists()
