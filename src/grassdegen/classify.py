@@ -8,15 +8,25 @@ normalized to +1 and sign is the trailing coefficient.  The simple
 transposition s_i = (i, i+1) sends p_T to p_{s_i(T)} when T contains at most
 one of i, i+1 and to -p_T when it contains both; signs multiply over the two
 factors of each monomial.
+
+The action runs on packed ints.  With the V triples of Gr(3,n) indexed
+0..V-1 in lex order, a monomial (A, B), A <= B, is the int a*V + b, and a
+binomial is ((lead*V^2 + trail) << 1) | (sign > 0).  Since b < V and
+trail < V^2, comparing two packed ints compares lead first, then trail,
+then the sign (-1 before +1): int order is the tuple order of
+(lead, trail, sign), so a sorted tuple of packed binomials decodes to a
+sorted fingerprint.  For each s_i one table, built once per n on first
+use, maps a monomial id to (image id << 1) | (1 if the sign flips).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .initial_forms import Monomial, initial_terms, relation_table
-from .plucker import Triple
+from .plucker import Triple, all_triples
 from .sequences import IteratedSequence, Label, all_labels, representative_sequence
 from .valuation import weighting_matrix
 
@@ -49,45 +59,115 @@ def fingerprint(seq: IteratedSequence) -> Fingerprint:
     return binomial_generators(initials)
 
 
-def _map_triple(i: int, t: Triple) -> tuple[Triple, int]:
-    if i in t and i + 1 in t:
-        return t, -1
-    image = tuple(sorted(i + 1 if x == i else i if x == i + 1 else x for x in t))
-    return image, 1
+class _Action(NamedTuple):
+    n: int
+    size: int  # V, the number of triples
+    position: dict[Triple, int]
+    monomials: tuple[Monomial, ...]  # by monomial id a*V + b
+    tables: tuple[tuple[int, ...], ...]  # tables[i] for s_i; tables[0] is empty
 
 
-def _map_monomial(i: int, m: Monomial) -> tuple[Monomial, int]:
-    a, sa = _map_triple(i, m[0])
-    b, sb = _map_triple(i, m[1])
-    return ((a, b) if a <= b else (b, a)), sa * sb
+@lru_cache(maxsize=None)
+def _action(n: int) -> _Action:
+    """Positions of the triples, the shared monomials and the s_i tables of
+    Gr(3,n), built on first use."""
+    triples = all_triples(n)
+    size = len(triples)
+    position = {t: k for k, t in enumerate(triples)}
+    tables: list[tuple[int, ...]] = [()]
+    for i in range(1, n):
+        images = []
+        for t in triples:
+            if i in t and i + 1 in t:
+                images.append((position[t], 1))
+            else:
+                swapped = tuple(sorted(i + 1 if x == i else i if x == i + 1 else x for x in t))
+                images.append((position[swapped], 0))
+        table = []
+        for image_a, negative_a in images:
+            for image_b, negative_b in images:
+                low, high = sorted((image_a, image_b))
+                table.append(((low * size + high) << 1) | (negative_a ^ negative_b))
+        tables.append(tuple(table))
+    monomials = tuple((x, y) for x in triples for y in triples)
+    return _Action(n, size, position, monomials, tuple(tables))
 
 
-def apply_transposition(i: int, fp: Fingerprint) -> Fingerprint:
-    """Image of a fingerprint under the signed transposition (i, i+1)."""
-    if i < 1:
-        raise ValueError(f"transpositions are indexed from 1, got {i}")
-    out = set()
-    for lead, trail, sign in fp:
-        lead_image, lead_sign = _map_monomial(i, lead)
-        trail_image, trail_sign = _map_monomial(i, trail)
-        out.add(canonical_binomial(lead_sign, lead_image, trail_sign * sign, trail_image))
-    return tuple(sorted(out))
+def _encode(fp: Fingerprint, action: _Action) -> tuple[int, ...]:
+    size, position = action.size, action.position
+    try:
+        codes = [
+            ((((position[a] * size + position[b]) * size + position[c]) * size + position[d]) << 1)
+            | (sign > 0)
+            for (a, b), (c, d), sign in fp
+        ]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a triple of Gr(3,{action.n})") from None
+    return tuple(sorted(codes))
+
+
+def _decode_binomial(code: int, action: _Action) -> Binomial:
+    lead, trail = divmod(code >> 1, action.size * action.size)
+    return (action.monomials[lead], action.monomials[trail], 1 if code & 1 else -1)
+
+
+def _image(table: tuple[int, ...], code: int, square: int) -> int:
+    """Packed image of one packed binomial under the s_i of ``table``."""
+    lead, trail = divmod(code >> 1, square)
+    a, b = table[lead], table[trail]
+    positive = (a ^ b ^ code) & 1
+    a >>= 1
+    b >>= 1
+    return ((a * square + b if a < b else b * square + a) << 1) | positive
+
+
+def apply_transposition(i: int, fp: Fingerprint, n: int) -> Fingerprint:
+    """Image of a fingerprint of Gr(3,n) under the signed transposition (i, i+1)."""
+    if not 1 <= i < n:
+        raise ValueError(f"Gr(3,{n}) has transpositions s_1..s_{n - 1}, got s_{i}")
+    action = _action(n)
+    square = action.size * action.size
+    image = sorted(_image(action.tables[i], code, square) for code in _encode(fp, action))
+    return tuple(_decode_binomial(code, action) for code in image)
 
 
 def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
-    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1}."""
-    seen = {fp}
-    frontier = [fp]
+    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1}.
+
+    The binomials of all members are the orbit of the seed's binomials, a
+    few hundred at n=7, so each s_i is first tabulated on them; a member's
+    image is then one lookup per binomial and a sort.
+    """
+    action = _action(n)
+    square = action.size * action.size
+    seed = _encode(fp, action)
+    moves: list[dict[int, int]] = [{} for _ in range(1, n)]
+    binomials = set(seed)
+    frontier = list(seed)
+    while frontier:
+        fresh = []
+        for code in frontier:
+            for table, move in zip(action.tables[1:], moves):
+                image = move[code] = _image(table, code, square)
+                if image not in binomials:
+                    binomials.add(image)
+                    fresh.append(image)
+        frontier = fresh
+
+    lookups = [move.__getitem__ for move in moves]
+    seen = {seed}
+    frontier = [seed]
     while frontier:
         fresh = []
         for current in frontier:
-            for i in range(1, n):
-                image = apply_transposition(i, current)
+            for lookup in lookups:
+                image = tuple(sorted(map(lookup, current)))
                 if image not in seen:
                     seen.add(image)
                     fresh.append(image)
         frontier = fresh
-    return seen
+    decoded = {code: _decode_binomial(code, action) for code in binomials}
+    return {tuple(map(decoded.__getitem__, member)) for member in seen}
 
 
 @dataclass(frozen=True)

@@ -108,15 +108,6 @@ def cmd_pipeline(args, parser) -> int:
     result = run_pipeline(
         args.n, jobs=args.jobs, skip_verify=args.skip_verify, sequences=sequences
     )
-    dim = 3 * (args.n - 3)
-    broken = [
-        o.serialized
-        for o in result.outcomes
-        if not (o.all_binomial and o.matrix_rank == dim and o.projection_sound and o.scalar_matches)
-    ]
-    if broken:
-        print(f"internal invariant violation for {broken[0]}", file=sys.stderr)
-        return 1
     write_outputs(result, args.out)
     print(result.summary())
     return 0

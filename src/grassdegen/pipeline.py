@@ -204,7 +204,8 @@ def run_pipeline(
     sequences: list[IteratedSequence] | None = None,
 ) -> PipelineResult:
     """Run the whole chain for Gr(3,n); raises RuntimeError, naming the
-    sequence, only on a bug.  ``jobs`` defaults to the CPU count."""
+    sequence, only on a bug, and a sequence that breaks an invariant stops
+    the run before the orbit stage.  ``jobs`` defaults to the CPU count."""
     jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
     timings: dict[str, float] = {}
 
@@ -237,7 +238,10 @@ def run_pipeline(
     fp_id = {fp: i for i, fp in enumerate(distinct)}
     outcomes = []
     labels_of_fingerprint: dict[int, list[Label]] = {}
+    dim = 3 * (n - 3)
     for (serialized_seq, label, local, binomial, rank, sound, scalar_ok), fp_table in raw_records:
+        if not (binomial and rank == dim and sound and scalar_ok):
+            raise RuntimeError(f"internal invariant violation for {serialized_seq}")
         fid = fp_id[fp_table[local]]
         outcomes.append(
             SequenceOutcome(serialized_seq, label, fid, binomial, rank, sound, scalar_ok)
@@ -270,7 +274,11 @@ def run_pipeline(
         plucker_ranks=plucker_ranks,
         verification=verification,
         timings=timings,
-        counters={"lp_solves": sum(len(chunk_weights) for _, _, chunk_weights in chunk_results)},
+        counters={
+            "lp_solves": sum(len(chunk_weights) for _, _, chunk_weights in chunk_results),
+            # each closure takes n-1 images of every member of its orbit
+            "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
+        },
     )
 
 

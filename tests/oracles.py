@@ -3,9 +3,10 @@
 Everything here is deliberately brute force and imports nothing from the
 package: the full pullback-support recursion behind the greedy valuation,
 the height-weighted order behind the lex-max initial-term rule, polynomial
-expansion with explicit cancellation, dense rational Gaussian elimination,
-and semistandard-tableau enumeration for graded dimensions.  A sequence is
-read only through its ``n`` and ``triples`` attributes.
+expansion with explicit cancellation, the signed transposition on tuples of
+triples, dense rational Gaussian elimination, and semistandard-tableau
+enumeration for graded dimensions.  A sequence is read only through its
+``n`` and ``triples`` attributes.
 """
 
 from __future__ import annotations
@@ -105,6 +106,34 @@ def brute_force_fingerprint(seq):
             lead, trail = initial
             gens.add((lead, trail, poly[lead] * poly[trail]))
     return tuple(sorted(gens))
+
+
+def _map_triple(i, t):
+    if i in t and i + 1 in t:
+        return t, -1
+    image = tuple(sorted(i + 1 if x == i else i if x == i + 1 else x for x in t))
+    return image, 1
+
+
+def _map_monomial(i, m):
+    a, sa = _map_triple(i, m[0])
+    b, sb = _map_triple(i, m[1])
+    return ((a, b) if a <= b else (b, a)), sa * sb
+
+
+def reference_transposition(i, fp):
+    """Image of a fingerprint under the signed transposition (i, i+1),
+    computed on the tuples themselves: each triple is relabelled and
+    re-sorted (a triple holding both i and i+1 keeps its indices and flips
+    its sign), and every binomial is re-oriented so that its smaller
+    monomial leads with coefficient +1."""
+    out = set()
+    for lead, trail, sign in fp:
+        lead_image, lead_sign = _map_monomial(i, lead)
+        trail_image, trail_sign = _map_monomial(i, trail)
+        pair = sorted((lead_image, trail_image))
+        out.add((pair[0], pair[1], lead_sign * trail_sign * sign))
+    return tuple(sorted(out))
 
 
 def count_nonzero_relations(n):

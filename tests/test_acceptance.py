@@ -193,16 +193,16 @@ def test_criterion_9_group_action_laws(pipeline6):
     start = time.perf_counter()
     for fp in pipeline6.fingerprints:
         for i in range(1, 6):
-            assert apply_transposition(i, apply_transposition(i, fp)) == fp
+            assert apply_transposition(i, apply_transposition(i, fp, 6), 6) == fp
         for i in range(1, 5):
             image = fp
             for _ in range(3):
-                image = apply_transposition(i, apply_transposition(i + 1, image))
+                image = apply_transposition(i, apply_transposition(i + 1, image, 6), 6)
             assert image == fp
         for i in range(1, 6):
             for j in range(i + 2, 6):
-                assert apply_transposition(i, apply_transposition(j, fp)) == apply_transposition(
-                    j, apply_transposition(i, fp)
-                )
+                assert apply_transposition(
+                    i, apply_transposition(j, fp, 6), 6
+                ) == apply_transposition(j, apply_transposition(i, fp, 6), 6)
     elapsed = time.perf_counter() - start
     announce(9, "involution, braid and commutation laws", elapsed, 60.0)

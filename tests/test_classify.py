@@ -1,11 +1,14 @@
 import itertools
 
+import pytest
+
 from grassdegen.classify import (
     apply_transposition,
     canonical_binomial,
     classify_gr36,
     compute_orbits,
     fingerprint,
+    label_fingerprints,
     matches_o2,
     matches_o3,
     orbit_closure,
@@ -18,16 +21,17 @@ from grassdegen.sequences import (
     representative_sequence,
     standard_sequence,
 )
+from oracles import reference_transposition
 
 
-def apply_word(word, fp):
+def apply_word(word, fp, n):
     """Apply a word in simple transpositions, rightmost letter first.
 
     General signed permutations are realized this way; the sign of a
     composite is whatever the letter-by-letter composition yields.
     """
     for i in reversed(tuple(word)):
-        fp = apply_transposition(i, fp)
+        fp = apply_transposition(i, fp, n)
     return fp
 
 
@@ -72,7 +76,7 @@ def test_fingerprints_differ_across_labels():
 def test_transposition_sign_rule():
     # s_1 fixes the triple (1,2,3) and flips the sign of its variable
     gen = (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1)
-    image = apply_transposition(1, (gen,))
+    image = apply_transposition(1, (gen,), 6)
     # p_123 -> -p_123, p_456 fixed, p_124 -> -p_124, p_356 -> p_256... no:
     # s_1 swaps 1 and 2: (1,2,4) contains both -> sign -1; (3,5,6) unchanged.
     # lead monomial picks up -1 from p_123 and the trail from p_124, so the
@@ -84,25 +88,46 @@ def test_transposition_relabels_without_sign():
     # s_3 maps 3 <-> 4: p_135 -> p_145, p_246 -> p_236, no variable holds
     # both 3 and 4, so no signs appear.
     gen = (((1, 2, 3), (4, 5, 6)), ((1, 3, 5), (2, 4, 6)), 1)
-    image = apply_transposition(3, (gen,))
+    image = apply_transposition(3, (gen,), 6)
     assert image == (((((1, 2, 4)), (3, 5, 6)), ((1, 4, 5), (2, 3, 6)), 1),)
 
 
 def test_transpositions_are_involutions_on_fingerprints():
     fp = fingerprint(standard_sequence(6))
     for i in range(1, 6):
-        assert apply_transposition(i, apply_transposition(i, fp)) == fp
+        assert apply_transposition(i, apply_transposition(i, fp, 6), 6) == fp
+
+
+@pytest.mark.parametrize("i", [0, 6, -1, 7])
+def test_transposition_outside_1_to_n_minus_1_is_rejected(i):
+    # s_6 would write triples holding 7 into an n=6 fingerprint
+    fp = fingerprint(standard_sequence(6))
+    with pytest.raises(ValueError, match="s_1..s_5"):
+        apply_transposition(i, fp, 6)
+
+
+def test_transposition_rejects_a_triple_outside_n():
+    gen = (((1, 2, 3), (4, 5, 7)), ((1, 2, 4), (3, 5, 7)), -1)
+    with pytest.raises(ValueError, match=r"\(4, 5, 7\) is not a triple of Gr\(3,6\)"):
+        apply_transposition(1, (gen,), 6)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_packed_action_equals_the_tuple_oracle_on_every_label(n):
+    for fp in set(label_fingerprints(n).values()):
+        for i in range(1, n):
+            assert apply_transposition(i, fp, n) == reference_transposition(i, fp)
 
 
 def test_apply_word_composes_generators():
     fp = fingerprint(standard_sequence(6))
-    assert apply_word((), fp) == fp
-    assert apply_word((2,), fp) == apply_transposition(2, fp)
+    assert apply_word((), fp, 6) == fp
+    assert apply_word((2,), fp, 6) == apply_transposition(2, fp, 6)
     # rightmost letter acts first
-    assert apply_word((1, 3), fp) == apply_transposition(1, apply_transposition(3, fp))
+    assert apply_word((1, 3), fp, 6) == apply_transposition(1, apply_transposition(3, fp, 6), 6)
     # a reduced word for the longest element squares to the identity action
     longest = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1)
-    assert apply_word(longest, apply_word(longest, fp)) == fp
+    assert apply_word(longest, apply_word(longest, fp, 6), 6) == fp
 
 
 def test_braid_and_commutation_relations():
@@ -110,12 +135,12 @@ def test_braid_and_commutation_relations():
     for i in range(1, 5):
         image = fp
         for _ in range(3):
-            image = apply_transposition(i, apply_transposition(i + 1, image))
+            image = apply_transposition(i, apply_transposition(i + 1, image, 6), 6)
         assert image == fp
     for i, j in itertools.combinations(range(1, 6), 2):
         if abs(i - j) >= 2:
-            one = apply_transposition(i, apply_transposition(j, fp))
-            two = apply_transposition(j, apply_transposition(i, fp))
+            one = apply_transposition(i, apply_transposition(j, fp, 6), 6)
+            two = apply_transposition(j, apply_transposition(i, fp, 6), 6)
             assert one == two
 
 
@@ -129,10 +154,40 @@ def test_singleton_invariant_orbit():
 
 
 def test_orbit_closure_of_standard_fingerprint():
+    # the standard sequence has label (1,2;1,2), which lies in O3, and O3
+    # has 90 ideals in its full orbit
     fp = fingerprint(standard_sequence(6))
     closure = orbit_closure(fp, 6)
     assert fp in closure
-    assert len(closure) <= 720
+    assert len(closure) == 90
+    for member in closure:
+        assert list(member) == sorted(member)
+        for i in range(1, 6):
+            assert apply_transposition(i, member, 6) in closure
+
+
+@pytest.fixture(scope="module")
+def closure_n7():
+    fp = fingerprint(representative_sequence(((1, 2), (1, 2), (3, 4)), 7))
+    return fp, orbit_closure(fp, 7)
+
+
+def test_orbit_closure_n7_has_1260_members(closure_n7):
+    fp, closure = closure_n7
+    assert fp in closure
+    assert len(closure) == 1260
+    assert all(len(member) == len(fp) == 161 for member in closure)
+
+
+def test_packed_action_equals_the_tuple_oracle_on_n7_closure_members(closure_n7):
+    _, closure = closure_n7
+    sample = sorted(closure)[::97]
+    assert len(sample) == 13
+    for member in sample:
+        for i in range(1, 7):
+            image = apply_transposition(i, member, 7)
+            assert image == reference_transposition(i, member)
+            assert image in closure
 
 
 def test_fingerprints_are_monomial_free():
@@ -213,7 +268,7 @@ def test_orbits_agree_with_full_word_enumeration_n5():
     input_set = set(fps)
     for word in words.values():
         for fp in fps:
-            image = apply_word(word, fp)
+            image = apply_word(word, fp, 5)
             if image in input_set:
                 related[fp].add(image)
     classes = {frozenset(v) for v in related.values()}

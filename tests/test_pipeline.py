@@ -156,6 +156,14 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
     assert 12 <= k <= 12 + 7
 
 
+def test_manifest_counts_orbit_images(result_n5, tmp_path):
+    # n=5 has one orbit, 12 of whose 15 ideals are swept; s_1..s_4 each map
+    # every one of the 15
+    manifest = load_json(write_outputs(result_n5, str(tmp_path / "n5")))
+    assert [r.ambient_size for r in result_n5.orbit_reports] == [15]
+    assert manifest["counters"]["orbit_images"] == 60 == 15 * 4
+
+
 @pytest.mark.parametrize(
     "label, name",
     [
@@ -212,3 +220,14 @@ def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeyp
     assert code == 1
     assert f"internal invariant violation for {serialized}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the orbit stage ran after a broken sweep")
+
+    monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
+    monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
+    seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
+    with pytest.raises(RuntimeError, match=r"internal invariant violation for 5:\[2,1,3\|1,2,3\]$"):
+        run_pipeline(5, jobs=1, sequences=seqs)
