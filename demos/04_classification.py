@@ -15,19 +15,18 @@ def main():
     result = run_pipeline(6, skip_verify=True)
     print(result.summary())
 
-    fibers = Counter(outcome.fingerprint_id for outcome in result.outcomes)
+    fibers = Counter(outcome.fingerprint for outcome in result.outcomes)
     print(f"\nevery ideal comes from exactly "
           f"{min(fibers.values())} = {max(fibers.values())} sequences")
 
     print("\norbit table:")
     for report in result.orbit_reports:
-        name = result.orbit_names[report.orbit_id]
         first = format_label(report.labels[0])
-        print(f"  orbit {report.orbit_id} ({name}): {report.intersection_size} ideals, "
+        print(f"  orbit {report.orbit_id} ({report.name}): {report.intersection_size} ideals, "
               f"ambient orbit {report.ambient_size}, "
               f"{report.escaped_count} images outside the set, first label {first}")
 
-    o2 = next(r for r in result.orbit_reports if result.orbit_names[r.orbit_id] == "O2")
+    o2 = next(r for r in result.orbit_reports if r.name == "O2")
     print("\nlabels of the O2 orbit all share the pattern (k,*;*,k):")
     print("  ", " ".join(format_label(l) for l in o2.labels[:8]), "...")
 

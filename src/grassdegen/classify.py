@@ -1,5 +1,6 @@
 """Canonical fingerprints of binomial initial ideals and their orbits under
-the signed symmetric-group action on Pluecker variables.
+the signed symmetric-group action on Pluecker variables; at n = 6 each
+orbit is named by its Gr(3,6) class, O1..O4.
 
 A fingerprint is the sorted set of sign-normalized initial binomials of all
 nonzero relations: each binomial is stored as (lead, trail, sign) where lead
@@ -178,21 +179,21 @@ class OrbitReport:
     intersection_size: int
     ambient_size: int
     escaped_count: int
+    name: str  # the Gr(3,6) class O1..O4; "" for other n
 
 
 def compute_orbits(
-    fingerprints,
-    n: int,
-    labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]] | None = None,
+    labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]], n: int
 ) -> list[OrbitReport]:
-    """Partition the input fingerprints into orbits of the signed action.
+    """Partition the fingerprints, the keys of ``labels_by_fingerprint``,
+    into orbits of the signed action, and name the Gr(3,6) classes.
 
     Two inputs are equivalent when some group element maps one to the other,
     even if intermediate images leave the input set; ``escaped_count``
     records how many images do.  Orbits are ordered by (intersection size,
     smallest member) and numbered from 1.
     """
-    input_set = set(fingerprints)
+    input_set = set(labels_by_fingerprint)
     raw = []
     unassigned = set(input_set)
     while unassigned:
@@ -204,18 +205,16 @@ def compute_orbits(
     raw.sort(key=lambda item: (len(item[0]), item[0][0]))
     reports = []
     for orbit_id, (members, ambient) in enumerate(raw, start=1):
-        labels = []
-        if labels_by_fingerprint is not None:
-            for member in members:
-                labels.extend(labels_by_fingerprint.get(member, ()))
+        labels = tuple(sorted(lab for m in members for lab in labels_by_fingerprint[m]))
         reports.append(
             OrbitReport(
                 orbit_id=orbit_id,
                 members=members,
-                labels=tuple(sorted(labels)),
+                labels=labels,
                 intersection_size=len(members),
                 ambient_size=ambient,
                 escaped_count=ambient - len(members),
+                name=_gr36_class(labels, ambient) if n == 6 else "",
             )
         )
     return reports
@@ -239,36 +238,18 @@ ORBIT_CLASS_NAMES = {"O1": "EEFF1", "O2": "EFFG", "O3": "EEFF2", "O4": "EEFG"}
 _UNPATTERNED_BY_AMBIENT = {90: "O1", 360: "O4"}
 
 
-def annotate_gr36_orbits(
-    reports: list[OrbitReport],
-    labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]],
-) -> dict[int, str]:
-    """Map orbit ids to the classes O1..O4 for Gr(3,6).
+def _gr36_class(labels: tuple[Label, ...], ambient_size: int) -> str:
+    """The class O1..O4 of a Gr(3,6) orbit.
 
     O2 and O3 are identified by their label patterns.  Of the other two,
     O1 has 90 ideals in its full orbit and O4 has 360; the ambient size does
     not depend on which sequences the run included.
     """
-    names: dict[int, str] = {}
-    for report in reports:
-        labels = [lab for member in report.members for lab in labels_by_fingerprint.get(member, ())]
-        if labels and all(matches_o2(lab) for lab in labels):
-            names[report.orbit_id] = "O2"
-        elif labels and all(matches_o3(lab) for lab in labels):
-            names[report.orbit_id] = "O3"
-    for report in reports:
-        if report.orbit_id in names:
-            continue
-        names[report.orbit_id] = _UNPATTERNED_BY_AMBIENT[report.ambient_size]
-    return names
-
-
-@dataclass(frozen=True)
-class Gr36Classification:
-    reports: tuple[OrbitReport, ...]
-    fingerprint_of_label: dict[Label, Fingerprint]
-    orbit_of_fingerprint: dict[Fingerprint, int]
-    orbit_names: dict[int, str]
+    if labels and all(matches_o2(lab) for lab in labels):
+        return "O2"
+    if labels and all(matches_o3(lab) for lab in labels):
+        return "O3"
+    return _UNPATTERNED_BY_AMBIENT[ambient_size]
 
 
 def label_fingerprints(n: int) -> dict[Label, Fingerprint]:
@@ -278,17 +259,13 @@ def label_fingerprints(n: int) -> dict[Label, Fingerprint]:
 
 
 @lru_cache(maxsize=1)
-def classify_gr36() -> Gr36Classification:
-    """Orbit classification of the 240 initial ideals of Gr(3,6)."""
-    fingerprint_of_label = label_fingerprints(6)
+def classify_gr36() -> dict[Label, OrbitReport]:
+    """The orbit of each of the 240 labels of Gr(3,6), through its initial ideal."""
     labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]] = {}
-    for lab, fp in fingerprint_of_label.items():
+    for lab, fp in label_fingerprints(6).items():
         labels_by_fingerprint[fp] = labels_by_fingerprint.get(fp, ()) + (lab,)
-    reports = compute_orbits(labels_by_fingerprint, 6, labels_by_fingerprint)
-    orbit_of_fingerprint = {
-        member: report.orbit_id for report in reports for member in report.members
+    return {
+        lab: report
+        for report in compute_orbits(labels_by_fingerprint, 6)
+        for lab in report.labels
     }
-    names = annotate_gr36_orbits(reports, labels_by_fingerprint)
-    return Gr36Classification(
-        tuple(reports), fingerprint_of_label, orbit_of_fingerprint, names
-    )

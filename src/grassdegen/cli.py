@@ -1,15 +1,17 @@
 """Command-line driver: enumerate, pipeline, orbit-of, verify, solve-cone,
 version.
 
-Exit codes: 0 on success, 1 on an internal invariant violation, 2 on usage
-errors.  n must be in 4..8; ``pipeline --jobs`` sets the worker count
-(default: the CPU count).
+Exit codes: 0 on success (also when the reader closes stdout early, as
+``| head`` does), 1 on an internal invariant violation, 2 on usage errors.
+n must be in 4..8; ``pipeline --jobs`` sets the worker count (default: the
+CPU count).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -102,8 +104,6 @@ def cmd_pipeline(args, parser) -> int:
             seq = IteratedSequence.parse(args.seq)
         except ValueError as exc:
             parser.error(str(exc))
-        if seq.n != args.n:
-            parser.error(f"--seq has n={seq.n}, but -n {args.n} was given")
         sequences = [seq]
     result = run_pipeline(
         args.n, jobs=args.jobs, skip_verify=args.skip_verify, sequences=sequences
@@ -119,14 +119,10 @@ def cmd_orbit_of(args, parser) -> int:
         validate_label(label, 6)
     except ValueError as exc:
         parser.error(str(exc))
-    classification = classify_gr36()
-    fp = classification.fingerprint_of_label[label]
-    orbit_id = classification.orbit_of_fingerprint[fp]
-    report = next(r for r in classification.reports if r.orbit_id == orbit_id)
-    name = classification.orbit_names[orbit_id]
+    report = classify_gr36()[label]
     print(
-        f"label={format_label(label)} orbit={orbit_id} class={name} "
-        f"isomorphism_class={ORBIT_CLASS_NAMES[name]} "
+        f"label={format_label(label)} orbit={report.orbit_id} class={report.name} "
+        f"isomorphism_class={ORBIT_CLASS_NAMES[report.name]} "
         f"intersection={report.intersection_size} ambient={report.ambient_size}"
     )
     return 0
@@ -187,9 +183,9 @@ def _emit(path: str | None, payload) -> None:
 
 
 def cmd_verify(args, parser) -> int:
-    if bool(args.fingerprints) == bool(args.n):
+    if (args.fingerprints is None) == (args.n is None):
         parser.error("give exactly one of --fingerprints or -n")
-    if args.fingerprints:
+    if args.fingerprints is not None:
         n, fps = _fingerprints_from_file(parser, args.fingerprints)
     else:
         n = args.n
@@ -231,6 +227,11 @@ def main(argv=None) -> int:
         if args.command == "version":
             print(__version__)
             return 0
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (Infeasible, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

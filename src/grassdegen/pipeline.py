@@ -1,9 +1,10 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
 -> toricity evidence, fanned out over sequences with a deterministic merge.
 
-Each sequence goes through the initial-form kernel of ``initial_forms``;
-results are merged in enumeration order, fingerprints are renumbered in
-canonical sorted order, and all emitted files are byte-stable across runs.
+A worker builds each sequence's ``SequenceOutcome``, which carries its
+initial ideal; the merge keeps one map from fingerprint to labels, whose
+sorted order numbers the ideals.  All emitted files are byte-stable across
+runs and worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from multiprocessing import Pool
 from . import __version__
 from .classify import (
     Fingerprint,
-    annotate_gr36_orbits,
     binomial_generators,
     compute_orbits,
     ORBIT_CLASS_NAMES,
@@ -39,120 +39,107 @@ from .toricity import binomial_form, graded_rank, lattice_saturation, relation_f
 from .valuation import compute_valuation, weighting_matrix
 
 
-@dataclass(frozen=True)
+# slots: the parent unpickles one outcome per sequence and keeps them all
+@dataclass(frozen=True, slots=True)
 class SequenceOutcome:
     serialized: str
     label: Label
-    fingerprint_id: int
+    fingerprint: Fingerprint
     all_binomial: bool
     matrix_rank: int
     projection_sound: bool
     scalar_matches: bool
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    fingerprint_id: int
-    rank2: int
-    rank3: int
-    snf_ok: bool
-    pure_difference: bool
-
-
 @dataclass
 class PipelineResult:
     n: int
     outcomes: list[SequenceOutcome]
-    fingerprints: list[Fingerprint]
-    labels_of_fingerprint: dict[int, tuple[Label, ...]]
+    # keys sorted, which is the id order of fingerprints.json; labels sorted
+    labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]]
     label_weights: dict[Label, tuple[str, tuple[int, ...], tuple[int, ...]]]
     orbit_reports: list[OrbitReport]
-    orbit_names: dict[int, str]
     plucker_ranks: tuple[int, int] | None
-    verification: list[VerificationRecord]
+    verification: list[dict]  # the "fingerprints" entries of verify.json
     timings: dict[str, float]
     counters: dict[str, int]
 
-    def orbit_sizes(self) -> list[int]:
-        return sorted(r.intersection_size for r in self.orbit_reports)
+    @property
+    def fingerprints(self) -> list[Fingerprint]:
+        return list(self.labels_by_fingerprint)
 
     def summary(self) -> str:
-        sizes = ",".join(str(s) for s in self.orbit_sizes())
+        sizes = ",".join(str(s) for s in sorted(r.intersection_size for r in self.orbit_reports))
         return (
-            f"sequences={len(self.outcomes)} ideals={len(self.fingerprints)} "
+            f"sequences={len(self.outcomes)} ideals={len(self.labels_by_fingerprint)} "
             f"orbits=[{sizes}]"
         )
 
 
-def _sweep_one(serialized: str, triples, table, certificate):
-    seq = IteratedSequence.parse(serialized)
-    rows = [compute_valuation(seq, K) for K in triples]
-
-    initials, diffs = initial_terms(rows, table)
-    binomial = all(len(terms) == 2 for terms in initials)
-    fp = binomial_generators(initials)
-    rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
-
-    sound = all(sum(a * b for a, b in zip(certificate, d)) >= 1 for d in diffs)
-
-    weights = weight_vector(certificate, rows)
-    scalar_ok = True
+def _scalar_matches(weights, table, initials) -> bool:
+    """Whether the scalar weights pick the same initial monomials as the
+    matrix order, relation by relation."""
     for terms, initial in zip(table, initials):
         scored = [(weights[a] + weights[b], mono) for (_, a, b, mono) in terms]
         low = min(s for s, _ in scored)
         if {mono for s, mono in scored if s == low} != {mono for _, mono in initial}:
-            scalar_ok = False
-            break
-
-    return seq, rows, diffs, fp, rank, sound, scalar_ok, binomial
+            return False
+    return True
 
 
 def _sweep_chunk(payload):
-    """Sweep one chunk of serialized sequences of Gr(3,n).
+    """Sweep one chunk of serialized sequences of Gr(3,n); returns their
+    outcomes and the weights of the first sequence of each label.
 
     Every sequence is checked against the closed-form point of the ``cone``
     lemma.  The LP runs only for the first sequence of each label in the
     chunk: the merge keeps the earliest chunk's entry, so no other sequence
-    reaches weights.json.
+    reaches weights.json.  Equal fingerprints are one object within the
+    chunk, so that pickling sends each ideal once.
     """
     chunk, n = payload
     triples = all_triples(n)
     table = relation_table(n)
     dim = 3 * (n - 3)
     certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
-    fp_table: list[Fingerprint] = []
-    fp_index: dict[Fingerprint, int] = {}
-    records = []
+    shared: dict[Fingerprint, Fingerprint] = {}
+    outcomes = []
     label_weights = {}
     for serialized in chunk:
         try:
-            seq, rows, diffs, fp, rank, sound, scalar_ok, binomial = _sweep_one(
-                serialized, triples, table, certificate
+            seq = IteratedSequence.parse(serialized)
+            rows = [compute_valuation(seq, K) for K in triples]
+            initials, diffs = initial_terms(rows, table)
+            fp = binomial_generators(initials)
+            outcome = SequenceOutcome(
+                serialized,
+                label_of(seq),
+                shared.setdefault(fp, fp),
+                all(len(terms) == 2 for terms in initials),
+                exact_rank({i: x for i, x in enumerate(row) if x} for row in rows),
+                all(sum(a * b for a, b in zip(certificate, d)) >= 1 for d in diffs),
+                _scalar_matches(weight_vector(certificate, rows), table, initials),
             )
-            label = label_of(seq)
-            if label not in label_weights:
+            if outcome.label not in label_weights:
                 e = strict_interior_point(diffs, dim)
-                label_weights[label] = (serialized, e, weight_vector(e, rows))
+                label_weights[outcome.label] = (serialized, e, weight_vector(e, rows))
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
-        local = fp_index.get(fp)
-        if local is None:
-            local = len(fp_table)
-            fp_index[fp] = local
-            fp_table.append(fp)
-        records.append((serialized, label, local, binomial, rank, sound, scalar_ok))
-    return records, fp_table, label_weights
+        outcomes.append(outcome)
+    return outcomes, label_weights
 
 
 def _verify_chunk(payload):
     items, n = payload
-    out = []
+    entries = []
     for fp_id, fp in items:
         forms = [binomial_form(g) for g in fp]
-        ranks = (graded_rank(forms, 2, n), graded_rank(forms, 3, n))
         cert = lattice_saturation(fp)
-        out.append(VerificationRecord(fp_id, *ranks, cert.saturated, cert.pure_difference))
-    return out
+        entries.append({
+            "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+            "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
+        })
+    return entries
 
 
 def _chunked(items: list, pieces: int) -> list[list]:
@@ -162,38 +149,27 @@ def _chunked(items: list, pieces: int) -> list[list]:
 
 def verify_fingerprints(
     fingerprints: list[Fingerprint], n: int, jobs: int = 1
-) -> tuple[tuple[int, int], list[VerificationRecord]]:
-    """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and one
-    record per fingerprint, with ids numbering the fingerprints in order."""
+) -> tuple[tuple[int, int], list[dict]]:
+    """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and the
+    verify.json entry of each fingerprint, with ids numbering them in order."""
     reference_forms = [relation_form(R) for R in all_relations(n)]
     plucker_ranks = (graded_rank(reference_forms, 2, n), graded_rank(reference_forms, 3, n))
     items = list(enumerate(fingerprints))
     if jobs > 1 and len(items) > 16:
         payloads = [(chunk, n) for chunk in _chunked(items, jobs * 2)]
         with Pool(jobs) as pool:
-            records = [r for part in pool.map(_verify_chunk, payloads) for r in part]
+            entries = [e for part in pool.map(_verify_chunk, payloads) for e in part]
     else:
-        records = _verify_chunk((items, n))
-    return plucker_ranks, records
+        entries = _verify_chunk((items, n))
+    return plucker_ranks, entries
 
 
-def verify_payload(
-    n: int, plucker_ranks: tuple[int, int], records: list[VerificationRecord]
-) -> dict:
+def verify_payload(n: int, plucker_ranks: tuple[int, int], entries: list[dict]) -> dict:
     """The verify.json document."""
     return {
         "n": n,
         "plucker": {"rank2": plucker_ranks[0], "rank3": plucker_ranks[1]},
-        "fingerprints": [
-            {
-                "id": r.fingerprint_id,
-                "rank2": r.rank2,
-                "rank3": r.rank3,
-                "snf_ok": r.snf_ok,
-                "pure_difference": r.pure_difference,
-            }
-            for r in records
-        ],
+        "fingerprints": entries,
     }
 
 
@@ -203,9 +179,10 @@ def run_pipeline(
     skip_verify: bool = False,
     sequences: list[IteratedSequence] | None = None,
 ) -> PipelineResult:
-    """Run the whole chain for Gr(3,n); raises RuntimeError, naming the
-    sequence, only on a bug, and a sequence that breaks an invariant stops
-    the run before the orbit stage.  ``jobs`` defaults to the CPU count."""
+    """Run the whole chain for Gr(3,n); raises ValueError for a sequence of
+    another n, RuntimeError, naming the sequence, only on a bug, and a
+    sequence that breaks an invariant stops the run before the orbit stage.
+    ``jobs`` defaults to the CPU count."""
     jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
     timings: dict[str, float] = {}
 
@@ -213,6 +190,9 @@ def run_pipeline(
     if sequences is None:
         serialized = [s.serialize() for s in enumerate_sequences(n)]
     else:
+        for s in sequences:
+            if s.n != n:
+                raise ValueError(f"sequence {s.serialize()} has n={s.n}, but the run has n={n}")
         serialized = [s.serialize() for s in sequences]
     timings["enumerate"] = time.perf_counter() - start
 
@@ -224,58 +204,44 @@ def run_pipeline(
     else:
         chunk_results = [_sweep_chunk(p) for p in payloads]
 
-    raw_records = []
+    outcomes: list[SequenceOutcome] = []
     label_weights: dict[Label, tuple] = {}
-    for records, fp_table, chunk_weights in chunk_results:
-        for record in records:
-            raw_records.append((record, fp_table))
-        for label, pair in chunk_weights.items():
-            label_weights.setdefault(label, pair)
+    for chunk_outcomes, chunk_weights in chunk_results:
+        outcomes.extend(chunk_outcomes)
+        for label, entry in chunk_weights.items():
+            label_weights.setdefault(label, entry)
     timings["sweep"] = time.perf_counter() - start
 
-    # canonical renumbering
-    distinct = sorted({fp for _, fp_table, _ in chunk_results for fp in fp_table})
-    fp_id = {fp: i for i, fp in enumerate(distinct)}
-    outcomes = []
-    labels_of_fingerprint: dict[int, list[Label]] = {}
     dim = 3 * (n - 3)
-    for (serialized_seq, label, local, binomial, rank, sound, scalar_ok), fp_table in raw_records:
-        if not (binomial and rank == dim and sound and scalar_ok):
-            raise RuntimeError(f"internal invariant violation for {serialized_seq}")
-        fid = fp_id[fp_table[local]]
-        outcomes.append(
-            SequenceOutcome(serialized_seq, label, fid, binomial, rank, sound, scalar_ok)
-        )
-        bucket = labels_of_fingerprint.setdefault(fid, [])
-        if label not in bucket:
-            bucket.append(label)
+    labels: dict[Fingerprint, set[Label]] = {}
+    for o in outcomes:
+        if not (o.all_binomial and o.matrix_rank == dim and o.projection_sound and o.scalar_matches):
+            raise RuntimeError(f"internal invariant violation for {o.serialized}")
+        labels.setdefault(o.fingerprint, set()).add(o.label)
+    labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
 
     start = time.perf_counter()
-    labels_by_fp = {fp: tuple(sorted(labels_of_fingerprint[fp_id[fp]])) for fp in distinct}
-    orbit_reports = compute_orbits(distinct, n, labels_by_fp)
-    orbit_names = annotate_gr36_orbits(orbit_reports, labels_by_fp) if n == 6 else {}
+    orbit_reports = compute_orbits(labels_by_fingerprint, n)
     timings["orbits"] = time.perf_counter() - start
 
     plucker_ranks = None
-    verification: list[VerificationRecord] = []
+    verification: list[dict] = []
     if not skip_verify:
         start = time.perf_counter()
-        plucker_ranks, verification = verify_fingerprints(distinct, n, jobs)
+        plucker_ranks, verification = verify_fingerprints(list(labels_by_fingerprint), n, jobs)
         timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
         n=n,
         outcomes=outcomes,
-        fingerprints=distinct,
-        labels_of_fingerprint={k: tuple(sorted(v)) for k, v in labels_of_fingerprint.items()},
+        labels_by_fingerprint=labels_by_fingerprint,
         label_weights=label_weights,
         orbit_reports=orbit_reports,
-        orbit_names=orbit_names,
         plucker_ranks=plucker_ranks,
         verification=verification,
         timings=timings,
         counters={
-            "lp_solves": sum(len(chunk_weights) for _, _, chunk_weights in chunk_results),
+            "lp_solves": sum(len(chunk_weights) for _, chunk_weights in chunk_results),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
         },
@@ -361,21 +327,21 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
 
     fingerprints_payload = {
         "n": result.n,
-        "count": len(result.fingerprints),
+        "count": len(result.labels_by_fingerprint),
         "fingerprints": [
             {
                 "id": fid,
-                "labels": [format_label(l) for l in result.labels_of_fingerprint[fid]],
+                "labels": [format_label(l) for l in labels],
                 "generators": [generator_to_json(g) for g in fp],
             }
-            for fid, fp in enumerate(result.fingerprints)
+            for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
         ],
     }
     path = os.path.join(outdir, "fingerprints.json")
     dump_json(path, fingerprints_payload)
     written.append(path)
 
-    fp_ids = {fp: i for i, fp in enumerate(result.fingerprints)}
+    fp_ids = {fp: i for i, fp in enumerate(result.labels_by_fingerprint)}
     orbits_payload = {
         "n": result.n,
         "orbits": [
@@ -387,11 +353,8 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
                 "fingerprint_ids": [fp_ids[m] for m in r.members],
                 "labels": [format_label(l) for l in r.labels],
                 **(
-                    {
-                        "class": result.orbit_names[r.orbit_id],
-                        "isomorphism_class": ORBIT_CLASS_NAMES[result.orbit_names[r.orbit_id]],
-                    }
-                    if r.orbit_id in result.orbit_names
+                    {"class": r.name, "isomorphism_class": ORBIT_CLASS_NAMES[r.name]}
+                    if r.name
                     else {}
                 ),
             }
@@ -406,12 +369,11 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
     with open(path, "w") as fh:
         fh.write("orbit,class,intersection_size,ambient_size,labels\n")
         for r in result.orbit_reports:
-            name = result.orbit_names.get(r.orbit_id, "")
             labels = " ".join(format_label(l) for l in r.labels)
-            fh.write(f"{r.orbit_id},{name},{r.intersection_size},{r.ambient_size},{labels}\n")
+            fh.write(f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n")
     written.append(path)
 
-    if result.verification:
+    if result.plucker_ranks is not None:
         path = os.path.join(outdir, "verify.json")
         dump_json(path, verify_payload(result.n, result.plucker_ranks, result.verification))
         written.append(path)

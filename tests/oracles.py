@@ -6,13 +6,37 @@ the height-weighted order behind the lex-max initial-term rule, polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
 triples, dense rational Gaussian elimination, and semistandard-tableau
 enumeration for graded dimensions.  A sequence is read only through its
-``n`` and ``triples`` attributes.
+``n`` and ``triples`` attributes.  The recorded output hashes of
+``perfbench/expected/`` are read here too, and only read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 from fractions import Fraction
+
+EXPECTED_DIR = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected")
+
+
+def recorded_hashes(name):
+    """{relative path: sha256} of the recorded ``sha256sum`` file ``name``."""
+    with open(os.path.join(EXPECTED_DIR, name)) as fh:
+        return {path: digest for digest, path in (line.split() for line in fh)}
+
+
+def output_hashes(outdir):
+    """{relative path: sha256} of every file a run wrote, but its manifest,
+    which holds timings."""
+    hashes = {}
+    for dirpath, _, files in os.walk(outdir):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, outdir)] = hashlib.sha256(fh.read()).hexdigest()
+    del hashes["manifest.json"]
+    return hashes
 
 
 def expand_relation(i_pair, j_quad):

@@ -22,7 +22,7 @@ from grassdegen.sequences import (
 )
 from grassdegen.valuation import compute_valuation, weighting_matrix
 
-from oracles import pullback_support, root_heights, ssyt_count
+from oracles import output_hashes, pullback_support, recorded_hashes, root_heights, ssyt_count
 
 
 def announce(number, name, elapsed, limit):
@@ -63,13 +63,20 @@ def test_criterion_2_ideal_count(pipeline6):
     assert len(pipeline6.fingerprints) == 240
     by_label = {}
     for outcome in pipeline6.outcomes:
-        by_label.setdefault(outcome.label, set()).add(outcome.fingerprint_id)
+        by_label.setdefault(outcome.label, set()).add(outcome.fingerprint)
     assert len(by_label) == 240
     assert all(len(ids) == 1 for ids in by_label.values())
     fibers = [next(iter(ids)) for ids in by_label.values()]
     assert len(set(fibers)) == 240
     elapsed = pipeline6.wall + time.perf_counter() - start
     announce(2, "240 ideals, constant and distinct on label fibers", elapsed, 60.0)
+
+
+def test_gr36_outputs_match_the_recorded_hashes(pipeline6, tmp_path):
+    from grassdegen.pipeline import write_outputs
+
+    write_outputs(pipeline6, str(tmp_path))
+    assert output_hashes(tmp_path) == recorded_hashes("gr36_full.sha256")
 
 
 def test_criterion_3_orbit_structure(pipeline6):
@@ -181,10 +188,10 @@ def test_criterion_8_flatness_and_toricity(pipeline6):
     assert rank3 == 560 == 1540 - ssyt_count(3, 6)
     assert len(pipeline6.verification) == 240
     for record in pipeline6.verification:
-        assert record.rank2 == rank2
-        assert record.rank3 == rank3
-        assert record.snf_ok
-        assert record.pure_difference
+        assert record["rank2"] == rank2
+        assert record["rank3"] == rank3
+        assert record["snf_ok"]
+        assert record["pure_difference"]
     elapsed = pipeline6.timings["verify"] + time.perf_counter() - start
     announce(8, "graded ranks match and lattices saturated", elapsed, 600.0)
 

@@ -37,8 +37,13 @@ def apply_word(word, fp, n):
 
 def label_orbit(label):
     """Orbit id of the Gr(3,6) ideal with the given label."""
-    classification = classify_gr36()
-    return classification.orbit_of_fingerprint[classification.fingerprint_of_label[label]]
+    return classify_gr36()[label].orbit_id
+
+
+def gr36_reports():
+    """The four Gr(3,6) orbit reports, in orbit id order."""
+    by_id = {report.orbit_id: report for report in classify_gr36().values()}
+    return [by_id[orbit_id] for orbit_id in sorted(by_id)]
 
 
 def test_canonical_binomial_orientation():
@@ -146,8 +151,9 @@ def test_braid_and_commutation_relations():
 
 def test_singleton_invariant_orbit():
     # A fingerprint fixed by every generator forms one orbit of size 1.
-    # The empty fingerprint is trivially invariant.
-    reports = compute_orbits([()], 6)
+    # The empty fingerprint is trivially invariant.  It is no Gr(3,6) ideal
+    # and has no Gr(3,6) class, so it is run at n=5, where none is named.
+    reports = compute_orbits({(): ()}, 5)
     assert len(reports) == 1
     assert reports[0].intersection_size == 1
     assert reports[0].ambient_size == 1
@@ -191,46 +197,44 @@ def test_packed_action_equals_the_tuple_oracle_on_n7_closure_members(closure_n7)
 
 
 def test_fingerprints_are_monomial_free():
-    classification = classify_gr36()
-    for fp in set(classification.fingerprint_of_label.values()):
+    for fp in set(label_fingerprints(6).values()):
         for lead, trail, _ in fp:
             assert lead != trail
 
 
 def test_gr36_classification_structure():
-    classification = classify_gr36()
-    sizes = sorted(r.intersection_size for r in classification.reports)
+    reports = gr36_reports()
+    sizes = sorted(r.intersection_size for r in reports)
     assert sizes == [48, 48, 48, 96]
     assert sum(sizes) == 240
-    names = set(classification.orbit_names.values())
+    names = {r.name for r in reports}
     assert names == {"O1", "O2", "O3", "O4"}
     # orbits partition the 240 fingerprints
-    members = [m for r in classification.reports for m in r.members]
+    members = [m for r in reports for m in r.members]
     assert len(members) == 240 == len(set(members))
     # some images leave the input set
-    assert any(r.escaped_count > 0 for r in classification.reports)
+    assert any(r.escaped_count > 0 for r in reports)
 
 
 def test_label_patterns_identify_o2_and_o3():
     assert matches_o2(((1, 3), (2, 1)))
     assert matches_o3(((3, 1), (2, 1)))
-    classification = classify_gr36()
-    by_name = {v: k for k, v in classification.orbit_names.items()}
+    reports = gr36_reports()
+    by_name = {r.name: r.orbit_id for r in reports}
     o2_id, o3_id = by_name["O2"], by_name["O3"]
     assert label_orbit(((1, 3), (2, 1))) == o2_id
     assert label_orbit(((3, 1), (2, 1))) == o3_id
-    for report in classification.reports:
-        name = classification.orbit_names[report.orbit_id]
-        if name == "O2":
+    for report in reports:
+        if report.name == "O2":
             assert all(matches_o2(l) for l in report.labels)
-        if name == "O3":
+        if report.name == "O3":
             assert all(matches_o3(l) for l in report.labels)
 
 
 def test_label_orbit_membership_unknown_label():
-    fingerprint_of_label = classify_gr36().fingerprint_of_label
-    assert set(fingerprint_of_label) == set(all_labels(6))
-    assert ((1, 1), (1, 1)) not in fingerprint_of_label
+    orbit_of_label = classify_gr36()
+    assert set(orbit_of_label) == set(all_labels(6))
+    assert ((1, 1), (1, 1)) not in orbit_of_label
 
 
 def test_fingerprints_constant_on_fibers_exhaustive_n5():
@@ -273,5 +277,5 @@ def test_orbits_agree_with_full_word_enumeration_n5():
                 related[fp].add(image)
     classes = {frozenset(v) for v in related.values()}
 
-    reports = compute_orbits(fps, 5)
+    reports = compute_orbits({fp: () for fp in fps}, 5)
     assert {frozenset(r.members) for r in reports} == classes

@@ -6,6 +6,8 @@ import sys
 import jsonschema
 import pytest
 
+from oracles import EXPECTED_DIR
+
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
 
@@ -55,6 +57,20 @@ def test_enumerate_usage_error():
     assert "usage" in proc.stderr.lower() or "n must be" in proc.stderr
 
 
+def test_enumerate_into_a_pipe_closed_early_ends_quietly():
+    # `grass-degen enumerate -n 7 | head -1`: the reader leaves after one
+    # line of about a million
+    command = [sys.executable, "-X", "dev", "-m", "grassdegen.cli", "enumerate", "-n", "7"]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        assert proc.stdout.readline() == "7:[1,2,3|1,2,3|1,2,3|1,2,3]\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == ""
+
+
 def test_enumerate_to_file(tmp_path):
     target = tmp_path / "seqs.txt"
     proc = run_cli("enumerate", "-n", "5", "-o", str(target))
@@ -102,6 +118,18 @@ def test_orbit_of_examples():
     proc = run_cli("orbit-of", "(3,1;2,1)")
     assert proc.returncode == 0
     assert "class=O3" in proc.stdout and "intersection=48" in proc.stdout
+
+
+def test_orbit_of_prints_the_recorded_line_for_every_label(capsys):
+    from grassdegen.cli import main
+
+    with open(os.path.join(EXPECTED_DIR, "gr36_orbit_of.txt")) as fh:
+        recorded = fh.read().splitlines()
+    assert len(recorded) == 240
+    for line in recorded:
+        label = line.split()[0][len("label="):]
+        assert main(["orbit-of", label]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_orbit_of_usage_error():
@@ -244,6 +272,21 @@ def test_verify_fingerprints_file_reads_a_monomial_in_either_order(tmp_path):
         reports.append(json.loads(proc.stdout))
     assert reports[0] == reports[1]
     assert reports[0]["fingerprints"][0]["rank2"] == 2
+
+
+def test_verify_n_0_is_an_n_out_of_range():
+    proc = run_cli("verify", "-n", "0")
+    assert proc.returncode == 2
+    assert "n must be in 4..8, got 0" in proc.stderr
+
+
+def test_pipeline_seq_of_another_n_is_usage_error(tmp_path):
+    proc = run_cli(
+        "pipeline", "-n", "6", "--seq", "5:[1,2,3|1,2,3]", "--out", str(tmp_path / "run")
+    )
+    assert proc.returncode == 2
+    assert "sequence 5:[1,2,3|1,2,3] has n=5, but the run has n=6" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_n_ceiling_is_usage_error(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import jsonschema
 import pytest
@@ -9,9 +10,14 @@ from grassdegen.classify import classify_gr36
 from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.initial_forms import inequality_set
 from grassdegen.pipeline import run_pipeline, write_outputs
-from grassdegen.sequences import IteratedSequence, format_label, representative_sequence
+from grassdegen.sequences import (
+    IteratedSequence,
+    format_label,
+    representative_sequence,
+    standard_sequence,
+)
 from grassdegen.valuation import weighting_matrix
-from oracles import brute_force_fingerprint
+from oracles import brute_force_fingerprint, output_hashes, recorded_hashes
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -47,8 +53,13 @@ def test_pipeline_n5_flags(result_n5):
 def test_pipeline_n5_verification(result_n5):
     assert result_n5.plucker_ranks == (5, 45)
     for record in result_n5.verification:
-        assert (record.rank2, record.rank3) == (5, 45)
-        assert record.snf_ok and record.pure_difference
+        assert (record["rank2"], record["rank3"]) == (5, 45)
+        assert record["snf_ok"] and record["pure_difference"]
+
+
+def test_n5_outputs_match_the_recorded_hashes(result_n5, tmp_path):
+    write_outputs(result_n5, str(tmp_path))
+    assert output_hashes(tmp_path) == recorded_hashes("gr35_full.sha256")
 
 
 def test_single_sequence_mode():
@@ -87,7 +98,7 @@ def test_fast_path_matches_reference_fingerprints():
     result = run_pipeline(6, jobs=1, sequences=sample, skip_verify=True)
     for outcome in result.outcomes:
         seq = IteratedSequence.parse(outcome.serialized)
-        assert result.fingerprints[outcome.fingerprint_id] == brute_force_fingerprint(seq)
+        assert outcome.fingerprint == brute_force_fingerprint(seq)
 
 
 def test_weights_payload_contents(tmp_path):
@@ -174,14 +185,12 @@ def test_manifest_counts_orbit_images(result_n5, tmp_path):
     ],
 )
 def test_single_sequence_run_names_the_full_run_class(label, name):
-    classification = classify_gr36()
-    fp = classification.fingerprint_of_label[label]
-    assert classification.orbit_names[classification.orbit_of_fingerprint[fp]] == name
+    assert classify_gr36()[label].name == name
     result = run_pipeline(
         6, jobs=1, sequences=[representative_sequence(label, 6)], skip_verify=True
     )
     (report,) = result.orbit_reports
-    assert result.orbit_names == {report.orbit_id: name}
+    assert report.name == name
 
 
 def test_manifest_inputs_hash(result_n5, tmp_path):
@@ -197,6 +206,23 @@ def test_manifest_inputs_hash(result_n5, tmp_path):
     assert inputs_sha256(run_pipeline(5, jobs=1, sequences=one), "one") != full
     assert inputs_sha256(run_pipeline(5, jobs=1, skip_verify=True), "skip") != full
     assert inputs_sha256(run_pipeline(5, jobs=2), "jobs2") == full
+
+
+def test_verify_json_is_written_when_verify_ran_on_no_ideals(tmp_path):
+    result = run_pipeline(5, jobs=1, sequences=[])
+    manifest = load_json(write_outputs(result, str(tmp_path)))
+    payload = load_json(tmp_path / "verify.json")
+    assert payload == {"n": 5, "plucker": {"rank2": 5, "rank3": 45}, "fingerprints": []}
+    jsonschema.validate(payload, load_schema("verify.schema.json"))
+    assert "verify.json" in {entry["path"] for entry in manifest["outputs"]}
+
+
+@pytest.mark.parametrize("run_n, seq_n", [(6, 5), (5, 6)])
+def test_a_sequence_of_another_n_is_rejected_up_front(run_n, seq_n):
+    seq = standard_sequence(seq_n)
+    message = rf"sequence {re.escape(seq.serialize())} has n={seq_n}, but the run has n={run_n}"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(run_n, jobs=1, sequences=[standard_sequence(run_n), seq])
 
 
 def test_sweep_failure_names_its_sequence(monkeypatch):
