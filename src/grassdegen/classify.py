@@ -26,38 +26,36 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .initial_forms import Monomial, initial_terms, relation_table
+from .initial_forms import (
+    Binomial,
+    Fingerprint,
+    Monomial,
+    binomial_ids,
+    pack_rows,
+    relation_table,
+    select,
+)
 from .plucker import Triple, all_triples
-from .sequences import IteratedSequence, Label, all_labels, representative_sequence
+from .sequences import (
+    IteratedSequence,
+    Label,
+    all_labels,
+    format_label,
+    representative_sequence,
+)
 from .valuation import weighting_matrix
-
-Binomial = tuple[Monomial, Monomial, int]
-Fingerprint = tuple[Binomial, ...]
-
-
-def canonical_binomial(sign_a: int, mono_a: Monomial, sign_b: int, mono_b: Monomial) -> Binomial:
-    """Normalize sign_a*mono_a + sign_b*mono_b to lead coefficient +1."""
-    if mono_a <= mono_b:
-        return (mono_a, mono_b, sign_a * sign_b)
-    return (mono_b, mono_a, sign_a * sign_b)
-
-
-def binomial_generators(initials) -> Fingerprint:
-    """Sorted canonical binomials of the initial forms that have two terms."""
-    gens = set()
-    for terms in initials:
-        if len(terms) == 2:
-            (sa, ma), (sb, mb) = terms
-            gens.add(canonical_binomial(sa, ma, sb, mb))
-    return tuple(sorted(gens))
 
 
 def fingerprint(seq: IteratedSequence) -> Fingerprint:
-    """Sorted canonical initial binomials of all nonzero relations."""
-    initials, _ = initial_terms(weighting_matrix(seq).rows, relation_table(seq.n))
-    if any(len(terms) != 2 for terms in initials):
+    """Sorted canonical initial binomials of all nonzero relations; raises
+    ValueError for a valuation row that is not 0/1 and for a relation whose
+    initial form is not a binomial."""
+    table = relation_table(seq.n)
+    packed = pack_rows(weighting_matrix(seq).rows, 3 * (seq.n - 3))
+    ids = binomial_ids(select(packed, table), table)
+    if None in ids:
         raise ValueError(f"non-binomial initial form for {seq.serialize()}")
-    return binomial_generators(initials)
+    return tuple(map(table.binomials.__getitem__, sorted(ids)))
 
 
 class _Action(NamedTuple):
@@ -249,7 +247,13 @@ def _gr36_class(labels: tuple[Label, ...], ambient_size: int) -> str:
         return "O2"
     if labels and all(matches_o3(lab) for lab in labels):
         return "O3"
-    return _UNPATTERNED_BY_AMBIENT[ambient_size]
+    name = _UNPATTERNED_BY_AMBIENT.get(ambient_size)
+    if name is None:
+        raise ValueError(
+            f"the Gr(3,6) orbit of labels [{' '.join(map(format_label, labels))}] and "
+            f"ambient size {ambient_size} matches no class O1..O4"
+        )
+    return name
 
 
 def label_fingerprints(n: int) -> dict[Label, Fingerprint]:

@@ -3,8 +3,8 @@ version.
 
 Exit codes: 0 on success (also when the reader closes stdout early, as
 ``| head`` does), 1 on an internal invariant violation, 2 on usage errors.
-n must be in 4..8; ``pipeline --jobs`` sets the worker count (default: the
-CPU count).
+n must be in 4..8, and ``pipeline -n 8`` needs ``--seq``; ``pipeline --jobs``
+sets the worker count (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .sequences import (
     enumerate_sequences,
     format_label,
     parse_label,
+    sequence_count,
     validate_label,
 )
 from .valuation import WeightingMatrix
@@ -39,6 +40,9 @@ from .valuation import WeightingMatrix
 # per index, so n cannot pass 9; n = 9 itself has 7.3e10 sequences, so the
 # ceiling is 8.
 MAX_N = 8
+# A full sweep at n = 8 has 217,728,000 sequences: more than a run can
+# enumerate and hold, so pipeline takes n = 8 only with --seq.
+MAX_SWEEP_N = 7
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,6 +102,11 @@ def cmd_enumerate(args, parser) -> int:
 
 def cmd_pipeline(args, parser) -> int:
     _check_n(parser, args.n)
+    if args.n > MAX_SWEEP_N and not args.seq:
+        parser.error(
+            f"pipeline -n {args.n} needs --seq: a full sweep of its "
+            f"{sequence_count(args.n):,} sequences cannot finish"
+        )
     sequences = None
     if args.seq:
         try:

@@ -15,18 +15,20 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
+from operator import neg
 
 from . import __version__
-from .classify import (
-    Fingerprint,
-    binomial_generators,
-    compute_orbits,
-    ORBIT_CLASS_NAMES,
-    OrbitReport,
-)
+from .classify import compute_orbits, ORBIT_CLASS_NAMES, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
-from .initial_forms import initial_terms, relation_table
+from .initial_forms import (
+    Fingerprint,
+    binomial_ids,
+    inequalities,
+    pack_rows,
+    relation_table,
+    select,
+)
 from .plucker import all_relations, all_triples, triple_key
 from .sequences import (
     IteratedSequence,
@@ -76,52 +78,55 @@ class PipelineResult:
         )
 
 
-def _scalar_matches(weights, table, initials) -> bool:
-    """Whether the scalar weights pick the same initial monomials as the
-    matrix order, relation by relation."""
-    for terms, initial in zip(table, initials):
-        scored = [(weights[a] + weights[b], mono) for (_, a, b, mono) in terms]
-        low = min(s for s, _ in scored)
-        if {mono for s, mono in scored if s == low} != {mono for _, mono in initial}:
-            return False
-    return True
-
-
 def _sweep_chunk(payload):
     """Sweep one chunk of serialized sequences of Gr(3,n); returns their
     outcomes and the weights of the first sequence of each label.
 
-    Every sequence is checked against the closed-form point of the ``cone``
-    lemma.  The LP runs only for the first sequence of each label in the
-    chunk: the merge keeps the earliest chunk's entry, so no other sequence
-    reaches weights.json.  Equal fingerprints are one object within the
-    chunk, so that pickling sends each ideal once.
+    Every sequence is checked against the closed-form point c of the
+    ``cone`` lemma through the two row premises of ``initial_forms``:
+    ``pack_rows`` raises unless every row is 0/1, and c.M must equal the
+    negated packed rows.  Together they give both the scalar check and the
+    soundness of c, so ``scalar_matches`` and ``projection_sound`` both hold
+    the certificate identity.  The inequality set and the LP are computed
+    only for the first sequence of each label in the chunk: the merge keeps
+    the earliest chunk's entry, so no other sequence reaches weights.json.
+    Equal fingerprints are one object within the chunk, so that pickling
+    sends each ideal once.
     """
     chunk, n = payload
     triples = all_triples(n)
     table = relation_table(n)
+    decode = table.binomials.__getitem__
     dim = 3 * (n - 3)
     certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
-    shared: dict[Fingerprint, Fingerprint] = {}
+    shared: dict[tuple[int, ...], Fingerprint] = {}
     outcomes = []
     label_weights = {}
     for serialized in chunk:
         try:
             seq = IteratedSequence.parse(serialized)
             rows = [compute_valuation(seq, K) for K in triples]
-            initials, diffs = initial_terms(rows, table)
-            fp = binomial_generators(initials)
+            packed = pack_rows(rows, dim)
+            certified = weight_vector(certificate, rows) == tuple(map(neg, packed))
+            selection = select(packed, table)
+            ids = binomial_ids(selection, table)
+            all_binomial = None not in ids
+            ids.discard(None)
+            key = tuple(sorted(ids))
+            fp = shared.get(key)
+            if fp is None:
+                fp = shared[key] = tuple(map(decode, key))
             outcome = SequenceOutcome(
                 serialized,
                 label_of(seq),
-                shared.setdefault(fp, fp),
-                all(len(terms) == 2 for terms in initials),
+                fp,
+                all_binomial,
                 exact_rank({i: x for i, x in enumerate(row) if x} for row in rows),
-                all(sum(a * b for a, b in zip(certificate, d)) >= 1 for d in diffs),
-                _scalar_matches(weight_vector(certificate, rows), table, initials),
+                certified,
+                certified,
             )
             if outcome.label not in label_weights:
-                e = strict_interior_point(diffs, dim)
+                e = strict_interior_point(inequalities(selection, dim), dim)
                 label_weights[outcome.label] = (serialized, e, weight_vector(e, rows))
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
@@ -244,6 +249,7 @@ def run_pipeline(
             "lp_solves": sum(len(chunk_weights) for _, chunk_weights in chunk_results),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
+            "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
         },
     )
 

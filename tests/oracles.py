@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and imports nothing from the
 package: the full pullback-support recursion behind the greedy valuation,
-the height-weighted order behind the lex-max initial-term rule, polynomial
+the height-weighted order behind the lex-max initial-term rule, the
+initial-term selection on tuples of integers with its scalar check, polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
 triples, dense rational Gaussian elimination, and semistandard-tableau
 enumeration for graded dimensions.  A sequence is read only through its
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import operator
 import os
 from fractions import Fraction
 
@@ -54,6 +57,65 @@ def expand_relation(i_pair, j_quad):
         key = (a, b) if a <= b else (b, a)
         poly[key] = poly.get(key, 0) + sign
     return {k: v for k, v in poly.items() if v}
+
+
+def _row_positions(rows):
+    """Index of each triple among the lex-ordered rows of a weighting matrix
+    of Gr(3,n), n read off the number of rows."""
+    n = 3
+    while math.comb(n, 3) < len(rows):
+        n += 1
+    return {t: i for i, t in enumerate(itertools.combinations(range(1, n + 1), 3))}
+
+
+def initial_terms(rows, relations):
+    """Initial terms of every relation and the inequality set, on tuples.
+
+    ``rows`` are the rows of a weighting matrix, ``relations`` are
+    (I, J, terms) tuples with terms (sign, A, B).  A term is valued by the
+    sum of its two factors' rows; the initial terms of a relation, as
+    (sign, monomial) pairs, are those attaining the lex-max vector.  The
+    inequality set holds the differences v(non-initial) - v(initial) over
+    all relations, each divided by the gcd of its entries, deduplicated and
+    sorted.
+    """
+    row = {t: rows[i] for t, i in _row_positions(rows).items()}
+    initials = []
+    diffs = set()
+    for _, _, terms in relations:
+        vectors = [tuple(map(operator.add, row[a], row[b])) for _, a, b in terms]
+        best = max(vectors)
+        initials.append(tuple((s, (a, b)) for v, (s, a, b) in zip(vectors, terms) if v == best))
+        for v in vectors:
+            if v != best:
+                d = tuple(map(operator.sub, v, best))
+                g = math.gcd(*d)
+                diffs.add(tuple(x // g for x in d))
+    return tuple(initials), tuple(sorted(diffs))
+
+
+def binomial_generators(initials):
+    """Sorted binomials (smaller monomial, larger monomial, product of the
+    signs) of the initial forms that have two terms."""
+    gens = set()
+    for terms in initials:
+        if len(terms) == 2:
+            (sign_a, lead), (sign_b, trail) = sorted(terms, key=lambda term: term[1])
+            gens.add((lead, trail, sign_a * sign_b))
+    return tuple(sorted(gens))
+
+
+def scalar_matches(weights, relations, initials):
+    """Whether the scalar weights, one per row, pick the same initial
+    monomials as the matrix order, relation by relation: a term scores the
+    sum of its factors' weights and the lowest score wins."""
+    weight = {t: weights[i] for t, i in _row_positions(weights).items()}
+    for (_, _, terms), initial in zip(relations, initials):
+        scored = [(weight[a] + weight[b], (a, b)) for _, a, b in terms]
+        low = min(score for score, _ in scored)
+        if {m for score, m in scored if score == low} != {m for _, m in initial}:
+            return False
+    return True
 
 
 def root_heights(seq):

@@ -22,7 +22,15 @@ from grassdegen.sequences import (
 )
 from grassdegen.valuation import compute_valuation, weighting_matrix
 
-from oracles import output_hashes, pullback_support, recorded_hashes, root_heights, ssyt_count
+from oracles import (
+    initial_terms,
+    output_hashes,
+    pullback_support,
+    recorded_hashes,
+    root_heights,
+    scalar_matches,
+    ssyt_count,
+)
 
 
 def announce(number, name, elapsed, limit):
@@ -154,11 +162,22 @@ def test_criterion_6_projection_soundness(pipeline6):
     from grassdegen.initial_forms import inequality_set
 
     relations = all_relations(6)
+    certificate = [-(3 ** (8 - i)) for i in range(9)]
     assert len(pipeline6.label_weights) == 240
-    for witness, e, _ in pipeline6.label_weights.values():
+    for witness, e, w in pipeline6.label_weights.values():
         seq = IteratedSequence.parse(witness)
-        diffs = inequality_set(seq, weighting_matrix(seq), relations)
+        matrix = weighting_matrix(seq)
+        rows = matrix.rows
+        diffs = inequality_set(seq, matrix, relations)
         assert all(sum(a * b for a, b in zip(e, d)) >= 1 for d in diffs)
+        # term by term on the tuple oracle: the same inequality set, and both
+        # the written weights and the certificate's pick the initial terms
+        initials, oracle_diffs = initial_terms(rows, relations)
+        assert oracle_diffs == diffs
+        assert scalar_matches(w, relations, initials)
+        cert_weights = [sum(c * x for c, x in zip(certificate, row)) for row in rows]
+        assert scalar_matches(cert_weights, relations, initials)
+        assert all(sum(c * x for c, x in zip(certificate, d)) >= 1 for d in oracle_diffs)
     elapsed = pipeline6.timings["sweep"] + time.perf_counter() - start
     announce(6, "projections sound, scalar = matrix initial forms", elapsed, 120.0)
 

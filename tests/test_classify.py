@@ -4,7 +4,6 @@ import pytest
 
 from grassdegen.classify import (
     apply_transposition,
-    canonical_binomial,
     classify_gr36,
     compute_orbits,
     fingerprint,
@@ -13,6 +12,7 @@ from grassdegen.classify import (
     matches_o3,
     orbit_closure,
 )
+from grassdegen.initial_forms import canonical_binomial
 from grassdegen.sequences import (
     IteratedSequence,
     all_labels,
@@ -279,3 +279,27 @@ def test_orbits_agree_with_full_word_enumeration_n5():
 
     reports = compute_orbits({fp: () for fp in fps}, 5)
     assert {frozenset(r.members) for r in reports} == classes
+
+
+def test_fingerprint_rejects_a_valuation_row_outside_0_1(monkeypatch):
+    from grassdegen import valuation
+
+    real = valuation.compute_valuation
+
+    def with_a_two(seq, K):
+        row = real(seq, K)
+        return (2, *row[1:]) if K == (3, 4, 5) else row
+
+    monkeypatch.setattr(valuation, "compute_valuation", with_a_two)
+    with pytest.raises(ValueError, match=r"valuation row \(2, .* is not a 0/1 vector of length 6"):
+        fingerprint(IteratedSequence.parse("5:[2,1,3|1,2,3]"))
+
+
+def test_an_n6_orbit_of_no_class_is_named_in_the_error():
+    with pytest.raises(
+        ValueError, match=r"the Gr\(3,6\) orbit of labels \[\] and ambient size 1 matches no class"
+    ):
+        compute_orbits({(): ()}, 6)
+    labels = ((1, 2), (1, 3)), ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match=r"orbit of labels \[\(1,2;1,3\) \(1,2;3,4\)\] and ambient size 1 "):
+        compute_orbits({(): labels}, 6)

@@ -299,6 +299,26 @@ def test_n_ceiling_is_usage_error(tmp_path):
     assert "n must be in 4..8" in proc.stderr
 
 
+def test_pipeline_n8_without_seq_is_usage_error(tmp_path):
+    out = tmp_path / "p8"
+    proc = run_cli("pipeline", "-n", "8", "--out", str(out))
+    assert proc.returncode == 2
+    assert "pipeline -n 8 needs --seq" in proc.stderr
+    assert "217,728,000 sequences cannot finish" in proc.stderr
+    assert not out.exists()
+
+
+def test_pipeline_n8_with_seq_runs(tmp_path):
+    out = tmp_path / "p8"
+    proc = run_cli(
+        "pipeline", "-n", "8", "--seq", "8:[1,2,3|1,2,3|1,2,3|1,2,3|1,2,3]",
+        "--skip-verify", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "sequences=1 ideals=1 orbits=[1]"
+    assert load_json(out / "weights.json")["n"] == 8
+
+
 def test_jobs_flag(tmp_path):
     proc = run_cli("pipeline", "-n", "5", "--jobs", "2", "--out", str(tmp_path / "j5"))
     assert proc.returncode == 0

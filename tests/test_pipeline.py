@@ -175,6 +175,15 @@ def test_manifest_counts_orbit_images(result_n5, tmp_path):
     assert manifest["counters"]["orbit_images"] == 60 == 15 * 4
 
 
+def test_manifest_records_the_largest_written_lp_entry(result_n5, tmp_path):
+    manifest = load_json(write_outputs(result_n5, str(tmp_path)))
+    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+    weights = load_json(tmp_path / "weights.json")["labels"]
+    entries = [x for entry in weights.values() for x in entry["e"]]
+    assert len(entries) == 12 * 6
+    assert manifest["counters"]["max_abs_e"] == max(map(abs, entries)) > 0
+
+
 @pytest.mark.parametrize(
     "label, name",
     [
@@ -253,6 +262,42 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
         raise AssertionError("the orbit stage ran after a broken sweep")
 
     monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
+    monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
+    seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
+    with pytest.raises(RuntimeError, match=r"internal invariant violation for 5:\[2,1,3\|1,2,3\]$"):
+        run_pipeline(5, jobs=1, sequences=seqs)
+
+
+def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
+    """Premise (a) of the packed kernel: a row entry of 2 would carry into
+    the next base-3 digit, so the worker refuses it and names the sequence."""
+    real = pipeline.compute_valuation
+
+    def with_a_two(seq, K):
+        row = real(seq, K)
+        return (2, *row[1:]) if K == (3, 4, 5) else row
+
+    monkeypatch.setattr(pipeline, "compute_valuation", with_a_two)
+    seq = IteratedSequence.parse("5:[2,1,3|1,2,3]")
+    with pytest.raises(
+        RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector"
+    ):
+        run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
+
+
+def test_a_certificate_identity_off_by_one_stops_the_run(monkeypatch):
+    """Premise (b): c.M must equal the negated packed rows in every row."""
+    real = pipeline.weight_vector
+
+    def off_by_one(e, rows):
+        w = list(real(e, rows))
+        w[3] += 1
+        return tuple(w)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the orbit stage ran after a broken sweep")
+
+    monkeypatch.setattr(pipeline, "weight_vector", off_by_one)
     monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
     seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
     with pytest.raises(RuntimeError, match=r"internal invariant violation for 5:\[2,1,3\|1,2,3\]$"):
