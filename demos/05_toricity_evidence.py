@@ -7,6 +7,7 @@ lattice is saturated via Smith normal form.
 """
 
 from grassdegen.classify import fingerprint
+from grassdegen.initial_forms import decode
 from grassdegen.plucker import all_relations
 from grassdegen.sequences import representative_sequence
 from grassdegen.toricity import (
@@ -24,7 +25,7 @@ def main():
     print(f"relation ideal: degree-2 rank {r2} (of 210 monomials), "
           f"degree-3 rank {r3} (of 1540)")
 
-    fp = fingerprint(representative_sequence(((2, 4), (3, 1)), 6))
+    fp = decode(fingerprint(representative_sequence(((2, 4), (3, 1)), 6)), 6)
     print(f"\nfingerprint of label (2,4;3,1): {len(fp)} binomial generators")
     forms = [binomial_form(g) for g in fp]
     f2 = graded_rank(forms, 2, 6)

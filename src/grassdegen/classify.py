@@ -2,40 +2,39 @@
 the signed symmetric-group action on Pluecker variables; at n = 6 each
 orbit is named by its Gr(3,6) class, O1..O4.
 
-A fingerprint is the sorted set of sign-normalized initial binomials of all
-nonzero relations: each binomial is stored as (lead, trail, sign) where lead
-is the order-smallest of its two degree-2 monomials, the lead coefficient is
-normalized to +1 and sign is the trailing coefficient.  The simple
-transposition s_i = (i, i+1) sends p_T to p_{s_i(T)} when T contains at most
-one of i, i+1 and to -p_T when it contains both; signs multiply over the two
-factors of each monomial.
+A binomial is (lead, trail, sign): lead is the order-smallest of its two
+degree-2 monomials, the lead coefficient is normalized to +1 and sign is the
+trailing coefficient.  Its id is its position in the sorted tuple
+``relation_table(n).binomials``, and a fingerprint is the sorted tuple of
+the ids of the initial binomials of all nonzero relations;
+``initial_forms.decode`` gives the binomials back.  Ids number the
+binomials in sorted order, so decoding is increasing, and since tuples
+compare element by element, id tuples compare, and sort, exactly like the
+binomial tuples they decode to.
 
-The action runs on packed ints.  With the V triples of Gr(3,n) indexed
-0..V-1 in lex order, a monomial (A, B), A <= B, is the int a*V + b, and a
-binomial is ((lead*V^2 + trail) << 1) | (sign > 0).  Since b < V and
-trail < V^2, comparing two packed ints compares lead first, then trail,
-then the sign (-1 before +1): int order is the tuple order of
-(lead, trail, sign), so a sorted tuple of packed binomials decodes to a
-sorted fingerprint.  For each s_i one table, built once per n on first
-use, maps a monomial id to (image id << 1) | (1 if the sign flips).
+The simple transposition s_i = (i, i+1) sends p_T to p_{s_i(T)} when T
+contains at most one of i, i+1 and to -p_T when it contains both; signs
+multiply over the two factors of each monomial.  The table is closed under
+each s_i, sign included: ``_moves`` looks up the re-oriented image of every
+table binomial, and the test suite builds it for every n the CLI accepts,
+4..8.  So each s_i is one permutation of the ids, built once per n on first
+use, and the image of a fingerprint is the sorted tuple of its ids' images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .initial_forms import (
-    Binomial,
     Fingerprint,
-    Monomial,
     binomial_ids,
+    canonical_binomial,
     pack_rows,
     relation_table,
     select,
 )
-from .plucker import Triple, all_triples
+from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
     Label,
@@ -47,115 +46,55 @@ from .valuation import weighting_matrix
 
 
 def fingerprint(seq: IteratedSequence) -> Fingerprint:
-    """Sorted canonical initial binomials of all nonzero relations; raises
-    ValueError for a valuation row that is not 0/1 and for a relation whose
-    initial form is not a binomial."""
+    """Sorted ids of the canonical initial binomials of all nonzero
+    relations; raises ValueError for a valuation row that is not 0/1 and for
+    a relation whose initial form is not a binomial."""
     table = relation_table(seq.n)
     packed = pack_rows(weighting_matrix(seq).rows, 3 * (seq.n - 3))
     ids = binomial_ids(select(packed, table), table)
     if None in ids:
         raise ValueError(f"non-binomial initial form for {seq.serialize()}")
-    return tuple(map(table.binomials.__getitem__, sorted(ids)))
-
-
-class _Action(NamedTuple):
-    n: int
-    size: int  # V, the number of triples
-    position: dict[Triple, int]
-    monomials: tuple[Monomial, ...]  # by monomial id a*V + b
-    tables: tuple[tuple[int, ...], ...]  # tables[i] for s_i; tables[0] is empty
+    return tuple(sorted(ids))
 
 
 @lru_cache(maxsize=None)
-def _action(n: int) -> _Action:
-    """Positions of the triples, the shared monomials and the s_i tables of
-    Gr(3,n), built on first use."""
-    triples = all_triples(n)
-    size = len(triples)
-    position = {t: k for k, t in enumerate(triples)}
-    tables: list[tuple[int, ...]] = [()]
+def _moves(n: int) -> tuple[tuple[int, ...], ...]:
+    """moves[i - 1][k] is the id of the image under s_i of binomial k of
+    Gr(3,n); raises KeyError for an image outside the table."""
+    binomials = relation_table(n).binomials
+    ids = {b: k for k, b in enumerate(binomials)}
+    moves = []
     for i in range(1, n):
-        images = []
-        for t in triples:
-            if i in t and i + 1 in t:
-                images.append((position[t], 1))
-            else:
-                swapped = tuple(sorted(i + 1 if x == i else i if x == i + 1 else x for x in t))
-                images.append((position[swapped], 0))
-        table = []
-        for image_a, negative_a in images:
-            for image_b, negative_b in images:
-                low, high = sorted((image_a, image_b))
-                table.append(((low * size + high) << 1) | (negative_a ^ negative_b))
-        tables.append(tuple(table))
-    monomials = tuple((x, y) for x in triples for y in triples)
-    return _Action(n, size, position, monomials, tuple(tables))
+        swap = {i: i + 1, i + 1: i}
+        image = {
+            t: (-1, t) if i in t and i + 1 in t else (1, tuple(sorted(swap.get(x, x) for x in t)))
+            for t in all_triples(n)
+        }
 
+        def term(sign, monomial):
+            (sign_a, a), (sign_b, b) = image[monomial[0]], image[monomial[1]]
+            return sign * sign_a * sign_b, (min(a, b), max(a, b))
 
-def _encode(fp: Fingerprint, action: _Action) -> tuple[int, ...]:
-    size, position = action.size, action.position
-    try:
-        codes = [
-            ((((position[a] * size + position[b]) * size + position[c]) * size + position[d]) << 1)
-            | (sign > 0)
-            for (a, b), (c, d), sign in fp
-        ]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} is not a triple of Gr(3,{action.n})") from None
-    return tuple(sorted(codes))
-
-
-def _decode_binomial(code: int, action: _Action) -> Binomial:
-    lead, trail = divmod(code >> 1, action.size * action.size)
-    return (action.monomials[lead], action.monomials[trail], 1 if code & 1 else -1)
-
-
-def _image(table: tuple[int, ...], code: int, square: int) -> int:
-    """Packed image of one packed binomial under the s_i of ``table``."""
-    lead, trail = divmod(code >> 1, square)
-    a, b = table[lead], table[trail]
-    positive = (a ^ b ^ code) & 1
-    a >>= 1
-    b >>= 1
-    return ((a * square + b if a < b else b * square + a) << 1) | positive
+        moves.append(tuple(
+            ids[canonical_binomial(*term(1, lead), *term(sign, trail))]
+            for lead, trail, sign in binomials
+        ))
+    return tuple(moves)
 
 
 def apply_transposition(i: int, fp: Fingerprint, n: int) -> Fingerprint:
     """Image of a fingerprint of Gr(3,n) under the signed transposition (i, i+1)."""
     if not 1 <= i < n:
         raise ValueError(f"Gr(3,{n}) has transpositions s_1..s_{n - 1}, got s_{i}")
-    action = _action(n)
-    square = action.size * action.size
-    image = sorted(_image(action.tables[i], code, square) for code in _encode(fp, action))
-    return tuple(_decode_binomial(code, action) for code in image)
+    return tuple(sorted(map(_moves(n)[i - 1].__getitem__, fp)))
 
 
 def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
-    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1}.
-
-    The binomials of all members are the orbit of the seed's binomials, a
-    few hundred at n=7, so each s_i is first tabulated on them; a member's
-    image is then one lookup per binomial and a sort.
-    """
-    action = _action(n)
-    square = action.size * action.size
-    seed = _encode(fp, action)
-    moves: list[dict[int, int]] = [{} for _ in range(1, n)]
-    binomials = set(seed)
-    frontier = list(seed)
-    while frontier:
-        fresh = []
-        for code in frontier:
-            for table, move in zip(action.tables[1:], moves):
-                image = move[code] = _image(table, code, square)
-                if image not in binomials:
-                    binomials.add(image)
-                    fresh.append(image)
-        frontier = fresh
-
-    lookups = [move.__getitem__ for move in moves]
-    seen = {seed}
-    frontier = [seed]
+    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1};
+    a member's image is one lookup per id and a sort."""
+    lookups = [move.__getitem__ for move in _moves(n)]
+    seen = {fp}
+    frontier = [fp]
     while frontier:
         fresh = []
         for current in frontier:
@@ -165,8 +104,7 @@ def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
                     seen.add(image)
                     fresh.append(image)
         frontier = fresh
-    decoded = {code: _decode_binomial(code, action) for code in binomials}
-    return {tuple(map(decoded.__getitem__, member)) for member in seen}
+    return seen
 
 
 @dataclass(frozen=True)

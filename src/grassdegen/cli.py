@@ -3,8 +3,9 @@ version.
 
 Exit codes: 0 on success (also when the reader closes stdout early, as
 ``| head`` does), 1 on an internal invariant violation, 2 on usage errors.
-n must be in 4..8, and ``pipeline -n 8`` needs ``--seq``; ``pipeline --jobs``
-sets the worker count (default: the CPU count).
+n must be in 4..8, and ``pipeline -n 8`` needs ``--seq``; ``pipeline --out``
+must be missing or an empty directory; ``pipeline --jobs`` sets the worker
+count (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from . import __version__
 from .classify import ORBIT_CLASS_NAMES, classify_gr36, label_fingerprints
 from .cone import Infeasible, strict_interior_point, weight_vector
-from .initial_forms import inequalities_from_csv
+from .initial_forms import decode, inequalities_from_csv
 from .pipeline import (
     dump_json,
     run_pipeline,
@@ -107,6 +108,9 @@ def cmd_pipeline(args, parser) -> int:
             f"pipeline -n {args.n} needs --seq: a full sweep of its "
             f"{sequence_count(args.n):,} sequences cannot finish"
         )
+    # a run never mixes its files with those of an earlier run
+    if os.path.lexists(args.out) and (not os.path.isdir(args.out) or os.listdir(args.out)):
+        parser.error(f"--out {args.out} exists and is not an empty directory")
     sequences = None
     if args.seq:
         try:
@@ -199,7 +203,7 @@ def cmd_verify(args, parser) -> int:
     else:
         n = args.n
         _check_n(parser, n)
-        fps = sorted(set(label_fingerprints(n).values()))
+        fps = [decode(fp, n) for fp in sorted(set(label_fingerprints(n).values()))]
     _emit(args.output, verify_payload(n, *verify_fingerprints(fps, n)))
     return 0
 
@@ -208,9 +212,7 @@ def cmd_solve_cone(args, parser) -> int:
     with open(args.inequalities) as fh:
         diffs = inequalities_from_csv(fh.read())
     with open(args.matrix) as fh:
-        text = fh.read()
-    n = max((int(c) for line in text.splitlines() if line for c in line.split(",", 1)[0]), default=4)
-    matrix = WeightingMatrix.from_csv(text, n)
+        matrix = WeightingMatrix.from_csv(fh.read())
     if not matrix.rows:
         parser.error(f"{args.matrix} has no matrix rows")
     e = strict_interior_point(diffs, len(matrix.rows[0]))

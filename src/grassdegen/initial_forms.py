@@ -51,7 +51,7 @@ slot-major (term k of relation r at k * count + r; a relation with three
 terms has a padding fourth term whose packed sum is negative); and for each
 relation a map from its max-term pattern, one bool per slot, to the id of
 its canonical binomial.  Binomial ids number the table's binomials in sorted
-order, so a sorted tuple of ids decodes to a sorted fingerprint.
+order; a fingerprint is the sorted tuple of its binomials' ids.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .valuation import Vector, WeightingMatrix
 
 Monomial = tuple[Triple, Triple]
 Binomial = tuple[Monomial, Monomial, int]
-Fingerprint = tuple[Binomial, ...]
+Fingerprint = tuple[int, ...]  # sorted ids into relation_table(n).binomials
 
 # A relation has at most four terms.
 _SLOTS = 4
@@ -142,6 +142,11 @@ def relation_table(n: int, relations: list[Relation] | None = None) -> RelationT
     of them in ``all_relations`` order.  A table is built once per n, and
     once per list of relations among the last few lists given."""
     return _full_table(n) if relations is None else _listed_table(tuple(relations), n)
+
+
+def decode(fp: Fingerprint, n: int) -> tuple[Binomial, ...]:
+    """The binomials of a fingerprint of Gr(3,n), in sorted order."""
+    return tuple(map(relation_table(n).binomials.__getitem__, fp))
 
 
 # bytes.translate table: byte 0 -> "0", 1 -> "1", any other -> "#", which is

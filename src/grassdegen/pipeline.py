@@ -22,8 +22,10 @@ from .classify import compute_orbits, ORBIT_CLASS_NAMES, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
 from .initial_forms import (
+    Binomial,
     Fingerprint,
     binomial_ids,
+    decode,
     inequalities,
     pack_rows,
     relation_table,
@@ -96,10 +98,9 @@ def _sweep_chunk(payload):
     chunk, n = payload
     triples = all_triples(n)
     table = relation_table(n)
-    decode = table.binomials.__getitem__
     dim = 3 * (n - 3)
     certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
-    shared: dict[tuple[int, ...], Fingerprint] = {}
+    shared: dict[Fingerprint, Fingerprint] = {}
     outcomes = []
     label_weights = {}
     for serialized in chunk:
@@ -112,10 +113,8 @@ def _sweep_chunk(payload):
             ids = binomial_ids(selection, table)
             all_binomial = None not in ids
             ids.discard(None)
-            key = tuple(sorted(ids))
-            fp = shared.get(key)
-            if fp is None:
-                fp = shared[key] = tuple(map(decode, key))
+            fp = tuple(sorted(ids))
+            fp = shared.setdefault(fp, fp)
             outcome = SequenceOutcome(
                 serialized,
                 label_of(seq),
@@ -153,10 +152,11 @@ def _chunked(items: list, pieces: int) -> list[list]:
 
 
 def verify_fingerprints(
-    fingerprints: list[Fingerprint], n: int, jobs: int = 1
+    fingerprints: list[tuple[Binomial, ...]], n: int, jobs: int = 1
 ) -> tuple[tuple[int, int], list[dict]]:
     """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and the
-    verify.json entry of each fingerprint, with ids numbering them in order."""
+    verify.json entry of each decoded fingerprint, with ids numbering them in
+    order."""
     reference_forms = [relation_form(R) for R in all_relations(n)]
     plucker_ranks = (graded_rank(reference_forms, 2, n), graded_rank(reference_forms, 3, n))
     items = list(enumerate(fingerprints))
@@ -233,7 +233,9 @@ def run_pipeline(
     verification: list[dict] = []
     if not skip_verify:
         start = time.perf_counter()
-        plucker_ranks, verification = verify_fingerprints(list(labels_by_fingerprint), n, jobs)
+        plucker_ranks, verification = verify_fingerprints(
+            [decode(fp, n) for fp in labels_by_fingerprint], n, jobs
+        )
         timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
@@ -338,7 +340,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             {
                 "id": fid,
                 "labels": [format_label(l) for l in labels],
-                "generators": [generator_to_json(g) for g in fp],
+                "generators": [generator_to_json(g) for g in decode(fp, result.n)],
             }
             for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
         ],

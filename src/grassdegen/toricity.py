@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Binomial, Fingerprint
 from .exactlinalg import exact_rank, smith_invariant_factors
+from .initial_forms import Binomial
 from .plucker import Relation, all_triples
 
 Form = dict  # degree-2 monomial (pair of variable triples) -> int coefficient
@@ -95,7 +95,7 @@ def _sign_normalizable(rows, signs):
     return offenders
 
 
-def lattice_saturation(fp: Fingerprint) -> LatticeCertificate:
+def lattice_saturation(fp: tuple[Binomial, ...]) -> LatticeCertificate:
     """Smith-form saturation certificate for a fingerprint's lattice.
 
     Every generator contributes its exponent-difference row.  A generator

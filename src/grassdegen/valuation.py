@@ -48,7 +48,6 @@ def compute_valuation(seq: IteratedSequence, I) -> Vector:
 class WeightingMatrix:
     """One valuation row per K in lex-ordered I_{3,n}."""
 
-    n: int
     triples: tuple[tuple[int, int, int], ...]
     rows: tuple[Vector, ...]
 
@@ -63,18 +62,18 @@ class WeightingMatrix:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, n: int) -> "WeightingMatrix":
+    def from_csv(cls, text: str) -> "WeightingMatrix":
         triples, rows = [], []
         for record in csv.reader(io.StringIO(text)):
             if not record:
                 continue
             triples.append(tuple(int(c) for c in record[0]))
             rows.append(tuple(int(x) for x in record[1:]))
-        return cls(n, tuple(triples), tuple(rows))
+        return cls(tuple(triples), tuple(rows))
 
 
 def weighting_matrix(seq: IteratedSequence) -> WeightingMatrix:
     """Stack the valuations of all Pluecker coordinates in lex row order."""
     triples = tuple(all_triples(seq.n))
     rows = tuple(compute_valuation(seq, K) for K in triples)
-    return WeightingMatrix(seq.n, triples, rows)
+    return WeightingMatrix(triples, rows)

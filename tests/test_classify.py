@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from grassdegen.classify import (
+    _moves,
     apply_transposition,
     classify_gr36,
     compute_orbits,
@@ -12,7 +13,8 @@ from grassdegen.classify import (
     matches_o3,
     orbit_closure,
 )
-from grassdegen.initial_forms import canonical_binomial
+from grassdegen.cli import MAX_N
+from grassdegen.initial_forms import canonical_binomial, decode, relation_table
 from grassdegen.sequences import (
     IteratedSequence,
     all_labels,
@@ -33,6 +35,11 @@ def apply_word(word, fp, n):
     for i in reversed(tuple(word)):
         fp = apply_transposition(i, fp, n)
     return fp
+
+
+def fingerprint_of(binomials, n):
+    """The fingerprint, sorted ids, of binomials of the Gr(3,n) table."""
+    return tuple(sorted(map(relation_table(n).binomials.index, binomials)))
 
 
 def label_orbit(label):
@@ -56,8 +63,9 @@ def test_canonical_binomial_orientation():
 
 def test_standard_fingerprint_contains_worked_binomial():
     fp = fingerprint(standard_sequence(6))
-    assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in fp
+    assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in decode(fp, 6)
     assert len(fp) == len(set(fp)) and list(fp) == sorted(fp)
+    assert list(decode(fp, 6)) == sorted(decode(fp, 6))
 
 
 def test_fingerprints_equal_on_a_label_fiber():
@@ -81,7 +89,7 @@ def test_fingerprints_differ_across_labels():
 def test_transposition_sign_rule():
     # s_1 fixes the triple (1,2,3) and flips the sign of its variable
     gen = (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1)
-    image = apply_transposition(1, (gen,), 6)
+    image = decode(apply_transposition(1, fingerprint_of([gen], 6), 6), 6)
     # p_123 -> -p_123, p_456 fixed, p_124 -> -p_124, p_356 -> p_256... no:
     # s_1 swaps 1 and 2: (1,2,4) contains both -> sign -1; (3,5,6) unchanged.
     # lead monomial picks up -1 from p_123 and the trail from p_124, so the
@@ -91,10 +99,11 @@ def test_transposition_sign_rule():
 
 def test_transposition_relabels_without_sign():
     # s_3 maps 3 <-> 4: p_135 -> p_145, p_246 -> p_236, no variable holds
-    # both 3 and 4, so no signs appear.
-    gen = (((1, 2, 3), (4, 5, 6)), ((1, 3, 5), (2, 4, 6)), 1)
-    image = apply_transposition(3, (gen,), 6)
-    assert image == (((((1, 2, 4)), (3, 5, 6)), ((1, 4, 5), (2, 3, 6)), 1),)
+    # both 3 and 4, so no signs appear.  The table holds this pair of
+    # monomials with trailing sign -1.
+    gen = (((1, 2, 3), (4, 5, 6)), ((1, 3, 5), (2, 4, 6)), -1)
+    image = decode(apply_transposition(3, fingerprint_of([gen], 6), 6), 6)
+    assert image == (((((1, 2, 4)), (3, 5, 6)), ((1, 4, 5), (2, 3, 6)), -1),)
 
 
 def test_transpositions_are_involutions_on_fingerprints():
@@ -111,17 +120,32 @@ def test_transposition_outside_1_to_n_minus_1_is_rejected(i):
         apply_transposition(i, fp, 6)
 
 
-def test_transposition_rejects_a_triple_outside_n():
-    gen = (((1, 2, 3), (4, 5, 7)), ((1, 2, 4), (3, 5, 7)), -1)
-    with pytest.raises(ValueError, match=r"\(4, 5, 7\) is not a triple of Gr\(3,6\)"):
-        apply_transposition(1, (gen,), 6)
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+def test_each_move_is_an_involutive_permutation_of_the_table(n):
+    # _moves looks every image up in the table, so building it shows that
+    # the table is closed under each s_i, sign included
+    ids = range(len(relation_table(n).binomials))
+    moves = _moves(n)
+    assert len(moves) == n - 1
+    for move in moves:
+        assert sorted(move) == list(ids)
+        assert all(move[move[k]] == k for k in ids)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_moves_equal_the_tuple_oracle_on_every_table_binomial(n):
+    binomials = relation_table(n).binomials
+    for i, move in enumerate(_moves(n), start=1):
+        for binomial, image in zip(binomials, move):
+            assert (binomials[image],) == reference_transposition(i, (binomial,))
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_packed_action_equals_the_tuple_oracle_on_every_label(n):
     for fp in set(label_fingerprints(n).values()):
         for i in range(1, n):
-            assert apply_transposition(i, fp, n) == reference_transposition(i, fp)
+            image = decode(apply_transposition(i, fp, n), n)
+            assert image == reference_transposition(i, decode(fp, n))
 
 
 def test_apply_word_composes_generators():
@@ -192,13 +216,13 @@ def test_packed_action_equals_the_tuple_oracle_on_n7_closure_members(closure_n7)
     for member in sample:
         for i in range(1, 7):
             image = apply_transposition(i, member, 7)
-            assert image == reference_transposition(i, member)
+            assert decode(image, 7) == reference_transposition(i, decode(member, 7))
             assert image in closure
 
 
 def test_fingerprints_are_monomial_free():
     for fp in set(label_fingerprints(6).values()):
-        for lead, trail, _ in fp:
+        for lead, trail, _ in decode(fp, 6):
             assert lead != trail
 
 

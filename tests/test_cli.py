@@ -111,6 +111,43 @@ def test_pipeline_n5_summary(tmp_path):
     assert proc.stdout.strip() == "sequences=144 ideals=12 orbits=[12]"
 
 
+def _tree_bytes(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    tree = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
+    return tree
+
+
+def test_pipeline_refuses_a_nonempty_out(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "-n", "5", "--out", str(out)).returncode == 0
+    before = _tree_bytes(out)
+    proc = run_cli(
+        "pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--skip-verify", "--out", str(out)
+    )
+    assert proc.returncode == 2
+    assert f"--out {out} exists and is not an empty directory" in proc.stderr
+    assert _tree_bytes(out) == before
+    # a file in place of the directory is refused too
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    proc = run_cli("pipeline", "-n", "4", "--out", str(path))
+    assert proc.returncode == 2
+    assert path.read_text() == "kept\n"
+
+
+def test_pipeline_writes_into_an_empty_out(tmp_path):
+    out = tmp_path / "empty"
+    out.mkdir()
+    proc = run_cli("pipeline", "-n", "4", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.json").exists()
+
+
 def test_orbit_of_examples():
     proc = run_cli("orbit-of", "(1,3;2,1)")
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ import pytest
 from grassdegen import pipeline
 from grassdegen.classify import classify_gr36
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.initial_forms import inequality_set
+from grassdegen.initial_forms import decode, inequality_set
 from grassdegen.pipeline import run_pipeline, write_outputs
 from grassdegen.sequences import (
     IteratedSequence,
@@ -68,7 +68,7 @@ def test_single_sequence_mode():
     assert len(result.outcomes) == 1
     assert len(result.fingerprints) == 1
     fp = result.fingerprints[0]
-    assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in fp
+    assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in decode(fp, 6)
     assert result.verification == []
 
 
@@ -98,7 +98,7 @@ def test_fast_path_matches_reference_fingerprints():
     result = run_pipeline(6, jobs=1, sequences=sample, skip_verify=True)
     for outcome in result.outcomes:
         seq = IteratedSequence.parse(outcome.serialized)
-        assert outcome.fingerprint == brute_force_fingerprint(seq)
+        assert decode(outcome.fingerprint, 6) == brute_force_fingerprint(seq)
 
 
 def test_weights_payload_contents(tmp_path):

@@ -2,6 +2,7 @@ import pytest
 
 from grassdegen.classify import fingerprint
 from grassdegen.exactlinalg import exact_rank, smith_invariant_factors
+from grassdegen.initial_forms import decode
 from grassdegen.plucker import all_relations
 from grassdegen.sequences import representative_sequence, standard_sequence
 from grassdegen.toricity import (
@@ -70,7 +71,7 @@ def test_plucker_ranks_smaller_grassmannian(n, expected):
 
 def test_fingerprint_ranks_match_plucker_ranks():
     for label in [((1, 2), (1, 2)), ((2, 4), (3, 1)), ((5, 1), (2, 3))]:
-        fp = fingerprint(representative_sequence(label, 6))
+        fp = decode(fingerprint(representative_sequence(label, 6)), 6)
         forms = [binomial_form(g) for g in fp]
         assert graded_rank(forms, 2, 6) == PLUCKER_RANKS_N6[0]
         assert graded_rank(forms, 3, 6) == PLUCKER_RANKS_N6[1]
@@ -101,14 +102,14 @@ def test_inconsistent_signs_reported_not_fatal():
 
 def test_sum_binomials_normalizable_by_rescaling():
     """A consistent +-signed set is a lattice ideal after sign rescaling."""
-    fp = fingerprint(representative_sequence(((2, 1), (1, 2)), 6))
+    fp = decode(fingerprint(representative_sequence(((2, 1), (1, 2)), 6)), 6)
     assert any(g[2] == 1 for g in fp)
     cert = lattice_saturation(fp)
     assert cert.pure_difference and cert.saturated
 
 
 def test_standard_fingerprint_certificate():
-    cert = lattice_saturation(fingerprint(standard_sequence(6)))
+    cert = lattice_saturation(decode(fingerprint(standard_sequence(6)), 6))
     assert set(cert.invariant_factors) == {1}
     assert cert.pure_difference
 

@@ -111,6 +111,6 @@ def test_weighting_matrix_shape_and_rank():
 def test_weighting_matrix_csv_roundtrip():
     M = weighting_matrix(standard_sequence(6))
     text = M.to_csv()
-    again = WeightingMatrix.from_csv(text, 6)
+    again = WeightingMatrix.from_csv(text)
     assert again == M
     assert text.splitlines()[0] == "123,0,0,0,0,0,0,0,0,0"
