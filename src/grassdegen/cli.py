@@ -3,9 +3,10 @@ version.
 
 Exit codes: 0 on success (also when the reader closes stdout early, as
 ``| head`` does), 1 on an internal invariant violation, 2 on usage errors.
-n must be in 4..8, and ``pipeline -n 8`` needs ``--seq``; ``pipeline --out``
+n must be in 4..8; ``pipeline -n 8`` needs ``--seq``, and ``verify -n 8`` is
+refused (``verify --fingerprints`` takes an n=8 file); ``pipeline --out``
 must be missing or an empty directory; ``pipeline --jobs`` sets the worker
-count (default: the CPU count).
+count, at most the CPU count, which is the default.
 """
 
 from __future__ import annotations
@@ -19,16 +20,11 @@ from . import __version__
 from .classify import ORBIT_CLASS_NAMES, classify_gr36, label_fingerprints
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import decode, inequalities_from_csv
-from .pipeline import (
-    dump_json,
-    run_pipeline,
-    verify_fingerprints,
-    verify_payload,
-    write_outputs,
-)
+from .pipeline import dump_json, run_pipeline, verify_fingerprints, write_outputs
 from .plucker import all_triples, triple_key
 from .sequences import (
     IteratedSequence,
+    count_labels,
     enumerate_sequences,
     format_label,
     parse_label,
@@ -42,7 +38,8 @@ from .valuation import WeightingMatrix
 # ceiling is 8.
 MAX_N = 8
 # A full sweep at n = 8 has 217,728,000 sequences: more than a run can
-# enumerate and hold, so pipeline takes n = 8 only with --seq.
+# enumerate and hold, so pipeline takes n = 8 only with --seq, and verify -n
+# refuses it (302,400 labels to fingerprint, then every distinct ideal).
 MAX_SWEEP_N = 7
 
 
@@ -203,8 +200,13 @@ def cmd_verify(args, parser) -> int:
     else:
         n = args.n
         _check_n(parser, n)
+        if n > MAX_SWEEP_N:
+            parser.error(
+                f"verify -n {n} cannot finish: it fingerprints all {count_labels(n):,} "
+                "labels; give --fingerprints instead"
+            )
         fps = [decode(fp, n) for fp in sorted(set(label_fingerprints(n).values()))]
-    _emit(args.output, verify_payload(n, *verify_fingerprints(fps, n)))
+    _emit(args.output, verify_fingerprints(fps, n))
     return 0
 
 

@@ -1,10 +1,13 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
--> toricity evidence, fanned out over sequences with a deterministic merge.
+-> toricity evidence, in stages that share one worker pool.
 
-A worker builds each sequence's ``SequenceOutcome``, which carries its
-initial ideal; the merge keeps one map from fingerprint to labels, whose
-sorted order numbers the ideals.  All emitted files are byte-stable across
-runs and worker counts.
+The sweep checks and fingerprints every sequence: a worker builds each
+sequence's ``SequenceOutcome``, which carries its initial ideal, and raises
+on the first sequence that breaks an invariant.  The merge keeps one map
+from fingerprint to labels, whose sorted order numbers the ideals.  The LP
+stage then solves one LP per label, on the label's first sequence in run
+order, whose point weights.json holds.  All emitted files are byte-stable
+across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from operator import neg
@@ -26,7 +30,7 @@ from .initial_forms import (
     Fingerprint,
     binomial_ids,
     decode,
-    inequalities,
+    inequality_set,
     pack_rows,
     relation_table,
     select,
@@ -50,7 +54,6 @@ class SequenceOutcome:
     label: Label
     fingerprint: Fingerprint
     all_binomial: bool
-    matrix_rank: int
     projection_sound: bool
     scalar_matches: bool
 
@@ -63,8 +66,7 @@ class PipelineResult:
     labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]]
     label_weights: dict[Label, tuple[str, tuple[int, ...], tuple[int, ...]]]
     orbit_reports: list[OrbitReport]
-    plucker_ranks: tuple[int, int] | None
-    verification: list[dict]  # the "fingerprints" entries of verify.json
+    verify: dict | None  # the verify.json document; None when skipped
     timings: dict[str, float]
     counters: dict[str, int]
 
@@ -80,20 +82,19 @@ class PipelineResult:
         )
 
 
-def _sweep_chunk(payload):
-    """Sweep one chunk of serialized sequences of Gr(3,n); returns their
-    outcomes and the weights of the first sequence of each label.
+def _sweep_chunk(payload) -> list[SequenceOutcome]:
+    """Check and fingerprint one chunk of serialized sequences of Gr(3,n);
+    returns their outcomes in order.
 
     Every sequence is checked against the closed-form point c of the
     ``cone`` lemma through the two row premises of ``initial_forms``:
     ``pack_rows`` raises unless every row is 0/1, and c.M must equal the
     negated packed rows.  Together they give both the scalar check and the
-    soundness of c, so ``scalar_matches`` and ``projection_sound`` both hold
-    the certificate identity.  The inequality set and the LP are computed
-    only for the first sequence of each label in the chunk: the merge keeps
-    the earliest chunk's entry, so no other sequence reaches weights.json.
-    Equal fingerprints are one object within the chunk, so that pickling
-    sends each ideal once.
+    soundness of c.  A non-binomial initial form, a weighting matrix of rank
+    below 3(n-3) or a failed certificate identity raises an internal
+    invariant violation that names the sequence, so every flag of a
+    returned outcome holds.  Equal fingerprints are one object within the
+    chunk, so that pickling sends each ideal once.
     """
     chunk, n = payload
     triples = all_triples(n)
@@ -102,48 +103,43 @@ def _sweep_chunk(payload):
     certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
     shared: dict[Fingerprint, Fingerprint] = {}
     outcomes = []
-    label_weights = {}
     for serialized in chunk:
         try:
             seq = IteratedSequence.parse(serialized)
             rows = [compute_valuation(seq, K) for K in triples]
             packed = pack_rows(rows, dim)
             certified = weight_vector(certificate, rows) == tuple(map(neg, packed))
-            selection = select(packed, table)
-            ids = binomial_ids(selection, table)
-            all_binomial = None not in ids
-            ids.discard(None)
-            fp = tuple(sorted(ids))
-            fp = shared.setdefault(fp, fp)
-            outcome = SequenceOutcome(
-                serialized,
-                label_of(seq),
-                fp,
-                all_binomial,
-                exact_rank({i: x for i, x in enumerate(row) if x} for row in rows),
-                certified,
-                certified,
-            )
-            if outcome.label not in label_weights:
-                e = strict_interior_point(inequalities(selection, dim), dim)
-                label_weights[outcome.label] = (serialized, e, weight_vector(e, rows))
+            ids = binomial_ids(select(packed, table), table)
+            full_rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows) == dim
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
-        outcomes.append(outcome)
-    return outcomes, label_weights
+        if None in ids or not (full_rank and certified):
+            raise RuntimeError(f"internal invariant violation for {serialized}")
+        fp = tuple(sorted(ids))
+        fp = shared.setdefault(fp, fp)
+        outcomes.append(SequenceOutcome(serialized, label_of(seq), fp, True, True, True))
+    return outcomes
 
 
-def _verify_chunk(payload):
-    items, n = payload
-    entries = []
-    for fp_id, fp in items:
-        forms = [binomial_form(g) for g in fp]
-        cert = lattice_saturation(fp)
-        entries.append({
-            "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
-            "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
-        })
-    return entries
+def _label_point(serialized: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The LP point e of one sequence's cone and its weight vector e.M."""
+    try:
+        seq = IteratedSequence.parse(serialized)
+        matrix = weighting_matrix(seq)
+        e = strict_interior_point(inequality_set(seq, matrix), 3 * (seq.n - 3))
+        return serialized, e, weight_vector(e, matrix.rows)
+    except Exception as exc:
+        raise RuntimeError(f"sequence {serialized}: {exc}") from exc
+
+
+def _verify_entry(item) -> dict:
+    fp_id, fp, n = item
+    forms = [binomial_form(g) for g in fp]
+    cert = lattice_saturation(fp)
+    return {
+        "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+        "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
+    }
 
 
 def _chunked(items: list, pieces: int) -> list[list]:
@@ -152,29 +148,21 @@ def _chunked(items: list, pieces: int) -> list[list]:
 
 
 def verify_fingerprints(
-    fingerprints: list[tuple[Binomial, ...]], n: int, jobs: int = 1
-) -> tuple[tuple[int, int], list[dict]]:
-    """Degree-2 and degree-3 ranks of the Pluecker relation ideal, and the
-    verify.json entry of each decoded fingerprint, with ids numbering them in
-    order."""
+    fingerprints: list[tuple[Binomial, ...]], n: int, mapper=map
+) -> dict:
+    """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
+    relation ideal, and the entry of each decoded fingerprint, with ids
+    numbering them in order.  ``mapper`` maps over the fingerprints, e.g. a
+    pool's ``map``."""
     reference_forms = [relation_form(R) for R in all_relations(n)]
-    plucker_ranks = (graded_rank(reference_forms, 2, n), graded_rank(reference_forms, 3, n))
-    items = list(enumerate(fingerprints))
-    if jobs > 1 and len(items) > 16:
-        payloads = [(chunk, n) for chunk in _chunked(items, jobs * 2)]
-        with Pool(jobs) as pool:
-            entries = [e for part in pool.map(_verify_chunk, payloads) for e in part]
-    else:
-        entries = _verify_chunk((items, n))
-    return plucker_ranks, entries
-
-
-def verify_payload(n: int, plucker_ranks: tuple[int, int], entries: list[dict]) -> dict:
-    """The verify.json document."""
+    items = [(fp_id, fp, n) for fp_id, fp in enumerate(fingerprints)]
     return {
         "n": n,
-        "plucker": {"rank2": plucker_ranks[0], "rank3": plucker_ranks[1]},
-        "fingerprints": entries,
+        "plucker": {
+            "rank2": graded_rank(reference_forms, 2, n),
+            "rank3": graded_rank(reference_forms, 3, n),
+        },
+        "fingerprints": list(mapper(_verify_entry, items)),
     }
 
 
@@ -185,10 +173,12 @@ def run_pipeline(
     sequences: list[IteratedSequence] | None = None,
 ) -> PipelineResult:
     """Run the whole chain for Gr(3,n); raises ValueError for a sequence of
-    another n, RuntimeError, naming the sequence, only on a bug, and a
-    sequence that breaks an invariant stops the run before the orbit stage.
-    ``jobs`` defaults to the CPU count."""
-    jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
+    another n, and RuntimeError, naming the sequence, on a bug or on a
+    sequence that breaks an invariant, before the orbit stage.  ``jobs`` is
+    at most the CPU count, which is its default; the stages share one pool
+    of that many workers when there are more than 64 sequences."""
+    cpus = os.cpu_count() or 1
+    jobs = min(max(1, jobs if jobs is not None else cpus), cpus)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
@@ -201,42 +191,35 @@ def run_pipeline(
         serialized = [s.serialize() for s in sequences]
     timings["enumerate"] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    payloads = [(chunk, n) for chunk in _chunked(serialized, jobs * 8)]
-    if jobs > 1 and len(serialized) > 64:
-        with Pool(jobs) as pool:
-            chunk_results = pool.map(_sweep_chunk, payloads)
-    else:
-        chunk_results = [_sweep_chunk(p) for p in payloads]
+    start = time.perf_counter()  # the sweep's time includes starting the pool
+    parallel = jobs > 1 and len(serialized) > 64
+    with (Pool(jobs) if parallel else nullcontext()) as pool:
+        mapper = pool.map if parallel else map
+        payloads = [(chunk, n) for chunk in _chunked(serialized, jobs * 8)]
+        outcomes = [o for part in mapper(_sweep_chunk, payloads) for o in part]
+        labels: dict[Fingerprint, set[Label]] = {}
+        first: dict[Label, str] = {}  # each label's first sequence in run order
+        for o in outcomes:
+            labels.setdefault(o.fingerprint, set()).add(o.label)
+            first.setdefault(o.label, o.serialized)
+        labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
+        timings["sweep"] = time.perf_counter() - start
 
-    outcomes: list[SequenceOutcome] = []
-    label_weights: dict[Label, tuple] = {}
-    for chunk_outcomes, chunk_weights in chunk_results:
-        outcomes.extend(chunk_outcomes)
-        for label, entry in chunk_weights.items():
-            label_weights.setdefault(label, entry)
-    timings["sweep"] = time.perf_counter() - start
-
-    dim = 3 * (n - 3)
-    labels: dict[Fingerprint, set[Label]] = {}
-    for o in outcomes:
-        if not (o.all_binomial and o.matrix_rank == dim and o.projection_sound and o.scalar_matches):
-            raise RuntimeError(f"internal invariant violation for {o.serialized}")
-        labels.setdefault(o.fingerprint, set()).add(o.label)
-    labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
-
-    start = time.perf_counter()
-    orbit_reports = compute_orbits(labels_by_fingerprint, n)
-    timings["orbits"] = time.perf_counter() - start
-
-    plucker_ranks = None
-    verification: list[dict] = []
-    if not skip_verify:
         start = time.perf_counter()
-        plucker_ranks, verification = verify_fingerprints(
-            [decode(fp, n) for fp in labels_by_fingerprint], n, jobs
-        )
-        timings["verify"] = time.perf_counter() - start
+        label_weights = dict(zip(first, mapper(_label_point, first.values())))
+        timings["lp"] = time.perf_counter() - start
+
+        start = time.perf_counter()
+        orbit_reports = compute_orbits(labels_by_fingerprint, n)
+        timings["orbits"] = time.perf_counter() - start
+
+        verify = None
+        if not skip_verify:
+            start = time.perf_counter()
+            verify = verify_fingerprints(
+                [decode(fp, n) for fp in labels_by_fingerprint], n, mapper
+            )
+            timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
         n=n,
@@ -244,11 +227,10 @@ def run_pipeline(
         labels_by_fingerprint=labels_by_fingerprint,
         label_weights=label_weights,
         orbit_reports=orbit_reports,
-        plucker_ranks=plucker_ranks,
-        verification=verification,
+        verify=verify,
         timings=timings,
         counters={
-            "lp_solves": sum(len(chunk_weights) for _, chunk_weights in chunk_results),
+            "lp_solves": len(label_weights),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
@@ -284,7 +266,7 @@ def _label_filename(label: Label) -> str:
 def _inputs_sha256(result: PipelineResult, command: str) -> str:
     """Hash of what determines the outputs: n, the command, the sequences in
     run order and whether verify ran (the worker count does not matter)."""
-    settings = {"n": result.n, "command": command, "verify": result.plucker_ranks is not None}
+    settings = {"n": result.n, "command": command, "verify": result.verify is not None}
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
     for outcome in result.outcomes:
         digest.update(f"\n{outcome.serialized}".encode())
@@ -381,9 +363,9 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             fh.write(f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n")
     written.append(path)
 
-    if result.plucker_ranks is not None:
+    if result.verify is not None:
         path = os.path.join(outdir, "verify.json")
-        dump_json(path, verify_payload(result.n, result.plucker_ranks, result.verification))
+        dump_json(path, result.verify)
         written.append(path)
 
     manifest = {

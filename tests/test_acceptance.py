@@ -23,6 +23,7 @@ from grassdegen.sequences import (
 from grassdegen.valuation import compute_valuation, weighting_matrix
 
 from oracles import (
+    dense_rank,
     initial_terms,
     output_hashes,
     pullback_support,
@@ -69,6 +70,8 @@ def test_criterion_2_ideal_count(pipeline6):
     start = time.perf_counter()
     assert len(pipeline6.outcomes) == 8640
     assert len(pipeline6.fingerprints) == 240
+    # one LP per label, for any worker count
+    assert pipeline6.counters["lp_solves"] == 240
     by_label = {}
     for outcome in pipeline6.outcomes:
         by_label.setdefault(outcome.label, set()).add(outcome.fingerprint)
@@ -194,19 +197,26 @@ def test_criterion_7_full_rank_witness(pipeline6):
     for i in range(9):
         assert sub[i][i] == 1
         assert all(sub[i][j] == 0 for j in range(i))
-    assert all(outcome.matrix_rank == 9 for outcome in pipeline6.outcomes)
+    # The sweep raises on any sequence of rank below 9, so the completed run
+    # covers every sequence; dense elimination checks the first sequence of
+    # each label independently.
+    assert len(pipeline6.label_weights) == 240
+    for witness, _, _ in pipeline6.label_weights.values():
+        rows = weighting_matrix(IteratedSequence.parse(witness)).rows
+        assert dense_rank([dict(enumerate(row)) for row in rows], 9) == 9
     elapsed = time.perf_counter() - start
     announce(7, "triangular unit-diagonal submatrix and rank 9", elapsed, 60.0)
 
 
 def test_criterion_8_flatness_and_toricity(pipeline6):
     start = time.perf_counter()
-    rank2, rank3 = pipeline6.plucker_ranks
+    plucker = pipeline6.verify["plucker"]
+    rank2, rank3 = plucker["rank2"], plucker["rank3"]
     # independent oracle: monomial counts minus tableau-basis dimensions
     assert rank2 == 35 == 210 - ssyt_count(2, 6)
     assert rank3 == 560 == 1540 - ssyt_count(3, 6)
-    assert len(pipeline6.verification) == 240
-    for record in pipeline6.verification:
+    assert len(pipeline6.verify["fingerprints"]) == 240
+    for record in pipeline6.verify["fingerprints"]:
         assert record["rank2"] == rank2
         assert record["rank3"] == rank3
         assert record["snf_ok"]

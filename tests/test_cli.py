@@ -317,6 +317,32 @@ def test_verify_n_0_is_an_n_out_of_range():
     assert "n must be in 4..8, got 0" in proc.stderr
 
 
+def test_verify_n8_is_refused_before_fingerprinting(monkeypatch, capsys):
+    from grassdegen import cli
+
+    def unreachable(n):
+        raise AssertionError("verify -n 8 fingerprinted its labels")
+
+    monkeypatch.setattr(cli, "label_fingerprints", unreachable)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "-n", "8"])
+    assert info.value.code == 2
+    assert "verify -n 8 cannot finish: it fingerprints all 302,400 labels" in capsys.readouterr().err
+
+
+def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
+    from grassdegen import cli
+
+    # the file's own size bounds the work, so only the report is stubbed
+    monkeypatch.setattr(cli, "verify_fingerprints", lambda fps, n: {"n": n, "count": len(fps)})
+    generator = {"lead": ["123", "456"], "trail": ["124", "356"], "sign": -1}
+    path = tmp_path / "fingerprints.json"
+    path.write_text(json.dumps({"n": 8, "fingerprints": [{"generators": [generator]}]}))
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--fingerprints", str(path), "-o", str(out)]) == 0
+    assert load_json(out) == {"n": 8, "count": 1}
+
+
 def test_pipeline_seq_of_another_n_is_usage_error(tmp_path):
     proc = run_cli(
         "pipeline", "-n", "6", "--seq", "5:[1,2,3|1,2,3]", "--out", str(tmp_path / "run")

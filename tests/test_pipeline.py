@@ -17,7 +17,7 @@ from grassdegen.sequences import (
     standard_sequence,
 )
 from grassdegen.valuation import weighting_matrix
-from oracles import brute_force_fingerprint, output_hashes, recorded_hashes
+from oracles import brute_force_fingerprint, dense_rank, output_hashes, recorded_hashes
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -47,12 +47,15 @@ def test_pipeline_n5_flags(result_n5):
         assert outcome.all_binomial
         assert outcome.projection_sound
         assert outcome.scalar_matches
-        assert outcome.matrix_rank == 6
+        # the sweep raises below rank 6; this is the independent check
+        rows = weighting_matrix(IteratedSequence.parse(outcome.serialized)).rows
+        assert dense_rank([dict(enumerate(row)) for row in rows], 6) == 6
 
 
 def test_pipeline_n5_verification(result_n5):
-    assert result_n5.plucker_ranks == (5, 45)
-    for record in result_n5.verification:
+    assert result_n5.verify["plucker"] == {"rank2": 5, "rank3": 45}
+    assert [record["id"] for record in result_n5.verify["fingerprints"]] == list(range(12))
+    for record in result_n5.verify["fingerprints"]:
         assert (record["rank2"], record["rank3"]) == (5, 45)
         assert record["snf_ok"] and record["pure_difference"]
 
@@ -69,7 +72,7 @@ def test_single_sequence_mode():
     assert len(result.fingerprints) == 1
     fp = result.fingerprints[0]
     assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in decode(fp, 6)
-    assert result.verification == []
+    assert result.verify is None
 
 
 def test_outputs_are_deterministic_and_schema_valid(tmp_path):
@@ -160,11 +163,52 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
     assert lp_solves(run_pipeline(5, jobs=1, sequences=one, skip_verify=True), "seq") == 1
     assert len(calls) == 1
     del calls[:]
-    # 12 labels in 8 chunks: one LP per label, plus one for each fiber that
-    # a chunk boundary splits.
-    k = lp_solves(run_pipeline(5, jobs=1, skip_verify=True), "n5")
-    assert k == len(calls)
-    assert 12 <= k <= 12 + 7
+    del calls[:]
+    # one LP per label, however the sweep is chunked
+    assert lp_solves(run_pipeline(5, jobs=1, skip_verify=True), "n5") == 12
+    assert len(calls) == 12
+    assert lp_solves(run_pipeline(5, jobs=2, skip_verify=True), "n5-jobs2") == 12
+
+
+class CountingPool:
+    """Stands in for ``multiprocessing.Pool``: records the size of each pool
+    built and maps in this process, so that no worker is started."""
+
+    def __init__(self, built):
+        self.built = built
+
+    def __call__(self, processes):
+        self.built.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
+def test_a_run_builds_at_most_one_pool(monkeypatch):
+    built = []
+    monkeypatch.setattr(pipeline, "Pool", CountingPool(built))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    result = run_pipeline(5, jobs=2)
+    assert built == [2]
+    assert result.timings.keys() == {"enumerate", "sweep", "lp", "orbits", "verify"}
+    del built[:]
+    run_pipeline(5, jobs=1)
+    assert built == []
+
+
+def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
+    built = []
+    monkeypatch.setattr(pipeline, "Pool", CountingPool(built))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_pipeline(5, jobs=10_000, skip_verify=True)
+    assert built == [3]
 
 
 def test_manifest_counts_orbit_images(result_n5, tmp_path):
