@@ -26,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .initial_forms import (
-    Fingerprint,
-    binomial_ids,
-    canonical_binomial,
-    pack_rows,
-    relation_table,
-    select,
-)
+from .initial_forms import Fingerprint, canonical_binomial, initial_ideal, relation_table
 from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
@@ -47,14 +40,13 @@ from .valuation import weighting_matrix
 
 def fingerprint(seq: IteratedSequence) -> Fingerprint:
     """Sorted ids of the canonical initial binomials of all nonzero
-    relations; raises ValueError for a valuation row that is not 0/1 and for
-    a relation whose initial form is not a binomial."""
-    table = relation_table(seq.n)
-    packed = pack_rows(weighting_matrix(seq).rows, 3 * (seq.n - 3))
-    ids = binomial_ids(select(packed, table), table)
-    if None in ids:
-        raise ValueError(f"non-binomial initial form for {seq.serialize()}")
-    return tuple(sorted(ids))
+    relations; raises RuntimeError, naming the sequence, for a valuation row
+    that is not 0/1 and for a relation whose initial form is not a
+    binomial."""
+    try:
+        return initial_ideal(weighting_matrix(seq).rows, seq.n)
+    except ValueError as exc:
+        raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 
 
 @lru_cache(maxsize=None)

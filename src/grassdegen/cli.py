@@ -6,7 +6,7 @@ Exit codes: 0 on success (also when the reader closes stdout early, as
 n must be in 4..8; ``pipeline -n 8`` needs ``--seq``, and ``verify -n 8`` is
 refused (``verify --fingerprints`` takes an n=8 file); ``pipeline --out``
 must be missing or an empty directory; ``pipeline --jobs`` sets the worker
-count, at most the CPU count, which is the default.
+count, from 1 to the CPU count, which is the default.
 """
 
 from __future__ import annotations

@@ -12,17 +12,9 @@ the optimum is exact.  A positive optimum is scaled to an integer
 certificate with e.d >= 1 everywhere; an optimum of zero certifies that the
 open cone is empty.
 
-The sweep needs no LP to show that a cone is nonempty.  Lemma: if every d
-has entries in [-2, 2] and a negative leading nonzero entry, then
-e_i = -3^(dim-1-i) gives e.d >= 1 for every d.  With k = dim-1-i for the
-leading index i, e_i d_i >= 3^k and the later entries add at least
--2 (3^(k-1) + ... + 1) = -(3^k - 1).  The inequality sets of
-``initial_forms`` meet the premises: they are gcd-reduced differences of
-0/1-row sums taken from the lex-max term, so their entries lie in [-2, 2]
-and their leading nonzero entry is negative.  The sweep does not evaluate
-e.d term by term: it checks, on every sequence, the two row premises of
-``initial_forms`` (0/1 rows, and e.M equal to the negated base-3 packed
-rows), from which e.d >= 1 follows for every d of that sequence.
+The sweep needs no LP to show that a cone is nonempty: the ``initial_forms``
+docstring shows that e_i = -3^(dim-1-i) gives e.d >= 1 for every d of its
+inequality sets.
 """
 
 from __future__ import annotations

@@ -23,11 +23,13 @@ terms whose packed sums attain the maximum, and pack3 is injective, so the
 vectors of the inequality set are recovered by unpacking the distinct
 (maximum, other) pairs of packed sums.
 
-The certificate.  With c_i = -3^(dim-1-i), premise (b) is
-c . row(K) = -pack3(row(K)) for every row K.  The sweep checks it on every
-sequence, computing the left side by dot products (``cone.weight_vector``)
-and the right side by the base-3 parse.  From (b), c . v = -(P_A + P_B) for
-every term, and then:
+The certificate.  With c_i = -3^(dim-1-i), fact (b) is
+c . row(K) = -pack3(row(K)) for every row K that passes premise (a).  It
+needs no check: ``pack_rows`` returns a value only for a row of length dim
+whose every entry is 0 or 1, and that value is int(digits, 3), which by the
+definition of a base-3 numeral is sum_i r_i 3^(dim-1-i) = -c . r.  A unit
+test compares both sides on every 0/1 row of length 3, 6, 9 and 12.  From
+(b), c . v = -(P_A + P_B) for every term, and then:
 
 (i) the scalar weights w = c.M score a term by w_A + w_B = -(P_A + P_B), so
     their minimizers are the maximizers of the packed sum, the initial
@@ -40,9 +42,10 @@ every term, and then:
      g = 2: c lies in the open cone of the inequality set (the sweep's
      ``projection_sound``).
 
-Both premises are checks on rows, so no term-level check is needed in the
-sweep; ``tests/oracles.py`` holds the term-level tuple kernel, and the test
-suite compares the two on every sequence of n <= 6 and a sample at n = 7.
+Both follow from premise (a) alone, a check on rows that ``initial_ideal``
+makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
+holds the term-level tuple kernel, and the test suite compares the two on
+every sequence of n <= 6 and a sample at n = 7.
 
 The relation table is the per-n plan of the selection, built on first use:
 the rows of the two factors of each distinct monomial, so that each
@@ -197,6 +200,17 @@ def binomial_ids(selection: Selection, table: RelationTable) -> set:
     slots, maxima = selection
     patterns = zip(*(map(eq, slot, maxima) for slot in slots))
     return set(map(dict.get, table.patterns, patterns))
+
+
+def initial_ideal(rows, n: int) -> Fingerprint:
+    """The fingerprint of the initial ideal that the valuation rows of
+    Gr(3,n) select; raises ValueError for a row outside {0,1}^(3(n-3)) and
+    for a relation whose initial form is not a binomial."""
+    table = relation_table(n)
+    ids = binomial_ids(select(pack_rows(rows, 3 * (n - 3)), table), table)
+    if None in ids:
+        raise ValueError("non-binomial initial form")
+    return tuple(sorted(ids))
 
 
 def reduce_content(d: Vector) -> Vector:

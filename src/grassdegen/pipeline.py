@@ -1,13 +1,14 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
 -> toricity evidence, in stages that share one worker pool.
 
-The sweep checks and fingerprints every sequence: a worker builds each
-sequence's ``SequenceOutcome``, which carries its initial ideal, and raises
-on the first sequence that breaks an invariant.  The merge keeps one map
-from fingerprint to labels, whose sorted order numbers the ideals.  The LP
-stage then solves one LP per label, on the label's first sequence in run
-order, whose point weights.json holds.  All emitted files are byte-stable
-across runs and worker counts.
+The sweep checks and fingerprints every sequence through
+``initial_forms.initial_ideal``, the kernel of ``classify.fingerprint`` too:
+a worker builds each sequence's ``SequenceOutcome``, which carries its
+initial ideal, and raises a RuntimeError that names the first sequence that
+breaks an invariant.  The merge keeps one map from fingerprint to labels,
+whose sorted order numbers the ideals.  The LP stage then solves one LP per
+label, on the label's first sequence in run order, whose point weights.json
+holds.  All emitted files are byte-stable across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -19,22 +20,12 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
-from operator import neg
 
 from . import __version__
 from .classify import compute_orbits, ORBIT_CLASS_NAMES, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
-from .initial_forms import (
-    Binomial,
-    Fingerprint,
-    binomial_ids,
-    decode,
-    inequality_set,
-    pack_rows,
-    relation_table,
-    select,
-)
+from .initial_forms import Binomial, Fingerprint, decode, inequality_set, initial_ideal
 from .plucker import all_relations, all_triples, triple_key
 from .sequences import (
     IteratedSequence,
@@ -44,7 +35,7 @@ from .sequences import (
     label_of,
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, relation_form
-from .valuation import compute_valuation, weighting_matrix
+from .valuation import weighting_matrix
 
 
 # slots: the parent unpickles one outcome per sequence and keeps them all
@@ -82,40 +73,30 @@ class PipelineResult:
         )
 
 
-def _sweep_chunk(payload) -> list[SequenceOutcome]:
-    """Check and fingerprint one chunk of serialized sequences of Gr(3,n);
-    returns their outcomes in order.
+def _sweep_chunk(chunk: list[str]) -> list[SequenceOutcome]:
+    """Check and fingerprint one chunk of serialized sequences; returns
+    their outcomes in order.
 
-    Every sequence is checked against the closed-form point c of the
-    ``cone`` lemma through the two row premises of ``initial_forms``:
-    ``pack_rows`` raises unless every row is 0/1, and c.M must equal the
-    negated packed rows.  Together they give both the scalar check and the
-    soundness of c.  A non-binomial initial form, a weighting matrix of rank
-    below 3(n-3) or a failed certificate identity raises an internal
-    invariant violation that names the sequence, so every flag of a
-    returned outcome holds.  Equal fingerprints are one object within the
-    chunk, so that pickling sends each ideal once.
+    ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
+    valuation row is 0/1, from which the scalar check and the soundness of
+    the closed-form point c follow, as (i) and (ii) there.  A row outside 0/1,
+    a non-binomial initial form, a weighting matrix of rank below 3(n-3) or
+    any other failure raises one RuntimeError that names the sequence, so
+    every flag of a returned outcome holds.  Equal fingerprints are one
+    object within the chunk, so that pickling sends each ideal once.
     """
-    chunk, n = payload
-    triples = all_triples(n)
-    table = relation_table(n)
-    dim = 3 * (n - 3)
-    certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
     shared: dict[Fingerprint, Fingerprint] = {}
     outcomes = []
     for serialized in chunk:
         try:
             seq = IteratedSequence.parse(serialized)
-            rows = [compute_valuation(seq, K) for K in triples]
-            packed = pack_rows(rows, dim)
-            certified = weight_vector(certificate, rows) == tuple(map(neg, packed))
-            ids = binomial_ids(select(packed, table), table)
-            full_rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows) == dim
+            rows = weighting_matrix(seq).rows
+            fp = initial_ideal(rows, seq.n)
+            rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
+            if rank != 3 * (seq.n - 3):
+                raise ValueError(f"weighting matrix has rank {rank}, below 3(n-3)")
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
-        if None in ids or not (full_rank and certified):
-            raise RuntimeError(f"internal invariant violation for {serialized}")
-        fp = tuple(sorted(ids))
         fp = shared.setdefault(fp, fp)
         outcomes.append(SequenceOutcome(serialized, label_of(seq), fp, True, True, True))
     return outcomes
@@ -175,10 +156,13 @@ def run_pipeline(
     """Run the whole chain for Gr(3,n); raises ValueError for a sequence of
     another n, and RuntimeError, naming the sequence, on a bug or on a
     sequence that breaks an invariant, before the orbit stage.  ``jobs`` is
-    at most the CPU count, which is its default; the stages share one pool
-    of that many workers when there are more than 64 sequences."""
+    at least 1, else ValueError, and at most the CPU count, which is its
+    default; the stages share one pool of that many workers when there are
+    more than 64 sequences."""
     cpus = os.cpu_count() or 1
-    jobs = min(max(1, jobs if jobs is not None else cpus), cpus)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs if jobs is not None else cpus, cpus)
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
@@ -195,8 +179,8 @@ def run_pipeline(
     parallel = jobs > 1 and len(serialized) > 64
     with (Pool(jobs) if parallel else nullcontext()) as pool:
         mapper = pool.map if parallel else map
-        payloads = [(chunk, n) for chunk in _chunked(serialized, jobs * 8)]
-        outcomes = [o for part in mapper(_sweep_chunk, payloads) for o in part]
+        chunks = _chunked(serialized, jobs * 8)
+        outcomes = [o for part in mapper(_sweep_chunk, chunks) for o in part]
         labels: dict[Fingerprint, set[Label]] = {}
         first: dict[Label, str] = {}  # each label's first sequence in run order
         for o in outcomes:

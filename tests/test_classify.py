@@ -315,8 +315,12 @@ def test_fingerprint_rejects_a_valuation_row_outside_0_1(monkeypatch):
         return (2, *row[1:]) if K == (3, 4, 5) else row
 
     monkeypatch.setattr(valuation, "compute_valuation", with_a_two)
-    with pytest.raises(ValueError, match=r"valuation row \(2, .* is not a 0/1 vector of length 6"):
+    with pytest.raises(
+        RuntimeError,
+        match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector of length 6",
+    ) as info:
         fingerprint(IteratedSequence.parse("5:[2,1,3|1,2,3]"))
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_an_n6_orbit_of_no_class_is_named_in_the_error():

@@ -386,3 +386,33 @@ def test_jobs_flag(tmp_path):
     proc = run_cli("pipeline", "-n", "5", "--jobs", "2", "--out", str(tmp_path / "j5"))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "sequences=144 ideals=12 orbits=[12]"
+
+
+def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, capsys):
+    """All-zero valuation rows tie every term of a relation, so no initial
+    form is a binomial: each command exits 1, names the first sequence it
+    fingerprints and prints no usage banner."""
+    from grassdegen import cli, valuation
+    from grassdegen.classify import classify_gr36
+    from grassdegen.sequences import all_labels, representative_sequence
+
+    def first_sequence(n):
+        return representative_sequence(next(all_labels(n)), n).serialize()
+
+    monkeypatch.setattr(valuation, "compute_valuation", lambda seq, K: (0,) * (3 * (seq.n - 3)))
+    out = tmp_path / "out"
+    commands = [
+        (["pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--out", str(out)], "5:[2,1,3|1,2,3]"),
+        (["orbit-of", "(1,2;1,3)"], first_sequence(6)),
+        (["verify", "-n", "5"], first_sequence(5)),
+    ]
+    classify_gr36.cache_clear()
+    try:
+        for argv, serialized in commands:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"error: sequence {serialized}: non-binomial initial form" in err
+            assert "usage:" not in err
+    finally:
+        classify_gr36.cache_clear()
+    assert not out.exists()

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from grassdegen.cone import weight_vector
 from grassdegen.initial_forms import (
     binomial_ids,
     inequalities,
@@ -212,6 +214,15 @@ def test_pack_rows_rejects_a_row_outside_0_1(row):
         pack_rows([(1, 0, 0), row], 3)
 
 
+@pytest.mark.parametrize("dim", [3, 6, 9, 12])
+def test_pack_rows_is_minus_the_certificate_weight(dim):
+    """Fact (b) of ``initial_forms``: c . r = -pack3(r) for every 0/1 row r,
+    with c_i = -3^(dim-1-i)."""
+    certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
+    rows = list(itertools.product((0, 1), repeat=dim))
+    assert pack_rows(rows, dim) == [-x for x in weight_vector(certificate, rows)]
+
+
 def equivalence_sample(n):
     """Every sequence of n <= 6; 200 seeded sequences at n = 7."""
     if n < 7:
@@ -233,7 +244,7 @@ def test_packed_kernel_equals_the_tuple_oracle(n):
     tuple oracle's.  On the oracle's own terms, the certificate
     c_i = -3^(dim-1-i) picks the same initial monomials as the matrix order,
     and c.d >= 1 on every difference: the term-level checks that the
-    sweep's row premises replace."""
+    sweep's row premise replaces."""
     relations = all_relations(n)
     table = relation_table(n)
     triples = all_triples(n)

@@ -5,7 +5,7 @@ import re
 import jsonschema
 import pytest
 
-from grassdegen import pipeline
+from grassdegen import pipeline, valuation
 from grassdegen.classify import classify_gr36
 from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.initial_forms import decode, inequality_set
@@ -297,7 +297,8 @@ def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeyp
     out = tmp_path / "out"
     code = main(["pipeline", "-n", "5", "--seq", serialized, "--skip-verify", "--out", str(out)])
     assert code == 1
-    assert f"internal invariant violation for {serialized}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"sequence {serialized}: weighting matrix has rank 5, below 3(n-3)" in err
     assert not out.exists()
 
 
@@ -308,20 +309,22 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
     monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
     monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
     seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
-    with pytest.raises(RuntimeError, match=r"internal invariant violation for 5:\[2,1,3\|1,2,3\]$"):
+    with pytest.raises(
+        RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: weighting matrix has rank 5,"
+    ):
         run_pipeline(5, jobs=1, sequences=seqs)
 
 
 def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
     """Premise (a) of the packed kernel: a row entry of 2 would carry into
     the next base-3 digit, so the worker refuses it and names the sequence."""
-    real = pipeline.compute_valuation
+    real = valuation.compute_valuation
 
     def with_a_two(seq, K):
         row = real(seq, K)
         return (2, *row[1:]) if K == (3, 4, 5) else row
 
-    monkeypatch.setattr(pipeline, "compute_valuation", with_a_two)
+    monkeypatch.setattr(valuation, "compute_valuation", with_a_two)
     seq = IteratedSequence.parse("5:[2,1,3|1,2,3]")
     with pytest.raises(
         RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector"
@@ -329,20 +332,19 @@ def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
         run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
 
 
-def test_a_certificate_identity_off_by_one_stops_the_run(monkeypatch):
-    """Premise (b): c.M must equal the negated packed rows in every row."""
-    real = pipeline.weight_vector
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, capsys):
+    from grassdegen.cli import main
 
-    def off_by_one(e, rows):
-        w = list(real(e, rows))
-        w[3] += 1
-        return tuple(w)
+    def unreachable(n):
+        raise AssertionError("the run enumerated its sequences")
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the orbit stage ran after a broken sweep")
-
-    monkeypatch.setattr(pipeline, "weight_vector", off_by_one)
-    monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
-    seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
-    with pytest.raises(RuntimeError, match=r"internal invariant violation for 5:\[2,1,3\|1,2,3\]$"):
-        run_pipeline(5, jobs=1, sequences=seqs)
+    monkeypatch.setattr(pipeline, "enumerate_sequences", unreachable)
+    with pytest.raises(ValueError, match=rf"^jobs must be at least 1, got {jobs}$"):
+        run_pipeline(4, jobs=jobs)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["pipeline", "-n", "4", "--jobs", str(jobs), "--out", str(out)])
+    assert info.value.code == 2
+    assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
