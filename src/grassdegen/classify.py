@@ -1,6 +1,8 @@
 """Canonical fingerprints of binomial initial ideals and their orbits under
-the signed symmetric-group action on Pluecker variables; at n = 6 each
-orbit is named by its Gr(3,6) class, O1..O4.
+the signed symmetric-group action on Pluecker variables.  At n = 6 an orbit
+is named by the Gr(3,6) class O1..O4 whose representative label in
+``GR36_CLASSES`` has its ideal in the orbit's closure: one example defines
+each class, as in Speyer and Sturmfels' classes of cones of trop Gr(3,6).
 
 A binomial is (lead, trail, sign): lead is the order-smallest of its two
 degree-2 monomials, the lead coefficient is normalized to +1 and sign is the
@@ -33,6 +35,7 @@ from .sequences import (
     Label,
     all_labels,
     format_label,
+    parse_label,
     representative_sequence,
 )
 from .valuation import weighting_matrix
@@ -99,6 +102,38 @@ def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
     return seen
 
 
+# Each Gr(3,6) class: the label whose ideal represents it, and the
+# isomorphism class of its maximal tropical cone.
+GR36_CLASSES = {
+    "O1": ("(1,2;3,4)", "EEFF1"),
+    "O2": ("(1,2;2,1)", "EFFG"),
+    "O3": ("(1,2;1,2)", "EEFF2"),
+    "O4": ("(1,2;1,3)", "EEFG"),
+}
+
+
+@lru_cache(maxsize=1)
+def _class_seeds() -> dict[Fingerprint, tuple[str, str]]:
+    """The ideal of each class representative, with its class and
+    isomorphism class."""
+    return {
+        fingerprint(representative_sequence(parse_label(label), 6)): (name, iso)
+        for name, (label, iso) in GR36_CLASSES.items()
+    }
+
+
+def _gr36_class(closure: set[Fingerprint], labels: tuple[Label, ...]) -> tuple[str, str]:
+    """The class and isomorphism class of the Gr(3,6) orbit ``closure``:
+    those of the class representative it holds."""
+    for seed, named in _class_seeds().items():
+        if seed in closure:
+            return named
+    raise RuntimeError(
+        f"the Gr(3,6) orbit of labels [{' '.join(map(format_label, labels))}] and "
+        f"ambient size {len(closure)} holds no representative of a class O1..O4"
+    )
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     orbit_id: int
@@ -108,6 +143,7 @@ class OrbitReport:
     ambient_size: int
     escaped_count: int
     name: str  # the Gr(3,6) class O1..O4; "" for other n
+    isomorphism_class: str  # its cone's class, e.g. EEFG; "" for other n
 
 
 def compute_orbits(
@@ -125,65 +161,26 @@ def compute_orbits(
     raw = []
     unassigned = set(input_set)
     while unassigned:
-        seed = min(unassigned)
-        closure = orbit_closure(seed, n)
+        closure = orbit_closure(min(unassigned), n)
         members = tuple(sorted(input_set & closure))
-        raw.append((members, len(closure)))
+        labels = tuple(sorted(lab for m in members for lab in labels_by_fingerprint[m]))
+        named = _gr36_class(closure, labels) if n == 6 else ("", "")
+        raw.append((members, labels, len(closure), named))
         unassigned -= set(members)
     raw.sort(key=lambda item: (len(item[0]), item[0][0]))
-    reports = []
-    for orbit_id, (members, ambient) in enumerate(raw, start=1):
-        labels = tuple(sorted(lab for m in members for lab in labels_by_fingerprint[m]))
-        reports.append(
-            OrbitReport(
-                orbit_id=orbit_id,
-                members=members,
-                labels=labels,
-                intersection_size=len(members),
-                ambient_size=ambient,
-                escaped_count=ambient - len(members),
-                name=_gr36_class(labels, ambient) if n == 6 else "",
-            )
+    return [
+        OrbitReport(
+            orbit_id=orbit_id,
+            members=members,
+            labels=labels,
+            intersection_size=len(members),
+            ambient_size=ambient,
+            escaped_count=ambient - len(members),
+            name=name,
+            isomorphism_class=iso,
         )
-    return reports
-
-
-def matches_o2(label: Label) -> bool:
-    """Pattern (k, s1; s2, k): first top-level index equals last pair's second."""
-    return len(label) == 2 and label[0][0] == label[1][1]
-
-
-def matches_o3(label: Label) -> bool:
-    """Pattern (s1, k; s2, k): both pairs share the same second index."""
-    return len(label) == 2 and label[0][1] == label[1][1]
-
-
-# Names of the isomorphism classes of the matching maximal tropical cones,
-# attached as annotation only.
-ORBIT_CLASS_NAMES = {"O1": "EEFF1", "O2": "EFFG", "O3": "EEFF2", "O4": "EEFG"}
-
-# Full orbit size of the Gr(3,6) classes that no label pattern identifies.
-_UNPATTERNED_BY_AMBIENT = {90: "O1", 360: "O4"}
-
-
-def _gr36_class(labels: tuple[Label, ...], ambient_size: int) -> str:
-    """The class O1..O4 of a Gr(3,6) orbit.
-
-    O2 and O3 are identified by their label patterns.  Of the other two,
-    O1 has 90 ideals in its full orbit and O4 has 360; the ambient size does
-    not depend on which sequences the run included.
-    """
-    if labels and all(matches_o2(lab) for lab in labels):
-        return "O2"
-    if labels and all(matches_o3(lab) for lab in labels):
-        return "O3"
-    name = _UNPATTERNED_BY_AMBIENT.get(ambient_size)
-    if name is None:
-        raise ValueError(
-            f"the Gr(3,6) orbit of labels [{' '.join(map(format_label, labels))}] and "
-            f"ambient size {ambient_size} matches no class O1..O4"
-        )
-    return name
+        for orbit_id, (members, labels, ambient, (name, iso)) in enumerate(raw, start=1)
+    ]
 
 
 def label_fingerprints(n: int) -> dict[Label, Fingerprint]:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .classify import ORBIT_CLASS_NAMES, classify_gr36, label_fingerprints
+from .classify import classify_gr36, label_fingerprints
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import decode, inequalities_from_csv
 from .pipeline import dump_json, run_pipeline, verify_fingerprints, write_outputs
@@ -51,10 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list all iterated sequences")
+    p.set_defaults(run=cmd_enumerate)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-o", "--output", help="write sequences here instead of stdout")
 
     p = sub.add_parser("pipeline", help="run the full degeneration pipeline")
+    p.set_defaults(run=cmd_pipeline)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--out", default="grass-degen-out", help="output directory")
     p.add_argument("--seq", help="run a single serialized sequence")
@@ -62,19 +64,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int)
 
     p = sub.add_parser("orbit-of", help="orbit of a Gr(3,6) label, e.g. '(1,3;2,1)'")
+    p.set_defaults(run=cmd_orbit_of)
     p.add_argument("label")
 
     p = sub.add_parser("verify", help="toricity evidence for a fingerprint set")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--fingerprints", help="fingerprints.json from a pipeline run")
     p.add_argument("-n", type=int, help="compute fingerprints for this n instead")
     p.add_argument("-o", "--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("solve-cone", help="interior point for an inequality CSV")
+    p.set_defaults(run=cmd_solve_cone)
     p.add_argument("--inequalities", required=True)
     p.add_argument("--matrix", required=True, help="weighting-matrix CSV")
     p.add_argument("-o", "--output", help="write the JSON here instead of stdout")
 
-    sub.add_parser("version", help="print the tool version")
+    p = sub.add_parser("version", help="print the tool version")
+    p.set_defaults(run=cmd_version)
     return parser
 
 
@@ -132,7 +138,7 @@ def cmd_orbit_of(args, parser) -> int:
     report = classify_gr36()[label]
     print(
         f"label={format_label(label)} orbit={report.orbit_id} class={report.name} "
-        f"isomorphism_class={ORBIT_CLASS_NAMES[report.name]} "
+        f"isomorphism_class={report.isomorphism_class} "
         f"intersection={report.intersection_size} ambient={report.ambient_size}"
     )
     return 0
@@ -223,23 +229,16 @@ def cmd_solve_cone(args, parser) -> int:
     return 0
 
 
+def cmd_version(args, parser) -> int:
+    print(__version__)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return cmd_enumerate(args, parser)
-        if args.command == "pipeline":
-            return cmd_pipeline(args, parser)
-        if args.command == "orbit-of":
-            return cmd_orbit_of(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        if args.command == "solve-cone":
-            return cmd_solve_cone(args, parser)
-        if args.command == "version":
-            print(__version__)
-            return 0
+        return args.run(args, parser)
     except BrokenPipeError:
         # what is still buffered goes to devnull, so that the flush at exit
         # cannot fail again
@@ -250,7 +249,6 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import __version__
-from .classify import compute_orbits, ORBIT_CLASS_NAMES, OrbitReport
+from .classify import compute_orbits, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank
 from .initial_forms import Binomial, Fingerprint, decode, inequality_set, initial_ideal
@@ -327,7 +327,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
                 "fingerprint_ids": [fp_ids[m] for m in r.members],
                 "labels": [format_label(l) for l in r.labels],
                 **(
-                    {"class": r.name, "isomorphism_class": ORBIT_CLASS_NAMES[r.name]}
+                    {"class": r.name, "isomorphism_class": r.isomorphism_class}
                     if r.name
                     else {}
                 ),

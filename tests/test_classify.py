@@ -3,14 +3,13 @@ import itertools
 import pytest
 
 from grassdegen.classify import (
+    GR36_CLASSES,
     _moves,
     apply_transposition,
     classify_gr36,
     compute_orbits,
     fingerprint,
     label_fingerprints,
-    matches_o2,
-    matches_o3,
     orbit_closure,
 )
 from grassdegen.cli import MAX_N
@@ -20,6 +19,7 @@ from grassdegen.sequences import (
     all_labels,
     enumerate_sequences,
     label_of,
+    parse_label,
     representative_sequence,
     standard_sequence,
 )
@@ -240,19 +240,33 @@ def test_gr36_classification_structure():
     assert any(r.escaped_count > 0 for r in reports)
 
 
+def matches_o2(label):
+    """Pattern (k, s1; s2, k): first top-level index equals last pair's second."""
+    return label[0][0] == label[1][1]
+
+
+def matches_o3(label):
+    """Pattern (s1, k; s2, k): both pairs share the same second index."""
+    return label[0][1] == label[1][1]
+
+
 def test_label_patterns_identify_o2_and_o3():
     assert matches_o2(((1, 3), (2, 1)))
     assert matches_o3(((3, 1), (2, 1)))
-    reports = gr36_reports()
-    by_name = {r.name: r.orbit_id for r in reports}
-    o2_id, o3_id = by_name["O2"], by_name["O3"]
-    assert label_orbit(((1, 3), (2, 1))) == o2_id
-    assert label_orbit(((3, 1), (2, 1))) == o3_id
-    for report in reports:
-        if report.name == "O2":
-            assert all(matches_o2(l) for l in report.labels)
-        if report.name == "O3":
-            assert all(matches_o3(l) for l in report.labels)
+    orbit_of_label = classify_gr36()
+    assert len(orbit_of_label) == 240
+    for label, report in orbit_of_label.items():
+        assert (report.name == "O2") == matches_o2(label), label
+        assert (report.name == "O3") == matches_o3(label), label
+
+
+def test_class_representatives_lie_in_four_distinct_orbits():
+    orbit_of_label = classify_gr36()
+    reports = [orbit_of_label[parse_label(label)] for label, _ in GR36_CLASSES.values()]
+    assert [r.name for r in reports] == list(GR36_CLASSES) == ["O1", "O2", "O3", "O4"]
+    assert len({r.orbit_id for r in reports}) == 4
+    assert [r.ambient_size for r in reports] == [90, 180, 90, 360]
+    assert [r.isomorphism_class for r in reports] == ["EEFF1", "EFFG", "EEFF2", "EEFG"]
 
 
 def test_label_orbit_membership_unknown_label():
@@ -303,6 +317,7 @@ def test_orbits_agree_with_full_word_enumeration_n5():
 
     reports = compute_orbits({fp: () for fp in fps}, 5)
     assert {frozenset(r.members) for r in reports} == classes
+    assert {(r.name, r.isomorphism_class) for r in reports} == {("", "")}
 
 
 def test_fingerprint_rejects_a_valuation_row_outside_0_1(monkeypatch):
@@ -325,9 +340,12 @@ def test_fingerprint_rejects_a_valuation_row_outside_0_1(monkeypatch):
 
 def test_an_n6_orbit_of_no_class_is_named_in_the_error():
     with pytest.raises(
-        ValueError, match=r"the Gr\(3,6\) orbit of labels \[\] and ambient size 1 matches no class"
+        RuntimeError,
+        match=r"the Gr\(3,6\) orbit of labels \[\] and ambient size 1 holds no representative",
     ):
         compute_orbits({(): ()}, 6)
     labels = ((1, 2), (1, 3)), ((1, 2), (3, 4))
-    with pytest.raises(ValueError, match=r"orbit of labels \[\(1,2;1,3\) \(1,2;3,4\)\] and ambient size 1 "):
+    with pytest.raises(
+        RuntimeError, match=r"orbit of labels \[\(1,2;1,3\) \(1,2;3,4\)\] and ambient size 1 "
+    ):
         compute_orbits({(): labels}, 6)

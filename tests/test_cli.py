@@ -416,3 +416,32 @@ def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, caps
     finally:
         classify_gr36.cache_clear()
     assert not out.exists()
+
+
+def test_an_n6_orbit_of_no_class_exits_1(tmp_path, monkeypatch, capsys):
+    """With O3 taken out of the class table, the orbit of its representative
+    (1,2;1,2), the label of the standard sequence, holds no representative:
+    orbit-of and pipeline exit 1, name the orbit's labels and print no usage
+    banner, and pipeline writes nothing."""
+    from grassdegen import classify, cli
+
+    without_o3 = {name: row for name, row in classify.GR36_CLASSES.items() if name != "O3"}
+    monkeypatch.setattr(classify, "GR36_CLASSES", without_o3)
+    out = tmp_path / "out"
+    commands = [
+        ["orbit-of", "(1,2;1,2)"],
+        ["pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]", "--skip-verify", "--out", str(out)],
+    ]
+    classify.classify_gr36.cache_clear()
+    classify._class_seeds.cache_clear()
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: the Gr(3,6) orbit of labels [("), argv
+            assert "(1,2;1,2)" in err and "holds no representative" in err
+            assert "usage:" not in err
+    finally:
+        classify.classify_gr36.cache_clear()
+        classify._class_seeds.cache_clear()
+    assert not out.exists()
