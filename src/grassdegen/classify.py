@@ -138,6 +138,7 @@ def _gr36_class(closure: set[Fingerprint], labels: tuple[Label, ...]) -> tuple[s
 class OrbitReport:
     orbit_id: int
     members: tuple[Fingerprint, ...]
+    member_ids: tuple[int, ...]  # each member's position among the input's keys
     labels: tuple[Label, ...]
     intersection_size: int
     ambient_size: int
@@ -155,8 +156,11 @@ def compute_orbits(
     Two inputs are equivalent when some group element maps one to the other,
     even if intermediate images leave the input set; ``escaped_count``
     records how many images do.  Orbits are ordered by (intersection size,
-    smallest member) and numbered from 1.
+    smallest member) and numbered from 1.  ``member_ids`` number the keys in
+    their order, which is the id order of fingerprints.json when the keys
+    are sorted.
     """
+    ids = {fp: i for i, fp in enumerate(labels_by_fingerprint)}
     input_set = set(labels_by_fingerprint)
     raw = []
     unassigned = set(input_set)
@@ -172,6 +176,7 @@ def compute_orbits(
         OrbitReport(
             orbit_id=orbit_id,
             members=members,
+            member_ids=tuple(ids[m] for m in members),
             labels=labels,
             intersection_size=len(members),
             ambient_size=ambient,
@@ -183,20 +188,21 @@ def compute_orbits(
     ]
 
 
-def label_fingerprints(n: int) -> dict[Label, Fingerprint]:
-    """Fingerprint of each label of Gr(3,n), from its representative
-    sequence; constancy on label fibers is covered by the test suite."""
-    return {lab: fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)}
+def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
+    """Each distinct ideal of Gr(3,n), keys sorted, with the sorted labels
+    whose representative sequence it is the ideal of; constancy on label
+    fibers is covered by the test suite."""
+    labels: dict[Fingerprint, list[Label]] = {}
+    for lab in all_labels(n):
+        labels.setdefault(fingerprint(representative_sequence(lab, n)), []).append(lab)
+    return {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
 
 
 @lru_cache(maxsize=1)
 def classify_gr36() -> dict[Label, OrbitReport]:
     """The orbit of each of the 240 labels of Gr(3,6), through its initial ideal."""
-    labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]] = {}
-    for lab, fp in label_fingerprints(6).items():
-        labels_by_fingerprint[fp] = labels_by_fingerprint.get(fp, ()) + (lab,)
     return {
         lab: report
-        for report in compute_orbits(labels_by_fingerprint, 6)
+        for report in compute_orbits(fingerprint_labels(6), 6)
         for lab in report.labels
     }

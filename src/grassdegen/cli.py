@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .classify import classify_gr36, label_fingerprints
+from .classify import classify_gr36, compute_orbits, fingerprint_labels
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import decode, inequalities_from_csv
 from .pipeline import dump_json, run_pipeline, verify_fingerprints, write_outputs
@@ -39,7 +39,7 @@ from .valuation import WeightingMatrix
 MAX_N = 8
 # A full sweep at n = 8 has 217,728,000 sequences: more than a run can
 # enumerate and hold, so pipeline takes n = 8 only with --seq, and verify -n
-# refuses it (302,400 labels to fingerprint, then every distinct ideal).
+# refuses it (302,400 labels to fingerprint, then the orbits of their ideals).
 MAX_SWEEP_N = 7
 
 
@@ -203,6 +203,8 @@ def cmd_verify(args, parser) -> int:
         parser.error("give exactly one of --fingerprints or -n")
     if args.fingerprints is not None:
         n, fps = _fingerprints_from_file(parser, args.fingerprints)
+        # a file need not be closed under the action: every entry is computed
+        orbits = [(i,) for i in range(len(fps))]
     else:
         n = args.n
         _check_n(parser, n)
@@ -211,8 +213,10 @@ def cmd_verify(args, parser) -> int:
                 f"verify -n {n} cannot finish: it fingerprints all {count_labels(n):,} "
                 "labels; give --fingerprints instead"
             )
-        fps = [decode(fp, n) for fp in sorted(set(label_fingerprints(n).values()))]
-    _emit(args.output, verify_fingerprints(fps, n))
+        labels = fingerprint_labels(n)
+        orbits = [r.member_ids for r in compute_orbits(labels, n)]
+        fps = [decode(fp, n) for fp in labels]
+    _emit(args.output, verify_fingerprints(fps, n, orbits))
     return 0
 
 

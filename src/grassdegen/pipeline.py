@@ -9,6 +9,35 @@ breaks an invariant.  The merge keeps one map from fingerprint to labels,
 whose sorted order numbers the ideals.  The LP stage then solves one LP per
 label, on the label's first sequence in run order, whose point weights.json
 holds.  All emitted files are byte-stable across runs and worker counts.
+
+Verify computes one entry per orbit of the signed S_n action, on the
+orbit's first member, and copies it to every member's id, because every
+field of an entry is an orbit invariant:
+
+* Let s_i act on S = Q[p_T] by phi(p_T) = eps_T p_{s_i(T)}, where
+  eps_T = (-1)^{y_T} and y_T = 1 exactly when T holds both i and i+1.
+  phi is a graded ring automorphism that permutes the variables up to
+  sign.  For a binomial g = m_a + s m_b of a fingerprint F,
+  phi(g) = eps(a) times the canonical binomial that ``classify._moves``
+  sends g to.  So J_{s_i F} = phi(J_F), and by induction the same holds
+  for every group element, including images that leave the input set.
+* rank2 and rank3 are dim (J_F)_2 and dim (J_F)_3, which the Macaulay
+  rows span.  phi is a linear isomorphism on S_2 and on S_3, so both
+  dimensions are equal for F and its image.
+* Smith factors (``snf_ok``): the rows of s_i F are the rows a - b of F
+  with their columns permuted by s_i, which maps the support bijectively,
+  a row negated where canonicalisation swaps lead and trail, and the rows
+  reordered.  All three changes are unimodular, so the invariant factors
+  are equal.
+* ``pure_difference``: the new sign is s' = s eps(a) eps(b)
+  = s (-1)^{(a-b).y}.  So the GF(2) system (a-b).x = (1-s)/2 of F turns
+  into the system of s_i F under x'_{s_i(T)} = x_T + y_T, and one system
+  is consistent exactly when the other is.  Consistency is exactly an
+  empty offender list.
+
+``verify --fingerprints`` reads a file that need not be closed under the
+action, or even lie in the table, so it passes the partition into
+singletons and computes every entry.
 """
 
 from __future__ import annotations
@@ -114,11 +143,11 @@ def _label_point(serialized: str) -> tuple[str, tuple[int, ...], tuple[int, ...]
 
 
 def _verify_entry(item) -> dict:
-    fp_id, fp, n = item
+    fp, n = item
     forms = [binomial_form(g) for g in fp]
     cert = lattice_saturation(fp)
     return {
-        "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+        "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
         "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
     }
 
@@ -129,21 +158,31 @@ def _chunked(items: list, pieces: int) -> list[list]:
 
 
 def verify_fingerprints(
-    fingerprints: list[tuple[Binomial, ...]], n: int, mapper=map
+    fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]], mapper=map
 ) -> dict:
     """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
     relation ideal, and the entry of each decoded fingerprint, with ids
-    numbering them in order.  ``mapper`` maps over the fingerprints, e.g. a
-    pool's ``map``."""
+    numbering them in order.  ``orbits`` partitions the ids, else
+    ValueError; the entry of an orbit's first member is computed and copied
+    to its other members, which the module docstring shows sound for orbits
+    of the signed action.  ``mapper`` maps over the orbits, e.g. a pool's
+    ``map``."""
+    ids = sorted(i for orbit in orbits for i in orbit)
+    if not all(orbits) or ids != list(range(len(fingerprints))):
+        raise ValueError(f"orbits do not partition the ids of {len(fingerprints)} fingerprints")
     reference_forms = [relation_form(R) for R in all_relations(n)]
-    items = [(fp_id, fp, n) for fp_id, fp in enumerate(fingerprints)]
+    computed = mapper(_verify_entry, [(fingerprints[orbit[0]], n) for orbit in orbits])
+    entries: list = [None] * len(fingerprints)
+    for orbit, entry in zip(orbits, computed):
+        for fp_id in orbit:
+            entries[fp_id] = {"id": fp_id, **entry}
     return {
         "n": n,
         "plucker": {
             "rank2": graded_rank(reference_forms, 2, n),
             "rank3": graded_rank(reference_forms, 3, n),
         },
-        "fingerprints": list(mapper(_verify_entry, items)),
+        "fingerprints": entries,
     }
 
 
@@ -201,7 +240,10 @@ def run_pipeline(
         if not skip_verify:
             start = time.perf_counter()
             verify = verify_fingerprints(
-                [decode(fp, n) for fp in labels_by_fingerprint], n, mapper
+                [decode(fp, n) for fp in labels_by_fingerprint],
+                n,
+                [r.member_ids for r in orbit_reports],
+                mapper,
             )
             timings["verify"] = time.perf_counter() - start
 
@@ -218,6 +260,8 @@ def run_pipeline(
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
+            # one per orbit: the entries verify computed, not the ones it copied
+            "verify_entries": 0 if verify is None else len(orbit_reports),
         },
     )
 
@@ -315,7 +359,6 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
     dump_json(path, fingerprints_payload)
     written.append(path)
 
-    fp_ids = {fp: i for i, fp in enumerate(result.labels_by_fingerprint)}
     orbits_payload = {
         "n": result.n,
         "orbits": [
@@ -324,7 +367,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
                 "intersection_size": r.intersection_size,
                 "ambient_size": r.ambient_size,
                 "escaped_count": r.escaped_count,
-                "fingerprint_ids": [fp_ids[m] for m in r.members],
+                "fingerprint_ids": list(r.member_ids),
                 "labels": [format_label(l) for l in r.labels],
                 **(
                     {"class": r.name, "isomorphism_class": r.isomorphism_class}

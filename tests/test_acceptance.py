@@ -216,6 +216,8 @@ def test_criterion_8_flatness_and_toricity(pipeline6):
     assert rank2 == 35 == 210 - ssyt_count(2, 6)
     assert rank3 == 560 == 1540 - ssyt_count(3, 6)
     assert len(pipeline6.verify["fingerprints"]) == 240
+    # one entry computed per orbit, copied to the other members
+    assert pipeline6.counters["verify_entries"] == 4
     for record in pipeline6.verify["fingerprints"]:
         assert record["rank2"] == rank2
         assert record["rank3"] == rank3

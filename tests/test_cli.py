@@ -323,7 +323,7 @@ def test_verify_n8_is_refused_before_fingerprinting(monkeypatch, capsys):
     def unreachable(n):
         raise AssertionError("verify -n 8 fingerprinted its labels")
 
-    monkeypatch.setattr(cli, "label_fingerprints", unreachable)
+    monkeypatch.setattr(cli, "fingerprint_labels", unreachable)
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "-n", "8"])
     assert info.value.code == 2
@@ -334,13 +334,38 @@ def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
     from grassdegen import cli
 
     # the file's own size bounds the work, so only the report is stubbed
-    monkeypatch.setattr(cli, "verify_fingerprints", lambda fps, n: {"n": n, "count": len(fps)})
+    monkeypatch.setattr(
+        cli,
+        "verify_fingerprints",
+        lambda fps, n, orbits: {"n": n, "count": len(fps), "orbits": orbits},
+    )
     generator = {"lead": ["123", "456"], "trail": ["124", "356"], "sign": -1}
     path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"n": 8, "fingerprints": [{"generators": [generator]}]}))
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--fingerprints", str(path), "-o", str(out)]) == 0
-    assert load_json(out) == {"n": 8, "count": 1}
+    assert load_json(out) == {"n": 8, "count": 1, "orbits": [[0]]}
+
+
+def test_verify_fingerprints_file_computes_every_entry(tmp_path):
+    # a file need not be closed under the action: an ideal and the same
+    # ideal with one generator dropped get entries of their own
+    from grassdegen.classify import fingerprint
+    from grassdegen.initial_forms import decode
+    from grassdegen.pipeline import generator_to_json
+    from grassdegen.sequences import standard_sequence
+
+    generators = [generator_to_json(g) for g in decode(fingerprint(standard_sequence(6)), 6)]
+    path = tmp_path / "fingerprints.json"
+    path.write_text(json.dumps({"n": 6, "fingerprints": [
+        {"generators": generators}, {"generators": generators[1:]},
+    ]}))
+    proc = run_cli("verify", "--fingerprints", str(path))
+    assert proc.returncode == 0, proc.stderr
+    full, dropped = json.loads(proc.stdout)["fingerprints"]
+    assert (full["id"], dropped["id"]) == (0, 1)
+    assert full["rank2"] == 35
+    assert dropped["rank2"] == 34
 
 
 def test_pipeline_seq_of_another_n_is_usage_error(tmp_path):

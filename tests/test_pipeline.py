@@ -5,17 +5,24 @@ import re
 import jsonschema
 import pytest
 
-from grassdegen import pipeline, valuation
-from grassdegen.classify import classify_gr36
+from grassdegen import cli, pipeline, valuation
+from grassdegen.classify import (
+    apply_transposition,
+    classify_gr36,
+    fingerprint,
+    fingerprint_labels,
+)
 from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.initial_forms import decode, inequality_set
-from grassdegen.pipeline import run_pipeline, write_outputs
+from grassdegen.pipeline import run_pipeline, verify_fingerprints, write_outputs
+from grassdegen.plucker import all_relations
 from grassdegen.sequences import (
     IteratedSequence,
     format_label,
     representative_sequence,
     standard_sequence,
 )
+from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation, relation_form
 from grassdegen.valuation import weighting_matrix
 from oracles import brute_force_fingerprint, dense_rank, output_hashes, recorded_hashes
 
@@ -259,6 +266,62 @@ def test_manifest_inputs_hash(result_n5, tmp_path):
     assert inputs_sha256(run_pipeline(5, jobs=1, sequences=one), "one") != full
     assert inputs_sha256(run_pipeline(5, jobs=1, skip_verify=True), "skip") != full
     assert inputs_sha256(run_pipeline(5, jobs=2), "jobs2") == full
+
+
+def direct_entry(fp_id, fp, n) -> dict:
+    """One verify.json entry computed on its own fingerprint, with no orbit."""
+    forms = [binomial_form(g) for g in fp]
+    cert = lattice_saturation(fp)
+    return {
+        "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+        "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
+    }
+
+
+@pytest.mark.parametrize("n, orbits", [(5, 1), (6, 4)])
+def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, tmp_path):
+    result = run_pipeline(n, jobs=2)
+    plucker = [relation_form(R) for R in all_relations(n)]
+    direct = {
+        "n": n,
+        "plucker": {"rank2": graded_rank(plucker, 2, n), "rank3": graded_rank(plucker, 3, n)},
+        "fingerprints": [
+            direct_entry(fp_id, decode(fp, n), n) for fp_id, fp in enumerate(result.fingerprints)
+        ],
+    }
+    assert result.verify == direct
+    assert result.counters["verify_entries"] == len(result.orbit_reports) == orbits
+    assert cli.main(["verify", "-n", str(n), "-o", str(tmp_path / "verify.json")]) == 0
+    assert load_json(tmp_path / "verify.json") == direct
+
+
+def test_verify_copies_an_n7_entry_to_its_orbit_image():
+    fp = fingerprint(representative_sequence(((1, 2), (1, 2), (3, 4)), 7))
+    image = apply_transposition(1, fp, 7)
+    assert image != fp
+    members = [decode(fp, 7), decode(image, 7)]
+    entries = verify_fingerprints(members, 7, [(0, 1)])["fingerprints"]
+    assert entries == [direct_entry(i, member, 7) for i, member in enumerate(members)]
+
+
+@pytest.mark.parametrize("orbits", [[(0,)], [(0, 1), (1,)], [(0,), (), (1,)], [(0, 2)]])
+def test_verify_rejects_orbits_that_do_not_partition_the_ids(orbits):
+    fp = decode(fingerprint(standard_sequence(5)), 5)
+    with pytest.raises(ValueError, match="do not partition the ids of 2 fingerprints"):
+        verify_fingerprints([fp, fp], 5, orbits)
+
+
+def test_fingerprint_labels_equal_the_sweep_map(result_n5):
+    assert fingerprint_labels(5) == result_n5.labels_by_fingerprint
+    assert list(fingerprint_labels(5)) == result_n5.fingerprints
+
+
+def test_manifest_counts_computed_verify_entries(result_n5, tmp_path):
+    skipped = run_pipeline(5, jobs=1, skip_verify=True)
+    for result, name, entries in [(result_n5, "n5", 1), (skipped, "skip", 0)]:
+        manifest = load_json(write_outputs(result, str(tmp_path / name)))
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["counters"]["verify_entries"] == entries
 
 
 def test_verify_json_is_written_when_verify_ran_on_no_ideals(tmp_path):
