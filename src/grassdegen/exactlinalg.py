@@ -1,9 +1,19 @@
-"""Exact integer linear algebra: sparse fraction-free rank and Smith form.
+"""Exact integer linear algebra: sparse fraction-free rank, rank mod 2 and
+Smith form.
 
 Rank elimination keeps rows as sparse {column: int} maps and eliminates with
 integer cross-multiplication followed by content reduction, so every step is
 exact and coefficients stay small for the incidence-like matrices produced
 by binomial generators.
+
+``rank_mod2`` eliminates over GF(2) on rows packed into ints, one bit per
+column.  It bounds the rational rank from below: the rank of an integer
+matrix over a field is the largest size of a nonzero minor, and a minor
+that is odd, nonzero mod 2, is nonzero.  So an integer matrix whose
+reduction mod 2 has rank r has rank at least r over Q; full rank mod 2
+proves full rank over Q, and only a short rank mod 2 needs ``exact_rank``.
+The converse fails: the rows (1,1,0), (0,1,1), (1,0,1) have determinant 2,
+rank 3 over Q and rank 2 mod 2.
 """
 
 from __future__ import annotations
@@ -46,6 +56,21 @@ def exact_rank(rows) -> int:
                     merged.pop(c, None)
             row = _content_reduce(merged) if merged else merged
     return rank
+
+
+def rank_mod2(rows) -> int:
+    """Rank over GF(2) of the matrix whose rows are given as ints, bit j of
+    a row being its entry mod 2 in column j."""
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:

@@ -152,23 +152,29 @@ def decode(fp: Fingerprint, n: int) -> tuple[Binomial, ...]:
     return tuple(map(relation_table(n).binomials.__getitem__, fp))
 
 
-# bytes.translate table: byte 0 -> "0", 1 -> "1", any other -> "#", which is
-# no base-3 digit
+# bytes.translate table: byte 0 -> "0", 1 -> "1", any other -> "#", which
+# marks an entry that is no 0 or 1
 _DIGITS = b"01" + b"#" * 254
+
+
+def row_digits(rows, dim: int) -> list[bytes]:
+    """Each row as a string of the digits 0 and 1; raises ValueError for a
+    row outside {0,1}^dim."""
+    strings = []
+    for row in rows:
+        try:
+            digits = bytes(row).translate(_DIGITS)
+        except (TypeError, ValueError):  # an entry that is no int in 0..255
+            digits = b"#"
+        if b"#" in digits or len(row) != dim:
+            raise ValueError(f"valuation row {tuple(row)} is not a 0/1 vector of length {dim}")
+        strings.append(digits)
+    return strings
 
 
 def pack_rows(rows, dim: int) -> list[int]:
     """pack3 of each row; raises ValueError for a row outside {0,1}^dim."""
-    packed = []
-    for row in rows:
-        try:
-            value = int(bytes(row).translate(_DIGITS), 3)
-        except (TypeError, ValueError):  # an entry that is no 0 or 1
-            value = None
-        if value is None or len(row) != dim:
-            raise ValueError(f"valuation row {tuple(row)} is not a 0/1 vector of length {dim}")
-        packed.append(value)
-    return packed
+    return [int(digits, 3) for digits in row_digits(rows, dim)]
 
 
 def unpack3(x: int, dim: int) -> Vector:

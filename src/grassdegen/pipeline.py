@@ -48,14 +48,22 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from . import __version__
 from .classify import compute_orbits, OrbitReport
 from .cone import strict_interior_point, weight_vector
-from .exactlinalg import exact_rank
-from .initial_forms import Binomial, Fingerprint, decode, inequality_set, initial_ideal
-from .plucker import all_relations, all_triples, triple_key
+from .exactlinalg import exact_rank, rank_mod2
+from .initial_forms import (
+    Binomial,
+    Fingerprint,
+    decode,
+    inequality_set,
+    initial_ideal,
+    row_digits,
+)
+from .plucker import all_triples, triple_key
 from .sequences import (
     IteratedSequence,
     Label,
@@ -63,7 +71,7 @@ from .sequences import (
     format_label,
     label_of,
 )
-from .toricity import binomial_form, graded_rank, lattice_saturation, relation_form
+from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
 from .valuation import weighting_matrix
 
 
@@ -102,33 +110,52 @@ class PipelineResult:
         )
 
 
-def _sweep_chunk(chunk: list[str]) -> list[SequenceOutcome]:
+def _check_rank(rows, full: int) -> bool:
+    """Check that the 0/1 rows, of length ``full``, have rank ``full`` over
+    Q, else ValueError; returns whether the check needed ``exact_rank``.
+
+    Each row's digit string is read in base 2 and the rows are eliminated
+    mod 2.  Full rank mod 2 means some full-size minor is odd, hence
+    nonzero, so the rank over Q is full too (``exactlinalg``).  Only a short
+    rank mod 2 runs ``exact_rank``, whose value decides the check.
+    """
+    if rank_mod2(int(digits, 2) for digits in row_digits(rows, full)) == full:
+        return False
+    rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
+    if rank != full:
+        raise ValueError(f"weighting matrix has rank {rank}, below 3(n-3)")
+    return True
+
+
+def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int]:
     """Check and fingerprint one chunk of serialized sequences; returns
-    their outcomes in order.
+    their outcomes in order and the number of rank checks that needed
+    ``exact_rank``.
 
     ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the scalar check and the soundness of
     the closed-form point c follow, as (i) and (ii) there.  A row outside 0/1,
     a non-binomial initial form, a weighting matrix of rank below 3(n-3) or
     any other failure raises one RuntimeError that names the sequence, so
-    every flag of a returned outcome holds.  Equal fingerprints are one
-    object within the chunk, so that pickling sends each ideal once.
+    every flag of a returned outcome holds.  The rank is checked mod 2
+    first, by ``_check_rank``, which counts the checks that fell back to
+    the exact rank.  Equal fingerprints are one object within the chunk, so
+    that pickling sends each ideal once.
     """
     shared: dict[Fingerprint, Fingerprint] = {}
     outcomes = []
+    fallbacks = 0
     for serialized in chunk:
         try:
             seq = IteratedSequence.parse(serialized)
             rows = weighting_matrix(seq).rows
             fp = initial_ideal(rows, seq.n)
-            rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
-            if rank != 3 * (seq.n - 3):
-                raise ValueError(f"weighting matrix has rank {rank}, below 3(n-3)")
+            fallbacks += _check_rank(rows, 3 * (seq.n - 3))
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
         fp = shared.setdefault(fp, fp)
         outcomes.append(SequenceOutcome(serialized, label_of(seq), fp, True, True, True))
-    return outcomes
+    return outcomes, fallbacks
 
 
 def _label_point(serialized: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
@@ -161,7 +188,8 @@ def verify_fingerprints(
     fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]], mapper=map
 ) -> dict:
     """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
-    relation ideal, and the entry of each decoded fingerprint, with ids
+    relation ideal (``toricity.plucker_rank``, one block per S_n-orbit of
+    contents), and the entry of each decoded fingerprint, with ids
     numbering them in order.  ``orbits`` partitions the ids, else
     ValueError; the entry of an orbit's first member is computed and copied
     to its other members, which the module docstring shows sound for orbits
@@ -170,7 +198,6 @@ def verify_fingerprints(
     ids = sorted(i for orbit in orbits for i in orbit)
     if not all(orbits) or ids != list(range(len(fingerprints))):
         raise ValueError(f"orbits do not partition the ids of {len(fingerprints)} fingerprints")
-    reference_forms = [relation_form(R) for R in all_relations(n)]
     computed = mapper(_verify_entry, [(fingerprints[orbit[0]], n) for orbit in orbits])
     entries: list = [None] * len(fingerprints)
     for orbit, entry in zip(orbits, computed):
@@ -178,10 +205,7 @@ def verify_fingerprints(
             entries[fp_id] = {"id": fp_id, **entry}
     return {
         "n": n,
-        "plucker": {
-            "rank2": graded_rank(reference_forms, 2, n),
-            "rank3": graded_rank(reference_forms, 3, n),
-        },
+        "plucker": {"rank2": plucker_rank(2, n), "rank3": plucker_rank(3, n)},
         "fingerprints": entries,
     }
 
@@ -219,7 +243,8 @@ def run_pipeline(
     with (Pool(jobs) if parallel else nullcontext()) as pool:
         mapper = pool.map if parallel else map
         chunks = _chunked(serialized, jobs * 8)
-        outcomes = [o for part in mapper(_sweep_chunk, chunks) for o in part]
+        swept = list(mapper(_sweep_chunk, chunks))
+        outcomes = [o for part, _ in swept for o in part]
         labels: dict[Fingerprint, set[Label]] = {}
         first: dict[Label, str] = {}  # each label's first sequence in run order
         for o in outcomes:
@@ -257,6 +282,8 @@ def run_pipeline(
         timings=timings,
         counters={
             "lp_solves": len(label_weights),
+            # swept sequences whose rank mod 2 was short, so that exact_rank ran
+            "rank_fallbacks": sum(fallbacks for _, fallbacks in swept),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
@@ -270,11 +297,17 @@ def run_pipeline(
 # serialization of results
 
 
-def generator_to_json(gen) -> dict:
+@lru_cache(maxsize=None)
+def _triple_keys(n: int) -> dict[tuple[int, int, int], str]:
+    return {t: triple_key(t) for t in all_triples(n)}
+
+
+def generator_to_json(gen, n: int) -> dict:
+    keys = _triple_keys(n)
     lead, trail, sign = gen
     return {
-        "lead": [triple_key(lead[0]), triple_key(lead[1])],
-        "trail": [triple_key(trail[0]), triple_key(trail[1])],
+        "lead": [keys[lead[0]], keys[lead[1]]],
+        "trail": [keys[trail[0]], keys[trail[1]]],
         "sign": sign,
     }
 
@@ -328,14 +361,11 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             fh.write(matrix.to_csv())
         written.append(path)
 
-    triples = all_triples(result.n)
+    keys = list(map(triple_key, all_triples(result.n)))
     weights_payload = {
         "n": result.n,
         "labels": {
-            format_label(label): {
-                "e": list(e),
-                "w": {triple_key(t): value for t, value in zip(triples, w)},
-            }
+            format_label(label): {"e": list(e), "w": dict(zip(keys, w))}
             for label, (_, e, w) in result.label_weights.items()
         },
     }
@@ -350,7 +380,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             {
                 "id": fid,
                 "labels": [format_label(l) for l in labels],
-                "generators": [generator_to_json(g) for g in decode(fp, result.n)],
+                "generators": [generator_to_json(g, result.n) for g in decode(fp, result.n)],
             }
             for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
         ],

@@ -7,41 +7,73 @@ level's triple, charging one unit to the corresponding position.  The result
 is the lexicographic maximum of the monomial support of the pullback of p_I
 under the birational parametrization.  ``tests/oracles.py`` expands that
 support in full by recursion and checks the greedy result against it.
+
+The descent runs level-major.  One step of it depends only on the level's
+top index, its triple and the current multi-index.  So for each (top,
+triple) there is one transition table: for every 3-subset of [top], as an
+increasing tuple, the triad the level charges (a unit triad, or the zero
+triad when top is not in the subset) and the next multi-index.  It is kept
+as two dicts, one per value, built on first use and cached.
+``valuation_rows`` looks up each level's table once and steps every
+multi-index through it, appending the charged triad to its row.  The domain
+covers every state: before level t every index is at most n - t, because
+the top index is always traded for one in [n-t-1].  The descent ends at
+{1,2,3}, which is asserted for every row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 
 from .plucker import all_triples, triple_key
 from .sequences import IteratedSequence
 
 Vector = tuple[int, ...]
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_ZERO = (0, 0, 0)
+
 
 class DimensionError(ValueError):
     """Vector length does not match 3(n-3)."""
 
 
+@lru_cache(maxsize=None)
+def _transitions(top: int, triple: tuple[int, int, int]) -> tuple[dict, dict]:
+    """The charged triad and the next multi-index of every 3-subset of
+    [top], at the level with this top index and triple."""
+    charge, step = {}, {}
+    for current in itertools.combinations(range(1, top + 1), 3):
+        if top not in current:
+            charge[current], step[current] = _ZERO, current
+            continue
+        j = next(j for j, candidate in enumerate(triple) if candidate not in current)
+        charge[current] = _UNITS[j]
+        step[current] = tuple(sorted({*current, triple[j]} - {top}))
+    return charge, step
+
+
+def valuation_rows(seq: IteratedSequence, triples) -> tuple[Vector, ...]:
+    """Greedy descent valuations of the Pluecker coordinates p_K, one row
+    per increasing triple K, level by level."""
+    states = list(triples)
+    rows = [()] * len(states)
+    for t, triple in enumerate(seq.triples):
+        charge, step = _transitions(seq.n - t, triple)
+        rows = list(map(add, rows, map(charge.__getitem__, states)))
+        states = list(map(step.__getitem__, states))
+    assert all(state == (1, 2, 3) for state in states)
+    return tuple(rows)
+
+
 def compute_valuation(seq: IteratedSequence, I) -> Vector:
     """Greedy descent valuation of the Pluecker coordinate p_I."""
-    n = seq.n
-    coords = [0] * (3 * (n - 3))
-    current = set(I)
-    for t, triple in enumerate(seq.triples):
-        top = n - t
-        if top not in current:
-            continue
-        for j, candidate in enumerate(triple):
-            if candidate not in current:
-                coords[3 * t + j] = 1
-                current.remove(top)
-                current.add(candidate)
-                break
-    assert current == {1, 2, 3}
-    return tuple(coords)
+    return valuation_rows(seq, [tuple(sorted(I))])[0]
 
 
 @dataclass(frozen=True)
@@ -75,5 +107,4 @@ class WeightingMatrix:
 def weighting_matrix(seq: IteratedSequence) -> WeightingMatrix:
     """Stack the valuations of all Pluecker coordinates in lex row order."""
     triples = tuple(all_triples(seq.n))
-    rows = tuple(compute_valuation(seq, K) for K in triples)
-    return WeightingMatrix(triples, rows)
+    return WeightingMatrix(triples, valuation_rows(seq, triples))

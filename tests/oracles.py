@@ -5,7 +5,8 @@ package: the full pullback-support recursion behind the greedy valuation,
 the height-weighted order behind the lex-max initial-term rule, the
 initial-term selection on tuples of integers with its scalar check, polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
-triples, dense rational Gaussian elimination, and semistandard-tableau
+triples, dense and sparse rational Gaussian elimination, the full Macaulay
+matrix of the quadratic relations, and semistandard-tableau
 enumeration for graded dimensions.  A sequence is read only through its
 ``n`` and ``triples`` attributes.  The recorded output hashes of
 ``perfbench/expected/`` are read here too, and only read.
@@ -258,6 +259,45 @@ def dense_rank(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def sparse_rank(rows):
+    """Rank over Q of the matrix with the given sparse {column: number}
+    rows, by elimination over Fraction against pivots scaled to lead 1."""
+    pivots = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                scale = row[lead]
+                pivots[lead] = {c: v / scale for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivot.items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def plucker_macaulay_rank(degree, n):
+    """Rank of the full degree-d Macaulay matrix of the quadratic Pluecker
+    relations of Gr(3,n): every nonzero expanded R_{I,J} times every
+    monomial of degree d - 2, one row each, against the degree-d monomials
+    as sorted tuples of triples."""
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    multipliers = list(itertools.combinations_with_replacement(triples, degree - 2))
+    rows = []
+    for i_pair in itertools.combinations(range(1, n + 1), 2):
+        for j_quad in itertools.combinations(range(1, n + 1), 4):
+            poly = expand_relation(i_pair, j_quad)
+            for extra in multipliers if poly else ():
+                rows.append({tuple(sorted(m + extra)): c for m, c in poly.items()})
+    return sparse_rank(rows)
 
 
 def ssyt_count(ncols, maxval):

@@ -198,8 +198,10 @@ def test_criterion_7_full_rank_witness(pipeline6):
         assert sub[i][i] == 1
         assert all(sub[i][j] == 0 for j in range(i))
     # The sweep raises on any sequence of rank below 9, so the completed run
-    # covers every sequence; dense elimination checks the first sequence of
-    # each label independently.
+    # covers every sequence; every one of them had full rank mod 2, with no
+    # fallback to exact_rank.  Dense elimination checks the first sequence
+    # of each label independently.
+    assert pipeline6.counters["rank_fallbacks"] == 0
     assert len(pipeline6.label_weights) == 240
     for witness, _, _ in pipeline6.label_weights.values():
         rows = weighting_matrix(IteratedSequence.parse(witness)).rows

@@ -323,13 +323,13 @@ def test_orbits_agree_with_full_word_enumeration_n5():
 def test_fingerprint_rejects_a_valuation_row_outside_0_1(monkeypatch):
     from grassdegen import valuation
 
-    real = valuation.compute_valuation
+    real = valuation.valuation_rows
 
-    def with_a_two(seq, K):
-        row = real(seq, K)
-        return (2, *row[1:]) if K == (3, 4, 5) else row
+    def with_a_two(seq, triples):
+        rows = real(seq, triples)
+        return tuple((2, *row[1:]) if K == (3, 4, 5) else row for K, row in zip(triples, rows))
 
-    monkeypatch.setattr(valuation, "compute_valuation", with_a_two)
+    monkeypatch.setattr(valuation, "valuation_rows", with_a_two)
     with pytest.raises(
         RuntimeError,
         match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector of length 6",

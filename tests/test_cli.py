@@ -355,7 +355,7 @@ def test_verify_fingerprints_file_computes_every_entry(tmp_path):
     from grassdegen.pipeline import generator_to_json
     from grassdegen.sequences import standard_sequence
 
-    generators = [generator_to_json(g) for g in decode(fingerprint(standard_sequence(6)), 6)]
+    generators = [generator_to_json(g, 6) for g in decode(fingerprint(standard_sequence(6)), 6)]
     path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"n": 6, "fingerprints": [
         {"generators": generators}, {"generators": generators[1:]},
@@ -424,7 +424,9 @@ def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, caps
     def first_sequence(n):
         return representative_sequence(next(all_labels(n)), n).serialize()
 
-    monkeypatch.setattr(valuation, "compute_valuation", lambda seq, K: (0,) * (3 * (seq.n - 3)))
+    monkeypatch.setattr(
+        valuation, "valuation_rows", lambda seq, triples: tuple((0,) * (3 * (seq.n - 3)) for _ in triples)
+    )
     out = tmp_path / "out"
     commands = [
         (["pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--out", str(out)], "5:[2,1,3|1,2,3]"),

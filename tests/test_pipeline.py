@@ -13,18 +13,24 @@ from grassdegen.classify import (
     fingerprint_labels,
 )
 from grassdegen.cone import strict_interior_point, weight_vector
+from grassdegen.exactlinalg import exact_rank, rank_mod2
 from grassdegen.initial_forms import decode, inequality_set
 from grassdegen.pipeline import run_pipeline, verify_fingerprints, write_outputs
-from grassdegen.plucker import all_relations
 from grassdegen.sequences import (
     IteratedSequence,
     format_label,
     representative_sequence,
     standard_sequence,
 )
-from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation, relation_form
+from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
 from grassdegen.valuation import weighting_matrix
-from oracles import brute_force_fingerprint, dense_rank, output_hashes, recorded_hashes
+from oracles import (
+    brute_force_fingerprint,
+    dense_rank,
+    output_hashes,
+    plucker_macaulay_rank,
+    recorded_hashes,
+)
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -281,10 +287,9 @@ def direct_entry(fp_id, fp, n) -> dict:
 @pytest.mark.parametrize("n, orbits", [(5, 1), (6, 4)])
 def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, tmp_path):
     result = run_pipeline(n, jobs=2)
-    plucker = [relation_form(R) for R in all_relations(n)]
     direct = {
         "n": n,
-        "plucker": {"rank2": graded_rank(plucker, 2, n), "rank3": graded_rank(plucker, 3, n)},
+        "plucker": {"rank2": plucker_macaulay_rank(2, n), "rank3": plucker_macaulay_rank(3, n)},
         "fingerprints": [
             direct_entry(fp_id, decode(fp, n), n) for fp_id, fp in enumerate(result.fingerprints)
         ],
@@ -355,6 +360,8 @@ def test_sweep_failure_names_its_sequence(monkeypatch):
 def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeypatch, capsys):
     from grassdegen.cli import main
 
+    # a short rank mod 2 sends the check to exact_rank, whose value decides it
+    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 5)
     monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
     serialized = "5:[2,1,3|1,2,3]"
     out = tmp_path / "out"
@@ -369,6 +376,8 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the orbit stage ran after a broken sweep")
 
+    # a short rank mod 2 sends the check to exact_rank, whose value decides it
+    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 5)
     monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
     monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
     seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
@@ -378,16 +387,53 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
         run_pipeline(5, jobs=1, sequences=seqs)
 
 
+def test_a_rank_short_mod_2_but_full_over_q_passes_through_exact_rank(monkeypatch):
+    """The rows (1,1,0), (0,1,1), (1,0,1) have determinant 2: rank 3 over Q,
+    rank 2 mod 2.  The check falls back to exact_rank and passes."""
+    calls = []
+
+    def counted(rows):
+        calls.append(None)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(pipeline, "exact_rank", counted)
+    rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    assert rank_mod2(int("".join(map(str, row)), 2) for row in rows) == 2
+    assert pipeline._check_rank(rows, 3) is True
+    assert len(calls) == 1
+    assert pipeline._check_rank(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 3) is False
+    assert len(calls) == 1
+
+
+def test_a_rank_short_over_q_raises_the_rank_message():
+    rows = ((1, 1, 0), (0, 1, 1), (1, 1, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match=r"^weighting matrix has rank 2, below 3\(n-3\)$"):
+        pipeline._check_rank(rows, 3)
+
+
+def test_every_rank_fallback_is_counted_and_changes_no_output(result_n5, tmp_path, monkeypatch):
+    """With the mod-2 rank forced short, every swept sequence runs exact_rank:
+    the counter reads the sequence count, and the data files do not move."""
+    assert result_n5.counters["rank_fallbacks"] == 0
+    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 0)
+    forced = run_pipeline(5, jobs=1)
+    assert forced.counters["rank_fallbacks"] == len(forced.outcomes) == 144
+    write_outputs(result_n5, str(tmp_path / "plain"))
+    manifest = load_json(write_outputs(forced, str(tmp_path / "forced")))
+    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+    assert output_hashes(tmp_path / "forced") == output_hashes(tmp_path / "plain")
+
+
 def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
     """Premise (a) of the packed kernel: a row entry of 2 would carry into
     the next base-3 digit, so the worker refuses it and names the sequence."""
-    real = valuation.compute_valuation
+    real = valuation.valuation_rows
 
-    def with_a_two(seq, K):
-        row = real(seq, K)
-        return (2, *row[1:]) if K == (3, 4, 5) else row
+    def with_a_two(seq, triples):
+        rows = real(seq, triples)
+        return tuple((2, *row[1:]) if K == (3, 4, 5) else row for K, row in zip(triples, rows))
 
-    monkeypatch.setattr(valuation, "compute_valuation", with_a_two)
+    monkeypatch.setattr(valuation, "valuation_rows", with_a_two)
     seq = IteratedSequence.parse("5:[2,1,3|1,2,3]")
     with pytest.raises(
         RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector"

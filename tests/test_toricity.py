@@ -1,7 +1,11 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from grassdegen.classify import fingerprint
-from grassdegen.exactlinalg import exact_rank, smith_invariant_factors
+from grassdegen.exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from grassdegen.initial_forms import decode
 from grassdegen.plucker import all_relations
 from grassdegen.sequences import representative_sequence, standard_sequence
@@ -10,10 +14,17 @@ from grassdegen.toricity import (
     binomial_form,
     graded_rank,
     lattice_saturation,
+    plucker_rank,
     relation_form,
 )
 
-from oracles import degree2_monomial_index, dense_rank, expand_relation, ssyt_count
+from oracles import (
+    degree2_monomial_index,
+    dense_rank,
+    expand_relation,
+    plucker_macaulay_rank,
+    ssyt_count,
+)
 
 # graded dimensions of the coordinate ring, frozen from the tableau oracle
 DIM_RING = {(6, 2): 175, (6, 3): 980, (5, 2): 50, (5, 3): 175}
@@ -69,6 +80,24 @@ def test_plucker_ranks_smaller_grassmannian(n, expected):
     assert expected[1] == 220 - DIM_RING[(5, 3)]
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_plucker_rank_equals_the_full_macaulay_oracle(n, degree):
+    assert plucker_rank(degree, n) == plucker_macaulay_rank(degree, n)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_plucker_rank_equals_monomials_minus_tableaux(n, degree):
+    monomials = math.comb(math.comb(n, 3) + degree - 1, degree)
+    assert plucker_rank(degree, n) == monomials - ssyt_count(degree, n)
+
+
+def test_plucker_rank_rejects_other_degrees():
+    with pytest.raises(Unsupported):
+        plucker_rank(4, 6)
+
+
 def test_fingerprint_ranks_match_plucker_ranks():
     for label in [((1, 2), (1, 2)), ((2, 4), (3, 1)), ((5, 1), (2, 3))]:
         fp = decode(fingerprint(representative_sequence(label, 6)), 6)
@@ -115,8 +144,6 @@ def test_standard_fingerprint_certificate():
 
 
 def test_exact_rank_matches_dense_oracle_on_random_matrices():
-    import random
-
     rng = random.Random(99)
     for _ in range(25):
         nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
@@ -126,6 +153,26 @@ def test_exact_rank_matches_dense_oracle_on_random_matrices():
         ]
         rows = [{j: v for j, v in r.items() if v} for r in rows]
         assert exact_rank(dict(r) for r in rows) == dense_rank(rows, ncols)
+
+
+def test_rank_mod2_counts_the_span_and_bounds_the_rational_rank():
+    """2^rank is the number of distinct XORs of subsets of the rows; an odd
+    minor is a nonzero minor, so the rank mod 2 is at most the rank over Q."""
+    rng = random.Random(7)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 9)
+        rows = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
+        bits = [int("".join(map(str, row)), 2) for row in rows]
+        span = set()
+        for chosen in itertools.product((0, 1), repeat=nrows):
+            value = 0
+            for take, row in zip(chosen, bits):
+                value ^= row if take else 0
+            span.add(value)
+        rank = rank_mod2(bits)
+        assert 2**rank == len(span)
+        assert rank <= exact_rank({j: x for j, x in enumerate(row) if x} for row in rows)
+    assert rank_mod2([]) == rank_mod2([0, 0]) == 0
 
 
 def test_smith_form_examples():

@@ -1,10 +1,17 @@
 import itertools
+import random
 
 import pytest
 
+from grassdegen import valuation
 from grassdegen.plucker import all_triples
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
-from grassdegen.valuation import WeightingMatrix, compute_valuation, weighting_matrix
+from grassdegen.valuation import (
+    WeightingMatrix,
+    compute_valuation,
+    valuation_rows,
+    weighting_matrix,
+)
 from grassdegen.exactlinalg import exact_rank
 
 from oracles import height_order_key, pullback_support, root_heights
@@ -48,25 +55,48 @@ def test_pullback_support_examples():
     assert max(support) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+def seeded_n7_sequences(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        levels = tuple(tuple(rng.sample(range(1, 7 - t), 3)) for t in range(3))
+        yield IteratedSequence(7, levels, tuple(rng.sample((1, 2, 3), 3)))
+
+
+def assert_rows_equal_the_support_oracle(seq):
+    """Each row of the weighting matrix, and each one-row call, also on an
+    unsorted multi-index, is the lex-max of the pullback support."""
+    triples = all_triples(seq.n)
+    expected = tuple(max(pullback_support(seq, K)) for K in triples)
+    assert weighting_matrix(seq).rows == expected
+    assert tuple(compute_valuation(seq, K[::-1]) for K in triples) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_valuation_equals_lex_max_of_support(n):
     """Greedy descent against the recursion oracle, exhaustively."""
     for seq in enumerate_sequences(n):
-        for K in all_triples(n):
-            support = pullback_support(seq, K)
-            assert compute_valuation(seq, K) == max(support)
+        assert_rows_equal_the_support_oracle(seq)
 
 
 def test_valuation_equals_lex_max_sampled_n7():
-    import random
+    for seq in seeded_n7_sequences(11, 100):
+        assert_rows_equal_the_support_oracle(seq)
 
-    rng = random.Random(11)
-    triples = all_triples(7)
-    for _ in range(50):
-        levels = tuple(tuple(rng.sample(range(1, 7 - t), 3)) for t in range(3))
-        seq = IteratedSequence(7, levels, tuple(rng.sample((1, 2, 3), 3)))
-        for K in triples:
-            assert compute_valuation(seq, K) == max(pullback_support(seq, K))
+
+def test_a_descent_that_does_not_end_at_123_fails_its_assertion(monkeypatch):
+    """A base level that never trades its top index 4 leaves (1,2,4) where
+    it is: the final-state assertion catches it."""
+    real = valuation._transitions
+
+    def stuck_at_the_base(top, triple):
+        charge, step = real(top, triple)
+        return (charge, {state: state for state in step}) if top == 4 else (charge, step)
+
+    monkeypatch.setattr(valuation, "_transitions", stuck_at_the_base)
+    seq = standard_sequence(6)
+    assert valuation_rows(seq, [(1, 2, 3)]) == ((0,) * 9,)
+    with pytest.raises(AssertionError):
+        valuation_rows(seq, [(1, 2, 3), (1, 2, 4)])
 
 
 @pytest.mark.parametrize("n", [4, 5])
