@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .initial_forms import Fingerprint, canonical_binomial, initial_ideal, relation_table
+from .initial_forms import (
+    Fingerprint,
+    canonical_binomial,
+    initial_ideal,
+    relation_table,
+    row_digits,
+)
 from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
@@ -47,7 +53,8 @@ def fingerprint(seq: IteratedSequence) -> Fingerprint:
     that is not 0/1 and for a relation whose initial form is not a
     binomial."""
     try:
-        return initial_ideal(weighting_matrix(seq).rows, seq.n)
+        digits = row_digits(weighting_matrix(seq).rows, 3 * (seq.n - 3))
+        return initial_ideal(digits, seq.n)[0]
     except ValueError as exc:
         raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 

@@ -20,8 +20,8 @@ two vectors first differ at position i, with k = dim-1-i, the larger digit
 adds at least 3^k and the later digits differ by at most
 2 (3^(k-1) + ... + 1) = 3^k - 1.  So the initial terms of a relation are the
 terms whose packed sums attain the maximum, and pack3 is injective, so the
-vectors of the inequality set are recovered by unpacking the distinct
-(maximum, other) pairs of packed sums.
+vectors of the inequality set are recovered from the distinct (maximum,
+other) pairs of packed sums, by unpacking each sum in them once.
 
 The certificate.  With c_i = -3^(dim-1-i), fact (b) is
 c . row(K) = -pack3(row(K)) for every row K that passes premise (a).  It
@@ -47,6 +47,18 @@ makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
 holds the term-level tuple kernel, and the test suite compares the two on
 every sequence of n <= 6 and a sample at n = 7.
 
+Decided above the base.  The base triad is the last triad of a sequence,
+so its three charged positions are the three lowest base-3 digits of a
+packed row, and a packed sum carries no digit into a higher one, so
+sum // 27 (27 = 3^3) is the packed sum of the term's vector without its base
+digits.  Besides the fingerprint, ``initial_ideal`` returns whether the
+selection is decided above the base: every relation's non-initial terms
+have sum // 27 strictly below its initial pair's.  Then the two initial
+terms beat every other term before the base digits are read, and they
+agree in their base digits, because their full sums are equal.  The
+``pipeline`` docstring uses this to give one selection to the sequences
+that differ only in their base permutation.
+
 The relation table is the per-n plan of the selection, built on first use:
 the rows of the two factors of each distinct monomial, so that each
 monomial's packed sum is computed once; the monomial of each term, laid out
@@ -64,7 +76,7 @@ import io
 import itertools
 import math
 from functools import lru_cache
-from operator import add, eq, sub
+from operator import add, eq, ge, sub
 from typing import NamedTuple
 
 from .plucker import Relation, Triple, all_relations, all_triples
@@ -77,6 +89,8 @@ Fingerprint = tuple[int, ...]  # sorted ids into relation_table(n).binomials
 
 # A relation has at most four terms.
 _SLOTS = 4
+# 3^3: a packed value's three lowest base-3 digits are the base triad's
+_BASE = 27
 
 
 def canonical_binomial(sign_a: int, mono_a: Monomial, sign_b: int, mono_b: Monomial) -> Binomial:
@@ -172,17 +186,28 @@ def row_digits(rows, dim: int) -> list[bytes]:
     return strings
 
 
+def pack(digits: list[bytes]) -> list[int]:
+    """pack3 of each row, from its digit string (``row_digits``)."""
+    return [int(row, 3) for row in digits]
+
+
 def pack_rows(rows, dim: int) -> list[int]:
     """pack3 of each row; raises ValueError for a row outside {0,1}^dim."""
-    return [int(digits, 3) for digits in row_digits(rows, dim)]
+    return pack(row_digits(rows, dim))
+
+
+# the three base-3 digits of each x in 0..26, most significant first
+_TRIADS = tuple(itertools.product(range(3), repeat=3))
 
 
 def unpack3(x: int, dim: int) -> Vector:
-    """The base-3 digits of x, most significant first."""
-    digits = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        x, digits[i] = divmod(x, 3)
-    return tuple(digits)
+    """The dim lowest base-3 digits of x, most significant first, three at
+    a time."""
+    digits = ()
+    for _ in range(dim // 3):
+        x, low = divmod(x, 27)
+        digits = _TRIADS[low] + digits
+    return _TRIADS[x % 27][3 - dim % 3 :] + digits
 
 
 Selection = tuple[tuple[list[int], ...], list[int]]
@@ -208,15 +233,29 @@ def binomial_ids(selection: Selection, table: RelationTable) -> set:
     return set(map(dict.get, table.patterns, patterns))
 
 
-def initial_ideal(rows, n: int) -> Fingerprint:
+def decided_above_base(selection: Selection) -> bool:
+    """Whether every relation's non-initial terms have packed sum // 27
+    strictly below its maximum's (module docstring), for a selection whose
+    every relation has exactly two initial terms.  A term's sum // 27 is at
+    least the maximum's exactly when the sum is at least the maximum with
+    its base digits cleared, which counts the two initial terms and every
+    term that ties them above the base."""
+    slots, maxima = selection
+    floors = [m - m % _BASE for m in maxima]
+    return sum(sum(map(ge, slot, floors)) for slot in slots) == 2 * len(maxima)
+
+
+def initial_ideal(digits: list[bytes], n: int) -> tuple[Fingerprint, bool]:
     """The fingerprint of the initial ideal that the valuation rows of
-    Gr(3,n) select; raises ValueError for a row outside {0,1}^(3(n-3)) and
-    for a relation whose initial form is not a binomial."""
+    Gr(3,n), given as their ``row_digits``, select, and whether the
+    selection is decided above the base; raises ValueError for a relation
+    whose initial form is not a binomial."""
     table = relation_table(n)
-    ids = binomial_ids(select(pack_rows(rows, 3 * (n - 3)), table), table)
+    selection = select(pack(digits), table)
+    ids = binomial_ids(selection, table)
     if None in ids:
         raise ValueError("non-binomial initial form")
-    return tuple(sorted(ids))
+    return tuple(sorted(ids)), decided_above_base(selection)
 
 
 def reduce_content(d: Vector) -> Vector:
@@ -232,10 +271,9 @@ def inequalities(selection: Selection, dim: int) -> tuple[Vector, ...]:
     pairs = set()
     for slot in slots:
         pairs.update(zip(maxima, slot))
-    diffs = set()
-    for best, other in pairs:
-        if 0 <= other < best:
-            diffs.add(reduce_content(tuple(map(sub, unpack3(other, dim), unpack3(best, dim)))))
+    pairs = [(best, other) for best, other in pairs if 0 <= other < best]
+    vectors = {x: unpack3(x, dim) for pair in pairs for x in pair}
+    diffs = {reduce_content(tuple(map(sub, vectors[other], vectors[best]))) for best, other in pairs}
     return tuple(sorted(diffs))
 
 

@@ -10,6 +10,31 @@ whose sorted order numbers the ideals.  The LP stage then solves one LP per
 label, on the label's first sequence in run order, whose point weights.json
 holds.  All emitted files are byte-stable across runs and worker counts.
 
+A worker takes each run of consecutive sequences with equal ``levels`` as
+one group, whose first sequence is its head.  The head runs the kernel: its
+weighting matrix, the 0/1 check, the selection and the binomial check, and
+the rank check on the same digit strings.  A later member takes the head's
+fingerprint and rank-fallback bit when the head's selection is decided
+above the base (``initial_forms``) and the base level's table of the member,
+``valuation._transitions(4, base)``, is the head's with the charged
+positions permuted by one sigma on all four states and with the same next
+states (``_permutes_base``, which holds for all 36 pairs of base triples).
+Every other member runs the kernel itself.  The reuse is sound:
+
+* Equal levels give equal prefix rows and equal states entering the base
+  level, because the descent runs level-major and each step depends only on
+  the level's top index, its triple and the current multi-index.
+* So sigma turns the head's rows into the member's by permuting the three
+  base columns.  A column permutation keeps every row 0/1 and keeps the
+  rank over Q and mod 2, so the member passes the rank check, with the
+  head's fallback bit.
+* Each relation's initial pair has equal full sums, so equal base digits,
+  which stay equal under sigma, since it permutes both alike.  Every other
+  term's sum // 27, the part above the base digits, does not move under
+  sigma and stays strictly below the pair's, so the term stays below the
+  pair whatever its base digits.  So the member's initial terms are the
+  head's, and it has the head's binomial initial ideal.
+
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
 field of an entry is an orbit invariant:
@@ -43,6 +68,7 @@ singletons and computes every entry.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -51,7 +77,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
-from . import __version__
+from . import __version__, valuation
 from .classify import compute_orbits, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank, rank_mod2
@@ -63,7 +89,7 @@ from .initial_forms import (
     initial_ideal,
     row_digits,
 )
-from .plucker import all_triples, triple_key
+from .plucker import Triple, all_triples, triple_key
 from .sequences import (
     IteratedSequence,
     Label,
@@ -110,52 +136,90 @@ class PipelineResult:
         )
 
 
-def _check_rank(rows, full: int) -> bool:
-    """Check that the 0/1 rows, of length ``full``, have rank ``full`` over
-    Q, else ValueError; returns whether the check needed ``exact_rank``.
+_ONE = ord("1")
+
+
+def _check_rank(digits: list[bytes], full: int) -> bool:
+    """Check that the 0/1 rows, given as their ``row_digits`` of length
+    ``full``, have rank ``full`` over Q, else ValueError; returns whether
+    the check needed ``exact_rank``.
 
     Each row's digit string is read in base 2 and the rows are eliminated
     mod 2.  Full rank mod 2 means some full-size minor is odd, hence
     nonzero, so the rank over Q is full too (``exactlinalg``).  Only a short
     rank mod 2 runs ``exact_rank``, whose value decides the check.
     """
-    if rank_mod2(int(digits, 2) for digits in row_digits(rows, full)) == full:
+    if rank_mod2(int(row, 2) for row in digits) == full:
         return False
-    rank = exact_rank({i: x for i, x in enumerate(row) if x} for row in rows)
+    rank = exact_rank({i: 1 for i, x in enumerate(row) if x == _ONE} for row in digits)
     if rank != full:
         raise ValueError(f"weighting matrix has rank {rank}, below 3(n-3)")
     return True
 
 
-def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int]:
-    """Check and fingerprint one chunk of serialized sequences; returns
-    their outcomes in order and the number of rank checks that needed
-    ``exact_rank``.
+@lru_cache(maxsize=None)
+def _permutes_base(head: Triple, base: Triple) -> bool:
+    """Whether the base level's table of ``base`` is the table of ``head``
+    with the charged positions permuted by one sigma on every state, and
+    with the same next states."""
+    charge, step = valuation._transitions(4, head)
+    other_charge, other_step = valuation._transitions(4, base)
+    return other_step == step and any(
+        other_charge == {state: tuple(v[i] for i in sigma) for state, v in charge.items()}
+        for sigma in itertools.permutations(range(3))
+    )
 
-    ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
-    valuation row is 0/1, from which the scalar check and the soundness of
-    the closed-form point c follow, as (i) and (ii) there.  A row outside 0/1,
-    a non-binomial initial form, a weighting matrix of rank below 3(n-3) or
+
+def _select(seq: IteratedSequence) -> tuple[Fingerprint, bool, bool]:
+    """The kernel of one sequence: its fingerprint, whether its selection
+    is decided above the base, and whether its rank check needed
+    ``exact_rank``."""
+    dim = 3 * (seq.n - 3)
+    digits = row_digits(weighting_matrix(seq).rows, dim)
+    fp, decided = initial_ideal(digits, seq.n)
+    return fp, decided, _check_rank(digits, dim)
+
+
+def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int, int]:
+    """Check and fingerprint one chunk of serialized sequences; returns
+    their outcomes in order, the number of rank checks that needed
+    ``exact_rank`` and the number of sequences whose selection ran.
+
+    ``initial_ideal`` runs on the rows that ``row_digits`` has checked
+    against premise (a) of ``initial_forms``, that every valuation row is
+    0/1, from which the scalar check and the soundness of the closed-form
+    point c follow, as (i) and (ii) there.  A row outside 0/1, a
+    non-binomial initial form, a weighting matrix of rank below 3(n-3) or
     any other failure raises one RuntimeError that names the sequence, so
     every flag of a returned outcome holds.  The rank is checked mod 2
-    first, by ``_check_rank``, which counts the checks that fell back to
-    the exact rank.  Equal fingerprints are one object within the chunk, so
-    that pickling sends each ideal once.
+    first, by ``_check_rank``.  A member of a group that reuses its head's
+    selection (module docstring) counts the head's rank fallback again, so
+    that the count is the one a run of every sequence through the kernel
+    would give.  Only the current group's head is kept.  Equal fingerprints
+    are one object within the chunk, so that pickling sends each ideal once.
     """
     shared: dict[Fingerprint, Fingerprint] = {}
     outcomes = []
-    fallbacks = 0
+    fallbacks = selections = 0
+    levels = None  # of the current group
     for serialized in chunk:
         try:
             seq = IteratedSequence.parse(serialized)
-            rows = weighting_matrix(seq).rows
-            fp = initial_ideal(rows, seq.n)
-            fallbacks += _check_rank(rows, 3 * (seq.n - 3))
+            if seq.levels != levels:  # seq heads a new group
+                levels, base = seq.levels, seq.base_perm
+                fp, decided, fallback = head = _select(seq)
+                selections += 1
+            elif decided and _permutes_base(base, seq.base_perm):
+                fp, _, fallback = head
+            else:
+                fp, _, fallback = _select(seq)
+                selections += 1
         except Exception as exc:
             raise RuntimeError(f"sequence {serialized}: {exc}") from exc
+        fallbacks += fallback
         fp = shared.setdefault(fp, fp)
         outcomes.append(SequenceOutcome(serialized, label_of(seq), fp, True, True, True))
-    return outcomes, fallbacks
+    return outcomes, fallbacks, selections
 
 
 def _label_point(serialized: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
@@ -180,7 +244,10 @@ def _verify_entry(item) -> dict:
 
 
 def _chunked(items: list, pieces: int) -> list[list]:
-    size = max(1, (len(items) + pieces - 1) // pieces)
+    """At most ``pieces`` chunks, whose size is a multiple of 6, so that a
+    chunk of enumerated sequences never splits a group of base
+    permutations."""
+    size = 6 * max(1, -(-len(items) // (6 * pieces)))
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
@@ -244,7 +311,7 @@ def run_pipeline(
         mapper = pool.map if parallel else map
         chunks = _chunked(serialized, jobs * 8)
         swept = list(mapper(_sweep_chunk, chunks))
-        outcomes = [o for part, _ in swept for o in part]
+        outcomes = [o for part, _, _ in swept for o in part]
         labels: dict[Fingerprint, set[Label]] = {}
         first: dict[Label, str] = {}  # each label's first sequence in run order
         for o in outcomes:
@@ -283,7 +350,10 @@ def run_pipeline(
         counters={
             "lp_solves": len(label_weights),
             # swept sequences whose rank mod 2 was short, so that exact_rank ran
-            "rank_fallbacks": sum(fallbacks for _, fallbacks in swept),
+            "rank_fallbacks": sum(fallbacks for _, fallbacks, _ in swept),
+            # swept sequences whose selection ran: group heads and the
+            # members that could not reuse their head's
+            "ideal_selections": sum(selections for _, _, selections in swept),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),

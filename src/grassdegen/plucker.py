@@ -14,6 +14,7 @@ carry the same monomial with opposite signs) and are represented as ``None``.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 Triple = tuple[int, int, int]
 Term = tuple[int, Triple, Triple]
@@ -50,8 +51,10 @@ def all_triples(n: int) -> list[Triple]:
     return list(itertools.combinations(range(1, n + 1), 3))
 
 
-def all_relations(n: int) -> list[Relation]:
-    """Every nonzero R_{I,J} in lexicographic (I, J) order."""
+@lru_cache(maxsize=None)
+def all_relations(n: int) -> tuple[Relation, ...]:
+    """Every nonzero R_{I,J} in lexicographic (I, J) order, built once per
+    n."""
     if n < 4:
         raise InvalidSize(f"need n >= 4, got {n}")
     relations = (
@@ -59,4 +62,4 @@ def all_relations(n: int) -> list[Relation]:
         for I in itertools.combinations(range(1, n + 1), 2)
         for J in itertools.combinations(range(1, n + 1), 4)
     )
-    return [R for R in relations if R is not None]
+    return tuple(R for R in relations if R is not None)

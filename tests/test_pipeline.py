@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import re
 
 import jsonschema
@@ -14,10 +16,11 @@ from grassdegen.classify import (
 )
 from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.exactlinalg import exact_rank, rank_mod2
-from grassdegen.initial_forms import decode, inequality_set
+from grassdegen.initial_forms import decode, inequality_set, row_digits
 from grassdegen.pipeline import run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.sequences import (
     IteratedSequence,
+    all_labels,
     format_label,
     representative_sequence,
     standard_sequence,
@@ -399,16 +402,16 @@ def test_a_rank_short_mod_2_but_full_over_q_passes_through_exact_rank(monkeypatc
     monkeypatch.setattr(pipeline, "exact_rank", counted)
     rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
     assert rank_mod2(int("".join(map(str, row)), 2) for row in rows) == 2
-    assert pipeline._check_rank(rows, 3) is True
+    assert pipeline._check_rank(row_digits(rows, 3), 3) is True
     assert len(calls) == 1
-    assert pipeline._check_rank(((1, 1, 0), (0, 1, 1), (0, 0, 1)), 3) is False
+    assert pipeline._check_rank([b"110", b"011", b"001"], 3) is False
     assert len(calls) == 1
 
 
 def test_a_rank_short_over_q_raises_the_rank_message():
-    rows = ((1, 1, 0), (0, 1, 1), (1, 1, 0), (0, 0, 0))
+    digits = [b"110", b"011", b"110", b"000"]
     with pytest.raises(ValueError, match=r"^weighting matrix has rank 2, below 3\(n-3\)$"):
-        pipeline._check_rank(rows, 3)
+        pipeline._check_rank(digits, 3)
 
 
 def test_every_rank_fallback_is_counted_and_changes_no_output(result_n5, tmp_path, monkeypatch):
@@ -457,3 +460,147 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
     assert info.value.code == 2
     assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one selection per group of base permutations
+
+
+def kernel_reference(serialized):
+    """Each sequence's fingerprint and rank-fallback bit, from the kernel run
+    on that sequence alone."""
+    reference = {}
+    for s in serialized:
+        seq = IteratedSequence.parse(s)
+        dim = 3 * (seq.n - 3)
+        digits = row_digits(weighting_matrix(seq).rows, dim)
+        reference[s] = fingerprint(seq), pipeline._check_rank(digits, dim)
+    return reference
+
+
+def sweep(serialized, pieces):
+    """The sweep of a run whose chunks are ``pieces``, in this process."""
+    outcomes, fallbacks, selections = [], 0, 0
+    for chunk in pipeline._chunked(serialized, pieces):
+        part, chunk_fallbacks, chunk_selections = pipeline._sweep_chunk(chunk)
+        outcomes += part
+        fallbacks += chunk_fallbacks
+        selections += chunk_selections
+    return outcomes, fallbacks, selections
+
+
+def assert_sweep_equals_the_kernel(serialized, pieces, reference):
+    outcomes, fallbacks, selections = sweep(serialized, pieces)
+    assert [o.serialized for o in outcomes] == serialized
+    for o in outcomes:
+        assert o.fingerprint == reference[o.serialized][0], o.serialized
+    assert fallbacks == sum(bit for _, bit in reference.values())
+    return selections
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
+    """In enumeration order every chunk holds whole groups, and each group
+    runs one selection; in a seeded shuffle groups rarely form, and the
+    outcomes are the same."""
+    from grassdegen.sequences import enumerate_sequences
+
+    serialized = [s.serialize() for s in enumerate_sequences(n)]
+    reference = kernel_reference(serialized)
+    for pieces in (8, 16):  # the chunks of --jobs 1 and --jobs 2
+        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == len(serialized) // 6
+    shuffled = serialized[:]
+    random.Random(n).shuffle(shuffled)
+    assert assert_sweep_equals_the_kernel(shuffled, 16, reference) > len(serialized) // 6
+
+
+def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
+    labels = random.Random(7).sample(list(all_labels(7)), 4)
+    serialized = []
+    for label in labels:
+        pools = [
+            [(a, b, c) for c in range(1, 7 - t) if c not in (a, b)] for t, (a, b) in enumerate(label)
+        ]
+        serialized += [
+            IteratedSequence(7, levels, base).serialize()
+            for levels in itertools.product(*pools)
+            for base in itertools.permutations((1, 2, 3))
+        ]
+    assert len(serialized) == 4 * 144
+    selections = assert_sweep_equals_the_kernel(serialized, 8, kernel_reference(serialized))
+    assert selections == len(serialized) // 6
+
+
+def test_manifest_counts_ideal_selections(tmp_path):
+    """One selection per group at n = 5 for every worker count: a chunk's
+    size is a multiple of 6, so no chunk splits a group."""
+    for jobs in (1, 2):
+        result = run_pipeline(5, jobs=jobs, skip_verify=True)
+        manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
+        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+        assert manifest["counters"]["ideal_selections"] == 24
+    assert [len(c) for c in pipeline._chunked(list(range(144)), 16)] == [12] * 12
+    assert [len(c) for c in pipeline._chunked(list(range(8640)), 8)] == [1080] * 8
+    assert [len(c) for c in pipeline._chunked(list(range(8640)), 16)] == [540] * 16
+
+
+@pytest.fixture
+def fresh_base_pairs():
+    """Forget the cached base-triple pairs, before and after the test."""
+    pipeline._permutes_base.cache_clear()
+    yield
+    pipeline._permutes_base.cache_clear()
+
+
+def test_every_pair_of_base_triples_has_its_sigma(fresh_base_pairs):
+    bases = list(itertools.permutations((1, 2, 3)))
+    assert all(pipeline._permutes_base(a, b) for a in bases for b in bases)
+
+
+def patch_base_table(monkeypatch, base, state, charge):
+    """Make the base level of ``base`` charge ``charge`` at ``state``."""
+    real = valuation._transitions
+
+    def patched(top, triple):
+        charges, step = real(top, triple)
+        if (top, triple) == (4, base):
+            charges = {**charges, state: charge}
+        return charges, step
+
+    monkeypatch.setattr(valuation, "_transitions", patched)
+
+
+def test_a_member_whose_base_table_is_no_permutation_runs_the_kernel(
+    monkeypatch, fresh_base_pairs
+):
+    """(1,3,4) charging (1,1,0) under base (2,1,3) relates its table to no
+    other by a sigma; the rows stay 0/1 and of full rank."""
+    patch_base_table(monkeypatch, (2, 1, 3), (1, 3, 4), (1, 1, 0))
+    ran = []
+    real_select = pipeline._select
+
+    def recorded(seq):
+        ran.append(seq.serialize())
+        return real_select(seq)
+
+    monkeypatch.setattr(pipeline, "_select", recorded)
+    from grassdegen.sequences import enumerate_sequences
+
+    serialized = [s.serialize() for s in enumerate_sequences(5)]
+    outcomes, _, selections = pipeline._sweep_chunk(serialized)
+    # each group's head has base (1,2,3); only the patched members join it
+    assert ran == [s for s in serialized if s.endswith(("|1,2,3]", "|2,1,3]"))]
+    assert selections == len(ran) == 48
+    for o in outcomes:
+        assert o.fingerprint == fingerprint(IteratedSequence.parse(o.serialized))
+
+
+def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(
+    monkeypatch, fresh_base_pairs
+):
+    # (1,2,4) alone charges the third base column under base (2,1,3)
+    patch_base_table(monkeypatch, (2, 1, 3), (1, 2, 4), (0, 0, 0))
+    with pytest.raises(
+        RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: weighting matrix has rank 5, below"
+    ):
+        run_pipeline(5, jobs=1, skip_verify=True)

@@ -72,3 +72,9 @@ def test_term_count_matches_intersection_size():
             assert sign in (1, -1)
             assert a <= b
             assert all(len(t) == 3 and t == tuple(sorted(set(t))) for t in (a, b))
+
+
+def test_all_relations_are_built_once_per_n():
+    relations = all_relations(6)
+    assert isinstance(relations, tuple)
+    assert all_relations(6) is relations
