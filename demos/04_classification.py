@@ -12,7 +12,7 @@ from grassdegen.sequences import format_label
 
 
 def main():
-    result = run_pipeline(6, skip_verify=True)
+    result = run_pipeline(6)
     print(result.summary())
 
     fibers = Counter(outcome.fingerprint for outcome in result.outcomes)

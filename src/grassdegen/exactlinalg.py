@@ -129,5 +129,8 @@ def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
         top += 1
 
     for i in range(1, len(factors)):
-        assert factors[i] % factors[i - 1] == 0
+        if factors[i] % factors[i - 1]:
+            raise RuntimeError(
+                f"invariant factor {factors[i]} is not a multiple of {factors[i - 1]}"
+            )
     return factors

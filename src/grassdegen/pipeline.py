@@ -55,10 +55,10 @@ field of an entry is an orbit invariant:
   reordered.  All three changes are unimodular, so the invariant factors
   are equal.
 * ``pure_difference``: the new sign is s' = s eps(a) eps(b)
-  = s (-1)^{(a-b).y}.  So the GF(2) system (a-b).x = (1-s)/2 of F turns
-  into the system of s_i F under x'_{s_i(T)} = x_T + y_T, and one system
-  is consistent exactly when the other is.  Consistency is exactly an
-  empty offender list.
+  = s (-1)^{(a-b).y}.  So the GF(2) system (a-b).x = (1+s)/2 of F
+  (``toricity``) turns into the system of s_i F under
+  x'_{s_i(T)} = x_T + y_T, and one system is consistent exactly when the
+  other is.
 
 ``verify --fingerprints`` reads a file that need not be closed under the
 action, or even lie in the table, so it passes the partition into
@@ -120,7 +120,7 @@ class PipelineResult:
     labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]]
     label_weights: dict[Label, tuple[str, tuple[int, ...], tuple[int, ...]]]
     orbit_reports: list[OrbitReport]
-    verify: dict | None  # the verify.json document; None when skipped
+    verify: dict  # the verify.json document
     timings: dict[str, float]
     counters: dict[str, int]
 
@@ -278,17 +278,14 @@ def verify_fingerprints(
 
 
 def run_pipeline(
-    n: int,
-    jobs: int | None = None,
-    skip_verify: bool = False,
-    sequences: list[IteratedSequence] | None = None,
+    n: int, jobs: int | None = None, sequences: list[IteratedSequence] | None = None
 ) -> PipelineResult:
-    """Run the whole chain for Gr(3,n); raises ValueError for a sequence of
-    another n, and RuntimeError, naming the sequence, on a bug or on a
-    sequence that breaks an invariant, before the orbit stage.  ``jobs`` is
-    at least 1, else ValueError, and at most the CPU count, which is its
-    default; the stages share one pool of that many workers when there are
-    more than 64 sequences."""
+    """Run the whole chain for Gr(3,n), verify included; raises ValueError
+    for a sequence of another n, and RuntimeError, naming the sequence, on
+    a bug or on a sequence that breaks an invariant, before the orbit stage.
+    ``jobs`` is at least 1, else ValueError, and at most the CPU count,
+    which is its default; the stages share one pool of that many workers
+    when there are more than 64 sequences."""
     cpus = os.cpu_count() or 1
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -328,16 +325,14 @@ def run_pipeline(
         orbit_reports = compute_orbits(labels_by_fingerprint, n)
         timings["orbits"] = time.perf_counter() - start
 
-        verify = None
-        if not skip_verify:
-            start = time.perf_counter()
-            verify = verify_fingerprints(
-                [decode(fp, n) for fp in labels_by_fingerprint],
-                n,
-                [r.member_ids for r in orbit_reports],
-                mapper,
-            )
-            timings["verify"] = time.perf_counter() - start
+        start = time.perf_counter()
+        verify = verify_fingerprints(
+            [decode(fp, n) for fp in labels_by_fingerprint],
+            n,
+            [r.member_ids for r in orbit_reports],
+            mapper,
+        )
+        timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
         n=n,
@@ -358,7 +353,7 @@ def run_pipeline(
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
             # one per orbit: the entries verify computed, not the ones it copied
-            "verify_entries": 0 if verify is None else len(orbit_reports),
+            "verify_entries": len(orbit_reports),
         },
     )
 
@@ -395,9 +390,9 @@ def _label_filename(label: Label) -> str:
 
 
 def _inputs_sha256(result: PipelineResult, command: str) -> str:
-    """Hash of what determines the outputs: n, the command, the sequences in
-    run order and whether verify ran (the worker count does not matter)."""
-    settings = {"n": result.n, "command": command, "verify": result.verify is not None}
+    """Hash of what determines the outputs: n, the command and the sequences
+    in run order (the worker count does not matter)."""
+    settings = {"n": result.n, "command": command}
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
     for outcome in result.outcomes:
         digest.update(f"\n{outcome.serialized}".encode())
@@ -416,7 +411,7 @@ def _output_entry(path: str, outdir: str) -> dict:
 
 def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline") -> str:
     """Write matrices/, weights.json, fingerprints.json, orbits.json,
-    verify.json (unless skipped) and a manifest; returns the manifest path."""
+    orbits.csv, verify.json and a manifest; returns the manifest path."""
     os.makedirs(outdir, exist_ok=True)
     matrices_dir = os.path.join(outdir, "matrices")
     os.makedirs(matrices_dir, exist_ok=True)
@@ -490,10 +485,9 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             fh.write(f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n")
     written.append(path)
 
-    if result.verify is not None:
-        path = os.path.join(outdir, "verify.json")
-        dump_json(path, result.verify)
-        written.append(path)
+    path = os.path.join(outdir, "verify.json")
+    dump_json(path, result.verify)
+    written.append(path)
 
     manifest = {
         "command": command,

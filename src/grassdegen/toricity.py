@@ -5,7 +5,18 @@ the degree-2 and degree-3 graded pieces of the generated ideal must match
 those of the full quadratic relation ideal (computed as exact Macaulay-matrix
 ranks), and the lattice spanned by the exponent differences of the
 generators must be saturated (all Smith invariant factors equal to 1), which
-is necessary for the corresponding lattice ideal to be prime.
+is necessary for the corresponding lattice ideal to be prime.  A third
+check asks whether a variable rescaling p_i -> (-1)^{x_i} p_i turns every
+generator into a pure difference m_a - m_b, a lattice binomial.
+
+It maps a generator m_a + s m_b to (-1)^{a.x} (m_a + s (-1)^{(a-b).x} m_b),
+a pure difference exactly when (a - b).x = (1 + s)/2 mod 2.  So a rescaling
+exists exactly when the GF(2) system A x = r, one row a - b and one entry
+(1 + s)/2 per generator, is consistent.  By Rouche-Capelli it is consistent
+exactly when rank A = rank [A | r] over GF(2): appending r raises the rank
+exactly when r lies outside the column space of A.  ``lattice_saturation``
+packs each row of A mod 2 above bit 0, puts its entry of r in bit 0 and
+compares the two ``rank_mod2`` values.
 
 The reference ranks, ``plucker_rank``, are computed one block per S_n-orbit
 of contents.  Grade S = Q[p_T] by content, deg p_T = sum_{i in T} e_i in
@@ -43,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 
-from .exactlinalg import exact_rank, smith_invariant_factors
+from .exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from .initial_forms import Binomial
 from .plucker import Relation, all_relations, all_triples
 
@@ -127,50 +138,19 @@ def plucker_rank(degree: int, n: int) -> int:
 @dataclass(frozen=True)
 class LatticeCertificate:
     invariant_factors: tuple[int, ...]
-    non_pure_generators: tuple[Binomial, ...]
+    pure_difference: bool
 
     @property
     def saturated(self) -> bool:
         return all(f == 1 for f in self.invariant_factors)
 
-    @property
-    def pure_difference(self) -> bool:
-        return not self.non_pure_generators
-
-
-def _sign_normalizable(rows, signs):
-    """Offending rows of the GF(2) system asking for a +-1 variable rescaling
-    that turns every generator into a pure difference.
-
-    Generator p^a + s p^b becomes pure under p_i -> (-1)^{x_i} p_i iff
-    (a - b).x = (1 - s)/2 mod 2; the system is consistent exactly when the
-    coefficient signs form a character of the difference lattice.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    offenders = []
-    for index, (row, sign) in enumerate(zip(rows, signs)):
-        vec = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                vec |= 1 << j
-        rhs = 1 if sign == 1 else 0
-        for j, (pvec, prhs) in pivots.items():
-            if vec >> j & 1:
-                vec ^= pvec
-                rhs ^= prhs
-        if vec:
-            pivots[vec.bit_length() - 1] = (vec, rhs)
-        elif rhs:
-            offenders.append(index)
-    return offenders
-
 
 def lattice_saturation(fp: tuple[Binomial, ...]) -> LatticeCertificate:
     """Smith-form saturation certificate for a fingerprint's lattice.
 
-    Every generator contributes its exponent-difference row.  A generator
-    whose trailing sign stays + under the best global variable rescaling is
-    not expressible as a lattice binomial; it is reported, not fatal.
+    Every generator contributes its exponent-difference row.  A set whose
+    signs no rescaling turns into pure differences (module docstring) has
+    ``pure_difference`` false; it is reported, not fatal.
     """
     columns = sorted({v for lead, trail, _ in fp for v in (*lead, *trail)})
     position = {v: i for i, v in enumerate(columns)}
@@ -181,8 +161,9 @@ def lattice_saturation(fp: tuple[Binomial, ...]) -> LatticeCertificate:
             row[position[v]] += 1
         for v in trail:
             row[position[v]] -= 1
-        basis.append(tuple(row))
-    offenders = _sign_normalizable(basis, [gen[2] for gen in fp])
-    non_pure = tuple(fp[i] for i in offenders)
-    factors = smith_invariant_factors([list(r) for r in basis]) if basis else []
-    return LatticeCertificate(tuple(factors), non_pure)
+        basis.append(row)
+    # column j in bit j + 1, the right-hand side (1 + s)/2 in bit 0
+    packed = [sum((v & 1) << (j + 1) for j, v in enumerate(row)) for row in basis]
+    augmented = [bits | (sign == 1) for bits, (_, _, sign) in zip(packed, fp)]
+    factors = tuple(smith_invariant_factors(basis))
+    return LatticeCertificate(factors, rank_mod2(packed) == rank_mod2(augmented))

@@ -18,7 +18,7 @@ as two dicts, one per value, built on first use and cached.
 multi-index through it, appending the charged triad to its row.  The domain
 covers every state: before level t every index is at most n - t, because
 the top index is always traded for one in [n-t-1].  The descent ends at
-{1,2,3}, which is asserted for every row.
+{1,2,3}; a row whose descent ends elsewhere raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -61,13 +61,15 @@ def _transitions(top: int, triple: tuple[int, int, int]) -> tuple[dict, dict]:
 def valuation_rows(seq: IteratedSequence, triples) -> tuple[Vector, ...]:
     """Greedy descent valuations of the Pluecker coordinates p_K, one row
     per increasing triple K, level by level."""
-    states = list(triples)
+    triples = states = list(triples)
     rows = [()] * len(states)
     for t, triple in enumerate(seq.triples):
         charge, step = _transitions(seq.n - t, triple)
         rows = list(map(add, rows, map(charge.__getitem__, states)))
         states = list(map(step.__getitem__, states))
-    assert all(state == (1, 2, 3) for state in states)
+    if states.count((1, 2, 3)) != len(states):
+        K, state = next((K, s) for K, s in zip(triples, states) if s != (1, 2, 3))
+        raise RuntimeError(f"the descent of p_{K} ends at {state}, not at (1, 2, 3)")
     return tuple(rows)
 
 

@@ -6,6 +6,8 @@ import sys
 import jsonschema
 import pytest
 
+from grassdegen.toricity import plucker_rank
+
 from oracles import EXPECTED_DIR
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
@@ -95,8 +97,7 @@ def test_bad_jobs_is_usage_error(tmp_path):
 def test_pipeline_single_sequence(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(
-        "pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]",
-        "--skip-verify", "--out", str(out),
+        "pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "sequences=1 ideals=1 orbits=[1]"
@@ -127,7 +128,7 @@ def test_pipeline_refuses_a_nonempty_out(tmp_path):
     assert run_cli("pipeline", "-n", "5", "--out", str(out)).returncode == 0
     before = _tree_bytes(out)
     proc = run_cli(
-        "pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--skip-verify", "--out", str(out)
+        "pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--out", str(out)
     )
     assert proc.returncode == 2
     assert f"--out {out} exists and is not an empty directory" in proc.stderr
@@ -222,12 +223,12 @@ def test_solve_cone_empty_matrix_is_usage_error(tmp_path):
 
 
 def test_verify_from_fingerprints_file(tmp_path):
+    """``verify --fingerprints`` computes every entry of the file; the
+    pipeline computes one per orbit and copies it to the other members.
+    Both write the same bytes."""
     out = tmp_path / "run"
-    proc = run_cli(
-        "pipeline", "-n", "5", "--skip-verify", "--out", str(out)
-    )
-    assert proc.returncode == 0
-    assert not (out / "verify.json").exists()
+    proc = run_cli("pipeline", "-n", "5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
     proc = run_cli(
         "verify", "--fingerprints", str(out / "fingerprints.json"),
         "-o", str(tmp_path / "verify.json"),
@@ -238,6 +239,7 @@ def test_verify_from_fingerprints_file(tmp_path):
     jsonschema.validate(payload, schema)
     assert payload["plucker"] == {"rank2": 5, "rank3": 45}
     assert all(f["rank2"] == 5 and f["rank3"] == 45 for f in payload["fingerprints"])
+    assert (out / "verify.json").read_bytes() == (tmp_path / "verify.json").read_bytes()
 
 
 GOOD_GENERATOR = {"lead": ["123", "145"], "trail": ["124", "135"], "sign": -1}
@@ -399,12 +401,13 @@ def test_pipeline_n8_without_seq_is_usage_error(tmp_path):
 def test_pipeline_n8_with_seq_runs(tmp_path):
     out = tmp_path / "p8"
     proc = run_cli(
-        "pipeline", "-n", "8", "--seq", "8:[1,2,3|1,2,3|1,2,3|1,2,3|1,2,3]",
-        "--skip-verify", "--out", str(out),
+        "pipeline", "-n", "8", "--seq", "8:[1,2,3|1,2,3|1,2,3|1,2,3|1,2,3]", "--out", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "sequences=1 ideals=1 orbits=[1]"
     assert load_json(out / "weights.json")["n"] == 8
+    (entry,) = load_json(out / "verify.json")["fingerprints"]
+    assert (entry["rank2"], entry["rank3"]) == (plucker_rank(2, 8), plucker_rank(3, 8))
 
 
 def test_jobs_flag(tmp_path):
@@ -457,7 +460,7 @@ def test_an_n6_orbit_of_no_class_exits_1(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     commands = [
         ["orbit-of", "(1,2;1,2)"],
-        ["pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]", "--skip-verify", "--out", str(out)],
+        ["pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]", "--out", str(out)],
     ]
     classify.classify_gr36.cache_clear()
     classify._class_seeds.cache_clear()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -83,12 +84,13 @@ def test_n5_outputs_match_the_recorded_hashes(result_n5, tmp_path):
 
 def test_single_sequence_mode():
     seq = IteratedSequence.parse("6:[1,2,3|1,2,3|1,2,3]")
-    result = run_pipeline(6, jobs=1, sequences=[seq], skip_verify=True)
+    result = run_pipeline(6, jobs=1, sequences=[seq])
     assert len(result.outcomes) == 1
     assert len(result.fingerprints) == 1
     fp = result.fingerprints[0]
     assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in decode(fp, 6)
-    assert result.verify is None
+    (entry,) = result.verify["fingerprints"]
+    assert entry == {"id": 0, "rank2": 35, "rank3": 560, "snf_ok": True, "pure_difference": True}
 
 
 def test_outputs_are_deterministic_and_schema_valid(tmp_path):
@@ -114,7 +116,7 @@ def test_fast_path_matches_reference_fingerprints():
     from grassdegen.sequences import enumerate_sequences
 
     sample = list(enumerate_sequences(6))[::1517]
-    result = run_pipeline(6, jobs=1, sequences=sample, skip_verify=True)
+    result = run_pipeline(6, jobs=1, sequences=sample)
     for outcome in result.outcomes:
         seq = IteratedSequence.parse(outcome.serialized)
         assert decode(outcome.fingerprint, 6) == brute_force_fingerprint(seq)
@@ -143,7 +145,7 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
     if sequences is not None:
         sequences = [IteratedSequence.parse(s) for s in sequences]
     n = sequences[0].n if sequences else 5
-    result = run_pipeline(n, jobs=jobs, sequences=sequences, skip_verify=True)
+    result = run_pipeline(n, jobs=jobs, sequences=sequences)
     write_outputs(result, str(tmp_path))
     payload = load_json(tmp_path / "weights.json")
 
@@ -176,14 +178,14 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
         return manifest["counters"]["lp_solves"]
 
     one = [IteratedSequence.parse("5:[2,1,3|1,2,3]")]
-    assert lp_solves(run_pipeline(5, jobs=1, sequences=one, skip_verify=True), "seq") == 1
+    assert lp_solves(run_pipeline(5, jobs=1, sequences=one), "seq") == 1
     assert len(calls) == 1
     del calls[:]
     del calls[:]
     # one LP per label, however the sweep is chunked
-    assert lp_solves(run_pipeline(5, jobs=1, skip_verify=True), "n5") == 12
+    assert lp_solves(run_pipeline(5, jobs=1), "n5") == 12
     assert len(calls) == 12
-    assert lp_solves(run_pipeline(5, jobs=2, skip_verify=True), "n5-jobs2") == 12
+    assert lp_solves(run_pipeline(5, jobs=2), "n5-jobs2") == 12
 
 
 class CountingPool:
@@ -223,7 +225,7 @@ def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
     built = []
     monkeypatch.setattr(pipeline, "Pool", CountingPool(built))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    run_pipeline(5, jobs=10_000, skip_verify=True)
+    run_pipeline(5, jobs=10_000)
     assert built == [3]
 
 
@@ -256,14 +258,14 @@ def test_manifest_records_the_largest_written_lp_entry(result_n5, tmp_path):
 def test_single_sequence_run_names_the_full_run_class(label, name):
     assert classify_gr36()[label].name == name
     result = run_pipeline(
-        6, jobs=1, sequences=[representative_sequence(label, 6)], skip_verify=True
+        6, jobs=1, sequences=[representative_sequence(label, 6)]
     )
     (report,) = result.orbit_reports
     assert report.name == name
 
 
 def test_manifest_inputs_hash(result_n5, tmp_path):
-    """The inputs hash follows the sequences and the verify stage, not the
+    """The inputs hash covers n, the command and the sequences, not the
     worker count."""
 
     def inputs_sha256(result, name):
@@ -273,8 +275,11 @@ def test_manifest_inputs_hash(result_n5, tmp_path):
     full = inputs_sha256(result_n5, "full")
     one = [IteratedSequence.parse("5:[1,2,3|1,2,3]")]
     assert inputs_sha256(run_pipeline(5, jobs=1, sequences=one), "one") != full
-    assert inputs_sha256(run_pipeline(5, jobs=1, skip_verify=True), "skip") != full
     assert inputs_sha256(run_pipeline(5, jobs=2), "jobs2") == full
+    digest = hashlib.sha256(b'{"command": "pipeline", "n": 5}')
+    for outcome in result_n5.outcomes:
+        digest.update(f"\n{outcome.serialized}".encode())
+    assert full == digest.hexdigest()
 
 
 def direct_entry(fp_id, fp, n) -> dict:
@@ -325,11 +330,9 @@ def test_fingerprint_labels_equal_the_sweep_map(result_n5):
 
 
 def test_manifest_counts_computed_verify_entries(result_n5, tmp_path):
-    skipped = run_pipeline(5, jobs=1, skip_verify=True)
-    for result, name, entries in [(result_n5, "n5", 1), (skipped, "skip", 0)]:
-        manifest = load_json(write_outputs(result, str(tmp_path / name)))
-        jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-        assert manifest["counters"]["verify_entries"] == entries
+    manifest = load_json(write_outputs(result_n5, str(tmp_path)))
+    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+    assert manifest["counters"]["verify_entries"] == 1
 
 
 def test_verify_json_is_written_when_verify_ran_on_no_ideals(tmp_path):
@@ -356,7 +359,7 @@ def test_sweep_failure_names_its_sequence(monkeypatch):
     monkeypatch.setattr(pipeline, "strict_interior_point", broken)
     seq = IteratedSequence.parse("5:[2,1,3|1,2,3]")
     with pytest.raises(RuntimeError, match=r"sequence 5:\[2,1,3\|1,2,3\]: solver exploded") as info:
-        run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
+        run_pipeline(5, jobs=1, sequences=[seq])
     assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -368,7 +371,7 @@ def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeyp
     monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
     serialized = "5:[2,1,3|1,2,3]"
     out = tmp_path / "out"
-    code = main(["pipeline", "-n", "5", "--seq", serialized, "--skip-verify", "--out", str(out)])
+    code = main(["pipeline", "-n", "5", "--seq", serialized, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert f"sequence {serialized}: weighting matrix has rank 5, below 3(n-3)" in err
@@ -441,7 +444,7 @@ def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
     with pytest.raises(
         RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: valuation row \(2, .* is not a 0/1 vector"
     ):
-        run_pipeline(5, jobs=1, sequences=[seq], skip_verify=True)
+        run_pipeline(5, jobs=1, sequences=[seq])
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -535,7 +538,7 @@ def test_manifest_counts_ideal_selections(tmp_path):
     """One selection per group at n = 5 for every worker count: a chunk's
     size is a multiple of 6, so no chunk splits a group."""
     for jobs in (1, 2):
-        result = run_pipeline(5, jobs=jobs, skip_verify=True)
+        result = run_pipeline(5, jobs=jobs)
         manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
         assert manifest["counters"]["ideal_selections"] == 24
@@ -603,4 +606,4 @@ def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(
     with pytest.raises(
         RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: weighting matrix has rank 5, below"
     ):
-        run_pipeline(5, jobs=1, skip_verify=True)
+        run_pipeline(5, jobs=1)

