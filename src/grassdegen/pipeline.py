@@ -15,11 +15,16 @@ one group, whose first sequence is its head.  The head runs the kernel: its
 weighting matrix, the 0/1 check, the selection and the binomial check, and
 the rank check on the same digit strings.  A later member takes the head's
 fingerprint and rank-fallback bit when the head's selection is decided
-above the base (``initial_forms``) and the base level's table of the member,
-``valuation._transitions(4, base)``, is the head's with the charged
-positions permuted by one sigma on all four states and with the same next
-states (``_permutes_base``, which holds for all 36 pairs of base triples).
-Every other member runs the kernel itself.  The reuse is sound:
+above the base (``initial_forms``); every other member runs the kernel
+itself.  Head and member differ only in the base level, top index 4, whose
+table ``valuation._transitions(4, base)`` is the head's with the charged
+positions permuted by one sigma and with the same next states, for every
+pair of base triples.  The state (1,2,3) charges nothing and stays; each
+other state holds 4 and lacks exactly one k in {1,2,3}, trades 4 for k,
+charges k's position in the base triple and steps to (1,2,3).  So sigma
+sends each position of the member's base triple to the position of the
+same index in the head's.  ``tests/test_pipeline.py`` checks all 36 pairs.
+The reuse is sound:
 
 * Equal levels give equal prefix rows and equal states entering the base
   level, because the descent runs level-major and each step depends only on
@@ -68,7 +73,6 @@ singletons and computes every entry.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import time
@@ -77,7 +81,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
-from . import __version__, valuation
+from . import __version__
 from .classify import compute_orbits, OrbitReport
 from .cone import strict_interior_point, weight_vector
 from .exactlinalg import exact_rank, rank_mod2
@@ -89,7 +93,7 @@ from .initial_forms import (
     initial_ideal,
     row_digits,
 )
-from .plucker import Triple, all_triples, triple_key
+from .plucker import all_triples, triple_key
 from .sequences import (
     IteratedSequence,
     Label,
@@ -157,19 +161,6 @@ def _check_rank(digits: list[bytes], full: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _permutes_base(head: Triple, base: Triple) -> bool:
-    """Whether the base level's table of ``base`` is the table of ``head``
-    with the charged positions permuted by one sigma on every state, and
-    with the same next states."""
-    charge, step = valuation._transitions(4, head)
-    other_charge, other_step = valuation._transitions(4, base)
-    return other_step == step and any(
-        other_charge == {state: tuple(v[i] for i in sigma) for state, v in charge.items()}
-        for sigma in itertools.permutations(range(3))
-    )
-
-
 def _select(seq: IteratedSequence) -> tuple[Fingerprint, bool, bool]:
     """The kernel of one sequence: its fingerprint, whether its selection
     is decided above the base, and whether its rank check needed
@@ -206,10 +197,10 @@ def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int, int]:
         try:
             seq = IteratedSequence.parse(serialized)
             if seq.levels != levels:  # seq heads a new group
-                levels, base = seq.levels, seq.base_perm
+                levels = seq.levels
                 fp, decided, fallback = head = _select(seq)
                 selections += 1
-            elif decided and _permutes_base(base, seq.base_perm):
+            elif decided:
                 fp, _, fallback = head
             else:
                 fp, _, fallback = _select(seq)
@@ -255,8 +246,8 @@ def verify_fingerprints(
     fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]], mapper=map
 ) -> dict:
     """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
-    relation ideal (``toricity.plucker_rank``, one block per S_n-orbit of
-    contents), and the entry of each decoded fingerprint, with ids
+    relation ideal (``toricity.plucker_rank``, from the count of standard
+    monomials), and the entry of each decoded fingerprint, with ids
     numbering them in order.  ``orbits`` partitions the ids, else
     ValueError; the entry of an orbit's first member is computed and copied
     to its other members, which the module docstring shows sound for orbits

@@ -1,9 +1,9 @@
 """Flatness and toricity evidence for binomial initial ideals.
 
 Two necessary conditions are checked for each fingerprint: the dimensions of
-the degree-2 and degree-3 graded pieces of the generated ideal must match
-those of the full quadratic relation ideal (computed as exact Macaulay-matrix
-ranks), and the lattice spanned by the exponent differences of the
+the degree-2 and degree-3 graded pieces of the generated ideal, exact
+Macaulay-matrix ranks, must match those of the full quadratic relation
+ideal, and the lattice spanned by the exponent differences of the
 generators must be saturated (all Smith invariant factors equal to 1), which
 is necessary for the corresponding lattice ideal to be prime.  A third
 check asks whether a variable rescaling p_i -> (-1)^{x_i} p_i turns every
@@ -18,45 +18,27 @@ exactly when r lies outside the column space of A.  ``lattice_saturation``
 packs each row of A mod 2 above bit 0, puts its entry of r in bit 0 and
 compares the two ``rank_mod2`` values.
 
-The reference ranks, ``plucker_rank``, are computed one block per S_n-orbit
-of contents.  Grade S = Q[p_T] by content, deg p_T = sum_{i in T} e_i in
-Z^n.  Let Q be the ideal the quadratic relations generate and Q_d its
-degree-d piece, spanned by the Macaulay rows relation * monomial.
-
-* Every relation is content-homogeneous: its terms p_{I+j} p_{J-j} all have
-  content e_I + e_J.  So every Macaulay row is, and the degree-d matrix is
-  block-diagonal over the contents c in Z^n with |c| = 3d.  The rows of
-  block c span Q_{d,c}, and rank = sum over c of dim Q_{d,c}.
-* The signed column action of sigma in S_n, p_T -> +-p_{sigma(T)} (the
-  action of the permutation matrix on the Pluecker vector), is a graded ring
-  automorphism phi that maps the span of the relations, I_2, onto itself:
-  I_2 is the degree-2 piece of the Pluecker ideal, which the action
-  preserves (Sturmfels, Algorithms in Invariant Theory, 1993, ch. 3).  So
-  phi(Q_d) = phi(I_2) phi(S_{d-2}) = Q_d.  phi maps S_{d,c} onto
-  S_{d,sigma c}, so it maps Q_{d,c} isomorphically onto Q_{d,sigma c}.
-* Hence dim Q_{d,c} is constant on the orbit O of c, and the rank is the
-  sum over orbits O of |O| times the rank of the block of one member.  The
-  sorted vector of c names its orbit and is a member; |O| is the multinomial
-  n! / prod_k m_k!, where m_k counts the entries of c equal to k.  A block
-  with a row has positive rank, so every member of its orbit has rows too.
-* Every content of degree 3 is r + e_T for a relation content r and a
-  triple T, and sigma(r + e_T) = sigma(r) + e_{sigma(T)}.  So the orbits of
-  degree 3 are the orbits of r + e_T over the sorted relation contents r and
-  every triple T.
-
-``tests/oracles.py`` builds the full Macaulay matrix and compares.
+The reference ranks, ``plucker_rank``, are classical.  The quadratic
+relations span the degree-2 piece of the Pluecker ideal I, which they
+generate, so the degree-d piece of the ideal they generate is I_d.  The
+degree-d piece of the coordinate ring S/I has a basis of standard
+monomials, one per semistandard tableau of shape (d,d,d) with entries in
+[n] (Hodge; Sturmfels, Algorithms in Invariant Theory, 1993, ch. 3).  So
+dim I_d = C(N + d - 1, d) - SSYT(d, n), with N = C(n, 3) variables, and the
+hook-content formula counts the tableaux (Stanley, Enumerative
+Combinatorics 2, section 7.21).  ``tests/test_toricity.py`` compares the result
+with the rank of the full Macaulay matrix, ``oracles.plucker_macaulay_rank``,
+and with an enumeration of the tableaux, ``oracles.ssyt_count``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import add, sub
 
 from .exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from .initial_forms import Binomial
-from .plucker import Relation, all_relations, all_triples
+from .plucker import Relation, all_triples
 
 Form = dict  # degree-2 monomial (pair of variable triples) -> int coefficient
 
@@ -97,42 +79,24 @@ def graded_rank(generators, degree: int, n: int) -> int:
     return exact_rank(rows)
 
 
-def _content(triples, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for triple in triples:
-        for i in triple:
-            counts[i - 1] += 1
-    return tuple(counts)
-
-
-def _orbit_size(content: tuple[int, ...]) -> int:
-    size = math.factorial(len(content))
-    for multiplicity in Counter(content).values():
-        size //= math.factorial(multiplicity)
-    return size
+def _tableaux(d: int, n: int) -> int:
+    """Semistandard tableaux of shape (d,d,d) with entries in [n], by the
+    hook-content formula: prod (n + j - i) / prod hook(i, j) over the cells.
+    The two products are divided once: a running quotient cell by cell
+    need not be an integer."""
+    cells = [(i, j) for i in range(3) for j in range(d)]
+    contents = math.prod(n + j - i for i, j in cells)
+    hooks = math.prod((d - j) + (2 - i) for i, j in cells)
+    return contents // hooks
 
 
 def plucker_rank(degree: int, n: int) -> int:
     """dim of the degree-d piece of the ideal of the quadratic Pluecker
-    relations of Gr(3,n), d = 2 or 3: the rank of one Macaulay block per
-    S_n-orbit of contents, times the orbit's size (module docstring)."""
+    relations of Gr(3,n), d = 2 or 3: the degree-d monomials less the
+    standard ones (module docstring)."""
     if degree not in (2, 3):
         raise Unsupported(f"degree must be 2 or 3, got {degree}")
-    by_content: dict[tuple[int, ...], list[Form]] = {}
-    for relation in all_relations(n):
-        form = relation_form(relation)
-        by_content.setdefault(_content(next(iter(form)), n), []).append(form)
-    orbits = {tuple(sorted(r, reverse=True)) for r in by_content}
-    if degree == 2:
-        return sum(_orbit_size(c) * exact_rank(by_content[c]) for c in orbits)
-    units = [(v, _content((v,), n)) for v in all_triples(n)]
-    total = 0
-    for c in {tuple(sorted(map(add, r, e), reverse=True)) for r in orbits for _, e in units}:
-        rows = [
-            _times(form, v) for v, e in units for form in by_content.get(tuple(map(sub, c, e)), ())
-        ]
-        total += _orbit_size(c) * exact_rank(rows)
-    return total
+    return math.comb(math.comb(n, 3) + degree - 1, degree) - _tableaux(degree, n)
 
 
 @dataclass(frozen=True)

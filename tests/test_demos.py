@@ -1,8 +1,5 @@
 """Each demo script runs to completion, in development mode with every
 warning an error (the suite's ``filterwarnings`` does not reach a subprocess).
-
-Demo 04 is left out: it sweeps all 8640 Gr(3,6) sequences, about 18 s on two
-cores, and the same run is covered by the acceptance suite.
 """
 
 import os
@@ -20,6 +17,7 @@ DEMO_DIR = os.path.join(os.path.dirname(__file__), "..", "demos")
         "01_plucker_relations.py",
         "02_valuations.py",
         "03_initial_forms_and_cone.py",
+        "04_classification.py",
         "05_toricity_evidence.py",
     ],
 )

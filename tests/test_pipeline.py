@@ -547,62 +547,51 @@ def test_manifest_counts_ideal_selections(tmp_path):
     assert [len(c) for c in pipeline._chunked(list(range(8640)), 16)] == [540] * 16
 
 
-@pytest.fixture
-def fresh_base_pairs():
-    """Forget the cached base-triple pairs, before and after the test."""
-    pipeline._permutes_base.cache_clear()
-    yield
-    pipeline._permutes_base.cache_clear()
-
-
-def test_every_pair_of_base_triples_has_its_sigma(fresh_base_pairs):
+def test_every_pair_of_base_triples_has_its_sigma():
+    """The base level's tables agree up to the sigma that sends each
+    position of one base triple to the position of the same index in the
+    other, with the same next states, all of them (1,2,3)."""
     bases = list(itertools.permutations((1, 2, 3)))
-    assert all(pipeline._permutes_base(a, b) for a in bases for b in bases)
+    for head in bases:
+        charge, step = valuation._transitions(4, head)
+        assert set(step.values()) == {(1, 2, 3)}
+        for base in bases:
+            other_charge, other_step = valuation._transitions(4, base)
+            sigma = [head.index(k) for k in base]
+            assert other_step == step
+            assert other_charge == {s: tuple(v[i] for i in sigma) for s, v in charge.items()}
 
 
-def patch_base_table(monkeypatch, base, state, charge):
-    """Make the base level of ``base`` charge ``charge`` at ``state``."""
-    real = valuation._transitions
-
-    def patched(top, triple):
-        charges, step = real(top, triple)
-        if (top, triple) == (4, base):
-            charges = {**charges, state: charge}
-        return charges, step
-
-    monkeypatch.setattr(valuation, "_transitions", patched)
+def undecide_heads(monkeypatch):
+    """Make every selection undecided above the base, so that no member
+    reuses its head's."""
+    real = pipeline.initial_ideal
+    monkeypatch.setattr(pipeline, "initial_ideal", lambda digits, n: (real(digits, n)[0], False))
 
 
-def test_a_member_whose_base_table_is_no_permutation_runs_the_kernel(
-    monkeypatch, fresh_base_pairs
-):
-    """(1,3,4) charging (1,1,0) under base (2,1,3) relates its table to no
-    other by a sigma; the rows stay 0/1 and of full rank."""
-    patch_base_table(monkeypatch, (2, 1, 3), (1, 3, 4), (1, 1, 0))
-    ran = []
-    real_select = pipeline._select
-
-    def recorded(seq):
-        ran.append(seq.serialize())
-        return real_select(seq)
-
-    monkeypatch.setattr(pipeline, "_select", recorded)
+def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
+    undecide_heads(monkeypatch)
     from grassdegen.sequences import enumerate_sequences
 
     serialized = [s.serialize() for s in enumerate_sequences(5)]
     outcomes, _, selections = pipeline._sweep_chunk(serialized)
-    # each group's head has base (1,2,3); only the patched members join it
-    assert ran == [s for s in serialized if s.endswith(("|1,2,3]", "|2,1,3]"))]
-    assert selections == len(ran) == 48
+    assert selections == len(serialized) == 144
     for o in outcomes:
         assert o.fingerprint == fingerprint(IteratedSequence.parse(o.serialized))
 
 
-def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(
-    monkeypatch, fresh_base_pairs
-):
-    # (1,2,4) alone charges the third base column under base (2,1,3)
-    patch_base_table(monkeypatch, (2, 1, 3), (1, 2, 4), (0, 0, 0))
+def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(monkeypatch):
+    undecide_heads(monkeypatch)
+    # (1,2,4) charging nothing under base (2,1,3) leaves the third base column empty
+    real = valuation._transitions
+
+    def patched(top, triple):
+        charges, step = real(top, triple)
+        if (top, triple) == (4, (2, 1, 3)):
+            charges = {**charges, (1, 2, 4): (0, 0, 0)}
+        return charges, step
+
+    monkeypatch.setattr(valuation, "_transitions", patched)
     with pytest.raises(
         RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: weighting matrix has rank 5, below"
     ):
