@@ -123,6 +123,7 @@ class PipelineResult:
     # keys sorted, which is the id order of fingerprints.json; labels sorted
     labels_by_fingerprint: dict[Fingerprint, tuple[Label, ...]]
     label_weights: dict[Label, tuple[str, tuple[int, ...], tuple[int, ...]]]
+    matrices: dict[Label, str]  # the weighting-matrix CSV of each label's LP sequence
     orbit_reports: list[OrbitReport]
     verify: dict  # the verify.json document
     timings: dict[str, float]
@@ -213,13 +214,14 @@ def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int, int]:
     return outcomes, fallbacks, selections
 
 
-def _label_point(serialized: str) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """The LP point e of one sequence's cone and its weight vector e.M."""
+def _label_point(serialized: str):
+    """The LP point e of one sequence's cone with its weight vector e.M, as
+    ``(serialized, e, e.M)``, the CSV of M and the pivots the LP took."""
     try:
         seq = IteratedSequence.parse(serialized)
         matrix = weighting_matrix(seq)
         e = strict_interior_point(inequality_set(seq, matrix), 3 * (seq.n - 3))
-        return serialized, e, weight_vector(e, matrix.rows)
+        return (serialized, tuple(e), weight_vector(e, matrix.rows)), matrix.to_csv(), e.pivots
     except Exception as exc:
         raise RuntimeError(f"sequence {serialized}: {exc}") from exc
 
@@ -309,7 +311,9 @@ def run_pipeline(
         timings["sweep"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        label_weights = dict(zip(first, mapper(_label_point, first.values())))
+        points = list(mapper(_label_point, first.values()))
+        label_weights = {label: point for label, (point, _, _) in zip(first, points)}
+        matrices = {label: csv for label, (_, csv, _) in zip(first, points)}
         timings["lp"] = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -330,11 +334,14 @@ def run_pipeline(
         outcomes=outcomes,
         labels_by_fingerprint=labels_by_fingerprint,
         label_weights=label_weights,
+        matrices=matrices,
         orbit_reports=orbit_reports,
         verify=verify,
         timings=timings,
         counters={
             "lp_solves": len(label_weights),
+            # simplex pivots over all LPs of the LP stage
+            "lp_pivots": sum(pivots for _, _, pivots in points),
             # swept sequences whose rank mod 2 was short, so that exact_rank ran
             "rank_fallbacks": sum(fallbacks for _, fallbacks, _ in swept),
             # swept sequences whose selection ran: group heads and the
@@ -368,10 +375,83 @@ def generator_to_json(gen, n: int) -> dict:
     }
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def dump_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload))
+
+
+def _nested(payload, level: int) -> str:
+    """The text of ``payload`` as ``_json_text`` writes it when the payload
+    is nested ``level`` containers deep."""
+    return json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _container(items, level: int, brackets: str = "[]"):
+    """Yield the text of a list, or with brackets "{}" of a dict, nested
+    ``level`` containers deep, as ``_json_text`` writes it: ``items`` are
+    the rendered items, for a dict '"key": value' in sorted key order."""
+    pad = "\n" + "  " * (level + 1)
+    opening = brackets[0]
+    for item in items:
+        yield opening + pad + item
+        opening = ","
+    yield brackets if opening == brackets[0] else "\n" + "  " * level + brackets[1]
+
+
+def _joined(items, level: int, brackets: str = "[]") -> str:
+    return "".join(_container(items, level, brackets))
+
+
+def _weights_text(result: PipelineResult):
+    """weights.json as ``_json_text`` writes its payload, one label at a
+    time."""
+    keys = list(map(triple_key, all_triples(result.n)))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    quoted = [json.dumps(k) for k in keys]
+
+    def entries():
+        for name, (_, e, w) in sorted(
+            (format_label(label), point) for label, point in result.label_weights.items()
+        ):
+            fields = (
+                f'"e": {_joined(map(str, e), 3)}',
+                f'"w": {_joined((f"{quoted[i]}: {w[i]}" for i in order), 3, "{}")}',
+            )
+            yield f"{json.dumps(name)}: {_joined(fields, 2, '{}')}"
+
+    yield '{\n  "labels": '
+    yield from _container(entries(), 1, "{}")
+    yield f',\n  "n": {result.n}\n}}\n'
+
+
+def _fingerprints_text(result: PipelineResult):
+    """fingerprints.json as ``_json_text`` writes its payload, one ideal at
+    a time; each binomial's text is rendered once."""
+    n = result.n
+    rendered: dict[int, str] = {}  # binomial id -> its text at depth 4
+
+    def generator(gid: int) -> str:
+        text = rendered.get(gid)
+        if text is None:
+            text = rendered[gid] = _nested(generator_to_json(decode((gid,), n)[0], n), 4)
+        return text
+
+    def entries():
+        for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items()):
+            fields = (
+                f'"generators": {_joined(map(generator, fp), 3)}',
+                f'"id": {fid}',
+                f'"labels": {_joined((json.dumps(format_label(l)) for l in labels), 3)}',
+            )
+            yield _joined(fields, 2, "{}")
+
+    yield f'{{\n  "count": {len(result.labels_by_fingerprint)},\n  "fingerprints": '
+    yield from _container(entries(), 1)
+    yield f',\n  "n": {n}\n}}\n'
 
 
 def _label_filename(label: Label) -> str:
@@ -390,60 +470,33 @@ def _inputs_sha256(result: PipelineResult, command: str) -> str:
     return digest.hexdigest()
 
 
-def _output_entry(path: str, outdir: str) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return {
-        "path": os.path.relpath(path, outdir),
-        "sha256": hashlib.sha256(data).hexdigest(),
-        "bytes": len(data),
-    }
+def _write(outdir: str, relpath: str, chunks) -> dict:
+    """Write the text chunks to ``relpath`` under ``outdir``; returns the
+    file's manifest entry, hashed from the bytes as they are written."""
+    digest = hashlib.sha256()
+    size = 0
+    with open(os.path.join(outdir, relpath), "wb") as fh:
+        for chunk in chunks:
+            data = chunk.encode()
+            fh.write(data)
+            digest.update(data)
+            size += len(data)
+    return {"path": relpath, "sha256": digest.hexdigest(), "bytes": size}
 
 
 def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline") -> str:
     """Write matrices/, weights.json, fingerprints.json, orbits.json,
-    orbits.csv, verify.json and a manifest; returns the manifest path."""
-    os.makedirs(outdir, exist_ok=True)
-    matrices_dir = os.path.join(outdir, "matrices")
-    os.makedirs(matrices_dir, exist_ok=True)
-
-    written = []
-
-    for label in sorted(result.label_weights):
-        witness = result.label_weights[label][0]
-        matrix = weighting_matrix(IteratedSequence.parse(witness))
-        path = os.path.join(matrices_dir, _label_filename(label))
-        with open(path, "w") as fh:
-            fh.write(matrix.to_csv())
-        written.append(path)
-
-    keys = list(map(triple_key, all_triples(result.n)))
-    weights_payload = {
-        "n": result.n,
-        "labels": {
-            format_label(label): {"e": list(e), "w": dict(zip(keys, w))}
-            for label, (_, e, w) in result.label_weights.items()
-        },
-    }
-    path = os.path.join(outdir, "weights.json")
-    dump_json(path, weights_payload)
-    written.append(path)
-
-    fingerprints_payload = {
-        "n": result.n,
-        "count": len(result.labels_by_fingerprint),
-        "fingerprints": [
-            {
-                "id": fid,
-                "labels": [format_label(l) for l in labels],
-                "generators": [generator_to_json(g, result.n) for g in decode(fp, result.n)],
-            }
-            for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
-        ],
-    }
-    path = os.path.join(outdir, "fingerprints.json")
-    dump_json(path, fingerprints_payload)
-    written.append(path)
+    orbits.csv, verify.json and a manifest; returns the manifest path.
+    The two large files are streamed: each is written as the text that
+    ``json.dump(payload, indent=2, sort_keys=True)`` gives, piece by piece,
+    without building its payload."""
+    os.makedirs(os.path.join(outdir, "matrices"), exist_ok=True)
+    outputs = [
+        _write(outdir, os.path.join("matrices", _label_filename(label)), [csv])
+        for label, csv in sorted(result.matrices.items())
+    ]
+    outputs.append(_write(outdir, "weights.json", _weights_text(result)))
+    outputs.append(_write(outdir, "fingerprints.json", _fingerprints_text(result)))
 
     orbits_payload = {
         "n": result.n,
@@ -464,21 +517,16 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
             for r in result.orbit_reports
         ],
     }
-    path = os.path.join(outdir, "orbits.json")
-    dump_json(path, orbits_payload)
-    written.append(path)
+    outputs.append(_write(outdir, "orbits.json", [_json_text(orbits_payload)]))
 
-    path = os.path.join(outdir, "orbits.csv")
-    with open(path, "w") as fh:
-        fh.write("orbit,class,intersection_size,ambient_size,labels\n")
+    def orbit_rows():
+        yield "orbit,class,intersection_size,ambient_size,labels\n"
         for r in result.orbit_reports:
             labels = " ".join(format_label(l) for l in r.labels)
-            fh.write(f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n")
-    written.append(path)
+            yield f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n"
 
-    path = os.path.join(outdir, "verify.json")
-    dump_json(path, result.verify)
-    written.append(path)
+    outputs.append(_write(outdir, "orbits.csv", orbit_rows()))
+    outputs.append(_write(outdir, "verify.json", [_json_text(result.verify)]))
 
     manifest = {
         "command": command,
@@ -487,7 +535,7 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
         "inputs": {"sha256": _inputs_sha256(result, command)},
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "counters": result.counters,
-        "outputs": [_output_entry(p, outdir) for p in written],
+        "outputs": outputs,
     }
     manifest_path = os.path.join(outdir, "manifest.json")
     dump_json(manifest_path, manifest)

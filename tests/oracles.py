@@ -333,3 +333,98 @@ def degree2_monomial_index(n):
     ]
     monos.sort()
     return {m: i for i, m in enumerate(monos)}
+
+
+# Dantzig pricing is used while the objective moves; after this many pivots
+# without improvement the rule switches to smallest-index (Bland), which
+# cannot cycle.
+DENSE_STALL_LIMIT = 24
+
+
+def _dense_pivot(tableau, basis, r, c, denom):
+    pivot_row = tableau[r]
+    p = pivot_row[c]
+    for i, row in enumerate(tableau):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            tableau[i] = [(a * p - f * b) // denom for a, b in zip(row, pivot_row)]
+        elif p != denom:
+            tableau[i] = [(a * p) // denom for a in row]
+    basis[r] = c
+    return p
+
+
+def dense_box_lp(diffs, dim):
+    """The max-slack LP over the unit box,
+
+        maximize t   subject to   e.d >= t for all d,   -1 <= e_i <= 1,
+
+    with e split into nonnegative parts, on a dense fraction-free tableau
+    whose entries share one common denominator.  Returns (t*, e*, pivots),
+    t* and e* as Fractions, and the largest stall the pricing reached."""
+    num_d = len(diffs)
+    nvars = 2 * dim + 1
+    m = num_d + 2 * dim
+    width = nvars + m + 1
+    t_col, rhs = 2 * dim, width - 1
+
+    tableau = []
+    for k, d in enumerate(diffs):
+        row = [0] * width
+        for i, di in enumerate(d):
+            row[i] = -di
+            row[dim + i] = di
+        row[t_col] = 1
+        row[nvars + k] = 1
+        tableau.append(row)
+    for i in range(2 * dim):
+        row = [0] * width
+        row[i] = 1
+        row[nvars + num_d + i] = 1
+        row[rhs] = 1
+        tableau.append(row)
+    objective = [0] * width
+    objective[t_col] = -1
+    tableau.append(objective)
+
+    basis = [nvars + i for i in range(m)]
+    denom = 1
+    stall = max_stall = pivots = 0
+    last_value = Fraction(0)
+    while True:
+        obj = tableau[m]
+        if stall < DENSE_STALL_LIMIT:
+            c = min(range(width - 1), key=lambda j: obj[j])
+        else:
+            c = next((j for j in range(width - 1) if obj[j] < 0), 0)
+        if obj[c] >= 0:
+            break
+        r = -1
+        best_num = best_den = 0
+        for i in range(m):
+            coeff = tableau[i][c]
+            if coeff <= 0:
+                continue
+            num = tableau[i][rhs]
+            if r == -1 or num * best_den < best_num * coeff or (
+                num * best_den == best_num * coeff and basis[i] < basis[r]
+            ):
+                r, best_num, best_den = i, num, coeff
+        if r == -1:
+            raise RuntimeError("boxed LP cannot be unbounded")
+        denom = _dense_pivot(tableau, basis, r, c, denom)
+        pivots += 1
+        value = Fraction(tableau[m][rhs], denom)
+        stall = stall + 1 if value == last_value else 0
+        max_stall = max(max_stall, stall)
+        last_value = value
+
+    t_value = Fraction(tableau[m][rhs], denom)
+    solution = [Fraction(0)] * nvars
+    for i, var in enumerate(basis):
+        if var < nvars:
+            solution[var] = Fraction(tableau[i][rhs], denom)
+    e = [solution[i] - solution[dim + i] for i in range(dim)]
+    return t_value, e, pivots, max_stall

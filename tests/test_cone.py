@@ -9,11 +9,15 @@ from grassdegen.initial_forms import inequality_set
 from grassdegen.plucker import all_relations
 from grassdegen.sequences import (
     IteratedSequence,
+    all_labels,
     enumerate_sequences,
+    label_of,
+    representative_sequence,
     sequence_count,
     standard_sequence,
 )
 from grassdegen.valuation import DimensionError, weighting_matrix
+from oracles import DENSE_STALL_LIMIT, dense_box_lp
 
 
 def dot(a, b):
@@ -165,3 +169,46 @@ def test_cone_is_never_empty_on_real_inputs(n, stride):
         assert min(dot(certificate, d) for d in diffs) >= 1
         e = strict_interior_point(diffs, dim)
         assert all(dot(e, d) >= 1 for d in diffs)
+
+
+def first_sequence_lp_inputs(n):
+    """The LP input of each label's first sequence in run order, the one
+    ``run_pipeline`` solves."""
+    first = {}
+    for seq in enumerate_sequences(n):
+        first.setdefault(label_of(seq), seq)
+    return [inequality_set(seq, weighting_matrix(seq)) for seq in first.values()]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sparse_simplex_takes_the_dense_pivots_on_every_label(n):
+    """Per-row denominators change no pricing, ratio or stall decision
+    (``cone`` docstring), so the sparse solver ends at the dense solver's
+    optimum after as many pivots."""
+    dim = 3 * (n - 3)
+    for diffs in first_sequence_lp_inputs(n):
+        t_value, e, pivots, _ = dense_box_lp(diffs, dim)
+        assert cone._solve_box_lp(diffs, dim) == (t_value, e, pivots)
+
+
+def test_sparse_simplex_takes_the_dense_pivots_on_sampled_n7_labels():
+    """As above on 200 seeded n=7 labels.  No n=6 LP stalls long enough to
+    switch to the smallest-index rule, so the sample must hold one that
+    does."""
+    assert cone._STALL_LIMIT == DENSE_STALL_LIMIT
+    labels = random.Random(7200).sample(list(all_labels(7)), 200)
+    stalls = []
+    for label in labels:
+        seq = representative_sequence(label, 7)
+        diffs = inequality_set(seq, weighting_matrix(seq))
+        t_value, e, pivots, stall = dense_box_lp(diffs, 12)
+        assert cone._solve_box_lp(diffs, 12) == (t_value, e, pivots)
+        stalls.append(stall)
+    assert max(stalls) >= cone._STALL_LIMIT
+
+
+def test_the_point_carries_its_pivot_count():
+    diffs = inequality_set(standard_sequence(6), weighting_matrix(standard_sequence(6)))
+    point = strict_interior_point(diffs, 9)
+    assert point.pivots == dense_box_lp(diffs, 9)[2] > 0
+    assert strict_interior_point((), 3).pivots == 0

@@ -10,6 +10,7 @@ import pytest
 
 from grassdegen import cli, pipeline, valuation
 from grassdegen.classify import (
+    OrbitReport,
     apply_transposition,
     classify_gr36,
     fingerprint,
@@ -18,7 +19,8 @@ from grassdegen.classify import (
 from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.exactlinalg import exact_rank, rank_mod2
 from grassdegen.initial_forms import decode, inequality_set, row_digits
-from grassdegen.pipeline import run_pipeline, verify_fingerprints, write_outputs
+from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
+from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
     IteratedSequence,
     all_labels,
@@ -30,6 +32,7 @@ from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
 from grassdegen.valuation import weighting_matrix
 from oracles import (
     brute_force_fingerprint,
+    dense_box_lp,
     dense_rank,
     output_hashes,
     plucker_macaulay_rank,
@@ -51,6 +54,11 @@ def load_schema(name):
 @pytest.fixture(scope="module")
 def result_n5():
     return run_pipeline(5, jobs=1)
+
+
+@pytest.fixture(scope="module")
+def result_n6():
+    return run_pipeline(6, jobs=2)
 
 
 def test_pipeline_n5_counts(result_n5):
@@ -596,3 +604,95 @@ def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(monkeypatch
         RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: weighting matrix has rank 5, below"
     ):
         run_pipeline(5, jobs=1)
+
+
+@pytest.mark.parametrize("name", ["result_n5", "result_n6"])
+def test_manifest_counts_the_pivots_of_the_dense_oracle(name, request, tmp_path):
+    result = request.getfixturevalue(name)
+    dim = 3 * (result.n - 3)
+    expected = 0
+    for witness, _, _ in result.label_weights.values():
+        seq = IteratedSequence.parse(witness)
+        expected += dense_box_lp(inequality_set(seq, weighting_matrix(seq)), dim)[2]
+    manifest = load_json(write_outputs(result, str(tmp_path)))
+    assert manifest["counters"]["lp_pivots"] == result.counters["lp_pivots"] == expected
+
+
+def dumped_payloads(result):
+    """weights.json and fingerprints.json as ``json.dump(..., indent=2,
+    sort_keys=True)`` writes them from whole payloads."""
+    keys = [triple_key(t) for t in all_triples(result.n)]
+
+    def generator(binomial):
+        (a, b), (c, d), sign = binomial
+        return {"lead": [triple_key(a), triple_key(b)], "trail": [triple_key(c), triple_key(d)],
+                "sign": sign}
+
+    weights = {
+        "n": result.n,
+        "labels": {
+            format_label(label): {"e": list(e), "w": dict(zip(keys, w))}
+            for label, (_, e, w) in result.label_weights.items()
+        },
+    }
+    fingerprints = {
+        "n": result.n,
+        "count": len(result.labels_by_fingerprint),
+        "fingerprints": [
+            {
+                "id": fid,
+                "labels": [format_label(label) for label in labels],
+                "generators": [generator(g) for g in decode(fp, result.n)],
+            }
+            for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
+        ],
+    }
+    return {"weights.json": weights, "fingerprints.json": fingerprints}
+
+
+def assert_streamed_as_dumped(result, outdir):
+    manifest = load_json(write_outputs(result, str(outdir)))
+    for name, payload in dumped_payloads(result).items():
+        with open(outdir / name) as fh:
+            assert fh.read() == json.dumps(payload, indent=2, sort_keys=True) + "\n", name
+    for entry in manifest["outputs"]:
+        with open(outdir / entry["path"], "rb") as fh:
+            data = fh.read()
+        assert (entry["sha256"], entry["bytes"]) == (hashlib.sha256(data).hexdigest(), len(data))
+    return manifest
+
+
+@pytest.mark.parametrize("name", ["result_n5", "result_n6"])
+def test_streamed_files_equal_the_dumped_payloads(name, request, tmp_path):
+    assert_streamed_as_dumped(request.getfixturevalue(name), tmp_path)
+
+
+def forged_result(labels_by_fingerprint, label_weights, orbit_reports):
+    return PipelineResult(
+        n=5,
+        outcomes=[],
+        labels_by_fingerprint=labels_by_fingerprint,
+        label_weights=label_weights,
+        matrices={label: "123,0,0,0,0,0,0\n" for label in label_weights},
+        orbit_reports=orbit_reports,
+        verify={"n": 5, "plucker": {"rank2": 5, "rank3": 45}, "fingerprints": []},
+        timings={},
+        counters={},
+    )
+
+
+def test_streamed_files_equal_the_dumped_payloads_of_forged_results(result_n5, tmp_path):
+    """Empty lists, one-member lists, an orbit with no class, and labels
+    that arrive out of key order."""
+    fp = next(iter(result_n5.labels_by_fingerprint))
+    weights = {
+        ((2, 1),): ("5:[2,1,3|1,2,3]", (1, -1, 0, 0, 2, 0), tuple(range(10, 0, -1))),
+        ((1, 2),): ("5:[1,2,3|1,2,3]", (0,) * 6, (0,) * 10),
+    }
+    orbit = OrbitReport(0, (), (), (), 0, 0, 0, "", "")
+    forged = forged_result({(): (((2, 1),),), fp[:1]: (((1, 2),),)}, weights, [orbit])
+    assert_streamed_as_dumped(forged, tmp_path / "forged")
+    manifest = assert_streamed_as_dumped(forged_result({}, {}, []), tmp_path / "empty")
+    assert [entry["path"] for entry in manifest["outputs"]] == [
+        "weights.json", "fingerprints.json", "orbits.json", "orbits.csv", "verify.json"
+    ]
