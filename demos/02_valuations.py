@@ -7,7 +7,7 @@ form an upper-triangular submatrix with unit diagonal.
 """
 
 from grassdegen.sequences import standard_sequence
-from grassdegen.valuation import compute_valuation, weighting_matrix
+from grassdegen.valuation import valuation_rows, weighting_matrix
 
 
 def pullback_support(seq, I):
@@ -44,8 +44,8 @@ def main():
     seq = standard_sequence(6)
     print("sequence:", seq.serialize())
 
-    for K in [(1, 2, 3), (1, 2, 6), (4, 5, 6)]:
-        valuation = compute_valuation(seq, K)
+    coordinates = [(1, 2, 3), (1, 2, 6), (4, 5, 6)]
+    for K, valuation in zip(coordinates, valuation_rows(seq, coordinates)):
         support = pullback_support(seq, K)
         print(f"\np_{K}: valuation {valuation}")
         print(f"  pullback support has {len(support)} monomials, lex-max {max(support)}")

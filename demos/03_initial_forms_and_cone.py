@@ -12,8 +12,9 @@ from grassdegen.cone import strict_interior_point, weight_vector
 from grassdegen.initial_forms import (
     binomial_ids,
     inequalities,
-    pack_rows,
+    pack,
     relation_table,
+    row_digits,
     select,
 )
 from grassdegen.plucker import triple_key
@@ -26,7 +27,7 @@ def main():
     M = weighting_matrix(seq)
     table = relation_table(6)
 
-    packed = pack_rows(M.rows, 9)
+    packed = pack(row_digits(M.rows, 9))
     for triple, row, value in list(zip(M.triples, M.rows, packed))[:3]:
         print(f"row {triple_key(triple)} = {row} packs to {value}")
     certificate = tuple(-(3 ** (8 - i)) for i in range(9))

@@ -14,8 +14,11 @@ from grassdegen.toricity import (
     binomial_form,
     graded_rank,
     lattice_saturation,
-    relation_form,
 )
+
+
+def relation_form(relation):
+    return {(A, B): sign for sign, A, B in relation[2]}
 
 
 def main():

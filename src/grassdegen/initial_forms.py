@@ -12,12 +12,13 @@ inequality e . (v(term) - v(initial)) > 0 that an order-preserving
 projection e has to satisfy.
 
 Packing.  Read a vector v in {0,1,2}^dim as the base-3 integer
-pack3(v) = sum_i v_i 3^(dim-1-i).  ``pack_rows`` parses each valuation row
-this way and rejects a row that is not 0/1: premise (a).  A term's vector
-r_A + r_B then has digits at most 2, so the addition never carries and
-pack3(r_A + r_B) = P_A + P_B.  On {0,1,2}^dim lex order is int order: if
-two vectors first differ at position i, with k = dim-1-i, the larger digit
-adds at least 3^k and the later digits differ by at most
+pack3(v) = sum_i v_i 3^(dim-1-i).  ``row_digits`` writes each valuation row
+as a string of the digits 0 and 1 and rejects a row that is not 0/1 of
+length dim: premise (a).  ``pack`` reads each string as a base-3 numeral.
+A term's vector r_A + r_B then has digits at most 2, so the addition never
+carries and pack3(r_A + r_B) = P_A + P_B.  On {0,1,2}^dim lex order is int
+order: if two vectors first differ at position i, with k = dim-1-i, the
+larger digit adds at least 3^k and the later digits differ by at most
 2 (3^(k-1) + ... + 1) = 3^k - 1.  So the initial terms of a relation are the
 terms whose packed sums attain the maximum, and pack3 is injective, so the
 vectors of the inequality set are recovered from the distinct (maximum,
@@ -25,11 +26,12 @@ other) pairs of packed sums, by unpacking each sum in them once.
 
 The certificate.  With c_i = -3^(dim-1-i), fact (b) is
 c . row(K) = -pack3(row(K)) for every row K that passes premise (a).  It
-needs no check: ``pack_rows`` returns a value only for a row of length dim
-whose every entry is 0 or 1, and that value is int(digits, 3), which by the
-definition of a base-3 numeral is sum_i r_i 3^(dim-1-i) = -c . r.  A unit
-test compares both sides on every 0/1 row of length 3, 6, 9 and 12.  From
-(b), c . v = -(P_A + P_B) for every term, and then:
+needs no check: ``row_digits`` returns a string only for a row of length
+dim whose every entry is 0 or 1, its digits in the row's order, and
+``pack`` returns int(digits, 3) for it, which by the definition of a base-3
+numeral is sum_i r_i 3^(dim-1-i) = -c . r.  A unit test compares both
+sides on every 0/1 row of length 3, 6, 9 and 12.  From (b),
+c . v = -(P_A + P_B) for every term, and then:
 
 (i) the scalar weights w = c.M score a term by w_A + w_B = -(P_A + P_B), so
     their minimizers are the maximizers of the packed sum, the initial
@@ -42,7 +44,7 @@ test compares both sides on every 0/1 row of length 3, 6, 9 and 12.  From
      g = 2: c lies in the open cone of the inequality set (the sweep's
      ``projection_sound``).
 
-Both follow from premise (a) alone, a check on rows that ``initial_ideal``
+Both follow from premise (a) alone, a check on rows that ``row_digits``
 makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
 holds the term-level tuple kernel, and the test suite compares the two on
 every sequence of n <= 6 and a sample at n = 7.
@@ -191,11 +193,6 @@ def pack(digits: list[bytes]) -> list[int]:
     return [int(row, 3) for row in digits]
 
 
-def pack_rows(rows, dim: int) -> list[int]:
-    """pack3 of each row; raises ValueError for a row outside {0,1}^dim."""
-    return pack(row_digits(rows, dim))
-
-
 # the three base-3 digits of each x in 0..26, most significant first
 _TRIADS = tuple(itertools.product(range(3), repeat=3))
 
@@ -285,7 +282,7 @@ def inequality_set(
     """The inequality set of the given relations, by default all of Gr(3,n)."""
     dim = 3 * (seq.n - 3)
     table = relation_table(seq.n, relations)
-    return inequalities(select(pack_rows(matrix.rows, dim), table), dim)
+    return inequalities(select(pack(row_digits(matrix.rows, dim)), table), dim)
 
 
 def inequalities_from_csv(text: str) -> tuple[Vector, ...]:

@@ -129,10 +129,6 @@ class PipelineResult:
     timings: dict[str, float]
     counters: dict[str, int]
 
-    @property
-    def fingerprints(self) -> list[Fingerprint]:
-        return list(self.labels_by_fingerprint)
-
     def summary(self) -> str:
         sizes = ",".join(str(s) for s in sorted(r.intersection_size for r in self.orbit_reports))
         return (
@@ -460,10 +456,12 @@ def _label_filename(label: Label) -> str:
     return "-".join(f"{a}{b}" for a, b in label) + ".csv"
 
 
-def _inputs_sha256(result: PipelineResult, command: str) -> str:
+def _inputs_sha256(result: PipelineResult) -> str:
     """Hash of what determines the outputs: n, the command and the sequences
-    in run order (the worker count does not matter)."""
-    settings = {"n": result.n, "command": command}
+    in run order (the worker count does not matter).  ``pipeline`` is the
+    one command that writes a manifest; its name stays in the settings so
+    that the hash of a run does not change."""
+    settings = {"n": result.n, "command": "pipeline"}
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
     for outcome in result.outcomes:
         digest.update(f"\n{outcome.serialized}".encode())
@@ -484,7 +482,7 @@ def _write(outdir: str, relpath: str, chunks) -> dict:
     return {"path": relpath, "sha256": digest.hexdigest(), "bytes": size}
 
 
-def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline") -> str:
+def write_outputs(result: PipelineResult, outdir: str) -> str:
     """Write matrices/, weights.json, fingerprints.json, orbits.json,
     orbits.csv, verify.json and a manifest; returns the manifest path.
     The two large files are streamed: each is written as the text that
@@ -529,10 +527,10 @@ def write_outputs(result: PipelineResult, outdir: str, command: str = "pipeline"
     outputs.append(_write(outdir, "verify.json", [_json_text(result.verify)]))
 
     manifest = {
-        "command": command,
+        "command": "pipeline",
         "n": result.n,
         "version": __version__,
-        "inputs": {"sha256": _inputs_sha256(result, command)},
+        "inputs": {"sha256": _inputs_sha256(result)},
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "counters": result.counters,
         "outputs": outputs,

@@ -124,13 +124,6 @@ def all_labels(n: int) -> Iterator[Label]:
         yield tuple(combo)
 
 
-def fiber_size(n: int) -> int:
-    """Number of sequences sharing one label: 6 * prod (n-l-3)."""
-    if n < 5:
-        raise InvalidSize(f"need n >= 5, got {n}")
-    return 6 * math.prod(n - l - 3 for l in range(n - 4))
-
-
 def representative_sequence(label: Label, n: int) -> IteratedSequence:
     """Deterministic sequence with the given label: smallest free third
     index at each level, identity base."""

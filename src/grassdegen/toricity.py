@@ -38,18 +38,13 @@ from dataclasses import dataclass
 
 from .exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from .initial_forms import Binomial
-from .plucker import Relation, all_triples
+from .plucker import all_triples
 
 Form = dict  # degree-2 monomial (pair of variable triples) -> int coefficient
 
 
 class Unsupported(ValueError):
     """Graded ranks are only computed in degrees 2 and 3."""
-
-
-def relation_form(relation: Relation) -> Form:
-    _, _, terms = relation
-    return {(A, B): sign for sign, A, B in terms}
 
 
 def binomial_form(gen: Binomial) -> Form:

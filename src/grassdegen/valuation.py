@@ -73,11 +73,6 @@ def valuation_rows(seq: IteratedSequence, triples) -> tuple[Vector, ...]:
     return tuple(rows)
 
 
-def compute_valuation(seq: IteratedSequence, I) -> Vector:
-    """Greedy descent valuation of the Pluecker coordinate p_I."""
-    return valuation_rows(seq, [tuple(sorted(I))])[0]
-
-
 @dataclass(frozen=True)
 class WeightingMatrix:
     """One valuation row per K in lex-ordered I_{3,n}."""

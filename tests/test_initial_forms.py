@@ -10,15 +10,16 @@ from grassdegen.initial_forms import (
     inequalities,
     inequalities_from_csv,
     inequality_set,
-    pack_rows,
+    pack,
     reduce_content,
     relation_table,
+    row_digits,
     select,
     unpack3,
 )
 from grassdegen.plucker import all_relations, all_triples, plucker_relation
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
-from grassdegen.valuation import compute_valuation, weighting_matrix
+from grassdegen.valuation import valuation_rows, weighting_matrix
 
 from oracles import (
     binomial_generators,
@@ -70,7 +71,7 @@ def term_vectors(M, R):
 
 
 def packed_selection(rows, table):
-    return select(pack_rows(rows, len(rows[0])), table)
+    return select(pack(row_digits(rows, len(rows[0]))), table)
 
 
 def test_worked_initial_form():
@@ -192,7 +193,7 @@ def test_inequality_csv_roundtrip():
     assert inequalities_from_csv(text) == diffs
 
 
-def pack(v):
+def pack3(v):
     return sum(x * 3 ** (len(v) - 1 - i) for i, x in enumerate(v))
 
 
@@ -200,19 +201,19 @@ def test_pack3_order_is_lex_order_and_unpack3_inverts_it():
     rng = random.Random(11)
     vectors = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(150)]
     for v in vectors:
-        assert unpack3(pack(v), 6) == v
+        assert unpack3(pack3(v), 6) == v
     for a in vectors:
         for b in vectors:
-            assert (a < b) == (pack(a) < pack(b))
+            assert (a < b) == (pack3(a) < pack3(b))
     rows = [v for v in vectors if max(v) <= 1]
     assert rows
-    assert pack_rows(rows, 6) == [pack(v) for v in rows]
+    assert pack(row_digits(rows, 6)) == [pack3(v) for v in rows]
 
 
 @pytest.mark.parametrize("row", [(0, 2, 0), (0, -1, 1), (0, 1), (1, 0, 0, 1), (0, 1.0, 0), (0, 256, 0)])
 def test_pack_rows_rejects_a_row_outside_0_1(row):
     with pytest.raises(ValueError, match=r"is not a 0/1 vector of length 3"):
-        pack_rows([(1, 0, 0), row], 3)
+        pack(row_digits([(1, 0, 0), row], 3))
 
 
 @pytest.mark.parametrize("dim", [3, 6, 9, 12])
@@ -221,7 +222,7 @@ def test_pack_rows_is_minus_the_certificate_weight(dim):
     with c_i = -3^(dim-1-i)."""
     certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
     rows = list(itertools.product((0, 1), repeat=dim))
-    assert pack_rows(rows, dim) == [-x for x in weight_vector(certificate, rows)]
+    assert pack(row_digits(rows, dim)) == [-x for x in weight_vector(certificate, rows)]
 
 
 def equivalence_sample(n):
@@ -252,7 +253,7 @@ def test_packed_kernel_equals_the_tuple_oracle(n):
     dim = 3 * (n - 3)
     certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
     for seq in equivalence_sample(n):
-        rows = [compute_valuation(seq, K) for K in triples]
+        rows = valuation_rows(seq, triples)
         initials, diffs = initial_terms(rows, relations)
         selection = packed_selection(rows, table)
         ids = binomial_ids(selection, table)
@@ -279,4 +280,4 @@ def test_unpack3_inverts_pack3_in_every_dimension(dim):
     """Three digits per step, and the one or two leading digits of a dim
     that is no multiple of 3."""
     for v in itertools.product(range(3), repeat=dim):
-        assert unpack3(pack(v), dim) == v
+        assert unpack3(pack3(v), dim) == v

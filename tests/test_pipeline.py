@@ -63,7 +63,7 @@ def result_n6():
 
 def test_pipeline_n5_counts(result_n5):
     assert len(result_n5.outcomes) == 144
-    assert len(result_n5.fingerprints) == 12
+    assert len(result_n5.labels_by_fingerprint) == 12
     assert result_n5.summary().startswith("sequences=144 ideals=12")
 
 
@@ -94,8 +94,8 @@ def test_single_sequence_mode():
     seq = IteratedSequence.parse("6:[1,2,3|1,2,3|1,2,3]")
     result = run_pipeline(6, jobs=1, sequences=[seq])
     assert len(result.outcomes) == 1
-    assert len(result.fingerprints) == 1
-    fp = result.fingerprints[0]
+    assert len(result.labels_by_fingerprint) == 1
+    fp = list(result.labels_by_fingerprint)[0]
     assert (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1) in decode(fp, 6)
     (entry,) = result.verify["fingerprints"]
     assert entry == {"id": 0, "rank2": 35, "rank3": 560, "snf_ok": True, "pure_difference": True}
@@ -307,7 +307,7 @@ def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, tmp_pa
         "n": n,
         "plucker": {"rank2": plucker_macaulay_rank(2, n), "rank3": plucker_macaulay_rank(3, n)},
         "fingerprints": [
-            direct_entry(fp_id, decode(fp, n), n) for fp_id, fp in enumerate(result.fingerprints)
+            direct_entry(fp_id, decode(fp, n), n) for fp_id, fp in enumerate(result.labels_by_fingerprint)
         ],
     }
     assert result.verify == direct
@@ -334,7 +334,7 @@ def test_verify_rejects_orbits_that_do_not_partition_the_ids(orbits):
 
 def test_fingerprint_labels_equal_the_sweep_map(result_n5):
     assert fingerprint_labels(5) == result_n5.labels_by_fingerprint
-    assert list(fingerprint_labels(5)) == result_n5.fingerprints
+    assert list(fingerprint_labels(5)) == list(result_n5.labels_by_fingerprint)
 
 
 def test_manifest_counts_computed_verify_entries(result_n5, tmp_path):

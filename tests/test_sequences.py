@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,6 @@ from grassdegen.sequences import (
     all_labels,
     count_labels,
     enumerate_sequences,
-    fiber_size,
     format_label,
     label_of,
     parse_label,
@@ -85,7 +85,8 @@ def test_labels_surjective_with_uniform_fibers(n):
         fibers.setdefault(label_of(seq), 0)
         fibers[label_of(seq)] += 1
     assert len(fibers) == count_labels(n)
-    assert set(fibers.values()) == {fiber_size(n)}
+    # the base permutation and the free third index of each level
+    assert set(fibers.values()) == {6 * math.prod(n - l - 3 for l in range(n - 4))}
 
 
 def test_serialization_example():

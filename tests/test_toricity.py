@@ -15,7 +15,6 @@ from grassdegen.toricity import (
     graded_rank,
     lattice_saturation,
     plucker_rank,
-    relation_form,
 )
 
 from oracles import (
@@ -30,6 +29,10 @@ from oracles import (
 DIM_RING = {(6, 2): 175, (6, 3): 980, (5, 2): 50, (5, 3): 175}
 # 210 - 175 and 1540 - 980 for n = 6
 PLUCKER_RANKS_N6 = (35, 560)
+
+
+def relation_form(relation):
+    return {(A, B): sign for sign, A, B in relation[2]}
 
 
 def test_ssyt_oracle_reproduces_frozen_dimensions():

@@ -12,7 +12,6 @@ from grassdegen.plucker import all_triples
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
 from grassdegen.valuation import (
     WeightingMatrix,
-    compute_valuation,
     valuation_rows,
     weighting_matrix,
 )
@@ -41,14 +40,14 @@ def test_root_heights_standard():
 
 def test_valuation_worked_examples():
     S = standard_sequence(6)
-    assert compute_valuation(S, (4, 5, 6)) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    assert compute_valuation(S, (1, 2, 3)) == (0,) * 9
-    assert compute_valuation(S, (1, 2, 6)) == (0, 0, 1, 0, 0, 0, 0, 0, 0)
+    assert valuation_rows(S, [(4, 5, 6)])[0] == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert valuation_rows(S, [(1, 2, 3)])[0] == (0,) * 9
+    assert valuation_rows(S, [(1, 2, 6)])[0] == (0, 0, 1, 0, 0, 0, 0, 0, 0)
 
 
 def test_valuation_of_bottom_coordinate_is_zero_for_any_sequence():
     for seq in itertools.islice(enumerate_sequences(6), 0, 8640, 977):
-        assert compute_valuation(seq, (1, 2, 3)) == (0,) * 9
+        assert valuation_rows(seq, [(1, 2, 3)])[0] == (0,) * 9
 
 
 def test_pullback_support_examples():
@@ -67,12 +66,12 @@ def seeded_n7_sequences(seed, count):
 
 
 def assert_rows_equal_the_support_oracle(seq):
-    """Each row of the weighting matrix, and each one-row call, also on an
-    unsorted multi-index, is the lex-max of the pullback support."""
+    """Each row of the weighting matrix, and each one-row call, is the
+    lex-max of the pullback support."""
     triples = all_triples(seq.n)
     expected = tuple(max(pullback_support(seq, K)) for K in triples)
     assert weighting_matrix(seq).rows == expected
-    assert tuple(compute_valuation(seq, K[::-1]) for K in triples) == expected
+    assert tuple(valuation_rows(seq, [K])[0] for K in triples) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -149,8 +148,7 @@ def test_weight_homogeneity(n):
 
 def test_triad_sums_are_zero_or_one():
     S = IteratedSequence(6, ((2, 4, 1), (3, 1, 2)), (2, 3, 1))
-    for K in all_triples(6):
-        v = compute_valuation(S, K)
+    for v in valuation_rows(S, all_triples(6)):
         for t in range(3):
             assert sum(v[3 * t : 3 * t + 3]) in (0, 1)
 
