@@ -2,16 +2,28 @@
 -> toricity evidence, in stages that share one worker pool.
 
 The sweep checks and fingerprints every sequence through
-``initial_forms.initial_ideal``, the kernel of ``classify.fingerprint`` too:
-a worker builds each sequence's ``SequenceOutcome``, which carries its
-initial ideal, and raises a RuntimeError that names the first sequence that
-breaks an invariant.  The merge keeps one map from fingerprint to labels,
-whose sorted order numbers the ideals.  The LP stage then solves one LP per
-label, on the label's first sequence in run order, whose point weights.json
-holds.  All emitted files are byte-stable across runs and worker counts.
+``initial_forms.initial_ideal``, the kernel of ``classify.fingerprint`` too.
+Its input is a list of groups ``(levels, bases)``: for a full run, one
+group per level prefix of ``sequences.level_prefixes`` with the six base
+permutations; for a list of sequences, one group per run of consecutive
+sequences with equal ``levels``.  A chunk holds whole groups, about
+total / (8 jobs) sequences, so that every counter is the same for every
+worker count.  A worker parses nothing: it builds a sequence, through the
+validating constructor, only to run the kernel on it, returns one tuple of
+fingerprints per group and its counters, and raises a RuntimeError that
+names the first sequence that breaks an invariant.  The parent merges the
+chunks in order as the pool hands them over: it writes each sequence's
+text with ``sequences.serialize_group``, builds its ``SequenceOutcome`` and
+keeps one map from fingerprint to labels, whose sorted order numbers the
+ideals.  A label under more than one ideal is
+counted (``split_labels``) and named in a WARNING on the
+``grassdegen.pipeline`` logger, which also reports progress and an ETA at
+INFO after each chunk; the package adds no handler.  The LP stage then
+solves one LP per label, on the label's first sequence in run order, whose
+point weights.json holds.  All emitted files are byte-stable across runs
+and worker counts.
 
-A worker takes each run of consecutive sequences with equal ``levels`` as
-one group, whose first sequence is its head.  The head runs the kernel: its
+The first sequence of a group is its head.  The head runs the kernel: its
 weighting matrix, the 0/1 check, the selection and the binomial check, and
 the rank check on the same digit strings.  A later member takes the head's
 fingerprint and rank-fallback bit when the head's selection is decided
@@ -73,13 +85,17 @@ singletons and computes every entry.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
+from operator import attrgetter
+from typing import Iterator
 
 from . import __version__
 from .classify import compute_orbits, OrbitReport
@@ -95,17 +111,20 @@ from .initial_forms import (
 )
 from .plucker import all_triples, triple_key
 from .sequences import (
+    BASES,
     IteratedSequence,
     Label,
-    enumerate_sequences,
+    Triple,
     format_label,
     label_of,
+    level_prefixes,
+    serialize_group,
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
 from .valuation import weighting_matrix
 
 
-# slots: the parent unpickles one outcome per sequence and keeps them all
+# slots: the parent builds one outcome per sequence and keeps them all
 @dataclass(frozen=True, slots=True)
 class SequenceOutcome:
     serialized: str
@@ -158,19 +177,25 @@ def _check_rank(digits: list[bytes], full: int) -> bool:
     return True
 
 
-def _select(seq: IteratedSequence) -> tuple[Fingerprint, bool, bool]:
-    """The kernel of one sequence: its fingerprint, whether its selection
-    is decided above the base, and whether its rank check needed
-    ``exact_rank``."""
-    dim = 3 * (seq.n - 3)
-    digits = row_digits(weighting_matrix(seq).rows, dim)
-    fp, decided = initial_ideal(digits, seq.n)
-    return fp, decided, _check_rank(digits, dim)
+def _select(n: int, levels: tuple[Triple, ...], base: Triple) -> tuple[Fingerprint, bool, bool]:
+    """The kernel of one sequence, built by the validating constructor: its
+    fingerprint, whether its selection is decided above the base, and
+    whether its rank check needed ``exact_rank``.  Any failure raises one
+    RuntimeError that names the sequence."""
+    try:
+        seq = IteratedSequence(n, levels, base)
+        dim = 3 * (n - 3)
+        digits = row_digits(weighting_matrix(seq).rows, dim)
+        fp, decided = initial_ideal(digits, n)
+        return fp, decided, _check_rank(digits, dim)
+    except Exception as exc:
+        raise RuntimeError(f"sequence {serialize_group(n, levels, [base])[0]}: {exc}") from exc
 
 
-def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int, int]:
-    """Check and fingerprint one chunk of serialized sequences; returns
-    their outcomes in order, the number of rank checks that needed
+def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int, int]:
+    """Check and fingerprint one chunk ``(n, groups)`` of groups
+    ``(levels, bases)``; returns one tuple of fingerprints per group, in the
+    order of its bases, the number of rank checks that needed
     ``exact_rank`` and the number of sequences whose selection ran.
 
     ``initial_ideal`` runs on the rows that ``row_digits`` has checked
@@ -179,44 +204,45 @@ def _sweep_chunk(chunk: list[str]) -> tuple[list[SequenceOutcome], int, int]:
     point c follow, as (i) and (ii) there.  A row outside 0/1, a
     non-binomial initial form, a weighting matrix of rank below 3(n-3) or
     any other failure raises one RuntimeError that names the sequence, so
-    every flag of a returned outcome holds.  The rank is checked mod 2
-    first, by ``_check_rank``.  A member of a group that reuses its head's
-    selection (module docstring) counts the head's rank fallback again, so
-    that the count is the one a run of every sequence through the kernel
-    would give.  Only the current group's head is kept.  Equal fingerprints
-    are one object within the chunk, so that pickling sends each ideal once.
+    every flag of an outcome holds.  The rank is checked mod 2 first, by
+    ``_check_rank``.  The first base of a group is its head; a member that
+    reuses its head's selection (module docstring) is never built, and
+    counts the head's rank fallback again, so that the count is the one a
+    run of every sequence through the kernel would give.  Equal
+    fingerprints are one object within the chunk, so that pickling sends
+    each ideal once.
     """
+    n, groups = task
     shared: dict[Fingerprint, Fingerprint] = {}
-    outcomes = []
+    fingerprints = []
     fallbacks = selections = 0
-    levels = None  # of the current group
-    for serialized in chunk:
-        try:
-            seq = IteratedSequence.parse(serialized)
-            if seq.levels != levels:  # seq heads a new group
-                levels = seq.levels
-                fp, decided, fallback = head = _select(seq)
+    for levels, bases in groups:
+        fp, decided, fallback = _select(n, levels, bases[0])
+        selections += 1
+        if decided:
+            fps = [fp] * len(bases)
+            fallbacks += fallback * len(bases)
+        else:
+            fps = [fp]
+            fallbacks += fallback
+            for base in bases[1:]:
+                fp, _, fallback = _select(n, levels, base)
+                fps.append(fp)
+                fallbacks += fallback
                 selections += 1
-            elif decided:
-                fp, _, fallback = head
-            else:
-                fp, _, fallback = _select(seq)
-                selections += 1
-        except Exception as exc:
-            raise RuntimeError(f"sequence {serialized}: {exc}") from exc
-        fallbacks += fallback
-        fp = shared.setdefault(fp, fp)
-        outcomes.append(SequenceOutcome(serialized, label_of(seq), fp, True, True, True))
-    return outcomes, fallbacks, selections
+        fingerprints.append(tuple(shared.setdefault(fp, fp) for fp in fps))
+    return fingerprints, fallbacks, selections
 
 
-def _label_point(serialized: str):
+def _label_point(item):
     """The LP point e of one sequence's cone with its weight vector e.M, as
-    ``(serialized, e, e.M)``, the CSV of M and the pivots the LP took."""
+    ``(serialized, e, e.M)``, the CSV of M and the pivots the LP took; the
+    sequence is ``(n, serialized, levels, base)``."""
+    n, serialized, levels, base = item
     try:
-        seq = IteratedSequence.parse(serialized)
+        seq = IteratedSequence(n, levels, base)
         matrix = weighting_matrix(seq)
-        e = strict_interior_point(inequality_set(seq, matrix), 3 * (seq.n - 3))
+        e = strict_interior_point(inequality_set(seq, matrix), 3 * (n - 3))
         return (serialized, tuple(e), weight_vector(e, matrix.rows)), matrix.to_csv(), e.pivots
     except Exception as exc:
         raise RuntimeError(f"sequence {serialized}: {exc}") from exc
@@ -232,12 +258,18 @@ def _verify_entry(item) -> dict:
     }
 
 
-def _chunked(items: list, pieces: int) -> list[list]:
-    """At most ``pieces`` chunks, whose size is a multiple of 6, so that a
-    chunk of enumerated sequences never splits a group of base
-    permutations."""
-    size = 6 * max(1, -(-len(items) // (6 * pieces)))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _chunks(groups: list, size: int) -> Iterator[list]:
+    """Consecutive whole groups ``(levels, bases)``, so that no chunk splits
+    a group; each chunk but the last holds at least ``size`` sequences."""
+    chunk, count = [], 0
+    for group in groups:
+        chunk.append(group)
+        count += len(group[1])
+        if count >= size:
+            yield chunk
+            chunk, count = [], 0
+    if chunk:
+        yield chunk
 
 
 def verify_fingerprints(
@@ -283,26 +315,58 @@ def run_pipeline(
 
     start = time.perf_counter()
     if sequences is None:
-        serialized = [s.serialize() for s in enumerate_sequences(n)]
+        groups = [(levels, BASES) for levels in level_prefixes(n)]
+        total = len(groups) * len(BASES)
     else:
         for s in sequences:
             if s.n != n:
                 raise ValueError(f"sequence {s.serialize()} has n={s.n}, but the run has n={n}")
-        serialized = [s.serialize() for s in sequences]
+        groups = [
+            (levels, tuple(s.base_perm for s in run))
+            for levels, run in itertools.groupby(sequences, attrgetter("levels"))
+        ]
+        total = len(sequences)
+    chunks = list(_chunks(groups, max(1, -(-total // (jobs * 8)))))
     timings["enumerate"] = time.perf_counter() - start
 
+    # imported here, so that a CLI command that runs no pipeline does not
+    # pay for it; the package adds no handler, so progress is off by default
+    import logging
+
+    log = logging.getLogger(__name__)
     start = time.perf_counter()  # the sweep's time includes starting the pool
-    parallel = jobs > 1 and len(serialized) > 64
+    parallel = jobs > 1 and total > 64
     with (Pool(jobs) if parallel else nullcontext()) as pool:
         mapper = pool.map if parallel else map
-        chunks = _chunked(serialized, jobs * 8)
-        swept = list(mapper(_sweep_chunk, chunks))
-        outcomes = [o for part, _, _ in swept for o in part]
+        # the merge of a chunk overlaps the workers' sweep of later chunks
+        swept = (pool.imap if parallel else map)(_sweep_chunk, [(n, c) for c in chunks])
+        outcomes = []
         labels: dict[Fingerprint, set[Label]] = {}
-        first: dict[Label, str] = {}  # each label's first sequence in run order
-        for o in outcomes:
-            labels.setdefault(o.fingerprint, set()).add(o.label)
-            first.setdefault(o.label, o.serialized)
+        first: dict[Label, tuple] = {}  # each label's first sequence in run order
+        fallbacks = selections = 0
+        for chunk, (fingerprints, chunk_fallbacks, chunk_selections) in zip(chunks, swept):
+            for (levels, bases), fps in zip(chunk, fingerprints):
+                label = label_of(levels)
+                texts = serialize_group(n, levels, bases)
+                if label not in first:
+                    first[label] = (n, texts[0], levels, bases[0])
+                for text, fp in zip(texts, fps):
+                    outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
+                    labels.setdefault(fp, set()).add(label)
+            fallbacks += chunk_fallbacks
+            selections += chunk_selections
+            elapsed = time.perf_counter() - start
+            log.info(
+                "swept %d of %d sequences in %.1f s, ETA %.1f s",
+                len(outcomes), total, elapsed, elapsed * (total - len(outcomes)) / len(outcomes),
+            )
+        ideals_per_label = Counter(label for ls in labels.values() for label in ls)
+        split = sorted(label for label, count in ideals_per_label.items() if count > 1)
+        if split:
+            log.warning(
+                "%d labels lie under more than one ideal: %s",
+                len(split), " ".join(map(format_label, split)),
+            )
         labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
         timings["sweep"] = time.perf_counter() - start
 
@@ -339,10 +403,12 @@ def run_pipeline(
             # simplex pivots over all LPs of the LP stage
             "lp_pivots": sum(pivots for _, _, pivots in points),
             # swept sequences whose rank mod 2 was short, so that exact_rank ran
-            "rank_fallbacks": sum(fallbacks for _, fallbacks, _ in swept),
+            "rank_fallbacks": fallbacks,
             # swept sequences whose selection ran: group heads and the
             # members that could not reuse their head's
-            "ideal_selections": sum(selections for _, _, selections in swept),
+            "ideal_selections": selections,
+            # labels whose sequences lie under more than one ideal
+            "split_labels": len(split),
             # each closure takes n-1 images of every member of its orbit
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),

@@ -14,6 +14,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .plucker import InvalidSize
@@ -54,8 +55,7 @@ class IteratedSequence:
         return self.levels + (self.base_perm,)
 
     def serialize(self) -> str:
-        body = "|".join(",".join(str(x) for x in t) for t in self.triples)
-        return f"{self.n}:[{body}]"
+        return serialize_group(self.n, self.levels, (self.base_perm,))[0]
 
     @classmethod
     def parse(cls, text: str) -> "IteratedSequence":
@@ -73,6 +73,18 @@ class IteratedSequence:
         return self.serialize()
 
 
+def serialize_group(n: int, levels: tuple[Triple, ...], bases) -> list[str]:
+    """The serialized text of each sequence of Gr(3,n) with these levels and
+    base permutations, in order, built from per-triple texts."""
+    prefix = f"{n}:[" + "".join(_triple_text(t) + "|" for t in levels)
+    return [f"{prefix}{_triple_text(base)}]" for base in bases]
+
+
+@lru_cache(maxsize=None)
+def _triple_text(t: Triple) -> str:
+    return ",".join(map(str, t))
+
+
 def standard_sequence(n: int) -> IteratedSequence:
     """All level triples (1,2,3) and the identity base permutation."""
     return IteratedSequence(n, ((1, 2, 3),) * (n - 4), (1, 2, 3))
@@ -85,27 +97,35 @@ def sequence_count(n: int) -> int:
     return math.prod((n - l - 1) * (n - l - 2) * (n - l - 3) for l in range(n - 3))
 
 
-def enumerate_sequences(n: int) -> Iterator[IteratedSequence]:
-    """Yield every iterated sequence exactly once, in lexicographic order.
+BASES: tuple[Triple, ...] = tuple(itertools.permutations((1, 2, 3)))
 
-    Order: level-0 triple, then level-1 triple, ..., then the base
-    permutation, each running through ordered triples lexicographically.
-    """
+
+def level_prefixes(n: int) -> Iterator[tuple[Triple, ...]]:
+    """The levels of every iterated sequence, each once, in lexicographic
+    order: level-0 triple, then level-1 triple, ..., each running through
+    ordered triples lexicographically."""
     if n < 4:
         raise InvalidSize(f"need n >= 4, got {n}")
     pools = [list(itertools.permutations(range(1, n - t), 3)) for t in range(n - 4)]
-    pools.append(list(itertools.permutations((1, 2, 3))))
-    for combo in itertools.product(*pools):
-        yield IteratedSequence(n, combo[:-1], combo[-1])
+    return itertools.product(*pools)
 
 
-def label_of(seq: IteratedSequence) -> Label:
-    """First two indices of each non-base level.
+def enumerate_sequences(n: int) -> Iterator[IteratedSequence]:
+    """Yield every iterated sequence exactly once, in lexicographic order:
+    each level prefix of ``level_prefixes``, then the base permutation,
+    which runs through ``BASES``."""
+    for levels in level_prefixes(n):
+        for base in BASES:
+            yield IteratedSequence(n, levels, base)
+
+
+def label_of(levels: tuple[Triple, ...]) -> Label:
+    """First two indices of each level of a sequence.
 
     The dropped data (third indices and the base permutation) does not
     change the induced initial forms, so labels index initial ideals.
     """
-    return tuple(t[:2] for t in seq.levels)
+    return tuple(t[:2] for t in levels)
 
 
 def count_labels(n: int) -> int:

@@ -176,7 +176,7 @@ def first_sequence_lp_inputs(n):
     ``run_pipeline`` solves."""
     first = {}
     for seq in enumerate_sequences(n):
-        first.setdefault(label_of(seq), seq)
+        first.setdefault(label_of(seq.levels), seq)
     return [inequality_set(seq, weighting_matrix(seq)) for seq in first.values()]
 
 

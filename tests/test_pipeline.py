@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import json
+import logging
 import os
 import random
 import re
+from operator import attrgetter
 
 import jsonschema
 import pytest
@@ -22,10 +24,14 @@ from grassdegen.initial_forms import decode, inequality_set, row_digits
 from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
+    BASES,
     IteratedSequence,
     all_labels,
+    enumerate_sequences,
     format_label,
+    level_prefixes,
     representative_sequence,
+    serialize_group,
     standard_sequence,
 )
 from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
@@ -121,8 +127,6 @@ def test_outputs_are_deterministic_and_schema_valid(tmp_path):
 def test_fast_path_matches_reference_fingerprints():
     """The sweep's fingerprints equal the brute-force oracle's, which expands
     every relation and applies the height-weighted order term by term."""
-    from grassdegen.sequences import enumerate_sequences
-
     sample = list(enumerate_sequences(6))[::1517]
     result = run_pipeline(6, jobs=1, sequences=sample)
     for outcome in result.outcomes:
@@ -215,6 +219,9 @@ class CountingPool:
 
     def map(self, fn, items):
         return list(map(fn, items))
+
+    def imap(self, fn, items):
+        return map(fn, items)
 
 
 def test_a_run_builds_at_most_one_pool(monkeypatch):
@@ -462,7 +469,7 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
     def unreachable(n):
         raise AssertionError("the run enumerated its sequences")
 
-    monkeypatch.setattr(pipeline, "enumerate_sequences", unreachable)
+    monkeypatch.setattr(pipeline, "level_prefixes", unreachable)
     with pytest.raises(ValueError, match=rf"^jobs must be at least 1, got {jobs}$"):
         run_pipeline(4, jobs=jobs)
     out = tmp_path / "out"
@@ -489,12 +496,29 @@ def kernel_reference(serialized):
     return reference
 
 
+def groups_of(serialized):
+    """The run's groups ``(levels, bases)`` of serialized sequences: each run
+    of consecutive sequences with equal levels."""
+    seqs = [IteratedSequence.parse(s) for s in serialized]
+    return [
+        (levels, tuple(s.base_perm for s in run))
+        for levels, run in itertools.groupby(seqs, attrgetter("levels"))
+    ]
+
+
+def chunk_sizes(groups, size):
+    return [sum(len(bases) for _, bases in chunk) for chunk in pipeline._chunks(groups, size)]
+
+
 def sweep(serialized, pieces):
-    """The sweep of a run whose chunks are ``pieces``, in this process."""
+    """The sweep of a run whose chunks are ``pieces``, in this process, as
+    ``(serialized, fingerprint)`` pairs."""
+    n = IteratedSequence.parse(serialized[0]).n
     outcomes, fallbacks, selections = [], 0, 0
-    for chunk in pipeline._chunked(serialized, pieces):
-        part, chunk_fallbacks, chunk_selections = pipeline._sweep_chunk(chunk)
-        outcomes += part
+    for chunk in pipeline._chunks(groups_of(serialized), -(-len(serialized) // pieces)):
+        fingerprints, chunk_fallbacks, chunk_selections = pipeline._sweep_chunk((n, chunk))
+        for (levels, bases), fps in zip(chunk, fingerprints):
+            outcomes += zip(serialize_group(n, levels, bases), fps)
         fallbacks += chunk_fallbacks
         selections += chunk_selections
     return outcomes, fallbacks, selections
@@ -502,9 +526,9 @@ def sweep(serialized, pieces):
 
 def assert_sweep_equals_the_kernel(serialized, pieces, reference):
     outcomes, fallbacks, selections = sweep(serialized, pieces)
-    assert [o.serialized for o in outcomes] == serialized
-    for o in outcomes:
-        assert o.fingerprint == reference[o.serialized][0], o.serialized
+    assert [text for text, _ in outcomes] == serialized
+    for text, fp in outcomes:
+        assert fp == reference[text][0], text
     assert fallbacks == sum(bit for _, bit in reference.values())
     return selections
 
@@ -514,8 +538,6 @@ def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
     """In enumeration order every chunk holds whole groups, and each group
     runs one selection; in a seeded shuffle groups rarely form, and the
     outcomes are the same."""
-    from grassdegen.sequences import enumerate_sequences
-
     serialized = [s.serialize() for s in enumerate_sequences(n)]
     reference = kernel_reference(serialized)
     for pieces in (8, 16):  # the chunks of --jobs 1 and --jobs 2
@@ -543,16 +565,96 @@ def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
 
 
 def test_manifest_counts_ideal_selections(tmp_path):
-    """One selection per group at n = 5 for every worker count: a chunk's
-    size is a multiple of 6, so no chunk splits a group."""
+    """One selection per group at n = 5 for every worker count: a chunk
+    holds whole groups, so no chunk splits a group."""
     for jobs in (1, 2):
         result = run_pipeline(5, jobs=jobs)
         manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
         assert manifest["counters"]["ideal_selections"] == 24
-    assert [len(c) for c in pipeline._chunked(list(range(144)), 16)] == [12] * 12
-    assert [len(c) for c in pipeline._chunked(list(range(8640)), 8)] == [1080] * 8
-    assert [len(c) for c in pipeline._chunked(list(range(8640)), 16)] == [540] * 16
+    full5 = [(levels, BASES) for levels in level_prefixes(5)]
+    full6 = [(levels, BASES) for levels in level_prefixes(6)]
+    assert chunk_sizes(full5, 144 // 16) == [12] * 12
+    assert chunk_sizes(full6, 8640 // 8) == [1080] * 8
+    assert chunk_sizes(full6, 8640 // 16) == [540] * 16
+
+
+def test_chunks_hold_whole_groups_so_counters_do_not_depend_on_jobs(tmp_path):
+    """Without its first 3 sequences, n = 5 starts with a group of 3: the
+    141 sequences form 24 groups, each one selection at every worker
+    count."""
+    sequences = list(enumerate_sequences(5))[3:]
+    assert len(groups_of([s.serialize() for s in sequences])) == 24
+    counters = {}
+    for jobs in (1, 2):
+        result = run_pipeline(5, jobs=jobs, sequences=sequences)
+        write_outputs(result, str(tmp_path / f"jobs{jobs}"))
+        counters[jobs] = result.counters
+    assert counters[1] == counters[2]
+    assert counters[1]["ideal_selections"] == 24
+    assert output_hashes(tmp_path / "jobs1") == output_hashes(tmp_path / "jobs2")
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_sweep_parses_nothing_and_keeps_the_enumeration_order(n, tmp_path, monkeypatch):
+    def unreachable(text):
+        raise AssertionError(f"parsed {text}")
+
+    monkeypatch.setattr(IteratedSequence, "parse", staticmethod(unreachable))
+    result = run_pipeline(n, jobs=1)
+    assert [o.serialized for o in result.outcomes] == [
+        s.serialize() for s in enumerate_sequences(n)
+    ]
+    write_outputs(result, str(tmp_path))
+    assert output_hashes(tmp_path) == recorded_hashes(f"gr3{n}_full.sha256")
+
+
+def test_progress_is_logged_at_info_and_off_by_default(caplog, capsys, tmp_path):
+    logger = logging.getLogger("grassdegen.pipeline")
+    result = run_pipeline(5, jobs=1)
+    assert caplog.records == []
+    caplog.set_level(logging.INFO, logger="grassdegen.pipeline")
+    logged = run_pipeline(5, jobs=1)
+    messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
+    assert len(messages) == 8  # one per chunk of 18 sequences
+    assert all(r.levelno == logging.INFO for r in caplog.records)
+    assert re.fullmatch(r"swept 144 of 144 sequences in \d+\.\d s, ETA 0\.0 s", messages[-1])
+    assert messages[0].startswith("swept 18 of 144 sequences in ")
+    assert logger.handlers == []
+    assert capsys.readouterr() == ("", "")
+    write_outputs(result, str(tmp_path / "plain"))
+    write_outputs(logged, str(tmp_path / "logged"))
+    assert output_hashes(tmp_path / "logged") == output_hashes(tmp_path / "plain")
+    assert logged.counters == result.counters
+
+
+def test_a_label_under_two_ideals_is_counted_and_named(monkeypatch, caplog, tmp_path):
+    """Forge a split fiber: heads are undecided, so every member runs the
+    kernel, and one member of label (1,2) gets the ideal of label (2,1)."""
+    forged = IteratedSequence.parse("5:[1,2,3|2,1,3]")
+    other = fingerprint(IteratedSequence.parse("5:[2,1,3|1,2,3]"))
+    assert fingerprint(forged) != other
+    target = row_digits(weighting_matrix(forged).rows, 6)
+    real = pipeline.initial_ideal
+
+    def forging(digits, n):
+        return (other if digits == target else real(digits, n)[0]), False
+
+    monkeypatch.setattr(pipeline, "initial_ideal", forging)
+    with caplog.at_level(logging.WARNING, logger="grassdegen.pipeline"):
+        result = run_pipeline(5, jobs=1)
+    assert result.counters["split_labels"] == 1
+    assert result.labels_by_fingerprint[other] == (((1, 2),), ((2, 1),))
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == "1 labels lie under more than one ideal: (1,2)"
+    manifest = load_json(write_outputs(result, str(tmp_path)))
+    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
+    assert manifest["counters"]["split_labels"] == 1
+
+
+def test_no_label_is_split_at_n5_and_n6(result_n5, result_n6):
+    assert result_n5.counters["split_labels"] == result_n6.counters["split_labels"] == 0
 
 
 def test_every_pair_of_base_triples_has_its_sigma():
@@ -579,13 +681,13 @@ def undecide_heads(monkeypatch):
 
 def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
     undecide_heads(monkeypatch)
-    from grassdegen.sequences import enumerate_sequences
-
     serialized = [s.serialize() for s in enumerate_sequences(5)]
-    outcomes, _, selections = pipeline._sweep_chunk(serialized)
+    groups = groups_of(serialized)
+    fingerprints, _, selections = pipeline._sweep_chunk((5, groups))
     assert selections == len(serialized) == 144
-    for o in outcomes:
-        assert o.fingerprint == fingerprint(IteratedSequence.parse(o.serialized))
+    for (levels, bases), fps in zip(groups, fingerprints):
+        for base, fp in zip(bases, fps):
+            assert fp == fingerprint(IteratedSequence(5, levels, base))
 
 
 def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(monkeypatch):

@@ -6,15 +6,18 @@ from hypothesis import given, strategies as st
 
 from grassdegen.plucker import InvalidSize
 from grassdegen.sequences import (
+    BASES,
     IteratedSequence,
     all_labels,
     count_labels,
     enumerate_sequences,
     format_label,
     label_of,
+    level_prefixes,
     parse_label,
     representative_sequence,
     sequence_count,
+    serialize_group,
     standard_sequence,
     validate_label,
 )
@@ -45,9 +48,20 @@ def test_enumeration_is_unique_and_lexicographic():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_enumeration_is_the_level_prefixes_times_the_bases(n):
+    assert list(enumerate_sequences(n)) == [
+        IteratedSequence(n, levels, base)
+        for levels, base in itertools.product(level_prefixes(n), BASES)
+    ]
+    assert BASES == tuple(itertools.permutations((1, 2, 3)))
+
+
 def test_rejects_small_n():
     with pytest.raises(InvalidSize):
         list(enumerate_sequences(3))
+    with pytest.raises(InvalidSize):
+        level_prefixes(3)
     with pytest.raises(InvalidSize):
         count_labels(4)
 
@@ -65,10 +79,10 @@ def test_invalid_sequences_rejected():
 
 def test_label_projection():
     seq = IteratedSequence(6, ((1, 2, 3), (3, 4, 1)), (2, 1, 3))
-    assert label_of(seq) == ((1, 2), (3, 4))
+    assert label_of(seq.levels) == ((1, 2), (3, 4))
     # third indices and base permutation do not enter the label
     other = IteratedSequence(6, ((1, 2, 4), (3, 4, 2)), (3, 1, 2))
-    assert label_of(other) == label_of(seq)
+    assert label_of(other.levels) == label_of(seq.levels)
 
 
 @pytest.mark.parametrize("n,count", [(5, 12), (6, 240), (7, 7200)])
@@ -82,8 +96,8 @@ def test_label_counts(n, count):
 def test_labels_surjective_with_uniform_fibers(n):
     fibers = {}
     for seq in enumerate_sequences(n):
-        fibers.setdefault(label_of(seq), 0)
-        fibers[label_of(seq)] += 1
+        fibers.setdefault(label_of(seq.levels), 0)
+        fibers[label_of(seq.levels)] += 1
     assert len(fibers) == count_labels(n)
     # the base permutation and the free third index of each level
     assert set(fibers.values()) == {6 * math.prod(n - l - 3 for l in range(n - 4))}
@@ -93,6 +107,15 @@ def test_serialization_example():
     seq = IteratedSequence(6, ((1, 2, 3), (3, 4, 1)), (2, 1, 3))
     assert seq.serialize() == "6:[1,2,3|3,4,1|2,1,3]"
     assert IteratedSequence.parse("6:[1,2,3|3,4,1|2,1,3]") == seq
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_serialize_group_writes_the_text_parse_reads(n):
+    for levels in level_prefixes(n):
+        for base, text in zip(BASES, serialize_group(n, levels, BASES)):
+            body = "|".join(",".join(map(str, t)) for t in levels + (base,))
+            assert text == f"{n}:[{body}]"
+            assert IteratedSequence.parse(text) == IteratedSequence(n, levels, base)
 
 
 @given(st.integers(4, 7), st.randoms(use_true_random=False))
@@ -124,7 +147,7 @@ def test_label_formatting_roundtrip():
 
 def test_representative_sequence_has_its_label():
     for label in itertools.islice(all_labels(6), 40):
-        assert label_of(representative_sequence(label, 6)) == label
+        assert label_of(representative_sequence(label, 6).levels) == label
 
 
 def test_standard_sequence():
