@@ -147,11 +147,17 @@ class OrbitReport:
     members: tuple[Fingerprint, ...]
     member_ids: tuple[int, ...]  # each member's position among the input's keys
     labels: tuple[Label, ...]
-    intersection_size: int
     ambient_size: int
-    escaped_count: int
     name: str  # the Gr(3,6) class O1..O4; "" for other n
     isomorphism_class: str  # its cone's class, e.g. EEFG; "" for other n
+
+    @property
+    def intersection_size(self) -> int:
+        return len(self.members)
+
+    @property
+    def escaped_count(self) -> int:
+        return self.ambient_size - len(self.members)
 
 
 def compute_orbits(
@@ -185,9 +191,7 @@ def compute_orbits(
             members=members,
             member_ids=tuple(ids[m] for m in members),
             labels=labels,
-            intersection_size=len(members),
             ambient_size=ambient,
-            escaped_count=ambient - len(members),
             name=name,
             isomorphism_class=iso,
         )

@@ -2,7 +2,8 @@
 version.
 
 Exit codes: 0 on success (also when the reader closes stdout early, as
-``| head`` does), 1 on an internal invariant violation, 2 on usage errors.
+``| head`` does), 1 on an empty open cone for ``solve-cone`` and on an
+internal invariant violation, 2 on usage errors.
 n must be in 4..8; ``pipeline -n 8`` needs ``--seq``, and ``verify -n 8`` is
 refused (``verify --fingerprints`` takes an n=8 file); ``pipeline --out``
 must be missing or an empty directory; ``pipeline --jobs`` sets the worker
@@ -17,12 +18,13 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .classify import classify_gr36, compute_orbits, fingerprint_labels
 from .cone import Infeasible, strict_interior_point, weight_vector
 from .initial_forms import decode, inequalities_from_csv
-from .pipeline import dump_json, run_pipeline, verify_fingerprints, write_outputs
+from .pipeline import json_chunks, run_pipeline, verify_fingerprints, write_outputs
 from .plucker import all_triples, triple_key
 from .sequences import (
     IteratedSequence,
@@ -190,11 +192,8 @@ def _fingerprints_from_file(parser, path: str):
 
 def _emit(path: str | None, payload) -> None:
     """Write a JSON document to ``path``, or to stdout when it is None."""
-    if path:
-        dump_json(path, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
+    with open(path, "w") if path else nullcontext(sys.stdout) as out:
+        out.writelines(json_chunks(payload))
 
 
 def cmd_verify(args, parser) -> int:

@@ -80,6 +80,10 @@ field of an entry is an orbit invariant:
 ``verify --fingerprints`` reads a file that need not be closed under the
 action, or even lie in the table, so it passes the partition into
 singletons and computes every entry.
+
+Every JSON document the package writes is the text of ``json_chunks``:
+``json.dumps(document, indent=2, sort_keys=True)`` and a newline, streamed
+one top-level item at a time; the entries of fingerprints.json are lazy.
 """
 
 from __future__ import annotations
@@ -90,12 +94,13 @@ import json
 import os
 import time
 from collections import Counter
+from collections.abc import Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from multiprocessing import Pool
 from operator import attrgetter
-from typing import Iterator
 
 from . import __version__
 from .classify import compute_orbits, OrbitReport
@@ -437,83 +442,59 @@ def generator_to_json(gen, n: int) -> dict:
     }
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+class _Rendered(str):
+    """JSON text at level 0 that ``_render`` places as it stands, re-indented
+    to its level; the instance dict keeps the text at each level."""
 
 
-def dump_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        fh.write(_json_text(payload))
-
-
-def _nested(payload, level: int) -> str:
-    """The text of ``payload`` as ``_json_text`` writes it when the payload
-    is nested ``level`` containers deep."""
-    return json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
-
-
-def _container(items, level: int, brackets: str = "[]"):
-    """Yield the text of a list, or with brackets "{}" of a dict, nested
-    ``level`` containers deep, as ``_json_text`` writes it: ``items`` are
-    the rendered items, for a dict '"key": value' in sorted key order."""
+def _render(value, level: int = 0) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives for
+    ``value`` nested ``level`` containers deep; dict keys are str."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, _Rendered):
+        texts = vars(value)
+        if level not in texts:
+            texts[level] = value.replace("\n", "\n" + "  " * level)
+        return texts[level]
+    if type(value) is str:
+        return _quote(value)
+    if type(value) is bool:  # json.dumps with indent encodes it in pure Python
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_render(v, level + 1)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_render(v, level + 1) for v in value], "[]"
+    else:  # any other scalar, whose text is one line at any level
+        return json.dumps(value, indent=2, sort_keys=True)
     pad = "\n" + "  " * (level + 1)
-    opening = brackets[0]
-    for item in items:
-        yield opening + pad + item
+    body = f"{pad}{(',' + pad).join(items)}{pad[:-2]}" if items else ""
+    return brackets[0] + body + brackets[1]
+
+
+def json_chunks(document: dict) -> Iterator[str]:
+    """``_render``'s text of ``document`` and a newline, in chunks: a value
+    that is a dict, a list or a lazy iterator of list items is rendered one
+    item at a time, so that its text is never held whole."""
+    opening = "{"
+    for key, value in sorted(document.items()):
+        yield f"{opening}\n  {_quote(key)}: "
         opening = ","
-    yield brackets if opening == brackets[0] else "\n" + "  " * level + brackets[1]
-
-
-def _joined(items, level: int, brackets: str = "[]") -> str:
-    return "".join(_container(items, level, brackets))
-
-
-def _weights_text(result: PipelineResult):
-    """weights.json as ``_json_text`` writes its payload, one label at a
-    time."""
-    keys = list(map(triple_key, all_triples(result.n)))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    quoted = [json.dumps(k) for k in keys]
-
-    def entries():
-        for name, (_, e, w) in sorted(
-            (format_label(label), point) for label, point in result.label_weights.items()
-        ):
-            fields = (
-                f'"e": {_joined(map(str, e), 3)}',
-                f'"w": {_joined((f"{quoted[i]}: {w[i]}" for i in order), 3, "{}")}',
-            )
-            yield f"{json.dumps(name)}: {_joined(fields, 2, '{}')}"
-
-    yield '{\n  "labels": '
-    yield from _container(entries(), 1, "{}")
-    yield f',\n  "n": {result.n}\n}}\n'
-
-
-def _fingerprints_text(result: PipelineResult):
-    """fingerprints.json as ``_json_text`` writes its payload, one ideal at
-    a time; each binomial's text is rendered once."""
-    n = result.n
-    rendered: dict[int, str] = {}  # binomial id -> its text at depth 4
-
-    def generator(gid: int) -> str:
-        text = rendered.get(gid)
-        if text is None:
-            text = rendered[gid] = _nested(generator_to_json(decode((gid,), n)[0], n), 4)
-        return text
-
-    def entries():
-        for fid, (fp, labels) in enumerate(result.labels_by_fingerprint.items()):
-            fields = (
-                f'"generators": {_joined(map(generator, fp), 3)}',
-                f'"id": {fid}',
-                f'"labels": {_joined((json.dumps(format_label(l)) for l in labels), 3)}',
-            )
-            yield _joined(fields, 2, "{}")
-
-    yield f'{{\n  "count": {len(result.labels_by_fingerprint)},\n  "fingerprints": '
-    yield from _container(entries(), 1)
-    yield f',\n  "n": {n}\n}}\n'
+        if isinstance(value, dict):
+            items = (f"{_quote(k)}: {_render(v, 2)}" for k, v in sorted(value.items()))
+            brackets = "{}"
+        elif isinstance(value, (list, tuple, Iterator)):
+            items, brackets = (_render(v, 2) for v in value), "[]"
+        else:
+            yield _render(value, 1)
+            continue
+        separator = brackets[0]
+        for item in items:
+            yield f"{separator}\n    {item}"
+            separator = ","
+        yield brackets if separator == brackets[0] else "\n  " + brackets[1]
+    yield "{}\n" if opening == "{" else "\n}\n"
 
 
 def _label_filename(label: Label) -> str:
@@ -551,19 +532,34 @@ def _write(outdir: str, relpath: str, chunks) -> dict:
 def write_outputs(result: PipelineResult, outdir: str) -> str:
     """Write matrices/, weights.json, fingerprints.json, orbits.json,
     orbits.csv, verify.json and a manifest; returns the manifest path.
-    The two large files are streamed: each is written as the text that
-    ``json.dump(payload, indent=2, sort_keys=True)`` gives, piece by piece,
-    without building its payload."""
+    Every JSON file is ``json_chunks`` text; the entries of fingerprints.json
+    are built one ideal at a time, each binomial rendered once."""
+    n = result.n
     os.makedirs(os.path.join(outdir, "matrices"), exist_ok=True)
     outputs = [
         _write(outdir, os.path.join("matrices", _label_filename(label)), [csv])
         for label, csv in sorted(result.matrices.items())
     ]
-    outputs.append(_write(outdir, "weights.json", _weights_text(result)))
-    outputs.append(_write(outdir, "fingerprints.json", _fingerprints_text(result)))
+    keys = list(_triple_keys(n).values())
+    weights = {
+        format_label(label): {"e": e, "w": dict(zip(keys, w))}
+        for label, (_, e, w) in result.label_weights.items()
+    }
+    outputs.append(_write(outdir, "weights.json", json_chunks({"n": n, "labels": weights})))
+
+    @lru_cache(maxsize=None)
+    def binomial(gid: int) -> _Rendered:
+        return _Rendered(_render(generator_to_json(decode((gid,), n)[0], n)))
+
+    entries = (
+        {"id": i, "labels": list(map(format_label, labels)), "generators": list(map(binomial, fp))}
+        for i, (fp, labels) in enumerate(result.labels_by_fingerprint.items())
+    )
+    document = {"n": n, "count": len(result.labels_by_fingerprint), "fingerprints": entries}
+    outputs.append(_write(outdir, "fingerprints.json", json_chunks(document)))
 
     orbits_payload = {
-        "n": result.n,
+        "n": n,
         "orbits": [
             {
                 "id": r.orbit_id,
@@ -581,7 +577,7 @@ def write_outputs(result: PipelineResult, outdir: str) -> str:
             for r in result.orbit_reports
         ],
     }
-    outputs.append(_write(outdir, "orbits.json", [_json_text(orbits_payload)]))
+    outputs.append(_write(outdir, "orbits.json", json_chunks(orbits_payload)))
 
     def orbit_rows():
         yield "orbit,class,intersection_size,ambient_size,labels\n"
@@ -590,17 +586,16 @@ def write_outputs(result: PipelineResult, outdir: str) -> str:
             yield f"{r.orbit_id},{r.name},{r.intersection_size},{r.ambient_size},{labels}\n"
 
     outputs.append(_write(outdir, "orbits.csv", orbit_rows()))
-    outputs.append(_write(outdir, "verify.json", [_json_text(result.verify)]))
+    outputs.append(_write(outdir, "verify.json", json_chunks(result.verify)))
 
     manifest = {
         "command": "pipeline",
-        "n": result.n,
+        "n": n,
         "version": __version__,
         "inputs": {"sha256": _inputs_sha256(result)},
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "counters": result.counters,
         "outputs": outputs,
     }
-    manifest_path = os.path.join(outdir, "manifest.json")
-    dump_json(manifest_path, manifest)
-    return manifest_path
+    _write(outdir, "manifest.json", json_chunks(manifest))
+    return os.path.join(outdir, "manifest.json")

@@ -175,7 +175,8 @@ def test_orbit_of_usage_error():
     assert proc.returncode == 2
 
 
-def test_solve_cone_roundtrip(tmp_path):
+def write_cone_inputs(tmp_path):
+    """The inequality and matrix CSVs of the standard n=6 sequence."""
     from grassdegen.initial_forms import inequality_set
     from grassdegen.sequences import standard_sequence
     from grassdegen.valuation import weighting_matrix
@@ -186,6 +187,11 @@ def test_solve_cone_roundtrip(tmp_path):
     matrix_path = tmp_path / "matrix.csv"
     ineq_path.write_text(inequalities_to_csv(inequality_set(S, M)))
     matrix_path.write_text(M.to_csv())
+    return ineq_path, matrix_path
+
+
+def test_solve_cone_roundtrip(tmp_path):
+    ineq_path, matrix_path = write_cone_inputs(tmp_path)
     proc = run_cli(
         "solve-cone", "--inequalities", str(ineq_path), "--matrix", str(matrix_path)
     )
@@ -196,6 +202,21 @@ def test_solve_cone_roundtrip(tmp_path):
     assert payload["w"]["123"] == 0
     diffs = [tuple(int(x) for x in line.split(",")) for line in ineq_path.read_text().splitlines()]
     assert all(sum(a * b for a, b in zip(payload["e"], d)) >= 1 for d in diffs)
+
+
+@pytest.mark.parametrize("command", ["verify", "solve-cone"])
+def test_stdout_and_the_output_file_hold_the_same_json_text(command, tmp_path):
+    if command == "verify":
+        args = ["verify", "-n", "5"]
+    else:
+        ineq_path, matrix_path = write_cone_inputs(tmp_path)
+        args = ["solve-cone", "--inequalities", str(ineq_path), "--matrix", str(matrix_path)]
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out.json"
+    assert run_cli(*args, "-o", str(out)).returncode == 0
+    assert proc.stdout == out.read_text()
+    assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n"
 
 
 def test_solve_cone_infeasible_exit_code(tmp_path):

@@ -9,6 +9,7 @@ from operator import attrgetter
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from grassdegen import cli, pipeline, valuation
 from grassdegen.classify import (
@@ -146,14 +147,16 @@ def test_weights_payload_contents(tmp_path):
 
 @pytest.mark.parametrize(
     "jobs, sequences",
-    [(1, None), (2, None), (1, ["6:[1,3,2|2,1,3|1,2,3]"])],
+    [(1, None), (2, None), (1, ["6:[1,3,2|2,1,3|1,2,3]", "6:[1,2,4|1,2,3|2,1,3]"])],
     ids=["n5-jobs1", "n5-jobs2", "seq"],
 )
 def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
     tmp_path, jobs, sequences
 ):
     """Only the first sequence of each label in run order solves the LP; its
-    point and e.M are what weights.json holds."""
+    point and e.M are what weights.json holds, and its weighting matrix is
+    what matrices/ holds.  In the seq case the label (1,2;1,2) of the second
+    sequence has another representative, 6:[1,2,3|1,2,3|1,2,3]."""
     if sequences is not None:
         sequences = [IteratedSequence.parse(s) for s in sequences]
     n = sequences[0].n if sequences else 5
@@ -174,6 +177,14 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
         entry = payload["labels"][format_label(label)]
         assert entry["e"] == list(e)
         assert entry["w"] == {"".join(map(str, t)): x for t, x in zip(matrix.triples, w)}
+        with open(tmp_path / "matrices" / pipeline._label_filename(label)) as fh:
+            assert fh.read() == matrix.to_csv()
+    assert len(os.listdir(tmp_path / "matrices")) == len(first)
+    if sequences is not None:
+        assert any(
+            witness != representative_sequence(label, n).serialize()
+            for label, witness in first.items()
+        )
 
 
 def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
@@ -791,10 +802,70 @@ def test_streamed_files_equal_the_dumped_payloads_of_forged_results(result_n5, t
         ((2, 1),): ("5:[2,1,3|1,2,3]", (1, -1, 0, 0, 2, 0), tuple(range(10, 0, -1))),
         ((1, 2),): ("5:[1,2,3|1,2,3]", (0,) * 6, (0,) * 10),
     }
-    orbit = OrbitReport(0, (), (), (), 0, 0, 0, "", "")
+    orbit = OrbitReport(0, (), (), (), 0, "", "")
     forged = forged_result({(): (((2, 1),),), fp[:1]: (((1, 2),),)}, weights, [orbit])
     assert_streamed_as_dumped(forged, tmp_path / "forged")
     manifest = assert_streamed_as_dumped(forged_result({}, {}, []), tmp_path / "empty")
     assert [entry["path"] for entry in manifest["outputs"]] == [
         "weights.json", "fingerprints.json", "orbits.json", "orbits.csv", "verify.json"
     ]
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, 1e-07, 1e16, -(2**70)])
+    | st.text() | st.sampled_from(['"', "\\", "\x00\n\t\x1f", "é ☃ 𝄞", '"\\"'])
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def pre_rendered(value, draw):
+    """``value`` with some of its containers replaced by their ``_Rendered``
+    text at level 0."""
+    if isinstance(value, dict):
+        value = {k: pre_rendered(v, draw) for k, v in value.items()}
+    elif isinstance(value, (list, tuple)):
+        value = [pre_rendered(v, draw) for v in value]
+    else:
+        return value
+    return pipeline._Rendered(pipeline._render(value)) if draw(st.booleans()) else value
+
+
+@given(JSON_VALUES, st.integers(0, 3), st.data())
+def test_the_renderer_writes_what_json_dumps_writes(value, level, data):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    nested = expected.replace("\n", "\n" + "  " * level)
+    assert pipeline._render(value) == expected
+    assert pipeline._render(value, level) == nested
+    marked = pre_rendered(value, data.draw)
+    assert pipeline._render(marked, level) == nested
+    assert pipeline._render(marked) == expected  # the text kept for one level is not reused
+
+
+@given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4), st.data())
+def test_streamed_documents_equal_the_dump_of_their_materialized_lists(document, data):
+    lazy = {k: iter(v) if isinstance(v, list) and data.draw(st.booleans()) else v
+            for k, v in document.items()}
+    text = "".join(pipeline.json_chunks(lazy))
+    assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_lazy_list_is_pulled_one_item_per_chunk():
+    pulled = []
+
+    def items():
+        for i in range(3):
+            pulled.append(i)
+            yield {"i": i}
+
+    chunks = pipeline.json_chunks({"list": items()})
+    assert next(chunks) == '{\n  "list": '
+    for i in range(3):
+        next(chunks)
+        assert pulled == list(range(i + 1))

@@ -54,3 +54,21 @@ def test_every_public_name_is_used_inside_the_package():
     ]
     assert unused == []
     assert set(ALLOWED) <= {node.name for _, node in public}
+
+
+def test_only_the_renderer_indents_json():
+    """The JSON text format lives in ``pipeline._render``: no other code
+    calls ``json.dump`` or ``json.dumps`` with ``indent``.  An unindented
+    call, such as the inputs hash of the manifest, is free."""
+    sites = [
+        (module, getattr(node, "name", None))
+        for module, node in top_level_nodes()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("dump", "dumps")
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "json"
+        and any(keyword.arg == "indent" for keyword in call.keywords)
+    ]
+    assert sites == [("pipeline.py", "_render")]
