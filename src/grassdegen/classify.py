@@ -21,12 +21,26 @@ each s_i, sign included: ``_moves`` looks up the re-oriented image of every
 table binomial, and the test suite builds it for every n the CLI accepts,
 4..8.  So each s_i is one permutation of the ids, built once per n on first
 use, and the image of a fingerprint is the sorted tuple of its ids' images.
+
+An orbit closure walks two generators, s_1 and the n-cycle
+c = s_{n-1} ... s_1, which sends 1 to n and k to k - 1 for k > 1.  The
+s_i act on binomials up to scalar as S_n acts on the columns of a 3 x n
+matrix, which sends p_T to +-p_{sigma(T)}, so words in the s_i act as the
+group elements they multiply to.  Conjugation by c shifts the index of a
+simple transposition by one, c^-1 s_i c = s_{i+1}, so s_i = c^-(i-1) s_1
+c^(i-1) and s_1, c generate all of S_n; since the group is finite, the
+images of a fingerprint under words in s_1 and c alone are its whole
+orbit, the set that words in s_1..s_{n-1} reach.  The closure therefore
+takes two images per member, not n - 1.  The table of c composes the n - 1
+tables of the s_i, and each image gathers a member's ids from a table in
+C, through one ``operator.itemgetter`` per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .initial_forms import (
     Fingerprint,
@@ -91,17 +105,38 @@ def apply_transposition(i: int, fp: Fingerprint, n: int) -> Fingerprint:
     return tuple(sorted(map(_moves(n)[i - 1].__getitem__, fp)))
 
 
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The id permutations of s_1 and of the n-cycle c = s_{n-1} ... s_1,
+    which applies s_1 first, of Gr(3,n)."""
+    moves = _moves(n)
+    cycle = tuple(range(len(moves[0])))
+    for move in moves:
+        cycle = tuple(map(move.__getitem__, cycle))
+    return moves[0], cycle
+
+
+def _few(*ids: int):
+    """``itemgetter(*ids)`` for fewer than two ids, as a list: itemgetter
+    takes at least one and returns a bare item for one."""
+    return lambda table: [table[k] for k in ids]
+
+
 def orbit_closure(fp: Fingerprint, n: int) -> set[Fingerprint]:
-    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1};
-    a member's image is one lookup per id and a sort."""
-    lookups = [move.__getitem__ for move in _moves(n)]
+    """Full orbit of a fingerprint under the group generated by s_1..s_{n-1},
+    walked over s_1 and the n-cycle (module docstring); a member's image
+    under each is one gather of its ids and a sort."""
+    generators = _generators(n)
+    # every member has as many ids as fp: the action permutes the ids
+    gather = itemgetter if len(fp) > 1 else _few
     seen = {fp}
     frontier = [fp]
     while frontier:
         fresh = []
         for current in frontier:
-            for lookup in lookups:
-                image = tuple(sorted(map(lookup, current)))
+            images = gather(*current)
+            for move in generators:
+                image = tuple(sorted(images(move)))
                 if image not in seen:
                     seen.add(image)
                     fresh.append(image)

@@ -53,13 +53,14 @@ Decided above the base.  The base triad is the last triad of a sequence,
 so its three charged positions are the three lowest base-3 digits of a
 packed row, and a packed sum carries no digit into a higher one, so
 sum // 27 (27 = 3^3) is the packed sum of the term's vector without its base
-digits.  Besides the fingerprint, ``initial_ideal`` returns whether the
-selection is decided above the base: every relation's non-initial terms
-have sum // 27 strictly below its initial pair's.  Then the two initial
-terms beat every other term before the base digits are read, and they
-agree in their base digits, because their full sums are equal.  The
-``pipeline`` docstring uses this to give one selection to the sequences
-that differ only in their base permutation.
+digits.  ``initial_ideal`` returns the selection with the fingerprint, and
+``decided_above_base`` tells whether the selection is decided above the
+base: every relation's non-initial terms have sum // 27 strictly below its
+initial pair's.  Then the two initial terms beat every other term before
+the base digits are read, and they agree in their base digits, because
+their full sums are equal.  The ``pipeline`` docstring uses this to give
+one selection to the sequences that differ only in their base
+permutation.
 
 The relation table is the per-n plan of the selection, built on first use:
 the rows of the two factors of each distinct monomial, so that each
@@ -242,17 +243,17 @@ def decided_above_base(selection: Selection) -> bool:
     return sum(sum(map(ge, slot, floors)) for slot in slots) == 2 * len(maxima)
 
 
-def initial_ideal(digits: list[bytes], n: int) -> tuple[Fingerprint, bool]:
+def initial_ideal(digits: list[bytes], n: int) -> tuple[Fingerprint, Selection]:
     """The fingerprint of the initial ideal that the valuation rows of
-    Gr(3,n), given as their ``row_digits``, select, and whether the
-    selection is decided above the base; raises ValueError for a relation
-    whose initial form is not a binomial."""
+    Gr(3,n), given as their ``row_digits``, select, and the selection;
+    raises ValueError for a relation whose initial form is not a
+    binomial."""
     table = relation_table(n)
     selection = select(pack(digits), table)
     ids = binomial_ids(selection, table)
     if None in ids:
         raise ValueError("non-binomial initial form")
-    return tuple(sorted(ids)), decided_above_base(selection)
+    return tuple(sorted(ids)), selection
 
 
 def reduce_content(d: Vector) -> Vector:

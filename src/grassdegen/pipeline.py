@@ -109,6 +109,7 @@ from .exactlinalg import exact_rank, rank_mod2
 from .initial_forms import (
     Binomial,
     Fingerprint,
+    decided_above_base,
     decode,
     inequality_set,
     initial_ideal,
@@ -191,8 +192,8 @@ def _select(n: int, levels: tuple[Triple, ...], base: Triple) -> tuple[Fingerpri
         seq = IteratedSequence(n, levels, base)
         dim = 3 * (n - 3)
         digits = row_digits(weighting_matrix(seq).rows, dim)
-        fp, decided = initial_ideal(digits, n)
-        return fp, decided, _check_rank(digits, dim)
+        fp, selection = initial_ideal(digits, n)
+        return fp, decided_above_base(selection), _check_rank(digits, dim)
     except Exception as exc:
         raise RuntimeError(f"sequence {serialize_group(n, levels, [base])[0]}: {exc}") from exc
 
@@ -414,8 +415,9 @@ def run_pipeline(
             "ideal_selections": selections,
             # labels whose sequences lie under more than one ideal
             "split_labels": len(split),
-            # each closure takes n-1 images of every member of its orbit
-            "orbit_images": sum(r.ambient_size for r in orbit_reports) * (n - 1),
+            # each closure takes 2 images of every member of its orbit, under
+            # s_1 and the n-cycle
+            "orbit_images": sum(r.ambient_size for r in orbit_reports) * 2,
             "max_abs_e": max((abs(x) for _, e, _ in label_weights.values() for x in e), default=0),
             # one per orbit: the entries verify computed, not the ones it copied
             "verify_entries": len(orbit_reports),

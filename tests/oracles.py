@@ -5,7 +5,7 @@ package: the full pullback-support recursion behind the greedy valuation,
 the height-weighted order behind the lex-max initial-term rule, the
 initial-term selection on tuples of integers with its scalar check, polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
-triples, dense and sparse rational Gaussian elimination, the full Macaulay
+triples, the orbit closure over every simple transposition, dense and sparse rational Gaussian elimination, the full Macaulay
 matrix of the quadratic relations, and semistandard-tableau
 enumeration for graded dimensions.  A sequence is read only through its
 ``n`` and ``triples`` attributes.  The recorded output hashes of
@@ -221,6 +221,25 @@ def reference_transposition(i, fp):
         pair = sorted((lead_image, trail_image))
         out.add((pair[0], pair[1], lead_sign * trail_sign * sign))
     return tuple(sorted(out))
+
+
+def reference_closure(fp, moves):
+    """Orbit of a fingerprint, a sorted tuple of binomial ids, under the
+    group that the id permutations ``moves`` generate, one per simple
+    transposition s_1..s_{n-1}: a breadth-first walk that maps every member
+    by every move, one lookup per id and a sort."""
+    seen = {fp}
+    frontier = [fp]
+    while frontier:
+        fresh = []
+        for current in frontier:
+            for move in moves:
+                image = tuple(sorted(move[k] for k in current))
+                if image not in seen:
+                    seen.add(image)
+                    fresh.append(image)
+        frontier = fresh
+    return seen
 
 
 def count_nonzero_relations(n):

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from grassdegen.classify import (
     GR36_CLASSES,
+    _generators,
     _moves,
     apply_transposition,
     classify_gr36,
@@ -23,7 +25,7 @@ from grassdegen.sequences import (
     representative_sequence,
     standard_sequence,
 )
-from oracles import reference_transposition
+from oracles import reference_closure, reference_transposition
 
 
 def apply_word(word, fp, n):
@@ -207,6 +209,58 @@ def test_orbit_closure_n7_has_1260_members(closure_n7):
     assert fp in closure
     assert len(closure) == 1260
     assert all(len(member) == len(fp) == 161 for member in closure)
+
+
+def test_orbit_closure_n7_equals_the_walk_over_every_transposition(closure_n7):
+    fp, closure = closure_n7
+    assert closure == reference_closure(fp, _moves(7))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_orbit_closure_equals_the_walk_over_every_transposition_on_every_orbit(n):
+    unseen = set(fingerprint_labels(n))
+    orbits = 0
+    while unseen:
+        fp = min(unseen)
+        closure = orbit_closure(fp, n)
+        assert closure == reference_closure(fp, _moves(n))
+        unseen -= closure
+        orbits += 1
+    assert orbits == {5: 1, 6: 4}[n]
+
+
+def test_orbit_closure_of_fingerprints_with_fewer_than_two_ids():
+    # the only Gr(3,4) fingerprint is empty; a forged one-id fingerprint's
+    # orbit is the orbit of its binomial, and two ids take the usual path
+    assert orbit_closure((), 4) == {()}
+    assert orbit_closure((), 6) == {()}
+    for fp in [(0,), (57,), (0, 57)]:
+        closure = orbit_closure(fp, 6)
+        assert closure == reference_closure(fp, _moves(6))
+        assert len(closure) > 1
+        assert all(len(member) == len(fp) for member in closure)
+
+
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+def test_the_cycle_table_composes_the_transpositions(n):
+    """The second generator is c = s_{n-1} ... s_1: s_1 acts first.  It is
+    an n-cycle, so its n-th power is the identity of the table."""
+    s_1, cycle = _generators(n)
+    size = len(relation_table(n).binomials)
+    assert s_1 == _moves(n)[0]
+    assert sorted(cycle) == list(range(size))
+    power = tuple(range(size))
+    for _ in range(n):
+        power = tuple(cycle[k] for k in power)
+    assert power == tuple(range(size))
+    rng = random.Random(n)
+    samples = [fingerprint(standard_sequence(n))]
+    samples += [tuple(sorted(rng.sample(range(size), rng.randint(0, size)))) for _ in range(20)]
+    for fp in samples:
+        image = fp
+        for i in range(1, n):
+            image = apply_transposition(i, image, n)
+        assert tuple(sorted(cycle[k] for k in fp)) == image
 
 
 def test_packed_action_equals_the_tuple_oracle_on_n7_closure_members(closure_n7):

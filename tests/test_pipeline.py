@@ -256,11 +256,11 @@ def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
 
 
 def test_manifest_counts_orbit_images(result_n5, tmp_path):
-    # n=5 has one orbit, 12 of whose 15 ideals are swept; s_1..s_4 each map
-    # every one of the 15
+    # n=5 has one orbit, 12 of whose 15 ideals are swept; s_1 and the
+    # 5-cycle each map every one of the 15
     manifest = load_json(write_outputs(result_n5, str(tmp_path / "n5")))
     assert [r.ambient_size for r in result_n5.orbit_reports] == [15]
-    assert manifest["counters"]["orbit_images"] == 60 == 15 * 4
+    assert manifest["counters"]["orbit_images"] == 30 == 15 * 2
 
 
 def test_manifest_records_the_largest_written_lp_entry(result_n5, tmp_path):
@@ -649,8 +649,10 @@ def test_a_label_under_two_ideals_is_counted_and_named(monkeypatch, caplog, tmp_
     real = pipeline.initial_ideal
 
     def forging(digits, n):
-        return (other if digits == target else real(digits, n)[0]), False
+        fp, selection = real(digits, n)
+        return (other if digits == target else fp), selection
 
+    undecide_heads(monkeypatch)
     monkeypatch.setattr(pipeline, "initial_ideal", forging)
     with caplog.at_level(logging.WARNING, logger="grassdegen.pipeline"):
         result = run_pipeline(5, jobs=1)
@@ -686,8 +688,7 @@ def test_every_pair_of_base_triples_has_its_sigma():
 def undecide_heads(monkeypatch):
     """Make every selection undecided above the base, so that no member
     reuses its head's."""
-    real = pipeline.initial_ideal
-    monkeypatch.setattr(pipeline, "initial_ideal", lambda digits, n: (real(digits, n)[0], False))
+    monkeypatch.setattr(pipeline, "decided_above_base", lambda selection: False)
 
 
 def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):

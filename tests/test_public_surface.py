@@ -11,7 +11,7 @@ import grassdegen
 PACKAGE_DIR = os.path.dirname(grassdegen.__file__)
 
 ALLOWED = {
-    "apply_transposition": "the one public form of the s_i action; orbit_closure inlines it",
+    "apply_transposition": "the one public form of each s_i; orbit_closure walks s_1 and the n-cycle",
     "standard_sequence": "the paper's standard sequence, the example of most tests and demos",
 }
 
