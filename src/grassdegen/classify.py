@@ -42,13 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .initial_forms import (
-    Fingerprint,
-    canonical_binomial,
-    initial_ideal,
-    relation_table,
-    row_digits,
-)
+from .initial_forms import Fingerprint, canonical_binomial, initial_ideal, relation_table
 from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
@@ -64,11 +58,10 @@ from .valuation import weighting_matrix
 def fingerprint(seq: IteratedSequence) -> Fingerprint:
     """Sorted ids of the canonical initial binomials of all nonzero
     relations; raises RuntimeError, naming the sequence, for a valuation row
-    that is not 0/1 and for a relation whose initial form is not a
-    binomial."""
+    that is not 0/1, for rows that fail the rank certificate and for a
+    relation whose initial form is not a binomial."""
     try:
-        digits = row_digits(weighting_matrix(seq).rows, 3 * (seq.n - 3))
-        return initial_ideal(digits, seq.n)[0]
+        return initial_ideal(weighting_matrix(seq).rows, seq.n)[0]
     except ValueError as exc:
         raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 

@@ -10,9 +10,9 @@ by binomial generators.
 column.  It bounds the rational rank from below: the rank of an integer
 matrix over a field is the largest size of a nonzero minor, and a minor
 that is odd, nonzero mod 2, is nonzero.  So an integer matrix whose
-reduction mod 2 has rank r has rank at least r over Q; full rank mod 2
-proves full rank over Q, and only a short rank mod 2 needs ``exact_rank``.
-The converse fails: the rows (1,1,0), (0,1,1), (1,0,1) have determinant 2,
+reduction mod 2 has rank r has rank at least r over Q, and full rank mod 2
+proves full rank over Q.  ``toricity.lattice_saturation`` uses it.  The
+converse fails: the rows (1,1,0), (0,1,1), (1,0,1) have determinant 2,
 rank 3 over Q and rank 2 mod 2.
 """
 

@@ -243,11 +243,26 @@ def decided_above_base(selection: Selection) -> bool:
     return sum(sum(map(ge, slot, floors)) for slot in slots) == 2 * len(maxima)
 
 
-def initial_ideal(digits: list[bytes], n: int) -> tuple[Fingerprint, Selection]:
+def check_leads(digits: list[bytes], dim: int) -> None:
+    """The certificate of rank ``dim`` (``valuation``): for each position
+    0..dim-1 some row's first 1 lies there; raises ValueError naming the
+    first position where none does.  Rows whose leading positions are
+    pairwise distinct are independent, so a pass proves the rank."""
+    missing = set(range(dim)).difference(map(bytes.find, digits, itertools.repeat(b"1")))
+    if missing:
+        position = min(missing)
+        raise ValueError(f"rank certificate: no valuation row has its first 1 at position {position}")
+
+
+def initial_ideal(rows, n: int) -> tuple[Fingerprint, Selection]:
     """The fingerprint of the initial ideal that the valuation rows of
-    Gr(3,n), given as their ``row_digits``, select, and the selection;
-    raises ValueError for a relation whose initial form is not a
+    Gr(3,n) select, and the selection; raises ValueError for a row outside
+    0/1 (``row_digits``), for rows that fail the rank certificate
+    (``check_leads``) and for a relation whose initial form is not a
     binomial."""
+    dim = 3 * (n - 3)
+    digits = row_digits(rows, dim)
+    check_leads(digits, dim)
     table = relation_table(n)
     selection = select(pack(digits), table)
     ids = binomial_ids(selection, table)

@@ -24,27 +24,27 @@ point weights.json holds.  All emitted files are byte-stable across runs
 and worker counts.
 
 The first sequence of a group is its head.  The head runs the kernel: its
-weighting matrix, the 0/1 check, the selection and the binomial check, and
-the rank check on the same digit strings.  A later member takes the head's
-fingerprint and rank-fallback bit when the head's selection is decided
-above the base (``initial_forms``); every other member runs the kernel
-itself.  Head and member differ only in the base level, top index 4, whose
-table ``valuation._transitions(4, base)`` is the head's with the charged
-positions permuted by one sigma and with the same next states, for every
-pair of base triples.  The state (1,2,3) charges nothing and stays; each
-other state holds 4 and lacks exactly one k in {1,2,3}, trades 4 for k,
-charges k's position in the base triple and steps to (1,2,3).  So sigma
-sends each position of the member's base triple to the position of the
-same index in the head's.  ``tests/test_pipeline.py`` checks all 36 pairs.
-The reuse is sound:
+weighting matrix, the 0/1 check, the rank certificate, the selection and
+the binomial check.  A later member takes the head's fingerprint when the
+head's selection is decided above the base (``initial_forms``); every
+other member runs the kernel itself.  Head and member differ only in the
+base level, top index 4, whose table ``valuation._transitions(4, base)``
+is the head's with the charged positions permuted by one sigma and with
+the same next states, for every pair of base triples.  The state (1,2,3)
+charges nothing and stays; each other state holds 4 and lacks exactly one
+k in {1,2,3}, trades 4 for k, charges k's position in the base triple and
+steps to (1,2,3).  So sigma sends each position of the member's base
+triple to the position of the same index in the head's.
+``tests/test_pipeline.py`` checks all 36 pairs.  The reuse is sound:
 
 * Equal levels give equal prefix rows and equal states entering the base
   level, because the descent runs level-major and each step depends only on
   the level's top index, its triple and the current multi-index.
 * So sigma turns the head's rows into the member's by permuting the three
-  base columns.  A column permutation keeps every row 0/1 and keeps the
-  rank over Q and mod 2, so the member passes the rank check, with the
-  head's fallback bit.
+  base columns, which keeps every row 0/1.
+* Full rank is a theorem (``valuation``).  The kernel checks its
+  certificate.  A reusing member's rows are the head's with three base
+  columns permuted, which keeps the rank.
 * Each relation's initial pair has equal full sums, so equal base digits,
   which stay equal under sigma, since it permutes both alike.  Every other
   term's sum // 27, the part above the base digits, does not move under
@@ -105,7 +105,6 @@ from operator import attrgetter
 from . import __version__
 from .classify import compute_orbits, OrbitReport
 from .cone import strict_interior_point, weight_vector
-from .exactlinalg import exact_rank, rank_mod2
 from .initial_forms import (
     Binomial,
     Fingerprint,
@@ -113,7 +112,6 @@ from .initial_forms import (
     decode,
     inequality_set,
     initial_ideal,
-    row_digits,
 )
 from .plucker import all_triples, triple_key
 from .sequences import (
@@ -162,82 +160,48 @@ class PipelineResult:
         )
 
 
-_ONE = ord("1")
-
-
-def _check_rank(digits: list[bytes], full: int) -> bool:
-    """Check that the 0/1 rows, given as their ``row_digits`` of length
-    ``full``, have rank ``full`` over Q, else ValueError; returns whether
-    the check needed ``exact_rank``.
-
-    Each row's digit string is read in base 2 and the rows are eliminated
-    mod 2.  Full rank mod 2 means some full-size minor is odd, hence
-    nonzero, so the rank over Q is full too (``exactlinalg``).  Only a short
-    rank mod 2 runs ``exact_rank``, whose value decides the check.
-    """
-    if rank_mod2(int(row, 2) for row in digits) == full:
-        return False
-    rank = exact_rank({i: 1 for i, x in enumerate(row) if x == _ONE} for row in digits)
-    if rank != full:
-        raise ValueError(f"weighting matrix has rank {rank}, below 3(n-3)")
-    return True
-
-
-def _select(n: int, levels: tuple[Triple, ...], base: Triple) -> tuple[Fingerprint, bool, bool]:
+def _select(n: int, levels: tuple[Triple, ...], base: Triple) -> tuple[Fingerprint, bool]:
     """The kernel of one sequence, built by the validating constructor: its
-    fingerprint, whether its selection is decided above the base, and
-    whether its rank check needed ``exact_rank``.  Any failure raises one
-    RuntimeError that names the sequence."""
+    fingerprint and whether its selection is decided above the base.  Any
+    failure raises one RuntimeError that names the sequence."""
     try:
-        seq = IteratedSequence(n, levels, base)
-        dim = 3 * (n - 3)
-        digits = row_digits(weighting_matrix(seq).rows, dim)
-        fp, selection = initial_ideal(digits, n)
-        return fp, decided_above_base(selection), _check_rank(digits, dim)
+        fp, selection = initial_ideal(weighting_matrix(IteratedSequence(n, levels, base)).rows, n)
+        return fp, decided_above_base(selection)
     except Exception as exc:
         raise RuntimeError(f"sequence {serialize_group(n, levels, [base])[0]}: {exc}") from exc
 
 
-def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int, int]:
+def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int]:
     """Check and fingerprint one chunk ``(n, groups)`` of groups
     ``(levels, bases)``; returns one tuple of fingerprints per group, in the
-    order of its bases, the number of rank checks that needed
-    ``exact_rank`` and the number of sequences whose selection ran.
+    order of its bases, and the number of sequences whose selection ran.
 
-    ``initial_ideal`` runs on the rows that ``row_digits`` has checked
-    against premise (a) of ``initial_forms``, that every valuation row is
-    0/1, from which the scalar check and the soundness of the closed-form
-    point c follow, as (i) and (ii) there.  A row outside 0/1, a
-    non-binomial initial form, a weighting matrix of rank below 3(n-3) or
-    any other failure raises one RuntimeError that names the sequence, so
-    every flag of an outcome holds.  The rank is checked mod 2 first, by
-    ``_check_rank``.  The first base of a group is its head; a member that
-    reuses its head's selection (module docstring) is never built, and
-    counts the head's rank fallback again, so that the count is the one a
-    run of every sequence through the kernel would give.  Equal
-    fingerprints are one object within the chunk, so that pickling sends
-    each ideal once.
+    ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
+    valuation row is 0/1, from which the scalar check and the soundness of
+    the closed-form point c follow, as (i) and (ii) there, and the rank
+    certificate of ``valuation``.  A row outside 0/1, a failed certificate,
+    a non-binomial initial form or any other failure raises one
+    RuntimeError that names the sequence, so every flag of an outcome
+    holds.  The first base of a group is its head; a member that reuses its
+    head's selection (module docstring) is never built.  Equal fingerprints
+    are one object within the chunk, so that pickling sends each ideal once.
     """
     n, groups = task
     shared: dict[Fingerprint, Fingerprint] = {}
     fingerprints = []
-    fallbacks = selections = 0
+    selections = 0
     for levels, bases in groups:
-        fp, decided, fallback = _select(n, levels, bases[0])
+        fp, decided = _select(n, levels, bases[0])
         selections += 1
         if decided:
             fps = [fp] * len(bases)
-            fallbacks += fallback * len(bases)
         else:
             fps = [fp]
-            fallbacks += fallback
             for base in bases[1:]:
-                fp, _, fallback = _select(n, levels, base)
-                fps.append(fp)
-                fallbacks += fallback
+                fps.append(_select(n, levels, base)[0])
                 selections += 1
         fingerprints.append(tuple(shared.setdefault(fp, fp) for fp in fps))
-    return fingerprints, fallbacks, selections
+    return fingerprints, selections
 
 
 def _label_point(item):
@@ -349,8 +313,8 @@ def run_pipeline(
         outcomes = []
         labels: dict[Fingerprint, set[Label]] = {}
         first: dict[Label, tuple] = {}  # each label's first sequence in run order
-        fallbacks = selections = 0
-        for chunk, (fingerprints, chunk_fallbacks, chunk_selections) in zip(chunks, swept):
+        selections = 0
+        for chunk, (fingerprints, chunk_selections) in zip(chunks, swept):
             for (levels, bases), fps in zip(chunk, fingerprints):
                 label = label_of(levels)
                 texts = serialize_group(n, levels, bases)
@@ -359,7 +323,6 @@ def run_pipeline(
                 for text, fp in zip(texts, fps):
                     outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
                     labels.setdefault(fp, set()).add(label)
-            fallbacks += chunk_fallbacks
             selections += chunk_selections
             elapsed = time.perf_counter() - start
             log.info(
@@ -408,8 +371,6 @@ def run_pipeline(
             "lp_solves": len(label_weights),
             # simplex pivots over all LPs of the LP stage
             "lp_pivots": sum(pivots for _, _, pivots in points),
-            # swept sequences whose rank mod 2 was short, so that exact_rank ran
-            "rank_fallbacks": fallbacks,
             # swept sequences whose selection ran: group heads and the
             # members that could not reuse their head's
             "ideal_selections": selections,

@@ -19,6 +19,17 @@ multi-index through it, appending the charged triad to its row.  The domain
 covers every state: before level t every index is at most n - t, because
 the top index is always traded for one in [n-t-1].  The descent ends at
 {1,2,3}; a row whose descent ends elsewhere raises RuntimeError.
+
+Full rank.  The weighting matrix M_S has rank 3(n-3) over Q and over
+every GF(p), for every iterated sequence S.  At level t, with top index r = n - t >= 4 and triple
+(a,b,c), let y = min([r-1] - {a,b}) and take the rows
+K_{t,0} = {r} and the two smallest indices of [r-1] - {a},
+K_{t,1} = {r,a,y} and K_{t,2} = {r,a,b}.  Each lies in [r], so no level
+above t charges or moves it, and level t charges position j of its triple:
+the first entry that K_{t,j} lacks is a, b, c for j = 0, 1, 2.  So row
+K_{t,j} has its first 1 at 3t+j, and the 3(n-3) rows form a unit
+triangular block.  ``initial_forms.check_leads`` checks this certificate,
+that every position leads some row, on every matrix the kernel reads.
 """
 
 from __future__ import annotations

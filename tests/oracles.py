@@ -163,6 +163,20 @@ def pullback_support(seq, I):
     return frozenset(expand(seq.n, frozenset(I)))
 
 
+def certificate_triples(seq):
+    """The rows K_{t,j} of the rank proof in ``valuation``, in the order of
+    their positions 3t + j.  At level t, with top index r and triple
+    (a, b, c): {r} and the two smallest indices of [r-1] - {a}; {r, a, y}
+    with y the smallest index of [r-1] - {a, b}; and {r, a, b}."""
+    triples = []
+    for t, (a, b, _) in enumerate(seq.triples):
+        r = seq.n - t
+        below = [i for i in range(1, r) if i != a]
+        y = min(i for i in below if i != b)
+        triples += [(*below[:2], r), tuple(sorted((a, y))) + (r,), tuple(sorted((a, b))) + (r,)]
+    return triples
+
+
 def brute_force_fingerprint(seq):
     """Sorted canonical initial binomials of every nonzero relation.
 

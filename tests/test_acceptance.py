@@ -23,6 +23,7 @@ from grassdegen.sequences import (
 from grassdegen.valuation import valuation_rows, weighting_matrix
 
 from oracles import (
+    certificate_triples,
     dense_rank,
     initial_terms,
     output_hashes,
@@ -197,15 +198,17 @@ def test_criterion_7_full_rank_witness(pipeline6):
     for i in range(9):
         assert sub[i][i] == 1
         assert all(sub[i][j] == 0 for j in range(i))
-    # The sweep raises on any sequence of rank below 9, so the completed run
-    # covers every sequence; every one of them had full rank mod 2, with no
-    # fallback to exact_rank.  Dense elimination checks the first sequence
-    # of each label independently.
-    assert pipeline6.counters["rank_fallbacks"] == 0
+    # The sweep checks the rank certificate of every sequence, so the
+    # completed run covers them all.  On the first sequence of each label,
+    # the named rows of the proof in ``valuation`` lead at their positions,
+    # and dense elimination checks the rank independently.
     assert len(pipeline6.label_weights) == 240
     for witness, _, _ in pipeline6.label_weights.values():
-        rows = weighting_matrix(IteratedSequence.parse(witness)).rows
-        assert dense_rank([dict(enumerate(row)) for row in rows], 9) == 9
+        seq = IteratedSequence.parse(witness)
+        row = dict(weighting_matrix(seq).items())
+        for position, K in enumerate(certificate_triples(seq)):
+            assert row[K].index(1) == position, (witness, K)
+        assert dense_rank([dict(enumerate(r)) for r in row.values()], 9) == 9
     elapsed = time.perf_counter() - start
     announce(7, "triangular unit-diagonal submatrix and rank 9", elapsed, 60.0)
 

@@ -437,20 +437,38 @@ def test_jobs_flag(tmp_path):
     assert proc.stdout.strip() == "sequences=144 ideals=12 orbits=[12]"
 
 
-def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, capsys):
-    """All-zero valuation rows tie every term of a relation, so no initial
-    form is a binomial: each command exits 1, names the first sequence it
-    fingerprints and prints no usage banner."""
-    from grassdegen import cli, valuation
-    from grassdegen.classify import classify_gr36
+def drop_the_last_column(monkeypatch):
+    """Zero the last column of every weighting matrix: its rank falls to
+    3(n-3) - 1, and no row leads at the last position."""
+    from grassdegen import valuation
+
+    real = valuation.valuation_rows
+    monkeypatch.setattr(
+        valuation, "valuation_rows",
+        lambda seq, triples: tuple((*row[:-1], 0) for row in real(seq, triples)),
+    )
+
+
+def first_sequence(n):
+    """The sequence that ``fingerprint_labels(n)`` fingerprints first."""
     from grassdegen.sequences import all_labels, representative_sequence
 
-    def first_sequence(n):
-        return representative_sequence(next(all_labels(n)), n).serialize()
+    return representative_sequence(next(all_labels(n)), n).serialize()
 
-    monkeypatch.setattr(
-        valuation, "valuation_rows", lambda seq, triples: tuple((0,) * (3 * (seq.n - 3)) for _ in triples)
-    )
+
+def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, capsys):
+    """Unit valuation rows that cycle through the positions pass the rank
+    certificate, but leave some relation's initial form no binomial: each
+    command exits 1, names the first sequence it fingerprints and prints no
+    usage banner."""
+    from grassdegen import cli, valuation
+    from grassdegen.classify import classify_gr36
+
+    def cycling_units(seq, triples):
+        dim = 3 * (seq.n - 3)
+        return tuple(tuple(int(j == i % dim) for j in range(dim)) for i, _ in enumerate(triples))
+
+    monkeypatch.setattr(valuation, "valuation_rows", cycling_units)
     out = tmp_path / "out"
     commands = [
         (["pipeline", "-n", "5", "--seq", "5:[2,1,3|1,2,3]", "--out", str(out)], "5:[2,1,3|1,2,3]"),
@@ -467,6 +485,30 @@ def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, caps
     finally:
         classify_gr36.cache_clear()
     assert not out.exists()
+
+
+def test_a_rank_deficient_matrix_stops_the_query_commands(monkeypatch, capsys):
+    """A zeroed last column leaves no row leading at the last position:
+    orbit-of and verify -n exit 1 on the first sequence they fingerprint."""
+    from grassdegen import cli
+    from grassdegen.classify import classify_gr36
+
+    drop_the_last_column(monkeypatch)
+    commands = [
+        (["orbit-of", "(1,2;3,4)"], first_sequence(6), 8),
+        (["verify", "-n", "5"], first_sequence(5), 5),
+    ]
+    classify_gr36.cache_clear()
+    try:
+        for argv, serialized, position in commands:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: sequence {serialized}: rank certificate: "
+                f"no valuation row has its first 1 at position {position}\n"
+            )
+    finally:
+        classify_gr36.cache_clear()
 
 
 def test_an_n6_orbit_of_no_class_exits_1(tmp_path, monkeypatch, capsys):

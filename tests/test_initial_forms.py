@@ -6,6 +6,7 @@ import pytest
 from grassdegen.cone import weight_vector
 from grassdegen.initial_forms import (
     binomial_ids,
+    check_leads,
     decided_above_base,
     inequalities,
     inequalities_from_csv,
@@ -223,6 +224,26 @@ def test_pack_rows_is_minus_the_certificate_weight(dim):
     certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
     rows = list(itertools.product((0, 1), repeat=dim))
     assert pack(row_digits(rows, dim)) == [-x for x in weight_vector(certificate, rows)]
+
+
+def test_the_rank_certificate_accepts_distinct_leading_positions():
+    check_leads([b"100", b"011", b"001"], 3)
+    check_leads([b"000", b"001", b"100", b"010", b"011"], 3)
+
+
+@pytest.mark.parametrize(
+    "digits, position",
+    [
+        ([b"110", b"011", b"110"], 2),
+        # rank 3 over Q, but rows 0 and 2 both lead at position 0
+        ([b"110", b"011", b"101"], 2),
+        ([b"000", b"001", b"010"], 0),
+    ],
+)
+def test_the_rank_certificate_names_the_first_position_no_row_leads(digits, position):
+    message = rf"^rank certificate: no valuation row has its first 1 at position {position}$"
+    with pytest.raises(ValueError, match=message):
+        check_leads(digits, 3)
 
 
 def equivalence_sample(n):

@@ -20,8 +20,7 @@ from grassdegen.classify import (
     fingerprint_labels,
 )
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.exactlinalg import exact_rank, rank_mod2
-from grassdegen.initial_forms import decode, inequality_set, row_digits
+from grassdegen.initial_forms import decode, inequality_set
 from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
@@ -45,6 +44,7 @@ from oracles import (
     plucker_macaulay_rank,
     recorded_hashes,
 )
+from test_cli import drop_the_last_column
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -392,15 +392,14 @@ def test_sweep_failure_names_its_sequence(monkeypatch):
 def test_pipeline_exits_1_on_a_rank_deficient_weighting_matrix(tmp_path, monkeypatch, capsys):
     from grassdegen.cli import main
 
-    # a short rank mod 2 sends the check to exact_rank, whose value decides it
-    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 5)
-    monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
+    drop_the_last_column(monkeypatch)
     serialized = "5:[2,1,3|1,2,3]"
     out = tmp_path / "out"
     code = main(["pipeline", "-n", "5", "--seq", serialized, "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"sequence {serialized}: weighting matrix has rank 5, below 3(n-3)" in err
+    message = "rank certificate: no valuation row has its first 1 at position 5"
+    assert f"sequence {serialized}: {message}" in err
     assert not out.exists()
 
 
@@ -408,52 +407,13 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the orbit stage ran after a broken sweep")
 
-    # a short rank mod 2 sends the check to exact_rank, whose value decides it
-    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 5)
-    monkeypatch.setattr(pipeline, "exact_rank", lambda rows: 5)
+    drop_the_last_column(monkeypatch)
     monkeypatch.setattr(pipeline, "compute_orbits", unreachable)
     seqs = [IteratedSequence.parse(s) for s in ("5:[2,1,3|1,2,3]", "5:[1,2,3|1,2,3]")]
     with pytest.raises(
-        RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: weighting matrix has rank 5,"
+        RuntimeError, match=r"^sequence 5:\[2,1,3\|1,2,3\]: rank certificate: .* at position 5$"
     ):
         run_pipeline(5, jobs=1, sequences=seqs)
-
-
-def test_a_rank_short_mod_2_but_full_over_q_passes_through_exact_rank(monkeypatch):
-    """The rows (1,1,0), (0,1,1), (1,0,1) have determinant 2: rank 3 over Q,
-    rank 2 mod 2.  The check falls back to exact_rank and passes."""
-    calls = []
-
-    def counted(rows):
-        calls.append(None)
-        return exact_rank(rows)
-
-    monkeypatch.setattr(pipeline, "exact_rank", counted)
-    rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    assert rank_mod2(int("".join(map(str, row)), 2) for row in rows) == 2
-    assert pipeline._check_rank(row_digits(rows, 3), 3) is True
-    assert len(calls) == 1
-    assert pipeline._check_rank([b"110", b"011", b"001"], 3) is False
-    assert len(calls) == 1
-
-
-def test_a_rank_short_over_q_raises_the_rank_message():
-    digits = [b"110", b"011", b"110", b"000"]
-    with pytest.raises(ValueError, match=r"^weighting matrix has rank 2, below 3\(n-3\)$"):
-        pipeline._check_rank(digits, 3)
-
-
-def test_every_rank_fallback_is_counted_and_changes_no_output(result_n5, tmp_path, monkeypatch):
-    """With the mod-2 rank forced short, every swept sequence runs exact_rank:
-    the counter reads the sequence count, and the data files do not move."""
-    assert result_n5.counters["rank_fallbacks"] == 0
-    monkeypatch.setattr(pipeline, "rank_mod2", lambda rows: 0)
-    forced = run_pipeline(5, jobs=1)
-    assert forced.counters["rank_fallbacks"] == len(forced.outcomes) == 144
-    write_outputs(result_n5, str(tmp_path / "plain"))
-    manifest = load_json(write_outputs(forced, str(tmp_path / "forced")))
-    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-    assert output_hashes(tmp_path / "forced") == output_hashes(tmp_path / "plain")
 
 
 def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
@@ -496,15 +456,9 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
 
 
 def kernel_reference(serialized):
-    """Each sequence's fingerprint and rank-fallback bit, from the kernel run
-    on that sequence alone."""
-    reference = {}
-    for s in serialized:
-        seq = IteratedSequence.parse(s)
-        dim = 3 * (seq.n - 3)
-        digits = row_digits(weighting_matrix(seq).rows, dim)
-        reference[s] = fingerprint(seq), pipeline._check_rank(digits, dim)
-    return reference
+    """Each sequence's fingerprint, from the kernel run on that sequence
+    alone."""
+    return {s: fingerprint(IteratedSequence.parse(s)) for s in serialized}
 
 
 def groups_of(serialized):
@@ -525,22 +479,20 @@ def sweep(serialized, pieces):
     """The sweep of a run whose chunks are ``pieces``, in this process, as
     ``(serialized, fingerprint)`` pairs."""
     n = IteratedSequence.parse(serialized[0]).n
-    outcomes, fallbacks, selections = [], 0, 0
+    outcomes, selections = [], 0
     for chunk in pipeline._chunks(groups_of(serialized), -(-len(serialized) // pieces)):
-        fingerprints, chunk_fallbacks, chunk_selections = pipeline._sweep_chunk((n, chunk))
+        fingerprints, chunk_selections = pipeline._sweep_chunk((n, chunk))
         for (levels, bases), fps in zip(chunk, fingerprints):
             outcomes += zip(serialize_group(n, levels, bases), fps)
-        fallbacks += chunk_fallbacks
         selections += chunk_selections
-    return outcomes, fallbacks, selections
+    return outcomes, selections
 
 
 def assert_sweep_equals_the_kernel(serialized, pieces, reference):
-    outcomes, fallbacks, selections = sweep(serialized, pieces)
+    outcomes, selections = sweep(serialized, pieces)
     assert [text for text, _ in outcomes] == serialized
     for text, fp in outcomes:
-        assert fp == reference[text][0], text
-    assert fallbacks == sum(bit for _, bit in reference.values())
+        assert fp == reference[text], text
     return selections
 
 
@@ -645,12 +597,12 @@ def test_a_label_under_two_ideals_is_counted_and_named(monkeypatch, caplog, tmp_
     forged = IteratedSequence.parse("5:[1,2,3|2,1,3]")
     other = fingerprint(IteratedSequence.parse("5:[2,1,3|1,2,3]"))
     assert fingerprint(forged) != other
-    target = row_digits(weighting_matrix(forged).rows, 6)
+    target = weighting_matrix(forged).rows
     real = pipeline.initial_ideal
 
-    def forging(digits, n):
-        fp, selection = real(digits, n)
-        return (other if digits == target else fp), selection
+    def forging(rows, n):
+        fp, selection = real(rows, n)
+        return (other if rows == target else fp), selection
 
     undecide_heads(monkeypatch)
     monkeypatch.setattr(pipeline, "initial_ideal", forging)
@@ -668,6 +620,16 @@ def test_a_label_under_two_ideals_is_counted_and_named(monkeypatch, caplog, tmp_
 
 def test_no_label_is_split_at_n5_and_n6(result_n5, result_n6):
     assert result_n5.counters["split_labels"] == result_n6.counters["split_labels"] == 0
+
+
+def test_the_readme_manifest_row_names_every_counter(result_n5):
+    """The schema requires exactly the counters a run writes; this keeps
+    the README's manifest row in step with them."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        (row,) = [line for line in fh if line.startswith("| `manifest.json` |")]
+    assert result_n5.counters
+    for key in result_n5.counters:
+        assert f"`{key}`" in row, key
 
 
 def test_every_pair_of_base_triples_has_its_sigma():
@@ -695,7 +657,7 @@ def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
     undecide_heads(monkeypatch)
     serialized = [s.serialize() for s in enumerate_sequences(5)]
     groups = groups_of(serialized)
-    fingerprints, _, selections = pipeline._sweep_chunk((5, groups))
+    fingerprints, selections = pipeline._sweep_chunk((5, groups))
     assert selections == len(serialized) == 144
     for (levels, bases), fps in zip(groups, fingerprints):
         for base, fp in zip(bases, fps):
@@ -715,7 +677,7 @@ def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(monkeypatch
 
     monkeypatch.setattr(valuation, "_transitions", patched)
     with pytest.raises(
-        RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: weighting matrix has rank 5, below"
+        RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: rank certificate: .* at position 5$"
     ):
         run_pipeline(5, jobs=1)
 

@@ -209,6 +209,9 @@ def test_rank_mod2_counts_the_span_and_bounds_the_rational_rank():
         assert 2**rank == len(span)
         assert rank <= exact_rank({j: x for j, x in enumerate(row) if x} for row in rows)
     assert rank_mod2([]) == rank_mod2([0, 0]) == 0
+    # (1,1,0), (0,1,1), (1,0,1) have determinant 2: rank 3 over Q, 2 mod 2
+    assert rank_mod2([0b110, 0b011, 0b101]) == 2
+    assert exact_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]) == 3
 
 
 def test_smith_form_examples():

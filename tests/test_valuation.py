@@ -16,8 +16,9 @@ from grassdegen.valuation import (
     weighting_matrix,
 )
 from grassdegen.exactlinalg import exact_rank
+from grassdegen.initial_forms import initial_ideal
 
-from oracles import height_order_key, pullback_support, root_heights
+from oracles import certificate_triples, height_order_key, pullback_support, root_heights
 
 
 def height_weight(seq, vector):
@@ -58,11 +59,11 @@ def test_pullback_support_examples():
     assert max(support) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-def seeded_n7_sequences(seed, count):
+def seeded_sequences(n, seed, count):
     rng = random.Random(seed)
     for _ in range(count):
-        levels = tuple(tuple(rng.sample(range(1, 7 - t), 3)) for t in range(3))
-        yield IteratedSequence(7, levels, tuple(rng.sample((1, 2, 3), 3)))
+        levels = tuple(tuple(rng.sample(range(1, n - t), 3)) for t in range(n - 4))
+        yield IteratedSequence(n, levels, tuple(rng.sample((1, 2, 3), 3)))
 
 
 def assert_rows_equal_the_support_oracle(seq):
@@ -82,7 +83,7 @@ def test_valuation_equals_lex_max_of_support(n):
 
 
 def test_valuation_equals_lex_max_sampled_n7():
-    for seq in seeded_n7_sequences(11, 100):
+    for seq in seeded_sequences(7, 11, 100):
         assert_rows_equal_the_support_oracle(seq)
 
 
@@ -136,6 +137,18 @@ except RuntimeError as exc:
     optimize, message = proc.stdout.splitlines()
     assert optimize == "1"
     assert re.match(DESCENT_ERROR, message)
+
+
+@pytest.mark.parametrize("n, count", [(4, None), (5, None), (6, None), (7, 2000), (8, 300)])
+def test_each_certificate_row_leads_at_its_position(n, count):
+    """The rank proof of ``valuation``, against the support oracle: row
+    K_{t,j} has its first 1 at 3t + j, on every sequence of n <= 6 and a
+    seeded sample at n = 7 and 8.  The kernel accepts each sequence."""
+    sample = enumerate_sequences(n) if count is None else seeded_sequences(n, 2026, count)
+    for seq in sample:
+        for position, K in enumerate(certificate_triples(seq)):
+            assert max(pullback_support(seq, K)).index(1) == position, (seq.serialize(), K)
+        initial_ideal(weighting_matrix(seq).rows, n)
 
 
 @pytest.mark.parametrize("n", [4, 5])
