@@ -6,12 +6,13 @@ The sweep checks and fingerprints every sequence through
 Its input is a list of groups ``(levels, bases)``: for a full run, one
 group per level prefix of ``sequences.level_prefixes`` with the six base
 permutations; for a list of sequences, one group per run of consecutive
-sequences with equal ``levels``.  A chunk holds whole groups, about
-total / (8 jobs) sequences, so that every counter is the same for every
-worker count.  A worker parses nothing: it builds a sequence, through the
-validating constructor, only to run the kernel on it, returns one tuple of
-fingerprints per group and its counters, and raises a RuntimeError that
-names the first sequence that breaks an invariant.  The parent merges the
+sequences with equal ``levels``.  A chunk holds whole runs of consecutive
+groups with one sibling key (below), about total / (8 jobs) sequences, so
+that every counter is the same for every worker count.  A worker parses
+nothing: it builds a sequence, through the validating constructor, only to
+run the kernel on it, returns one tuple of fingerprints per group and its
+counters, and raises a RuntimeError that names the first sequence that
+breaks an invariant.  The parent merges the
 chunks in order as the pool hands them over: it writes each sequence's
 text with ``sequences.serialize_group``, builds its ``SequenceOutcome`` and
 keeps one map from fingerprint to labels, whose sorted order numbers the
@@ -51,6 +52,43 @@ triple to the position of the same index in the head's.
   sigma and stays strictly below the pair's, so the term stays below the
   pair whatever its base digits.  So the member's initial terms are the
   head's, and it has the head's binomial initial ideal.
+
+A group's sibling key is its levels with the third index of the last
+level, the one at top index 5, dropped (``_sibling_key``); groups with one
+key are siblings.  A decided head's fingerprint goes to every later group
+in its run of consecutive siblings, whose sequences then run no kernel;
+after an undecided head, the next sibling group runs its own head.
+``level_prefixes`` runs the top-index-5 triple innermost, so a full run's
+siblings are adjacent: two groups, twelve sequences, for n >= 5.  At n = 4
+there is no such level, and the key is the empty levels.  The reuse is
+sound.  Let the head H have the last triple (i1,i2,i3), and let H' be the
+sequence with the last triple (i1,i2,i3') and H's base.  H' has H's
+fingerprint and is decided above the base (below), so each sequence of a
+sibling group, which differs from H' at most in its base, takes it by
+sigma.
+
+* The tables ``valuation._transitions(5, .)`` of the two triples differ
+  only in the state {5,i1,i2}: every other state holding 5 lacks i1 or i2
+  and is charged and stepped alike.  In that state both charge position 2,
+  the unit triad (0,0,1), and step to {i1,i2,i3} or {i1,i2,i3'}.  Let C be
+  the rows that enter level t = n-5 at {5,i1,i2}: by the equal levels above
+  and the previous point, exactly the rows whose level-t triad is (0,0,1),
+  in H and in H' alike.  So H and H' have equal digits in every row above
+  the base; in the base digits, which the one base table assigns from the
+  state entering the base, every row of C carries one triad u in H and one
+  triad u' in H', and every other row is unchanged.  u' is a unit or zero
+  triad, so the rows of H' are 0/1, and its rank is the theorem's.
+* A relation's initial pair attains the maximum packed sum, so its two sums
+  are equal in every digit, by the absence of carries, among them position
+  3t+2.  A monomial's digit there is the number of its factors in C, so
+  both monomials of the pair have the same number k of factors in C.  In
+  H' both sums change by k (u' - u) in the base digits alone and stay
+  equal.  Every term changes only in its base digits, and no addition
+  carries, so every term's sum // 27 is H's.  H is decided above the base,
+  so every non-initial term's sum // 27 stays strictly below the pair's.
+  So H' has H's initial pair in every relation, and so H's fingerprint,
+  and is itself decided above the base; its six base permutations take it
+  by sigma.
 
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
@@ -183,17 +221,23 @@ def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int]:
     a non-binomial initial form or any other failure raises one
     RuntimeError that names the sequence, so every flag of an outcome
     holds.  The first base of a group is its head; a member that reuses its
-    head's selection (module docstring) is never built.  Equal fingerprints
-    are one object within the chunk, so that pickling sends each ideal once.
+    head's selection, or a group that reuses the decided head of an earlier
+    sibling in its run (module docstring), is never built.  Equal
+    fingerprints are one object within the chunk, so that pickling sends
+    each ideal once.
     """
     n, groups = task
     shared: dict[Fingerprint, Fingerprint] = {}
     fingerprints = []
     selections = 0
+    decided_key = None  # the sibling key of the last head run, if decided
     for levels, bases in groups:
-        fp, decided = _select(n, levels, bases[0])
-        selections += 1
-        if decided:
+        key = _sibling_key(levels)
+        if key != decided_key:
+            fp, decided = _select(n, levels, bases[0])
+            selections += 1
+            decided_key = key if decided else None
+        if decided_key is not None:
             fps = [fp] * len(bases)
         else:
             fps = [fp]
@@ -228,13 +272,21 @@ def _verify_entry(item) -> dict:
     }
 
 
+def _sibling_key(levels: tuple[Triple, ...]) -> tuple:
+    """The levels without the third index of the top-index-5 level (module
+    docstring); at n = 4, the empty levels."""
+    return levels[:-1] + (levels[-1][:2],) if levels else levels
+
+
 def _chunks(groups: list, size: int) -> Iterator[list]:
     """Consecutive whole groups ``(levels, bases)``, so that no chunk splits
-    a group; each chunk but the last holds at least ``size`` sequences."""
+    a run of consecutive groups with one ``_sibling_key``; each chunk but
+    the last holds at least ``size`` sequences."""
     chunk, count = [], 0
-    for group in groups:
-        chunk.append(group)
-        count += len(group[1])
+    for _, run in itertools.groupby(groups, lambda group: _sibling_key(group[0])):
+        for group in run:
+            chunk.append(group)
+            count += len(group[1])
         if count >= size:
             yield chunk
             chunk, count = [], 0
@@ -371,8 +423,8 @@ def run_pipeline(
             "lp_solves": len(label_weights),
             # simplex pivots over all LPs of the LP stage
             "lp_pivots": sum(pivots for _, _, pivots in points),
-            # swept sequences whose selection ran: group heads and the
-            # members that could not reuse their head's
+            # swept sequences whose selection ran: the heads of groups that
+            # no decided sibling head served, and the members of undecided heads
             "ideal_selections": selections,
             # labels whose sequences lie under more than one ideal
             "split_labels": len(split),

@@ -452,7 +452,7 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# one selection per group of base permutations
+# one selection per run of sibling groups
 
 
 def kernel_reference(serialized):
@@ -498,16 +498,16 @@ def assert_sweep_equals_the_kernel(serialized, pieces, reference):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
-    """In enumeration order every chunk holds whole groups, and each group
-    runs one selection; in a seeded shuffle groups rarely form, and the
-    outcomes are the same."""
+    """In enumeration order every chunk holds whole runs of sibling groups,
+    and each run of twelve sequences runs one selection; in a seeded
+    shuffle runs rarely form, and the outcomes are the same."""
     serialized = [s.serialize() for s in enumerate_sequences(n)]
     reference = kernel_reference(serialized)
     for pieces in (8, 16):  # the chunks of --jobs 1 and --jobs 2
-        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == len(serialized) // 6
+        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == len(serialized) // 12
     shuffled = serialized[:]
     random.Random(n).shuffle(shuffled)
-    assert assert_sweep_equals_the_kernel(shuffled, 16, reference) > len(serialized) // 6
+    assert assert_sweep_equals_the_kernel(shuffled, 16, reference) > len(serialized) // 12
 
 
 def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
@@ -524,17 +524,17 @@ def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
         ]
     assert len(serialized) == 4 * 144
     selections = assert_sweep_equals_the_kernel(serialized, 8, kernel_reference(serialized))
-    assert selections == len(serialized) // 6
+    assert selections == len(serialized) // 12 == 48
 
 
 def test_manifest_counts_ideal_selections(tmp_path):
-    """One selection per group at n = 5 for every worker count: a chunk
-    holds whole groups, so no chunk splits a group."""
+    """One selection per run of sibling groups at n = 5 for every worker
+    count: no chunk splits a run."""
     for jobs in (1, 2):
         result = run_pipeline(5, jobs=jobs)
         manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-        assert manifest["counters"]["ideal_selections"] == 24
+        assert manifest["counters"]["ideal_selections"] == 12
     full5 = [(levels, BASES) for levels in level_prefixes(5)]
     full6 = [(levels, BASES) for levels in level_prefixes(6)]
     assert chunk_sizes(full5, 144 // 16) == [12] * 12
@@ -542,10 +542,39 @@ def test_manifest_counts_ideal_selections(tmp_path):
     assert chunk_sizes(full6, 8640 // 16) == [540] * 16
 
 
+def test_a_chunk_size_that_would_cut_a_sibling_pair_keeps_the_pair():
+    """A chunk of 6 sequences would hold one group of n = 5; it holds the
+    group and its sibling, whose levels differ only in the third index."""
+    full5 = [(levels, BASES) for levels in level_prefixes(5)]
+    chunks = list(pipeline._chunks(full5, 6))
+    assert [len(chunk) for chunk in chunks] == [2] * 12
+    for (head, _), (other, _) in chunks:
+        assert head[0][:2] == other[0][:2] and head != other
+    assert chunk_sizes(full5, 13) == [24] * 6
+    assert chunk_sizes(full5[1:], 6) == [6] + [12] * 11
+
+
+def test_a_sibling_after_another_prefix_runs_its_own_head():
+    """Only consecutive siblings share a head: a list ordered sibling, other
+    prefix, sibling runs three heads and equals the kernel on every
+    sequence, also in one chunk."""
+    prefixes = [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 1, 3)), ((1, 2, 3), (1, 2, 4))]
+    serialized = serialize_group(6, prefixes[0], BASES)
+    serialized += serialize_group(6, prefixes[1], BASES[:2])
+    serialized += serialize_group(6, prefixes[2], BASES[3:])
+    assert pipeline._sibling_key(prefixes[0]) == pipeline._sibling_key(prefixes[2])
+    reference = kernel_reference(serialized)
+    for pieces in (1, 3):
+        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == 3
+    result = run_pipeline(6, jobs=1, sequences=list(map(IteratedSequence.parse, serialized)))
+    assert [(o.serialized, o.fingerprint) for o in result.outcomes] == list(reference.items())
+    assert result.counters["ideal_selections"] == 3
+
+
 def test_chunks_hold_whole_groups_so_counters_do_not_depend_on_jobs(tmp_path):
     """Without its first 3 sequences, n = 5 starts with a group of 3: the
-    141 sequences form 24 groups, each one selection at every worker
-    count."""
+    141 sequences form 24 groups in 12 runs of siblings, each one selection
+    at every worker count."""
     sequences = list(enumerate_sequences(5))[3:]
     assert len(groups_of([s.serialize() for s in sequences])) == 24
     counters = {}
@@ -554,7 +583,7 @@ def test_chunks_hold_whole_groups_so_counters_do_not_depend_on_jobs(tmp_path):
         write_outputs(result, str(tmp_path / f"jobs{jobs}"))
         counters[jobs] = result.counters
     assert counters[1] == counters[2]
-    assert counters[1]["ideal_selections"] == 24
+    assert counters[1]["ideal_selections"] == 12
     assert output_hashes(tmp_path / "jobs1") == output_hashes(tmp_path / "jobs2")
 
 
@@ -579,10 +608,10 @@ def test_progress_is_logged_at_info_and_off_by_default(caplog, capsys, tmp_path)
     caplog.set_level(logging.INFO, logger="grassdegen.pipeline")
     logged = run_pipeline(5, jobs=1)
     messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
-    assert len(messages) == 8  # one per chunk of 18 sequences
+    assert len(messages) == 6  # one per chunk: two runs of 12 sequences reach 18
     assert all(r.levelno == logging.INFO for r in caplog.records)
     assert re.fullmatch(r"swept 144 of 144 sequences in \d+\.\d s, ETA 0\.0 s", messages[-1])
-    assert messages[0].startswith("swept 18 of 144 sequences in ")
+    assert messages[0].startswith("swept 24 of 144 sequences in ")
     assert logger.handlers == []
     assert capsys.readouterr() == ("", "")
     write_outputs(result, str(tmp_path / "plain"))
@@ -622,14 +651,19 @@ def test_no_label_is_split_at_n5_and_n6(result_n5, result_n6):
     assert result_n5.counters["split_labels"] == result_n6.counters["split_labels"] == 0
 
 
-def test_the_readme_manifest_row_names_every_counter(result_n5):
+def test_the_readme_manifest_row_names_every_counter(result_n5, result_n6):
     """The schema requires exactly the counters a run writes; this keeps
-    the README's manifest row in step with them."""
+    the README's manifest row in step with them, and with the n = 5 and
+    n = 6 values it quotes."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         (row,) = [line for line in fh if line.startswith("| `manifest.json` |")]
     assert result_n5.counters
     for key in result_n5.counters:
         assert f"`{key}`" in row, key
+    for key in ("ideal_selections", "lp_pivots"):
+        quoted = re.search(rf"`{key}`:[^`]*?(\d+) at n = 5 and (\d+) at n = 6", row)
+        assert quoted, key
+        assert quoted.groups() == (str(result_n5.counters[key]), str(result_n6.counters[key])), key
 
 
 def test_every_pair_of_base_triples_has_its_sigma():
@@ -654,11 +688,14 @@ def undecide_heads(monkeypatch):
 
 
 def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
+    """Neither a member nor a sibling group takes an undecided head's
+    ideal: every n = 5 sequence runs the kernel."""
     undecide_heads(monkeypatch)
     serialized = [s.serialize() for s in enumerate_sequences(5)]
     groups = groups_of(serialized)
     fingerprints, selections = pipeline._sweep_chunk((5, groups))
     assert selections == len(serialized) == 144
+    assert run_pipeline(5, jobs=1).counters["ideal_selections"] == 144
     for (levels, bases), fps in zip(groups, fingerprints):
         for base, fp in zip(bases, fps):
             assert fp == fingerprint(IteratedSequence(5, levels, base))

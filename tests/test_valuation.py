@@ -151,6 +151,56 @@ def test_each_certificate_row_leads_at_its_position(n, count):
         initial_ideal(weighting_matrix(seq).rows, n)
 
 
+@pytest.mark.parametrize("top", [5, 6, 7, 8])
+def test_sibling_tables_differ_in_one_state(top):
+    """Two triples at one top index with equal first two indices: their
+    tables differ exactly in the state {top,i1,i2}, where both charge
+    position 2 and step to {i1,i2} with their own third index."""
+    for i1, i2 in itertools.permutations(range(1, top), 2):
+        state = tuple(sorted((top, i1, i2)))
+        thirds = [c for c in range(1, top) if c not in (i1, i2)]
+        for c, c2 in itertools.combinations(thirds, 2):
+            charge, step = valuation._transitions(top, (i1, i2, c))
+            charge2, step2 = valuation._transitions(top, (i1, i2, c2))
+            assert charge == charge2
+            assert charge[state] == (0, 0, 1)
+            assert {s for s in step if step[s] != step2[s]} == {state}
+            assert (step[state], step2[state]) == (
+                tuple(sorted((i1, i2, c))), tuple(sorted((i1, i2, c2)))
+            )
+
+
+def top5_sibling(seq):
+    """The sequence that differs from ``seq`` only in the third index of
+    its top-index-5 triple."""
+    *above, (a, b, c) = seq.levels
+    (other,) = {1, 2, 3, 4} - {a, b, c}
+    return IteratedSequence(seq.n, (*above, (a, b, other)), seq.base_perm)
+
+
+@pytest.mark.parametrize(
+    "n, count", [(5, None), (6, None), (7, 1500), (8, 300)]
+)
+def test_a_top5_sibling_changes_one_base_triad(n, count):
+    """The lemma of the ``pipeline`` docstring: the top-index-5 sibling has
+    the rows of the sequence above the base, and in the base it changes
+    exactly the rows whose level-(n-5) triad is (0,0,1), all by one pair
+    (u, u') of distinct triads."""
+    t = n - 5
+    sample = enumerate_sequences(n) if count is None else seeded_sequences(n, 2027, count)
+    for seq in sample:
+        rows = weighting_matrix(seq).rows
+        changes = set()
+        for row, other in zip(rows, weighting_matrix(top5_sibling(seq)).rows):
+            assert row[:-3] == other[:-3], seq.serialize()
+            if row[3 * t : 3 * t + 3] == (0, 0, 1):
+                changes.add((row[-3:], other[-3:]))
+            else:
+                assert row == other, seq.serialize()
+        ((u, u2),) = changes
+        assert u != u2, seq.serialize()
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_weight_homogeneity(n):
     for seq in enumerate_sequences(n):
