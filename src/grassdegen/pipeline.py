@@ -19,10 +19,10 @@ keeps one map from fingerprint to labels, whose sorted order numbers the
 ideals.  A label under more than one ideal is
 counted (``split_labels``) and named in a WARNING on the
 ``grassdegen.pipeline`` logger, which also reports progress and an ETA at
-INFO after each chunk; the package adds no handler.  The LP stage then
-solves one LP per label, on the label's first sequence in run order, whose
-point weights.json holds.  All emitted files are byte-stable across runs
-and worker counts.
+INFO after each chunk; the package adds no handler.  One LP per label, on
+the label's first sequence in run order, gives the point weights.json
+holds; the sweep solves it (below).  All emitted files are byte-stable
+across runs and worker counts.
 
 The first sequence of a group is its head.  The head runs the kernel: its
 weighting matrix, the 0/1 check, the rank certificate, the selection and
@@ -90,6 +90,16 @@ sigma.
   and is itself decided above the base; its six base permutations take it
   by sigma.
 
+The LP of a label runs in the sweep, right after the kernel of the head of
+the label's first group in run order, on that kernel's weighting matrix
+and selection (``_select``).  ``_chunks`` marks that group while it builds
+the chunks, and computes each label once per run of siblings.  The head
+always runs the kernel, with no check needed: siblings share their label,
+because the sibling key keeps the first two indices of every level, so a
+label's first group is the first group of its run of siblings, and
+``_chunks`` never splits a run, so the group before it in its chunk, if
+any, has another sibling key, and no decided head serves it.
+
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
 field of an entry is an orbit invariant:
@@ -148,7 +158,7 @@ from .initial_forms import (
     Fingerprint,
     decided_above_base,
     decode,
-    inequality_set,
+    inequalities,
     initial_ideal,
 )
 from .plucker import all_triples, triple_key
@@ -198,45 +208,68 @@ class PipelineResult:
         )
 
 
-def _select(n: int, levels: tuple[Triple, ...], base: Triple) -> tuple[Fingerprint, bool]:
+def _select(
+    n: int, levels: tuple[Triple, ...], base: Triple, label: Label | None = None
+) -> tuple[Fingerprint, bool, tuple | None, float]:
     """The kernel of one sequence, built by the validating constructor: its
-    fingerprint and whether its selection is decided above the base.  Any
-    failure raises one RuntimeError that names the sequence."""
+    fingerprint, whether its selection is decided above the base, and, for
+    the first sequence of ``label`` in run order, the LP of its cone on the
+    same rows and selection: ``(label, (serialized, e, e.M), csv of M,
+    pivots)`` and the seconds it took; else None and 0.  Any failure raises
+    one RuntimeError that names the sequence."""
     try:
-        fp, selection = initial_ideal(weighting_matrix(IteratedSequence(n, levels, base)).rows, n)
-        return fp, decided_above_base(selection)
+        matrix = weighting_matrix(IteratedSequence(n, levels, base))
+        fp, selection = initial_ideal(matrix.rows, n)
+        lp, seconds = None, 0.0
+        if label is not None:
+            start = time.perf_counter()
+            dim = 3 * (n - 3)
+            e = strict_interior_point(inequalities(selection, dim), dim)
+            point = (serialize_group(n, levels, [base])[0], tuple(e), weight_vector(e, matrix.rows))
+            lp = (label, point, matrix.to_csv(), e.pivots)
+            seconds = time.perf_counter() - start
+        return fp, decided_above_base(selection), lp, seconds
     except Exception as exc:
         raise RuntimeError(f"sequence {serialize_group(n, levels, [base])[0]}: {exc}") from exc
 
 
-def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int]:
+def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int, list[tuple], float]:
     """Check and fingerprint one chunk ``(n, groups)`` of groups
-    ``(levels, bases)``; returns one tuple of fingerprints per group, in the
-    order of its bases, and the number of sequences whose selection ran.
+    ``(levels, bases, label, first)`` (``_chunks``); returns one tuple of
+    fingerprints per group, in the order of its bases, the number of
+    sequences whose selection ran, the LP of the head of each group marked
+    first, as ``(label, point, csv, pivots)`` (``_select``), and the seconds
+    those LPs took.
 
     ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the scalar check and the soundness of
     the closed-form point c follow, as (i) and (ii) there, and the rank
     certificate of ``valuation``.  A row outside 0/1, a failed certificate,
-    a non-binomial initial form or any other failure raises one
-    RuntimeError that names the sequence, so every flag of an outcome
+    a non-binomial initial form, a failed LP or any other failure raises
+    one RuntimeError that names the sequence, so every flag of an outcome
     holds.  The first base of a group is its head; a member that reuses its
     head's selection, or a group that reuses the decided head of an earlier
-    sibling in its run (module docstring), is never built.  Equal
-    fingerprints are one object within the chunk, so that pickling sends
-    each ideal once.
+    sibling in its run (module docstring), is never built.  A group marked
+    first of its label starts its run of siblings, so its head runs the
+    kernel, and the LP after it.  Equal fingerprints are one object within
+    the chunk, so that pickling sends each ideal once.
     """
     n, groups = task
     shared: dict[Fingerprint, Fingerprint] = {}
     fingerprints = []
+    lps = []
     selections = 0
+    lp_seconds = 0.0
     decided_key = None  # the sibling key of the last head run, if decided
-    for levels, bases in groups:
+    for levels, bases, label, first in groups:
         key = _sibling_key(levels)
         if key != decided_key:
-            fp, decided = _select(n, levels, bases[0])
+            fp, decided, lp, seconds = _select(n, levels, bases[0], label if first else None)
             selections += 1
             decided_key = key if decided else None
+            if lp is not None:
+                lps.append(lp)
+                lp_seconds += seconds
         if decided_key is not None:
             fps = [fp] * len(bases)
         else:
@@ -245,21 +278,7 @@ def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int]:
                 fps.append(_select(n, levels, base)[0])
                 selections += 1
         fingerprints.append(tuple(shared.setdefault(fp, fp) for fp in fps))
-    return fingerprints, selections
-
-
-def _label_point(item):
-    """The LP point e of one sequence's cone with its weight vector e.M, as
-    ``(serialized, e, e.M)``, the CSV of M and the pivots the LP took; the
-    sequence is ``(n, serialized, levels, base)``."""
-    n, serialized, levels, base = item
-    try:
-        seq = IteratedSequence(n, levels, base)
-        matrix = weighting_matrix(seq)
-        e = strict_interior_point(inequality_set(seq, matrix), 3 * (n - 3))
-        return (serialized, tuple(e), weight_vector(e, matrix.rows)), matrix.to_csv(), e.pivots
-    except Exception as exc:
-        raise RuntimeError(f"sequence {serialized}: {exc}") from exc
+    return fingerprints, selections, lps, lp_seconds
 
 
 def _verify_entry(item) -> dict:
@@ -279,14 +298,21 @@ def _sibling_key(levels: tuple[Triple, ...]) -> tuple:
 
 
 def _chunks(groups: list, size: int) -> Iterator[list]:
-    """Consecutive whole groups ``(levels, bases)``, so that no chunk splits
-    a run of consecutive groups with one ``_sibling_key``; each chunk but
-    the last holds at least ``size`` sequences."""
+    """Consecutive whole groups ``(levels, bases)``, each as ``(levels,
+    bases, label, first)`` with its label and whether it is the label's
+    first group in run order, so that no chunk splits a run of consecutive
+    groups with one ``_sibling_key``; each chunk but the last holds at
+    least ``size`` sequences."""
+    seen: set[Label] = set()
     chunk, count = [], 0
-    for _, run in itertools.groupby(groups, lambda group: _sibling_key(group[0])):
-        for group in run:
-            chunk.append(group)
-            count += len(group[1])
+    for key, run in itertools.groupby(groups, lambda group: _sibling_key(group[0])):
+        label = label_of(key)  # siblings share it: the key keeps the first two indices
+        first = label not in seen
+        seen.add(label)
+        for levels, bases in run:
+            chunk.append((levels, bases, label, first))
+            first = False
+            count += len(bases)
         if count >= size:
             yield chunk
             chunk, count = [], 0
@@ -364,18 +390,21 @@ def run_pipeline(
         swept = (pool.imap if parallel else map)(_sweep_chunk, [(n, c) for c in chunks])
         outcomes = []
         labels: dict[Fingerprint, set[Label]] = {}
-        first: dict[Label, tuple] = {}  # each label's first sequence in run order
-        selections = 0
-        for chunk, (fingerprints, chunk_selections) in zip(chunks, swept):
-            for (levels, bases), fps in zip(chunk, fingerprints):
-                label = label_of(levels)
-                texts = serialize_group(n, levels, bases)
-                if label not in first:
-                    first[label] = (n, texts[0], levels, bases[0])
-                for text, fp in zip(texts, fps):
+        label_weights = {}
+        matrices = {}
+        selections = pivots = 0
+        lp_seconds = 0.0
+        for chunk, (fingerprints, chunk_selections, lps, chunk_lp_seconds) in zip(chunks, swept):
+            for (levels, bases, label, _), fps in zip(chunk, fingerprints):
+                for text, fp in zip(serialize_group(n, levels, bases), fps):
                     outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
                     labels.setdefault(fp, set()).add(label)
+            for label, point, csv, lp_pivots in lps:
+                label_weights[label] = point
+                matrices[label] = csv
+                pivots += lp_pivots
             selections += chunk_selections
+            lp_seconds += chunk_lp_seconds
             elapsed = time.perf_counter() - start
             log.info(
                 "swept %d of %d sequences in %.1f s, ETA %.1f s",
@@ -390,12 +419,7 @@ def run_pipeline(
             )
         labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
         timings["sweep"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        points = list(mapper(_label_point, first.values()))
-        label_weights = {label: point for label, (point, _, _) in zip(first, points)}
-        matrices = {label: csv for label, (_, csv, _) in zip(first, points)}
-        timings["lp"] = time.perf_counter() - start
+        timings["lp"] = lp_seconds  # worker time, within the sweep's
 
         start = time.perf_counter()
         orbit_reports = compute_orbits(labels_by_fingerprint, n)
@@ -421,8 +445,8 @@ def run_pipeline(
         timings=timings,
         counters={
             "lp_solves": len(label_weights),
-            # simplex pivots over all LPs of the LP stage
-            "lp_pivots": sum(pivots for _, _, pivots in points),
+            # simplex pivots over all LPs, one per label
+            "lp_pivots": pivots,
             # swept sequences whose selection ran: the heads of groups that
             # no decided sibling head served, and the members of undecided heads
             "ideal_selections": selections,

@@ -181,17 +181,18 @@ def first_sequence_lp_inputs(n):
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_sparse_simplex_takes_the_dense_pivots_on_every_label(n):
-    """Per-row denominators change no pricing, ratio or stall decision
-    (``cone`` docstring), so the sparse solver ends at the dense solver's
-    optimum after as many pivots."""
+def test_condensed_simplex_takes_the_dense_pivots_on_every_label(n):
+    """Dropping the basic columns and keeping a denominator per row change
+    no pricing, ratio or stall decision (``cone`` docstring), so the
+    condensed solver ends at the dense solver's optimum after as many
+    pivots."""
     dim = 3 * (n - 3)
     for diffs in first_sequence_lp_inputs(n):
         t_value, e, pivots, _ = dense_box_lp(diffs, dim)
         assert cone._solve_box_lp(diffs, dim) == (t_value, e, pivots)
 
 
-def test_sparse_simplex_takes_the_dense_pivots_on_sampled_n7_labels():
+def test_condensed_simplex_takes_the_dense_pivots_on_sampled_n7_labels():
     """As above on 200 seeded n=7 labels.  No n=6 LP stalls long enough to
     switch to the smallest-index rule, so the sample must hold one that
     does."""
@@ -212,3 +213,37 @@ def test_the_point_carries_its_pivot_count():
     point = strict_interior_point(diffs, 9)
     assert point.pivots == dense_box_lp(diffs, 9)[2] > 0
     assert strict_interior_point((), 3).pivots == 0
+
+
+def test_condensed_simplex_takes_the_dense_pivots_on_random_systems():
+    """``solve-cone`` takes any inequality CSV, not only the kernel's: on
+    seeded systems of dims 1..6 with up to 12 vectors, entries in -3..3,
+    duplicates and zero vectors among them, the solver equals the dense one,
+    and ``strict_interior_point`` raises Infeasible exactly when t* <= 0."""
+    rng = random.Random(2029)
+    seen = {"duplicate": 0, "zero": 0, "feasible": 0, "infeasible": 0}
+    for _ in range(1500):
+        dim = rng.randrange(1, 7)
+        diffs = []
+        for _ in range(rng.randrange(1, 13)):
+            roll = rng.random()
+            if diffs and roll < 0.1:
+                diffs.append(rng.choice(diffs))
+                seen["duplicate"] += 1
+            elif roll < 0.15:
+                diffs.append((0,) * dim)
+                seen["zero"] += 1
+            else:
+                diffs.append(tuple(rng.randrange(-3, 4) for _ in range(dim)))
+        diffs = tuple(diffs)
+        t_value, e, pivots, _ = dense_box_lp(diffs, dim)
+        assert cone._solve_box_lp(diffs, dim) == (t_value, e, pivots), diffs
+        if t_value > 0:
+            point = strict_interior_point(diffs, dim)
+            assert all(dot(point, d) >= 1 for d in diffs)
+            seen["feasible"] += 1
+        else:
+            with pytest.raises(Infeasible):
+                strict_interior_point(diffs, dim)
+            seen["infeasible"] += 1
+    assert min(seen.values()) >= 100, seen

@@ -29,6 +29,7 @@ from grassdegen.sequences import (
     all_labels,
     enumerate_sequences,
     format_label,
+    label_of,
     level_prefixes,
     representative_sequence,
     serialize_group,
@@ -147,7 +148,11 @@ def test_weights_payload_contents(tmp_path):
 
 @pytest.mark.parametrize(
     "jobs, sequences",
-    [(1, None), (2, None), (1, ["6:[1,3,2|2,1,3|1,2,3]", "6:[1,2,4|1,2,3|2,1,3]"])],
+    [
+        (1, None),
+        (2, None),
+        (1, ["6:[1,3,2|2,1,3|1,2,3]", "6:[1,3,2|2,1,4|2,1,3]", "6:[1,2,4|1,2,3|2,1,3]"]),
+    ],
     ids=["n5-jobs1", "n5-jobs2", "seq"],
 )
 def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
@@ -155,8 +160,10 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
 ):
     """Only the first sequence of each label in run order solves the LP; its
     point and e.M are what weights.json holds, and its weighting matrix is
-    what matrices/ holds.  In the seq case the label (1,2;1,2) of the second
-    sequence has another representative, 6:[1,2,3|1,2,3|1,2,3]."""
+    what matrices/ holds.  In the seq case the second sequence takes the
+    decided ideal of its sibling, the first, and the third sequence, the
+    first of label (1,2;1,2), follows that run; the label has another
+    representative, 6:[1,2,3|1,2,3|1,2,3]."""
     if sequences is not None:
         sequences = [IteratedSequence.parse(s) for s in sequences]
     n = sequences[0].n if sequences else 5
@@ -185,6 +192,7 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
             witness != representative_sequence(label, n).serialize()
             for label, witness in first.items()
         )
+        assert result.counters["ideal_selections"] == 2
 
 
 def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
@@ -209,6 +217,23 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
     assert lp_solves(run_pipeline(5, jobs=1), "n5") == 12
     assert len(calls) == 12
     assert lp_solves(run_pipeline(5, jobs=2), "n5-jobs2") == 12
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_lp_builds_no_weighting_matrix_of_its_own(n, monkeypatch):
+    """Each label's LP runs on the rows and selection of its first head's
+    kernel run: a serial run builds one weighting matrix per selection."""
+    calls = []
+    real = pipeline.weighting_matrix
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(pipeline, "weighting_matrix", counted)
+    result = run_pipeline(n, jobs=1)
+    assert len(calls) == result.counters["ideal_selections"] == {5: 12, 6: 720}[n]
+    assert result.counters["lp_solves"] == len(result.label_weights) == {5: 12, 6: 240}[n]
 
 
 class CountingPool:
@@ -472,27 +497,37 @@ def groups_of(serialized):
 
 
 def chunk_sizes(groups, size):
-    return [sum(len(bases) for _, bases in chunk) for chunk in pipeline._chunks(groups, size)]
+    return [sum(len(bases) for _, bases, _, _ in chunk) for chunk in pipeline._chunks(groups, size)]
 
 
 def sweep(serialized, pieces):
     """The sweep of a run whose chunks are ``pieces``, in this process, as
-    ``(serialized, fingerprint)`` pairs."""
+    ``(serialized, fingerprint)`` pairs, the number of selections and the
+    sequence whose LP each label got."""
     n = IteratedSequence.parse(serialized[0]).n
-    outcomes, selections = [], 0
+    outcomes, selections, witnesses = [], 0, {}
     for chunk in pipeline._chunks(groups_of(serialized), -(-len(serialized) // pieces)):
-        fingerprints, chunk_selections = pipeline._sweep_chunk((n, chunk))
-        for (levels, bases), fps in zip(chunk, fingerprints):
+        fingerprints, chunk_selections, lps, _ = pipeline._sweep_chunk((n, chunk))
+        for (levels, bases, _, _), fps in zip(chunk, fingerprints):
             outcomes += zip(serialize_group(n, levels, bases), fps)
         selections += chunk_selections
-    return outcomes, selections
+        for label, (witness, _, _), _, _ in lps:
+            assert label not in witnesses
+            witnesses[label] = witness
+    return outcomes, selections, witnesses
 
 
 def assert_sweep_equals_the_kernel(serialized, pieces, reference):
-    outcomes, selections = sweep(serialized, pieces)
+    """Every fingerprint is the kernel's, and each label's LP ran on its
+    first sequence in run order; returns the number of selections."""
+    outcomes, selections, witnesses = sweep(serialized, pieces)
     assert [text for text, _ in outcomes] == serialized
     for text, fp in outcomes:
         assert fp == reference[text], text
+    first = {}
+    for text in serialized:
+        first.setdefault(label_of(IteratedSequence.parse(text).levels), text)
+    assert witnesses == first
     return selections
 
 
@@ -548,7 +583,7 @@ def test_a_chunk_size_that_would_cut_a_sibling_pair_keeps_the_pair():
     full5 = [(levels, BASES) for levels in level_prefixes(5)]
     chunks = list(pipeline._chunks(full5, 6))
     assert [len(chunk) for chunk in chunks] == [2] * 12
-    for (head, _), (other, _) in chunks:
+    for (head, *_), (other, *_) in chunks:
         assert head[0][:2] == other[0][:2] and head != other
     assert chunk_sizes(full5, 13) == [24] * 6
     assert chunk_sizes(full5[1:], 6) == [6] + [12] * 11
@@ -692,11 +727,12 @@ def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
     ideal: every n = 5 sequence runs the kernel."""
     undecide_heads(monkeypatch)
     serialized = [s.serialize() for s in enumerate_sequences(5)]
-    groups = groups_of(serialized)
-    fingerprints, selections = pipeline._sweep_chunk((5, groups))
+    (chunk,) = pipeline._chunks(groups_of(serialized), len(serialized))
+    fingerprints, selections, lps, _ = pipeline._sweep_chunk((5, chunk))
     assert selections == len(serialized) == 144
+    assert len(lps) == 12
     assert run_pipeline(5, jobs=1).counters["ideal_selections"] == 144
-    for (levels, bases), fps in zip(groups, fingerprints):
+    for (levels, bases, _, _), fps in zip(chunk, fingerprints):
         for base, fp in zip(bases, fps):
             assert fp == fingerprint(IteratedSequence(5, levels, base))
 
