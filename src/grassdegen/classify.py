@@ -38,9 +38,9 @@ C, through one ``operator.itemgetter`` per member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .initial_forms import Fingerprint, canonical_binomial, initial_ideal, relation_table
 from .plucker import all_triples
@@ -169,8 +169,7 @@ def _gr36_class(closure: set[Fingerprint], labels: tuple[Label, ...]) -> tuple[s
     )
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     orbit_id: int
     members: tuple[Fingerprint, ...]
     member_ids: tuple[int, ...]  # each member's position among the input's keys

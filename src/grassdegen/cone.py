@@ -58,7 +58,6 @@ inequality sets.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .valuation import DimensionError, Vector
 
@@ -75,6 +74,8 @@ class Infeasible(Exception):
 def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
     """Max-slack LP over the unit box; returns (t*, e*, pivots), t* and e*
     as Fractions."""
+    from fractions import Fraction  # imported here: only an LP loads it
+
     nvars = 2 * dim + 1
     m = len(diffs) + 2 * dim
     rhs = nvars  # the last column

@@ -136,7 +136,6 @@ one top-level item at a time; the entries of fingerprints.json are lazy.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -144,11 +143,10 @@ import time
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from multiprocessing import Pool
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import __version__
 from .classify import compute_orbits, OrbitReport
@@ -176,19 +174,33 @@ from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_ra
 from .valuation import weighting_matrix
 
 
-# slots: the parent builds one outcome per sequence and keeps them all
-@dataclass(frozen=True, slots=True)
 class SequenceOutcome:
-    serialized: str
-    label: Label
-    fingerprint: Fingerprint
-    all_binomial: bool
-    projection_sound: bool
-    scalar_matches: bool
+    """One swept sequence.  A plain class with slots, not a NamedTuple: the
+    parent builds one per sequence and keeps them all, and an instance
+    takes 80 bytes to the tuple's 88."""
+
+    __slots__ = (
+        "serialized", "label", "fingerprint", "all_binomial", "projection_sound", "scalar_matches"
+    )
+
+    def __init__(
+        self,
+        serialized: str,
+        label: Label,
+        fingerprint: Fingerprint,
+        all_binomial: bool,
+        projection_sound: bool,
+        scalar_matches: bool,
+    ):
+        self.serialized = serialized
+        self.label = label
+        self.fingerprint = fingerprint
+        self.all_binomial = all_binomial
+        self.projection_sound = projection_sound
+        self.scalar_matches = scalar_matches
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     n: int
     outcomes: list[SequenceOutcome]
     # keys sorted, which is the id order of fingerprints.json; labels sorted
@@ -377,13 +389,16 @@ def run_pipeline(
     chunks = list(_chunks(groups, max(1, -(-total // (jobs * 8)))))
     timings["enumerate"] = time.perf_counter() - start
 
-    # imported here, so that a CLI command that runs no pipeline does not
-    # pay for it; the package adds no handler, so progress is off by default
+    # imported here, so that a CLI command that runs no pipeline pays for
+    # neither, and a run without a pool imports no multiprocessing; the
+    # package adds no handler, so progress is off by default
     import logging
 
     log = logging.getLogger(__name__)
     start = time.perf_counter()  # the sweep's time includes starting the pool
     parallel = jobs > 1 and total > 64
+    if parallel:
+        from multiprocessing import Pool
     with (Pool(jobs) if parallel else nullcontext()) as pool:
         mapper = pool.map if parallel else map
         # the merge of a chunk overlaps the workers' sweep of later chunks
@@ -547,6 +562,8 @@ def _inputs_sha256(result: PipelineResult) -> str:
     in run order (the worker count does not matter).  ``pipeline`` is the
     one command that writes a manifest; its name stays in the settings so
     that the hash of a run does not change."""
+    import hashlib  # imported here: only a run's outputs load it
+
     settings = {"n": result.n, "command": "pipeline"}
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
     for outcome in result.outcomes:
@@ -557,6 +574,8 @@ def _inputs_sha256(result: PipelineResult) -> str:
 def _write(outdir: str, relpath: str, chunks) -> dict:
     """Write the text chunks to ``relpath`` under ``outdir``; returns the
     file's manifest entry, hashed from the bytes as they are written."""
+    import hashlib  # imported here: only a run's outputs load it
+
     digest = hashlib.sha256()
     size = 0
     with open(os.path.join(outdir, relpath), "wb") as fh:

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .plucker import InvalidSize
 
@@ -32,22 +31,33 @@ def _check_triple(t, bound, what):
         raise ValueError(f"{what} {t} has entries outside 1..{bound}")
 
 
-@dataclass(frozen=True, slots=True)
-class IteratedSequence:
-    """Levels t = 0..n-5 (triples in [n-t-1]) plus the base PBW permutation."""
-
+class _SequenceFields(NamedTuple):
     n: int
     levels: tuple[Triple, ...]
     base_perm: Triple
 
-    def __post_init__(self):
-        if self.n < 4:
-            raise InvalidSize(f"need n >= 4, got {self.n}")
-        if len(self.levels) != self.n - 4:
-            raise ValueError(f"expected {self.n - 4} levels, got {len(self.levels)}")
-        for t, triple in enumerate(self.levels):
-            _check_triple(triple, self.n - t - 1, f"level-{t} triple")
-        _check_triple(self.base_perm, 3, "base permutation")
+
+class IteratedSequence(_SequenceFields):
+    """Levels t = 0..n-5 (triples in [n-t-1]) plus the base PBW permutation.
+
+    The constructor validates, and so do unpickling and ``_replace``,
+    which call it."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, levels: tuple[Triple, ...], base_perm: Triple):
+        if n < 4:
+            raise InvalidSize(f"need n >= 4, got {n}")
+        if len(levels) != n - 4:
+            raise ValueError(f"expected {n - 4} levels, got {len(levels)}")
+        for t, triple in enumerate(levels):
+            _check_triple(triple, n - t - 1, f"level-{t} triple")
+        _check_triple(base_perm, 3, "base permutation")
+        return super().__new__(cls, n, levels, base_perm)
+
+    @classmethod
+    def _make(cls, iterable) -> "IteratedSequence":
+        return cls(*iterable)  # the NamedTuple's own skips the checks
 
     @property
     def triples(self) -> tuple[Triple, ...]:

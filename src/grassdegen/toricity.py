@@ -34,7 +34,7 @@ and with an enumeration of the tableaux, ``oracles.ssyt_count``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from .initial_forms import Binomial
@@ -94,8 +94,7 @@ def plucker_rank(degree: int, n: int) -> int:
     return math.comb(math.comb(n, 3) + degree - 1, degree) - _tableaux(degree, n)
 
 
-@dataclass(frozen=True)
-class LatticeCertificate:
+class LatticeCertificate(NamedTuple):
     invariant_factors: tuple[int, ...]
     pure_difference: bool
 

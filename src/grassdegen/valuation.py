@@ -37,9 +37,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 from .plucker import all_triples, triple_key
 from .sequences import IteratedSequence
@@ -84,8 +84,7 @@ def valuation_rows(seq: IteratedSequence, triples) -> tuple[Vector, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class WeightingMatrix:
+class WeightingMatrix(NamedTuple):
     """One valuation row per K in lex-ordered I_{3,n}."""
 
     triples: tuple[tuple[int, int, int], ...]

@@ -41,11 +41,16 @@ def announce(number, name, elapsed, limit):
 
 
 @pytest.fixture(scope="module")
-def pipeline6():
+def timed_pipeline6():
+    """The n=6 run and its wall time, in seconds."""
     start = time.perf_counter()
     result = run_pipeline(6)
-    result.wall = time.perf_counter() - start
-    return result
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def pipeline6(timed_pipeline6):
+    return timed_pipeline6[0]
 
 
 def test_criterion_1_sequence_counts():
@@ -67,7 +72,8 @@ def test_criterion_1_sequence_counts():
     announce(1, "sequence counts 8640/144", elapsed, 1.0)
 
 
-def test_criterion_2_ideal_count(pipeline6):
+def test_criterion_2_ideal_count(timed_pipeline6):
+    pipeline6, wall = timed_pipeline6
     start = time.perf_counter()
     assert len(pipeline6.outcomes) == 8640
     assert len(pipeline6.labels_by_fingerprint) == 240
@@ -80,7 +86,7 @@ def test_criterion_2_ideal_count(pipeline6):
     assert all(len(ids) == 1 for ids in by_label.values())
     fibers = [next(iter(ids)) for ids in by_label.values()]
     assert len(set(fibers)) == 240
-    elapsed = pipeline6.wall + time.perf_counter() - start
+    elapsed = wall + time.perf_counter() - start
     announce(2, "240 ideals, constant and distinct on label fibers", elapsed, 60.0)
 
 

@@ -229,7 +229,8 @@ def test_solve_cone_infeasible_exit_code(tmp_path):
     matrix.write_text(weighting_matrix(standard_sequence(6)).to_csv())
     proc = run_cli("solve-cone", "--inequalities", str(ineq), "--matrix", str(matrix))
     assert proc.returncode == 1
-    assert "error" in proc.stderr
+    # the one output that prints a Fraction: no usage text, no traceback
+    assert proc.stderr == "error: open cone is empty (slack optimum 0)\n"
 
 
 def test_solve_cone_empty_matrix_is_usage_error(tmp_path):

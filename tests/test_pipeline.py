@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import logging
+import multiprocessing
 import os
 import random
 import re
@@ -76,6 +77,8 @@ def test_pipeline_n5_counts(result_n5):
 
 
 def test_pipeline_n5_flags(result_n5):
+    # slots only: the parent keeps one outcome per sequence
+    assert not hasattr(result_n5.outcomes[0], "__dict__")
     for outcome in result_n5.outcomes:
         assert outcome.all_binomial
         assert outcome.projection_sound
@@ -262,7 +265,7 @@ class CountingPool:
 
 def test_a_run_builds_at_most_one_pool(monkeypatch):
     built = []
-    monkeypatch.setattr(pipeline, "Pool", CountingPool(built))
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool(built))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     result = run_pipeline(5, jobs=2)
     assert built == [2]
@@ -274,7 +277,7 @@ def test_a_run_builds_at_most_one_pool(monkeypatch):
 
 def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
     built = []
-    monkeypatch.setattr(pipeline, "Pool", CountingPool(built))
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool(built))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     run_pipeline(5, jobs=10_000)
     assert built == [3]

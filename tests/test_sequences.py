@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,45 @@ def test_invalid_sequences_rejected():
         IteratedSequence(6, ((1, 2, 2), (1, 2, 3)), (1, 2, 3))  # repeated entry
     with pytest.raises(ValueError):
         IteratedSequence(6, ((1, 2, 3), (1, 2, 3)), (1, 2, 4))  # non-PBW base
+
+
+INVALID = [
+    ((3, (), (1, 2, 3)), InvalidSize, "need n >= 4, got 3"),
+    ((6, ((1, 2, 5),), (1, 2, 3)), ValueError, "expected 2 levels, got 1"),
+    ((6, ((1, 2, 7), (1, 2, 3)), (1, 2, 3)), ValueError,
+     "level-0 triple (1, 2, 7) has entries outside 1..5"),
+    ((6, ((1, 2, 3), (1, 2, 2)), (1, 2, 3)), ValueError,
+     "level-1 triple (1, 2, 2) must have 3 pairwise-distinct entries"),
+    ((6, ((1, 2, 3), (1, 2, 3)), (1, 2, 4)), ValueError,
+     "base permutation (1, 2, 4) has entries outside 1..3"),
+    ((5, ((1, 2, 3),), (1, 1, 3)), ValueError,
+     "base permutation (1, 1, 3) must have 3 pairwise-distinct entries"),
+    ((5, ((1, 2),), (1, 2, 3)), ValueError,
+     "level-0 triple (1, 2) must have 3 pairwise-distinct entries"),
+]
+
+
+@pytest.mark.parametrize("args,error,message", INVALID)
+def test_the_constructor_and_unpickling_raise_each_message(args, error, message):
+    with pytest.raises(error) as caught:
+        IteratedSequence(*args)
+    assert str(caught.value) == message
+    # a pool moves sequences by pickle, which calls the constructor
+    forged = tuple.__new__(IteratedSequence, args)
+    with pytest.raises(error) as caught:
+        pickle.loads(pickle.dumps(forged))
+    assert str(caught.value) == message
+    with pytest.raises(error) as caught:
+        standard_sequence(6)._replace(**dict(zip(IteratedSequence._fields, args)))
+    assert str(caught.value) == message
+
+
+def test_repr_and_pickle_round_trip():
+    seq = standard_sequence(6)
+    assert repr(seq) == "IteratedSequence(n=6, levels=((1, 2, 3), (1, 2, 3)), base_perm=(1, 2, 3))"
+    copy = pickle.loads(pickle.dumps(seq))
+    assert type(copy) is IteratedSequence and copy == seq
+    assert not hasattr(seq, "__dict__")
 
 
 def test_label_projection():
