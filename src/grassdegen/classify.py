@@ -226,14 +226,22 @@ def compute_orbits(
     ]
 
 
-def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
-    """Each distinct ideal of Gr(3,n), keys sorted, with the sorted labels
-    whose representative sequence it is the ideal of; constancy on label
-    fibers is covered by the test suite."""
+def labels_by_ideal(fingerprints: dict[Label, Fingerprint]) -> dict[Fingerprint, tuple[Label, ...]]:
+    """Each distinct ideal of a label -> ideal map, keys sorted, which is the
+    id order of fingerprints.json, with its labels, sorted."""
     labels: dict[Fingerprint, list[Label]] = {}
-    for lab in all_labels(n):
-        labels.setdefault(fingerprint(representative_sequence(lab, n)), []).append(lab)
-    return {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
+    for lab in sorted(fingerprints):
+        labels.setdefault(fingerprints[lab], []).append(lab)
+    return {fp: tuple(labels[fp]) for fp in sorted(labels)}
+
+
+def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
+    """``labels_by_ideal`` of every label of Gr(3,n), under the ideal of its
+    representative sequence, which is the ideal of every sequence of the
+    label (the theorem of the ``pipeline`` docstring)."""
+    return labels_by_ideal(
+        {lab: fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)}
+    )
 
 
 @lru_cache(maxsize=1)

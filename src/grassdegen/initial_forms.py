@@ -49,19 +49,6 @@ makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
 holds the term-level tuple kernel, and the test suite compares the two on
 every sequence of n <= 6 and a sample at n = 7.
 
-Decided above the base.  The base triad is the last triad of a sequence,
-so its three charged positions are the three lowest base-3 digits of a
-packed row, and a packed sum carries no digit into a higher one, so
-sum // 27 (27 = 3^3) is the packed sum of the term's vector without its base
-digits.  ``initial_ideal`` returns the selection with the fingerprint, and
-``decided_above_base`` tells whether the selection is decided above the
-base: every relation's non-initial terms have sum // 27 strictly below its
-initial pair's.  Then the two initial terms beat every other term before
-the base digits are read, and they agree in their base digits, because
-their full sums are equal.  The ``pipeline`` docstring uses this to give
-one selection to the sequences that differ only in their base
-permutation.
-
 The relation table is the per-n plan of the selection, built on first use:
 the rows of the two factors of each distinct monomial, so that each
 monomial's packed sum is computed once; the monomial of each term, laid out
@@ -79,7 +66,7 @@ import io
 import itertools
 import math
 from functools import lru_cache
-from operator import add, eq, ge, sub
+from operator import add, eq, sub
 from typing import NamedTuple
 
 from .plucker import Relation, Triple, all_relations, all_triples
@@ -92,8 +79,6 @@ Fingerprint = tuple[int, ...]  # sorted ids into relation_table(n).binomials
 
 # A relation has at most four terms.
 _SLOTS = 4
-# 3^3: a packed value's three lowest base-3 digits are the base triad's
-_BASE = 27
 
 
 def canonical_binomial(sign_a: int, mono_a: Monomial, sign_b: int, mono_b: Monomial) -> Binomial:
@@ -229,18 +214,6 @@ def binomial_ids(selection: Selection, table: RelationTable) -> set:
     slots, maxima = selection
     patterns = zip(*(map(eq, slot, maxima) for slot in slots))
     return set(map(dict.get, table.patterns, patterns))
-
-
-def decided_above_base(selection: Selection) -> bool:
-    """Whether every relation's non-initial terms have packed sum // 27
-    strictly below its maximum's (module docstring), for a selection whose
-    every relation has exactly two initial terms.  A term's sum // 27 is at
-    least the maximum's exactly when the sum is at least the maximum with
-    its base digits cleared, which counts the two initial terms and every
-    term that ties them above the base."""
-    slots, maxima = selection
-    floors = [m - m % _BASE for m in maxima]
-    return sum(sum(map(ge, slot, floors)) for slot in slots) == 2 * len(maxima)
 
 
 def check_leads(digits: list[bytes], dim: int) -> None:

@@ -1,104 +1,89 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
 -> toricity evidence, in stages that share one worker pool.
 
-The sweep checks and fingerprints every sequence through
-``initial_forms.initial_ideal``, the kernel of ``classify.fingerprint`` too.
-Its input is a list of groups ``(levels, bases)``: for a full run, one
-group per level prefix of ``sequences.level_prefixes`` with the six base
-permutations; for a list of sequences, one group per run of consecutive
-sequences with equal ``levels``.  A chunk holds whole runs of consecutive
-groups with one sibling key (below), about total / (8 jobs) sequences, so
-that every counter is the same for every worker count.  A worker parses
-nothing: it builds a sequence, through the validating constructor, only to
-run the kernel on it, returns one tuple of fingerprints per group and its
-counters, and raises a RuntimeError that names the first sequence that
-breaks an invariant.  The parent merges the
-chunks in order as the pool hands them over: it writes each sequence's
-text with ``sequences.serialize_group``, builds its ``SequenceOutcome`` and
-keeps one map from fingerprint to labels, whose sorted order numbers the
-ideals.  A label under more than one ideal is
-counted (``split_labels``) and named in a WARNING on the
-``grassdegen.pipeline`` logger, which also reports progress and an ETA at
-INFO after each chunk; the package adds no handler.  One LP per label, on
-the label's first sequence in run order, gives the point weights.json
-holds; the sweep solves it (below).  All emitted files are byte-stable
-across runs and worker counts.
+The label is the sweep's unit.  Each label that occurs in the run gets one
+kernel run, ``initial_forms.initial_ideal``, the kernel of
+``classify.fingerprint`` too, and one LP, both on the label's first
+sequence in run order; by the theorem below, that ideal is the ideal of
+every sequence of the label.  For a full run the first sequence of a label
+is ``sequences.representative_sequence(label)``: ``level_prefixes`` runs
+each level through its triples in lex order and ``BASES`` starts at
+(1,2,3), so the first prefix with a label has the smallest free third index
+at every level.  A chunk is a list of ``(label, levels, base)`` of those
+first sequences, about labels / (8 jobs) of them.  A worker parses nothing:
+it builds each sequence through the validating constructor, runs the
+kernel and the LP on it, returns per label its ideal, LP point, matrix and
+pivots, and raises a RuntimeError that names the first sequence that breaks
+an invariant.  The parent merges the chunks in order as the pool hands them
+over, and reports progress and an ETA at INFO after each chunk on the
+``grassdegen.pipeline`` logger; the package adds no handler.  Then it
+writes every sequence's text in run order with ``sequences.serialize_group``
+and builds its ``SequenceOutcome`` from its label's ideal.  All emitted
+files are byte-stable across runs and worker counts.
 
-The first sequence of a group is its head.  The head runs the kernel: its
-weighting matrix, the 0/1 check, the rank certificate, the selection and
-the binomial check.  A later member takes the head's fingerprint when the
-head's selection is decided above the base (``initial_forms``); every
-other member runs the kernel itself.  Head and member differ only in the
-base level, top index 4, whose table ``valuation._transitions(4, base)``
-is the head's with the charged positions permuted by one sigma and with
-the same next states, for every pair of base triples.  The state (1,2,3)
-charges nothing and stays; each other state holds 4 and lacks exactly one
-k in {1,2,3}, trades 4 for k, charges k's position in the base triple and
-steps to (1,2,3).  So sigma sends each position of the member's base
-triple to the position of the same index in the head's.
-``tests/test_pipeline.py`` checks all 36 pairs.  The reuse is sound:
+The theorem rests on two lemmas about the rows of M_S.  A term p_A p_B of a
+relation has the vector r_A + r_B in {0,1,2}^dim, dim = 3(n-3), and the
+initial terms of a relation are its lex-largest vectors
+(``initial_forms``).  Level t, with top index r = n - t, charges positions
+3t, 3t+1 and 3t+2; the base is the last level, top index 4.  Every table
+``valuation._transitions`` charges a unit or the zero triad, so every row is
+0/1.
 
-* Equal levels give equal prefix rows and equal states entering the base
-  level, because the descent runs level-major and each step depends only on
-  the level's top index, its triple and the current multi-index.
-* So sigma turns the head's rows into the member's by permuting the three
-  base columns, which keeps every row 0/1.
-* Full rank is a theorem (``valuation``).  The kernel checks its
-  certificate.  A reusing member's rows are the head's with three base
-  columns permuted, which keeps the rank.
-* Each relation's initial pair has equal full sums, so equal base digits,
-  which stay equal under sigma, since it permutes both alike.  Every other
-  term's sum // 27, the part above the base digits, does not move under
-  sigma and stays strictly below the pair's, so the term stays below the
-  pair whatever its base digits.  So the member's initial terms are the
-  head's, and it has the head's binomial initial ideal.
+Lemma A: a third index never changes the selection.  Let H have the triple
+(i1,i2,i3) at level t, with r >= 5, and let H' have (i1,i2,i3') there and
+agree with H everywhere else.
 
-A group's sibling key is its levels with the third index of the last
-level, the one at top index 5, dropped (``_sibling_key``); groups with one
-key are siblings.  A decided head's fingerprint goes to every later group
-in its run of consecutive siblings, whose sequences then run no kernel;
-after an undecided head, the next sibling group runs its own head.
-``level_prefixes`` runs the top-index-5 triple innermost, so a full run's
-siblings are adjacent: two groups, twelve sequences, for n >= 5.  At n = 4
-there is no such level, and the key is the empty levels.  The reuse is
-sound.  Let the head H have the last triple (i1,i2,i3), and let H' be the
-sequence with the last triple (i1,i2,i3') and H's base.  H' has H's
-fingerprint and is decided above the base (below), so each sequence of a
-sibling group, which differs from H' at most in its base, takes it by
-sigma.
+* A state holding r is charged at the first entry of the triple it lacks.
+  Every such state but {r,i1,i2} lacks i1 or i2, so the two tables of level
+  t charge and step alike there.  {r,i1,i2} is charged position 2 in both
+  and steps to {i1,i2,i3} or to {i1,i2,i3'}.
+* One step of the descent depends only on the level's table and the state,
+  so every row has H's digits at levels 0..t in H'.  Let C be the rows that
+  enter level t at {r,i1,i2}: exactly the rows with a 1 at position 3t+2.
+  Every other row is unchanged below level t too.  The rows of C leave
+  level t at one state, so they share one digit string L below level t in
+  H, and one L' in H'.
+* A term has the digit k = [A in C] + [B in C] at position 3t+2, and its
+  vector moves by k (L' - L) below level t; its digits stay in {0,1,2}.
+  Two terms whose vectors first differ at or above position 3t+2 keep that
+  difference.  Two that agree through 3t+2 have one k and move alike.  So
+  the lex order of the terms of every relation is H's: H' has H's
+  selection, at every level, with no condition on the selection.
 
-* The tables ``valuation._transitions(5, .)`` of the two triples differ
-  only in the state {5,i1,i2}: every other state holding 5 lacks i1 or i2
-  and is charged and stepped alike.  In that state both charge position 2,
-  the unit triad (0,0,1), and step to {i1,i2,i3} or {i1,i2,i3'}.  Let C be
-  the rows that enter level t = n-5 at {5,i1,i2}: by the equal levels above
-  and the previous point, exactly the rows whose level-t triad is (0,0,1),
-  in H and in H' alike.  So H and H' have equal digits in every row above
-  the base; in the base digits, which the one base table assigns from the
-  state entering the base, every row of C carries one triad u in H and one
-  triad u' in H', and every other row is unchanged.  u' is a unit or zero
-  triad, so the rows of H' are 0/1, and its rank is the theorem's.
-* A relation's initial pair attains the maximum packed sum, so its two sums
-  are equal in every digit, by the absence of carries, among them position
-  3t+2.  A monomial's digit there is the number of its factors in C, so
-  both monomials of the pair have the same number k of factors in C.  In
-  H' both sums change by k (u' - u) in the base digits alone and stay
-  equal.  Every term changes only in its base digits, and no addition
-  carries, so every term's sum // 27 is H's.  H is decided above the base,
-  so every non-initial term's sum // 27 stays strictly below the pair's.
-  So H' has H's initial pair in every relation, and so H's fingerprint,
-  and is itself decided above the base; its six base permutations take it
-  by sigma.
+Lemma B: the base never decides a binomial selection.
 
-The LP of a label runs in the sweep, right after the kernel of the head of
-the label's first group in run order, on that kernel's weighting matrix
-and selection (``_select``).  ``_chunks`` marks that group while it builds
-the chunks, and computes each label once per run of siblings.  The head
-always runs the kernel, with no check needed: siblings share their label,
-because the sibling key keeps the first two indices of every level, so a
-label's first group is the first group of its run of siblings, and
-``_chunks`` never splits a run, so the group before it in its chunk, if
-any, has another sibling key, and no decided head serves it.
+* The terms of one relation have one content, the multiset A + B of their
+  indices.  A level with top index r charges a state exactly when it holds
+  r, and the charge at position j trades r for the triple's j-th index.  So
+  the content and a term's digits above the base give the content of the
+  term's two states as they enter the base.
+* A state entering the base is {1,2,3}, which is charged nothing, or
+  {4,a,b} with a, b <= 3, which lacks one k in {1,2,3} and is charged at
+  k's position in the base triple; every base table steps to (1,2,3).  So
+  the six base tables differ only by the permutation sigma that sends each
+  position of one base triple to the position of the same index in the
+  other (``tests/test_pipeline.py`` checks all 36 pairs).  A term's base
+  triad counts the missing indices of its two states, which their content
+  determines.
+* So two terms of one relation that agree above the base agree in the base
+  too.  A term that tied the initial pair above the base would tie it
+  outright, and the initial form would not be a binomial.  So a binomial
+  selection is decided above the base: every other term of a relation lies
+  strictly below its initial pair there.
+
+Theorem: the initial ideal of a sequence with binomial initial forms
+depends only on its label, for every n.  Let H be such a sequence and H' a
+sequence with H's label.  Swap the third indices of H into those of H', one
+level at a time; by Lemma A the selection stays H's.  The sequence reached
+differs from H' only in the base, the last level, so the two have equal
+digits above the base.  The selection is binomial, so by Lemma B each
+relation's initial pair lies strictly above its other terms there, and it
+ties in the base of H' too: H' has the same initial terms, the same
+binomial ideal.  The kernel checks the rows and binomiality of the sequence
+it builds, so the other sequences of the label need no kernel run: their
+rows are 0/1, and their rank is the theorem of ``valuation``.  C_S is
+determined by the initial ideal, so it too depends only on the label,
+which the paper shows only in some cases.
 
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
@@ -140,7 +125,6 @@ import itertools
 import json
 import os
 import time
-from collections import Counter
 from collections.abc import Iterator
 from contextlib import nullcontext
 from functools import lru_cache
@@ -149,25 +133,20 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import __version__
-from .classify import compute_orbits, OrbitReport
+from .classify import compute_orbits, labels_by_ideal, OrbitReport
 from .cone import strict_interior_point, weight_vector
-from .initial_forms import (
-    Binomial,
-    Fingerprint,
-    decided_above_base,
-    decode,
-    inequalities,
-    initial_ideal,
-)
+from .initial_forms import Binomial, Fingerprint, decode, inequalities, initial_ideal
 from .plucker import all_triples, triple_key
 from .sequences import (
     BASES,
     IteratedSequence,
     Label,
-    Triple,
+    all_labels,
     format_label,
     label_of,
     level_prefixes,
+    representative_sequence,
+    sequence_count,
     serialize_group,
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
@@ -220,38 +199,11 @@ class PipelineResult(NamedTuple):
         )
 
 
-def _select(
-    n: int, levels: tuple[Triple, ...], base: Triple, label: Label | None = None
-) -> tuple[Fingerprint, bool, tuple | None, float]:
-    """The kernel of one sequence, built by the validating constructor: its
-    fingerprint, whether its selection is decided above the base, and, for
-    the first sequence of ``label`` in run order, the LP of its cone on the
-    same rows and selection: ``(label, (serialized, e, e.M), csv of M,
-    pivots)`` and the seconds it took; else None and 0.  Any failure raises
-    one RuntimeError that names the sequence."""
-    try:
-        matrix = weighting_matrix(IteratedSequence(n, levels, base))
-        fp, selection = initial_ideal(matrix.rows, n)
-        lp, seconds = None, 0.0
-        if label is not None:
-            start = time.perf_counter()
-            dim = 3 * (n - 3)
-            e = strict_interior_point(inequalities(selection, dim), dim)
-            point = (serialize_group(n, levels, [base])[0], tuple(e), weight_vector(e, matrix.rows))
-            lp = (label, point, matrix.to_csv(), e.pivots)
-            seconds = time.perf_counter() - start
-        return fp, decided_above_base(selection), lp, seconds
-    except Exception as exc:
-        raise RuntimeError(f"sequence {serialize_group(n, levels, [base])[0]}: {exc}") from exc
-
-
-def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int, list[tuple], float]:
-    """Check and fingerprint one chunk ``(n, groups)`` of groups
-    ``(levels, bases, label, first)`` (``_chunks``); returns one tuple of
-    fingerprints per group, in the order of its bases, the number of
-    sequences whose selection ran, the LP of the head of each group marked
-    first, as ``(label, point, csv, pivots)`` (``_select``), and the seconds
-    those LPs took.
+def _sweep_chunk(task) -> list[tuple]:
+    """The kernel and the LP of each label of one chunk ``(n, chunk)``, a
+    list of ``(label, levels, base)`` of the label's first sequence in run
+    order: per label ``(label, fingerprint, (serialized, e, e.M), csv of M,
+    pivots, seconds of the LP)``.
 
     ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the scalar check and the soundness of
@@ -259,38 +211,24 @@ def _sweep_chunk(task) -> tuple[list[tuple[Fingerprint, ...]], int, list[tuple],
     certificate of ``valuation``.  A row outside 0/1, a failed certificate,
     a non-binomial initial form, a failed LP or any other failure raises
     one RuntimeError that names the sequence, so every flag of an outcome
-    holds.  The first base of a group is its head; a member that reuses its
-    head's selection, or a group that reuses the decided head of an earlier
-    sibling in its run (module docstring), is never built.  A group marked
-    first of its label starts its run of siblings, so its head runs the
-    kernel, and the LP after it.  Equal fingerprints are one object within
-    the chunk, so that pickling sends each ideal once.
+    holds.  The LP runs on the kernel's rows and selection.
     """
-    n, groups = task
-    shared: dict[Fingerprint, Fingerprint] = {}
-    fingerprints = []
-    lps = []
-    selections = 0
-    lp_seconds = 0.0
-    decided_key = None  # the sibling key of the last head run, if decided
-    for levels, bases, label, first in groups:
-        key = _sibling_key(levels)
-        if key != decided_key:
-            fp, decided, lp, seconds = _select(n, levels, bases[0], label if first else None)
-            selections += 1
-            decided_key = key if decided else None
-            if lp is not None:
-                lps.append(lp)
-                lp_seconds += seconds
-        if decided_key is not None:
-            fps = [fp] * len(bases)
-        else:
-            fps = [fp]
-            for base in bases[1:]:
-                fps.append(_select(n, levels, base)[0])
-                selections += 1
-        fingerprints.append(tuple(shared.setdefault(fp, fp) for fp in fps))
-    return fingerprints, selections, lps, lp_seconds
+    n, chunk = task
+    dim = 3 * (n - 3)
+    swept = []
+    for label, levels, base in chunk:
+        (text,) = serialize_group(n, levels, [base])
+        try:
+            matrix = weighting_matrix(IteratedSequence(n, levels, base))
+            fp, selection = initial_ideal(matrix.rows, n)
+            start = time.perf_counter()
+            e = strict_interior_point(inequalities(selection, dim), dim)
+            point = (text, tuple(e), weight_vector(e, matrix.rows))
+            seconds = time.perf_counter() - start
+            swept.append((label, fp, point, matrix.to_csv(), e.pivots, seconds))
+        except Exception as exc:
+            raise RuntimeError(f"sequence {text}: {exc}") from exc
+    return swept
 
 
 def _verify_entry(item) -> dict:
@@ -301,35 +239,6 @@ def _verify_entry(item) -> dict:
         "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
         "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
     }
-
-
-def _sibling_key(levels: tuple[Triple, ...]) -> tuple:
-    """The levels without the third index of the top-index-5 level (module
-    docstring); at n = 4, the empty levels."""
-    return levels[:-1] + (levels[-1][:2],) if levels else levels
-
-
-def _chunks(groups: list, size: int) -> Iterator[list]:
-    """Consecutive whole groups ``(levels, bases)``, each as ``(levels,
-    bases, label, first)`` with its label and whether it is the label's
-    first group in run order, so that no chunk splits a run of consecutive
-    groups with one ``_sibling_key``; each chunk but the last holds at
-    least ``size`` sequences."""
-    seen: set[Label] = set()
-    chunk, count = [], 0
-    for key, run in itertools.groupby(groups, lambda group: _sibling_key(group[0])):
-        label = label_of(key)  # siblings share it: the key keeps the first two indices
-        first = label not in seen
-        seen.add(label)
-        for levels, bases in run:
-            chunk.append((levels, bases, label, first))
-            first = False
-            count += len(bases)
-        if count >= size:
-            yield chunk
-            chunk, count = [], 0
-    if chunk:
-        yield chunk
 
 
 def verify_fingerprints(
@@ -375,18 +284,23 @@ def run_pipeline(
 
     start = time.perf_counter()
     if sequences is None:
-        groups = [(levels, BASES) for levels in level_prefixes(n)]
-        total = len(groups) * len(BASES)
+        firsts = {label: representative_sequence(label, n) for label in all_labels(n)}
+        groups = ((levels, BASES) for levels in level_prefixes(n))
+        total = sequence_count(n)
     else:
+        firsts = {}
         for s in sequences:
             if s.n != n:
                 raise ValueError(f"sequence {s.serialize()} has n={s.n}, but the run has n={n}")
+            firsts.setdefault(label_of(s.levels), s)
         groups = [
             (levels, tuple(s.base_perm for s in run))
             for levels, run in itertools.groupby(sequences, attrgetter("levels"))
         ]
         total = len(sequences)
-    chunks = list(_chunks(groups, max(1, -(-total // (jobs * 8)))))
+    items = [(label, s.levels, s.base_perm) for label, s in firsts.items()]
+    size = max(1, -(-len(items) // (jobs * 8)))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     timings["enumerate"] = time.perf_counter() - start
 
     # imported here, so that a CLI command that runs no pipeline pays for
@@ -403,38 +317,35 @@ def run_pipeline(
         mapper = pool.map if parallel else map
         # the merge of a chunk overlaps the workers' sweep of later chunks
         swept = (pool.imap if parallel else map)(_sweep_chunk, [(n, c) for c in chunks])
-        outcomes = []
-        labels: dict[Fingerprint, set[Label]] = {}
+        fingerprints: dict[Label, Fingerprint] = {}
         label_weights = {}
         matrices = {}
-        selections = pivots = 0
+        pivots = 0
         lp_seconds = 0.0
-        for chunk, (fingerprints, chunk_selections, lps, chunk_lp_seconds) in zip(chunks, swept):
-            for (levels, bases, label, _), fps in zip(chunk, fingerprints):
-                for text, fp in zip(serialize_group(n, levels, bases), fps):
-                    outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
-                    labels.setdefault(fp, set()).add(label)
-            for label, point, csv, lp_pivots in lps:
+        for results in swept:
+            for label, fp, point, csv, lp_pivots, seconds in results:
+                fingerprints[label] = fp
                 label_weights[label] = point
                 matrices[label] = csv
                 pivots += lp_pivots
-            selections += chunk_selections
-            lp_seconds += chunk_lp_seconds
+                lp_seconds += seconds
             elapsed = time.perf_counter() - start
+            done = len(fingerprints)
             log.info(
-                "swept %d of %d sequences in %.1f s, ETA %.1f s",
-                len(outcomes), total, elapsed, elapsed * (total - len(outcomes)) / len(outcomes),
+                "swept %d of %d labels in %.1f s, ETA %.1f s",
+                done, len(items), elapsed, elapsed * (len(items) - done) / done,
             )
-        ideals_per_label = Counter(label for ls in labels.values() for label in ls)
-        split = sorted(label for label, count in ideals_per_label.items() if count > 1)
-        if split:
-            log.warning(
-                "%d labels lie under more than one ideal: %s",
-                len(split), " ".join(map(format_label, split)),
-            )
-        labels_by_fingerprint = {fp: tuple(sorted(labels[fp])) for fp in sorted(labels)}
+        # every sequence has its label's ideal (module docstring); one label
+        # object per label
+        shared = {label: (label, fp) for label, fp in fingerprints.items()}
+        outcomes = []
+        for levels, bases in groups:
+            label, fp = shared[label_of(levels)]
+            for text in serialize_group(n, levels, bases):
+                outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
+        labels_by_fingerprint = labels_by_ideal(fingerprints)
         timings["sweep"] = time.perf_counter() - start
-        timings["lp"] = lp_seconds  # worker time, within the sweep's
+        timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's
 
         start = time.perf_counter()
         orbit_reports = compute_orbits(labels_by_fingerprint, n)
@@ -462,11 +373,8 @@ def run_pipeline(
             "lp_solves": len(label_weights),
             # simplex pivots over all LPs, one per label
             "lp_pivots": pivots,
-            # swept sequences whose selection ran: the heads of groups that
-            # no decided sibling head served, and the members of undecided heads
-            "ideal_selections": selections,
-            # labels whose sequences lie under more than one ideal
-            "split_labels": len(split),
+            # kernel runs: one per label (module docstring)
+            "ideal_selections": len(fingerprints),
             # each closure takes 2 images of every member of its orbit, under
             # s_1 and the n-cycle
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * 2,

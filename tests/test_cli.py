@@ -488,6 +488,33 @@ def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_a_seq_run_names_its_sequence_not_the_label_representative(tmp_path, monkeypatch, capsys):
+    """The one kernel run of a label is on its first sequence in run order,
+    here the --seq sequence, which is not the label's representative.  A
+    kernel that fails on that sequence alone makes the run exit 1, name it,
+    print no usage banner and leave --out unwritten."""
+    from grassdegen import cli, valuation
+    from grassdegen.sequences import IteratedSequence, label_of, representative_sequence
+
+    serialized = "6:[1,2,4|2,1,3|3,2,1]"
+    levels = IteratedSequence.parse(serialized).levels
+    assert representative_sequence(label_of(levels), 6).serialize() == "6:[1,2,3|2,1,3|1,2,3]"
+    real = valuation.valuation_rows
+
+    def with_a_two(seq, triples):
+        rows = real(seq, triples)
+        return ((2, *rows[0][1:]), *rows[1:]) if seq.serialize() == serialized else rows
+
+    monkeypatch.setattr(valuation, "valuation_rows", with_a_two)
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "-n", "6", "--seq", serialized, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sequence {serialized}: valuation row (2, ")
+    assert "is not a 0/1 vector" in err
+    assert "usage:" not in err
+    assert not out.exists()
+
+
 def test_a_rank_deficient_matrix_stops_the_query_commands(monkeypatch, capsys):
     """A zeroed last column leaves no row leading at the last position:
     orbit-of and verify -n exit 1 on the first sequence they fingerprint."""

@@ -7,7 +7,6 @@ from grassdegen.cone import weight_vector
 from grassdegen.initial_forms import (
     binomial_ids,
     check_leads,
-    decided_above_base,
     inequalities,
     inequalities_from_csv,
     inequality_set,
@@ -284,16 +283,6 @@ def test_packed_kernel_equals_the_tuple_oracle(n):
         weights = [sum(c * x for c, x in zip(certificate, row)) for row in rows]
         assert scalar_matches(weights, relations, initials)
         assert all(sum(c * x for c, x in zip(certificate, d)) >= 1 for d in diffs)
-
-
-def test_a_tie_broken_by_a_base_digit_is_not_decided_above_the_base():
-    """One relation whose initial pair has packed sum 27 * 4 + 5: a third
-    term of sum 27 * 4 + 2 loses only in the base digits, one of sum
-    27 * 3 + 26 loses above them."""
-    pair = 27 * 4 + 5
-    assert not decided_above_base((([pair], [pair], [27 * 4 + 2], [-1]), [pair]))
-    assert decided_above_base((([pair], [pair], [27 * 3 + 26], [-1]), [pair]))
-    assert decided_above_base((([pair], [27 * 3 + 26], [pair], [27 * 2]), [pair]))
 
 
 @pytest.mark.parametrize("dim", range(8))

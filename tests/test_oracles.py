@@ -1,7 +1,10 @@
-"""The oracles stay independent of the code they check."""
+"""The oracles stay independent of the code they check, and the one that
+tells a selection decided above the base is right on hand-made ones."""
 
 import ast
 import os
+
+from oracles import decided_above_base
 
 ORACLES = os.path.join(os.path.dirname(__file__), "oracles.py")
 
@@ -17,3 +20,13 @@ def test_oracles_import_nothing_from_the_package():
             imported.append("." * node.level + (node.module or ""))
     assert imported, "the walk found no imports at all"
     assert not [m for m in imported if m.split(".")[0] in ("grassdegen", "")]
+
+
+def test_a_tie_broken_by_a_base_digit_is_not_decided_above_the_base():
+    """One relation whose initial pair has packed sum 27 * 4 + 5: a third
+    term of sum 27 * 4 + 2 loses only in the base digits, one of sum
+    27 * 3 + 26 loses above them."""
+    pair = 27 * 4 + 5
+    assert not decided_above_base((([pair], [pair], [27 * 4 + 2], [-1]), [pair]))
+    assert decided_above_base((([pair], [pair], [27 * 3 + 26], [-1]), [pair]))
+    assert decided_above_base((([pair], [27 * 3 + 26], [pair], [27 * 2]), [pair]))

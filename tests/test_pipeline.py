@@ -3,10 +3,10 @@ import itertools
 import json
 import logging
 import multiprocessing
+import operator
 import os
 import random
 import re
-from operator import attrgetter
 
 import jsonschema
 import pytest
@@ -21,25 +21,25 @@ from grassdegen.classify import (
     fingerprint_labels,
 )
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.initial_forms import decode, inequality_set
+from grassdegen.initial_forms import decode, inequality_set, initial_ideal
 from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
     BASES,
     IteratedSequence,
     all_labels,
+    count_labels,
     enumerate_sequences,
     format_label,
     label_of,
-    level_prefixes,
     representative_sequence,
-    serialize_group,
     standard_sequence,
 )
 from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
 from grassdegen.valuation import weighting_matrix
 from oracles import (
     brute_force_fingerprint,
+    decided_above_base,
     dense_box_lp,
     dense_rank,
     output_hashes,
@@ -47,6 +47,7 @@ from oracles import (
     recorded_hashes,
 )
 from test_cli import drop_the_last_column
+from test_valuation import seeded_sequences
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -163,10 +164,10 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
 ):
     """Only the first sequence of each label in run order solves the LP; its
     point and e.M are what weights.json holds, and its weighting matrix is
-    what matrices/ holds.  In the seq case the second sequence takes the
-    decided ideal of its sibling, the first, and the third sequence, the
-    first of label (1,2;1,2), follows that run; the label has another
-    representative, 6:[1,2,3|1,2,3|1,2,3]."""
+    what matrices/ holds.  In the seq case the first two sequences share
+    a label, so the second runs no kernel, and the third sequence, the
+    first of label (1,2;1,2), is not its representative,
+    6:[1,2,3|1,2,3|1,2,3]."""
     if sequences is not None:
         sequences = [IteratedSequence.parse(s) for s in sequences]
     n = sequences[0].n if sequences else 5
@@ -224,8 +225,8 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_lp_builds_no_weighting_matrix_of_its_own(n, monkeypatch):
-    """Each label's LP runs on the rows and selection of its first head's
-    kernel run: a serial run builds one weighting matrix per selection."""
+    """Each label's LP runs on the rows and selection of its kernel run: a
+    serial run builds one weighting matrix per label."""
     calls = []
     real = pipeline.weighting_matrix
 
@@ -235,7 +236,7 @@ def test_the_lp_builds_no_weighting_matrix_of_its_own(n, monkeypatch):
 
     monkeypatch.setattr(pipeline, "weighting_matrix", counted)
     result = run_pipeline(n, jobs=1)
-    assert len(calls) == result.counters["ideal_selections"] == {5: 12, 6: 720}[n]
+    assert len(calls) == result.counters["ideal_selections"] == {5: 12, 6: 240}[n]
     assert result.counters["lp_solves"] == len(result.label_weights) == {5: 12, 6: 240}[n]
 
 
@@ -480,7 +481,7 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# one selection per run of sibling groups
+# one kernel run per label
 
 
 def kernel_reference(serialized):
@@ -489,63 +490,37 @@ def kernel_reference(serialized):
     return {s: fingerprint(IteratedSequence.parse(s)) for s in serialized}
 
 
-def groups_of(serialized):
-    """The run's groups ``(levels, bases)`` of serialized sequences: each run
-    of consecutive sequences with equal levels."""
-    seqs = [IteratedSequence.parse(s) for s in serialized]
-    return [
-        (levels, tuple(s.base_perm for s in run))
-        for levels, run in itertools.groupby(seqs, attrgetter("levels"))
-    ]
-
-
-def chunk_sizes(groups, size):
-    return [sum(len(bases) for _, bases, _, _ in chunk) for chunk in pipeline._chunks(groups, size)]
-
-
-def sweep(serialized, pieces):
-    """The sweep of a run whose chunks are ``pieces``, in this process, as
-    ``(serialized, fingerprint)`` pairs, the number of selections and the
-    sequence whose LP each label got."""
-    n = IteratedSequence.parse(serialized[0]).n
-    outcomes, selections, witnesses = [], 0, {}
-    for chunk in pipeline._chunks(groups_of(serialized), -(-len(serialized) // pieces)):
-        fingerprints, chunk_selections, lps, _ = pipeline._sweep_chunk((n, chunk))
-        for (levels, bases, _, _), fps in zip(chunk, fingerprints):
-            outcomes += zip(serialize_group(n, levels, bases), fps)
-        selections += chunk_selections
-        for label, (witness, _, _), _, _ in lps:
-            assert label not in witnesses
-            witnesses[label] = witness
-    return outcomes, selections, witnesses
-
-
-def assert_sweep_equals_the_kernel(serialized, pieces, reference):
-    """Every fingerprint is the kernel's, and each label's LP ran on its
-    first sequence in run order; returns the number of selections."""
-    outcomes, selections, witnesses = sweep(serialized, pieces)
-    assert [text for text, _ in outcomes] == serialized
-    for text, fp in outcomes:
-        assert fp == reference[text], text
+def assert_sweep_equals_the_kernel(n, serialized, reference, jobs=1, full=False):
+    """Run the sequences ``serialized`` in that order, or with ``full`` the
+    full run, whose sequences they are: every sequence has the fingerprint
+    of its own kernel run, and each label's kernel and LP ran on its first
+    sequence in run order; returns the number of kernel runs."""
+    sequences = None if full else [IteratedSequence.parse(s) for s in serialized]
+    result = run_pipeline(n, jobs=jobs, sequences=sequences)
+    assert [o.serialized for o in result.outcomes] == serialized
+    for outcome in result.outcomes:
+        assert outcome.fingerprint == reference[outcome.serialized], outcome.serialized
     first = {}
     for text in serialized:
         first.setdefault(label_of(IteratedSequence.parse(text).levels), text)
-    assert witnesses == first
-    return selections
+    assert {label: witness for label, (witness, _, _) in result.label_weights.items()} == first
+    return result.counters["ideal_selections"]
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
-    """In enumeration order every chunk holds whole runs of sibling groups,
-    and each run of twelve sequences runs one selection; in a seeded
-    shuffle runs rarely form, and the outcomes are the same."""
+    """The full run at --jobs 1 and 2, and a seeded shuffle of its
+    sequences, whose labels' first sequences are rarely representatives,
+    run one kernel per label and give every sequence its own kernel's
+    fingerprint."""
     serialized = [s.serialize() for s in enumerate_sequences(n)]
     reference = kernel_reference(serialized)
-    for pieces in (8, 16):  # the chunks of --jobs 1 and --jobs 2
-        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == len(serialized) // 12
+    for jobs in (1, 2):
+        kernels = assert_sweep_equals_the_kernel(n, serialized, reference, jobs, full=True)
+        assert kernels == count_labels(n)
     shuffled = serialized[:]
     random.Random(n).shuffle(shuffled)
-    assert assert_sweep_equals_the_kernel(shuffled, 16, reference) > len(serialized) // 12
+    assert assert_sweep_equals_the_kernel(n, shuffled, reference) == count_labels(n)
 
 
 def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
@@ -561,65 +536,34 @@ def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
             for base in itertools.permutations((1, 2, 3))
         ]
     assert len(serialized) == 4 * 144
-    selections = assert_sweep_equals_the_kernel(serialized, 8, kernel_reference(serialized))
-    assert selections == len(serialized) // 12 == 48
+    reference = kernel_reference(serialized)
+    assert assert_sweep_equals_the_kernel(7, serialized, reference) == 4
+    random.Random(77).shuffle(serialized)
+    assert assert_sweep_equals_the_kernel(7, serialized, reference) == 4
 
 
-def test_manifest_counts_ideal_selections(tmp_path):
-    """One selection per run of sibling groups at n = 5 for every worker
-    count: no chunk splits a run."""
+def test_manifest_counts_ideal_selections(result_n6, tmp_path):
+    """One kernel run per label, 12 at n = 5 for every worker count and 240
+    at n = 6."""
     for jobs in (1, 2):
         result = run_pipeline(5, jobs=jobs)
         manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
         assert manifest["counters"]["ideal_selections"] == 12
-    full5 = [(levels, BASES) for levels in level_prefixes(5)]
-    full6 = [(levels, BASES) for levels in level_prefixes(6)]
-    assert chunk_sizes(full5, 144 // 16) == [12] * 12
-    assert chunk_sizes(full6, 8640 // 8) == [1080] * 8
-    assert chunk_sizes(full6, 8640 // 16) == [540] * 16
-
-
-def test_a_chunk_size_that_would_cut_a_sibling_pair_keeps_the_pair():
-    """A chunk of 6 sequences would hold one group of n = 5; it holds the
-    group and its sibling, whose levels differ only in the third index."""
-    full5 = [(levels, BASES) for levels in level_prefixes(5)]
-    chunks = list(pipeline._chunks(full5, 6))
-    assert [len(chunk) for chunk in chunks] == [2] * 12
-    for (head, *_), (other, *_) in chunks:
-        assert head[0][:2] == other[0][:2] and head != other
-    assert chunk_sizes(full5, 13) == [24] * 6
-    assert chunk_sizes(full5[1:], 6) == [6] + [12] * 11
-
-
-def test_a_sibling_after_another_prefix_runs_its_own_head():
-    """Only consecutive siblings share a head: a list ordered sibling, other
-    prefix, sibling runs three heads and equals the kernel on every
-    sequence, also in one chunk."""
-    prefixes = [((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 1, 3)), ((1, 2, 3), (1, 2, 4))]
-    serialized = serialize_group(6, prefixes[0], BASES)
-    serialized += serialize_group(6, prefixes[1], BASES[:2])
-    serialized += serialize_group(6, prefixes[2], BASES[3:])
-    assert pipeline._sibling_key(prefixes[0]) == pipeline._sibling_key(prefixes[2])
-    reference = kernel_reference(serialized)
-    for pieces in (1, 3):
-        assert assert_sweep_equals_the_kernel(serialized, pieces, reference) == 3
-    result = run_pipeline(6, jobs=1, sequences=list(map(IteratedSequence.parse, serialized)))
-    assert [(o.serialized, o.fingerprint) for o in result.outcomes] == list(reference.items())
-    assert result.counters["ideal_selections"] == 3
+    assert result_n6.counters["ideal_selections"] == 240
 
 
 def test_chunks_hold_whole_groups_so_counters_do_not_depend_on_jobs(tmp_path):
-    """Without its first 3 sequences, n = 5 starts with a group of 3: the
-    141 sequences form 24 groups in 12 runs of siblings, each one selection
-    at every worker count."""
+    """Without its first 3 sequences, n = 5 starts at the fourth base of a
+    level prefix, so label (1,2)'s first sequence is no representative:
+    the counters and the data files are the same at every worker count."""
     sequences = list(enumerate_sequences(5))[3:]
-    assert len(groups_of([s.serialize() for s in sequences])) == 24
     counters = {}
     for jobs in (1, 2):
         result = run_pipeline(5, jobs=jobs, sequences=sequences)
         write_outputs(result, str(tmp_path / f"jobs{jobs}"))
         counters[jobs] = result.counters
+        assert result.label_weights[((1, 2),)][0] == "5:[1,2,3|2,3,1]"
     assert counters[1] == counters[2]
     assert counters[1]["ideal_selections"] == 12
     assert output_hashes(tmp_path / "jobs1") == output_hashes(tmp_path / "jobs2")
@@ -646,47 +590,16 @@ def test_progress_is_logged_at_info_and_off_by_default(caplog, capsys, tmp_path)
     caplog.set_level(logging.INFO, logger="grassdegen.pipeline")
     logged = run_pipeline(5, jobs=1)
     messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
-    assert len(messages) == 6  # one per chunk: two runs of 12 sequences reach 18
+    assert len(messages) == 6  # one per chunk of two labels
     assert all(r.levelno == logging.INFO for r in caplog.records)
-    assert re.fullmatch(r"swept 144 of 144 sequences in \d+\.\d s, ETA 0\.0 s", messages[-1])
-    assert messages[0].startswith("swept 24 of 144 sequences in ")
+    assert re.fullmatch(r"swept 12 of 12 labels in \d+\.\d s, ETA 0\.0 s", messages[-1])
+    assert messages[0].startswith("swept 2 of 12 labels in ")
     assert logger.handlers == []
     assert capsys.readouterr() == ("", "")
     write_outputs(result, str(tmp_path / "plain"))
     write_outputs(logged, str(tmp_path / "logged"))
     assert output_hashes(tmp_path / "logged") == output_hashes(tmp_path / "plain")
     assert logged.counters == result.counters
-
-
-def test_a_label_under_two_ideals_is_counted_and_named(monkeypatch, caplog, tmp_path):
-    """Forge a split fiber: heads are undecided, so every member runs the
-    kernel, and one member of label (1,2) gets the ideal of label (2,1)."""
-    forged = IteratedSequence.parse("5:[1,2,3|2,1,3]")
-    other = fingerprint(IteratedSequence.parse("5:[2,1,3|1,2,3]"))
-    assert fingerprint(forged) != other
-    target = weighting_matrix(forged).rows
-    real = pipeline.initial_ideal
-
-    def forging(rows, n):
-        fp, selection = real(rows, n)
-        return (other if rows == target else fp), selection
-
-    undecide_heads(monkeypatch)
-    monkeypatch.setattr(pipeline, "initial_ideal", forging)
-    with caplog.at_level(logging.WARNING, logger="grassdegen.pipeline"):
-        result = run_pipeline(5, jobs=1)
-    assert result.counters["split_labels"] == 1
-    assert result.labels_by_fingerprint[other] == (((1, 2),), ((2, 1),))
-    (record,) = caplog.records
-    assert record.levelno == logging.WARNING
-    assert record.getMessage() == "1 labels lie under more than one ideal: (1,2)"
-    manifest = load_json(write_outputs(result, str(tmp_path)))
-    jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-    assert manifest["counters"]["split_labels"] == 1
-
-
-def test_no_label_is_split_at_n5_and_n6(result_n5, result_n6):
-    assert result_n5.counters["split_labels"] == result_n6.counters["split_labels"] == 0
 
 
 def test_the_readme_manifest_row_names_every_counter(result_n5, result_n6):
@@ -719,43 +632,64 @@ def test_every_pair_of_base_triples_has_its_sigma():
             assert other_charge == {s: tuple(v[i] for i in sigma) for s, v in charge.items()}
 
 
-def undecide_heads(monkeypatch):
-    """Make every selection undecided above the base, so that no member
-    reuses its head's."""
-    monkeypatch.setattr(pipeline, "decided_above_base", lambda selection: False)
+def selection_key(seq):
+    """The fingerprint of a sequence, the max-term pattern of each relation
+    and whether the selection is decided above the base."""
+    fp, (slots, maxima) = initial_ideal(weighting_matrix(seq).rows, seq.n)
+    patterns = tuple(zip(*(map(operator.eq, slot, maxima) for slot in slots)))
+    return fp, patterns, decided_above_base((slots, maxima))
 
 
-def test_a_member_of_an_undecided_head_runs_the_kernel(monkeypatch):
-    """Neither a member nor a sibling group takes an undecided head's
-    ideal: every n = 5 sequence runs the kernel."""
-    undecide_heads(monkeypatch)
-    serialized = [s.serialize() for s in enumerate_sequences(5)]
-    (chunk,) = pipeline._chunks(groups_of(serialized), len(serialized))
-    fingerprints, selections, lps, _ = pipeline._sweep_chunk((5, chunk))
-    assert selections == len(serialized) == 144
-    assert len(lps) == 12
-    assert run_pipeline(5, jobs=1).counters["ideal_selections"] == 144
-    for (levels, bases, _, _), fps in zip(chunk, fingerprints):
-        for base, fp in zip(bases, fps):
-            assert fp == fingerprint(IteratedSequence(5, levels, base))
+def index_swaps(seq, j):
+    """Every sequence that differs from ``seq`` only in entry j of one
+    level's triple, at every level."""
+    for t, triple in enumerate(seq.levels):
+        for x in range(1, seq.n - t):
+            if x not in triple:
+                swapped = triple[:j] + (x,) + triple[j + 1 :]
+                levels = seq.levels[:t] + (swapped,) + seq.levels[t + 1 :]
+                yield IteratedSequence(seq.n, levels, seq.base_perm)
 
 
-def test_a_failure_of_a_member_that_runs_the_kernel_names_the_member(monkeypatch):
-    undecide_heads(monkeypatch)
-    # (1,2,4) charging nothing under base (2,1,3) leaves the third base column empty
-    real = valuation._transitions
+def changed_by(seq, variants):
+    """The variants whose ``selection_key`` is not that of ``seq``."""
+    key = selection_key(seq)
+    return [v.serialize() for v in variants if selection_key(v) != key]
 
-    def patched(top, triple):
-        charges, step = real(top, triple)
-        if (top, triple) == (4, (2, 1, 3)):
-            charges = {**charges, (1, 2, 4): (0, 0, 0)}
-        return charges, step
 
-    monkeypatch.setattr(valuation, "_transitions", patched)
-    with pytest.raises(
-        RuntimeError, match=r"^sequence 5:\[1,2,3\|2,1,3\]: rank certificate: .* at position 5$"
-    ):
-        run_pipeline(5, jobs=1)
+@pytest.mark.parametrize("n, count", [(7, 40), (8, 15)])
+def test_no_third_index_or_base_swap_changes_the_selection(n, count):
+    """Lemma A of the ``pipeline`` docstring, and the base step of its
+    theorem, on a seeded sample: no single third-index swap, at any level,
+    and no base swap changes the fingerprint, any relation's max-term
+    pattern or decidedness."""
+    for seq in seeded_sequences(n, 31, count):
+        bases = [seq._replace(base_perm=b) for b in BASES if b != seq.base_perm]
+        swaps = [*index_swaps(seq, 2), *bases]
+        assert len(swaps) == sum(n - t - 4 for t in range(n - 4)) + 5
+        assert changed_by(seq, swaps) == [], seq.serialize()
+
+
+@pytest.mark.parametrize("n, count", [(7, 40), (8, 15)])
+def test_the_swap_harness_sees_every_second_index_swap(n, count):
+    """The negative control of the test above: the same harness, on single
+    second-index swaps, which change the label, reports each one."""
+    for seq in seeded_sequences(n, 31, count):
+        swaps = list(index_swaps(seq, 1))
+        assert changed_by(seq, swaps) == [v.serialize() for v in swaps]
+
+
+def test_a_tie_above_the_base_is_a_tie_and_every_n6_selection_is_decided():
+    """Lemma B of the ``pipeline`` docstring on every n = 6 sequence: two
+    terms of one relation whose packed sums agree above the base digits
+    (sum // 27) agree in full, so every selection is decided above the
+    base."""
+    for seq in enumerate_sequences(6):
+        _, selection = initial_ideal(weighting_matrix(seq).rows, 6)
+        for sums in zip(*selection[0]):
+            sums = {x for x in sums if x >= 0}  # the padding term sums to -1
+            assert len({x // 27 for x in sums}) == len(sums), seq.serialize()
+        assert decided_above_base(selection), seq.serialize()
 
 
 @pytest.mark.parametrize("name", ["result_n5", "result_n6"])

@@ -153,9 +153,10 @@ def test_each_certificate_row_leads_at_its_position(n, count):
 
 @pytest.mark.parametrize("top", [5, 6, 7, 8])
 def test_sibling_tables_differ_in_one_state(top):
-    """Two triples at one top index with equal first two indices: their
-    tables differ exactly in the state {top,i1,i2}, where both charge
-    position 2 and step to {i1,i2} with their own third index."""
+    """The first point of Lemma A of the ``pipeline`` docstring: two
+    triples at one top index with equal first two indices have tables that
+    differ exactly in the state {top,i1,i2}, where both charge position 2
+    and step to {i1,i2} with their own third index."""
     for i1, i2 in itertools.permutations(range(1, top), 2):
         state = tuple(sorted((top, i1, i2)))
         thirds = [c for c in range(1, top) if c not in (i1, i2)]
@@ -182,10 +183,11 @@ def top5_sibling(seq):
     "n, count", [(5, None), (6, None), (7, 1500), (8, 300)]
 )
 def test_a_top5_sibling_changes_one_base_triad(n, count):
-    """The lemma of the ``pipeline`` docstring: the top-index-5 sibling has
-    the rows of the sequence above the base, and in the base it changes
-    exactly the rows whose level-(n-5) triad is (0,0,1), all by one pair
-    (u, u') of distinct triads."""
+    """Lemma A of the ``pipeline`` docstring at top index 5, where the
+    digits below level t = n - 5 are the base triad: the sibling has the
+    rows of the sequence above the base, and in the base it changes exactly
+    the rows whose level-t triad is (0,0,1), all by one pair (L, L') of
+    distinct triads."""
     t = n - 5
     sample = enumerate_sequences(n) if count is None else seeded_sequences(n, 2027, count)
     for seq in sample:
