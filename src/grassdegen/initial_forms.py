@@ -49,14 +49,16 @@ makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
 holds the term-level tuple kernel, and the test suite compares the two on
 every sequence of n <= 6 and a sample at n = 7.
 
-The relation table is the per-n plan of the selection, built on first use:
-the rows of the two factors of each distinct monomial, so that each
-monomial's packed sum is computed once; the monomial of each term, laid out
-slot-major (term k of relation r at k * count + r; a relation with three
-terms has a padding fourth term whose packed sum is negative); and for each
-relation a map from its max-term pattern, one bool per slot, to the id of
-its canonical binomial.  Binomial ids number the table's binomials in sorted
-order; a fingerprint is the sorted tuple of its binomials' ids.
+The relation table is the plan of the selection over every relation of
+Gr(3,n), one per n, built on first use: the rows of the two factors of each
+distinct monomial, so that each monomial's packed sum is computed once; the
+monomial of each term, laid out slot-major (term k of relation r at
+k * count + r; a relation with three terms has a padding fourth term whose
+packed sum is negative); and for each relation a map from its max-term
+pattern, one bool per slot, to the id of its canonical binomial.  Binomial
+ids number the table's binomials in sorted order; a fingerprint is the
+sorted tuple of its binomials' ids.  The inequality set of a list of
+relations keeps their slots of the one table's selection.
 """
 
 from __future__ import annotations
@@ -97,7 +99,11 @@ class RelationTable(NamedTuple):
     binomials: tuple[Binomial, ...]  # by id, sorted
 
 
-def _compile(relations, n: int) -> RelationTable:
+@lru_cache(maxsize=None)
+def relation_table(n: int) -> RelationTable:
+    """The selection plan of every relation of Gr(3,n), in ``all_relations``
+    order, built once per n."""
+    relations = all_relations(n)
     position = {t: i for i, t in enumerate(all_triples(n))}
     factor_rows = [[(position[A], position[B]) for _, A, B in terms] for _, _, terms in relations]
     monomials = sorted({m for by_term in factor_rows for m in by_term})
@@ -129,24 +135,6 @@ def _compile(relations, n: int) -> RelationTable:
         tuple({p: ids[b] for p, b in by_pattern.items()} for by_pattern in pairs),
         binomials,
     )
-
-
-@lru_cache(maxsize=None)
-def _full_table(n: int) -> RelationTable:
-    return _compile(all_relations(n), n)
-
-
-# keyed by the relations themselves, which the full table need not keep
-@lru_cache(maxsize=8)
-def _listed_table(relations: tuple[Relation, ...], n: int) -> RelationTable:
-    return _compile(relations, n)
-
-
-def relation_table(n: int, relations: list[Relation] | None = None) -> RelationTable:
-    """The selection plan of the given relations of Gr(3,n); by default all
-    of them in ``all_relations`` order.  A table is built once per n, and
-    once per list of relations among the last few lists given."""
-    return _full_table(n) if relations is None else _listed_table(tuple(relations), n)
 
 
 def decode(fp: Fingerprint, n: int) -> tuple[Binomial, ...]:
@@ -268,10 +256,17 @@ def inequality_set(
     matrix: WeightingMatrix,
     relations: list[Relation] | None = None,
 ) -> tuple[Vector, ...]:
-    """The inequality set of the given relations, by default all of Gr(3,n)."""
+    """The inequality set of the given relations, by default all of Gr(3,n):
+    ``select`` runs on the one table, and each given relation keeps its
+    slots and maximum, found by its (I, J) in ``all_relations`` order."""
     dim = 3 * (seq.n - 3)
-    table = relation_table(seq.n, relations)
-    return inequalities(select(pack(row_digits(matrix.rows, dim)), table), dim)
+    slots, maxima = select(pack(row_digits(matrix.rows, dim)), relation_table(seq.n))
+    if relations is not None:
+        index = {(I, J): r for r, (I, J, _) in enumerate(all_relations(seq.n))}
+        kept = [index[I, J] for I, J, _ in relations]
+        slots = tuple([slot[r] for r in kept] for slot in slots)
+        maxima = [maxima[r] for r in kept]
+    return inequalities((slots, maxima), dim)
 
 
 def inequalities_from_csv(text: str) -> tuple[Vector, ...]:

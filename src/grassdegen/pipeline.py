@@ -146,7 +146,6 @@ from .sequences import (
     label_of,
     level_prefixes,
     representative_sequence,
-    sequence_count,
     serialize_group,
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
@@ -156,27 +155,17 @@ from .valuation import weighting_matrix
 class SequenceOutcome:
     """One swept sequence.  A plain class with slots, not a NamedTuple: the
     parent builds one per sequence and keeps them all, and an instance
-    takes 80 bytes to the tuple's 88."""
+    takes 56 bytes to the tuple's 64."""
 
-    __slots__ = (
-        "serialized", "label", "fingerprint", "all_binomial", "projection_sound", "scalar_matches"
-    )
+    __slots__ = ("serialized", "label", "fingerprint")
 
-    def __init__(
-        self,
-        serialized: str,
-        label: Label,
-        fingerprint: Fingerprint,
-        all_binomial: bool,
-        projection_sound: bool,
-        scalar_matches: bool,
-    ):
+    # run_pipeline raises before it returns a sequence that fails a check
+    all_binomial = projection_sound = scalar_matches = True
+
+    def __init__(self, serialized: str, label: Label, fingerprint: Fingerprint):
         self.serialized = serialized
         self.label = label
         self.fingerprint = fingerprint
-        self.all_binomial = all_binomial
-        self.projection_sound = projection_sound
-        self.scalar_matches = scalar_matches
 
 
 class PipelineResult(NamedTuple):
@@ -275,7 +264,7 @@ def run_pipeline(
     a bug or on a sequence that breaks an invariant, before the orbit stage.
     ``jobs`` is at least 1, else ValueError, and at most the CPU count,
     which is its default; the stages share one pool of that many workers
-    when there are more than 64 sequences."""
+    when there are more than 64 labels."""
     cpus = os.cpu_count() or 1
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -286,7 +275,6 @@ def run_pipeline(
     if sequences is None:
         firsts = {label: representative_sequence(label, n) for label in all_labels(n)}
         groups = ((levels, BASES) for levels in level_prefixes(n))
-        total = sequence_count(n)
     else:
         firsts = {}
         for s in sequences:
@@ -297,7 +285,6 @@ def run_pipeline(
             (levels, tuple(s.base_perm for s in run))
             for levels, run in itertools.groupby(sequences, attrgetter("levels"))
         ]
-        total = len(sequences)
     items = [(label, s.levels, s.base_perm) for label, s in firsts.items()]
     size = max(1, -(-len(items) // (jobs * 8)))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
@@ -310,7 +297,7 @@ def run_pipeline(
 
     log = logging.getLogger(__name__)
     start = time.perf_counter()  # the sweep's time includes starting the pool
-    parallel = jobs > 1 and total > 64
+    parallel = jobs > 1 and len(items) > 64
     if parallel:
         from multiprocessing import Pool
     with (Pool(jobs) if parallel else nullcontext()) as pool:
@@ -342,7 +329,7 @@ def run_pipeline(
         for levels, bases in groups:
             label, fp = shared[label_of(levels)]
             for text in serialize_group(n, levels, bases):
-                outcomes.append(SequenceOutcome(text, label, fp, True, True, True))
+                outcomes.append(SequenceOutcome(text, label, fp))
         labels_by_fingerprint = labels_by_ideal(fingerprints)
         timings["sweep"] = time.perf_counter() - start
         timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's

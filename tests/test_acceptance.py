@@ -108,44 +108,46 @@ def test_criterion_3_orbit_structure(pipeline6):
     announce(3, "orbits {48,48,48,96}", elapsed, 60.0)
 
 
+def assert_two_max_terms(sequences, n):
+    """Every relation of Gr(3,n) has exactly two lex-max terms under each
+    sequence's valuation rows."""
+    triples = all_triples(n)
+    position = {t: i for i, t in enumerate(triples)}
+    compiled = [
+        [(position[a], position[b]) for _, a, b in terms] for _, _, terms in all_relations(n)
+    ]
+    for seq in sequences:
+        rows = valuation_rows(seq, triples)
+        for terms in compiled:
+            vectors = [tuple(x + y for x, y in zip(rows[a], rows[b])) for a, b in terms]
+            best = max(vectors)
+            assert sum(1 for v in vectors if v == best) == 2
+
+
 def test_criterion_4_binomiality(pipeline6):
     start = time.perf_counter()
     assert all(outcome.all_binomial for outcome in pipeline6.outcomes)
 
     # exhaustively at n = 5
-    relations5 = all_relations(5)
-    triples5 = all_triples(5)
-    position5 = {t: i for i, t in enumerate(triples5)}
-    compiled5 = [
-        [(position5[a], position5[b]) for _, a, b in terms] for _, _, terms in relations5
-    ]
-    for seq in enumerate_sequences(5):
-        rows = valuation_rows(seq, triples5)
-        for terms in compiled5:
-            vectors = [tuple(x + y for x, y in zip(rows[a], rows[b])) for a, b in terms]
-            best = max(vectors)
-            assert sum(1 for v in vectors if v == best) == 2
+    assert_two_max_terms(enumerate_sequences(5), 5)
+
+    # at n = 6 on the 240 label witnesses, whose ideals are those of all
+    # 8640 sequences (the label theorem of ``pipeline``)
+    assert len(pipeline6.label_weights) == 240
+    witnesses = [IteratedSequence.parse(w) for w, _, _ in pipeline6.label_weights.values()]
+    assert_two_max_terms(witnesses, 6)
 
     # 1000 seeded random sequences at n = 7
     rng = random.Random(37)
-    relations7 = all_relations(7)
-    triples7 = all_triples(7)
-    position7 = {t: i for i, t in enumerate(triples7)}
-    compiled7 = [
-        [(position7[a], position7[b]) for _, a, b in terms] for _, _, terms in relations7
-    ]
-    assert len(relations7) == 525
+    assert len(all_relations(7)) == 525
+    sample = []
     for _ in range(1000):
         levels = tuple(tuple(rng.sample(range(1, 7 - t), 3)) for t in range(3))
         base = tuple(rng.sample((1, 2, 3), 3))
-        seq = IteratedSequence(7, levels, base)
-        rows = valuation_rows(seq, triples7)
-        for terms in compiled7:
-            vectors = [tuple(x + y for x, y in zip(rows[a], rows[b])) for a, b in terms]
-            best = max(vectors)
-            assert sum(1 for v in vectors if v == best) == 2
+        sample.append(IteratedSequence(7, levels, base))
+    assert_two_max_terms(sample, 7)
     elapsed = time.perf_counter() - start
-    announce(4, "binomial initial forms (n=5 all, n=6 all, n=7 sampled)", elapsed, 120.0)
+    announce(4, "binomial initial forms (n=5 all, n=6 by label, n=7 sampled)", elapsed, 120.0)
 
 
 def test_criterion_5_weight_homogeneity_and_lex_max():

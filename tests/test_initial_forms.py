@@ -28,6 +28,7 @@ from oracles import (
     scalar_matches,
 )
 from test_cli import inequalities_to_csv
+from test_valuation import seeded_sequences
 
 
 def height_weight(seq, vector):
@@ -83,8 +84,11 @@ def test_worked_initial_form():
         (-1, ((1, 2, 3), (4, 5, 6))),
         (1, ((1, 2, 4), (3, 5, 6))),
     }
-    table = relation_table(6, [R])
-    (binomial,) = binomial_ids(packed_selection(M.rows, table), table)
+    # R's row of the full table
+    table = relation_table(6)
+    r = all_relations(6).index(R)
+    slots, maxima = packed_selection(M.rows, table)
+    binomial = table.patterns[r][tuple(slot[r] == maxima[r] for slot in slots)]
     assert table.binomials[binomial] == (((1, 2, 3), (4, 5, 6)), ((1, 2, 4), (3, 5, 6)), -1)
     vector_of = {(sign, (a, b)): v for (sign, a, b), v in zip(R[2], term_vectors(M, R))}
     assert all(vector_of[term] == (1, 0, 0, 0, 1, 0, 0, 0, 1) for term in initial)
@@ -127,26 +131,18 @@ def test_binomiality_exhaustive_small(n):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_relation_table_of_explicit_relations_equals_the_full_table(n):
+def test_inequality_set_of_listed_relations_equals_the_oracle(n):
+    """A list of relations, shuffled and with a repeat, selects from the one
+    table the inequality set the tuple oracle finds on that list."""
     relations = all_relations(n)
-    full = relation_table(n)
-    assert relation_table(n, relations) == full
-
-    def relation(table, r):
-        """The factor rows of relation r's four slots and its binomials by pattern."""
-        monomials = [table.terms[k] for k in range(r, 4 * table.count, table.count)]
-        return (
-            [(table.first[m], table.second[m]) for m in monomials if m < len(table.first)],
-            len(monomials),
-            {p: table.binomials[i] for p, i in table.patterns[r].items()},
-        )
-
-    # a sublist compiles to the matching relations, in the order given
-    mid = len(relations) // 2
-    sub = relation_table(n, [relations[-1], relations[0], relations[mid]])
-    assert [relation(sub, r) for r in range(3)] == [
-        relation(full, r) for r in (len(relations) - 1, 0, mid)
-    ]
+    rng = random.Random(n)
+    for seq in seeded_sequences(n, 40 + n, 10):
+        M = weighting_matrix(seq)
+        sub = rng.sample(relations, 7)
+        sub.append(sub[0])
+        rng.shuffle(sub)
+        assert inequality_set(seq, M, sub) == initial_terms(M.rows, sub)[1]
+    assert inequality_set(seq, M, relations) == inequality_set(seq, M)
 
 
 def test_binomiality_sampled_n8():

@@ -78,8 +78,10 @@ def test_pipeline_n5_counts(result_n5):
 
 
 def test_pipeline_n5_flags(result_n5):
-    # slots only: the parent keeps one outcome per sequence
+    # slots only, for the per-sequence fields: the parent keeps one outcome
+    # per sequence, and the flags are class constants
     assert not hasattr(result_n5.outcomes[0], "__dict__")
+    assert pipeline.SequenceOutcome.__slots__ == ("serialized", "label", "fingerprint")
     for outcome in result_n5.outcomes:
         assert outcome.all_binomial
         assert outcome.projection_sound
@@ -268,11 +270,14 @@ def test_a_run_builds_at_most_one_pool(monkeypatch):
     built = []
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool(built))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    result = run_pipeline(5, jobs=2)
+    result = run_pipeline(6, jobs=2)
     assert built == [2]
     assert result.timings.keys() == {"enumerate", "sweep", "lp", "orbits", "verify"}
     del built[:]
-    run_pipeline(5, jobs=1)
+    run_pipeline(6, jobs=1)
+    assert built == []
+    # the pool threshold counts labels: n=5 has 12 labels and 144 sequences
+    run_pipeline(5, jobs=2)
     assert built == []
 
 
@@ -280,7 +285,7 @@ def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):
     built = []
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool(built))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    run_pipeline(5, jobs=10_000)
+    run_pipeline(6, jobs=10_000)
     assert built == [3]
 
 
