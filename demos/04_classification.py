@@ -8,14 +8,19 @@ S6 action.  Takes about a second on two cores.
 from collections import Counter
 
 from grassdegen.pipeline import run_pipeline
-from grassdegen.sequences import format_label
+from grassdegen.sequences import IteratedSequence, format_label, label_of
 
 
 def main():
     result = run_pipeline(6)
     print(result.summary())
 
-    fibers = Counter(outcome.fingerprint for outcome in result.outcomes)
+    # a sequence's ideal is its label's
+    ideal_of = {label: fp for fp, labels in result.labels_by_fingerprint.items() for label in labels}
+    fibers = Counter(
+        ideal_of[label_of(IteratedSequence.parse(outcome.serialized).levels)]
+        for outcome in result.outcomes
+    )
     print(f"\nevery ideal comes from exactly "
           f"{min(fibers.values())} = {max(fibers.values())} sequences")
 

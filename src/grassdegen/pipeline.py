@@ -9,16 +9,18 @@ every sequence of the label.  For a full run the first sequence of a label
 is ``sequences.representative_sequence(label)``: ``level_prefixes`` runs
 each level through its triples in lex order and ``BASES`` starts at
 (1,2,3), so the first prefix with a label has the smallest free third index
-at every level.  A chunk is a list of ``(label, levels, base)`` of those
-first sequences, about labels / (8 jobs) of them.  A worker parses nothing:
-it builds each sequence through the validating constructor, runs the
-kernel and the LP on it, returns per label its ideal, LP point, matrix and
-pivots, and raises a RuntimeError that names the first sequence that breaks
-an invariant.  The parent merges the chunks in order as the pool hands them
-over, and reports progress and an ETA at INFO after each chunk on the
-``grassdegen.pipeline`` logger; the package adds no handler.  Then it
-writes every sequence's text in run order with ``sequences.serialize_group``
-and builds its ``SequenceOutcome`` from its label's ideal.  All emitted
+at every level.  A task is the ``(n, label, levels, base)`` of a label's
+first sequence, and the pool hands each worker about labels / (8 jobs)
+tasks at a time, its chunksize.  A worker parses nothing: it builds the
+sequence through the validating constructor, runs the kernel and the LP on
+it, returns the label's ideal, LP point, matrix and pivots, and raises a
+RuntimeError that names the sequence if it breaks an invariant.  The parent
+merges the labels in order as the pool hands them over, and reports
+progress and an ETA at INFO once per chunksize of labels on the
+``grassdegen.pipeline`` logger; the package adds no handler.  A sequence's
+ideal is its label's, which ``labels_by_fingerprint`` reports once, so each
+``SequenceOutcome`` holds only the sequence's text, in run order; a full
+run writes the texts with ``sequences.serialize_group``.  All emitted
 files are byte-stable across runs and worker counts.
 
 The theorem rests on two lemmas about the rows of M_S.  A term p_A p_B of a
@@ -121,7 +123,6 @@ one top-level item at a time; the entries of fingerprints.json are lazy.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import time
@@ -129,7 +130,6 @@ from collections.abc import Iterator
 from contextlib import nullcontext
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import __version__
@@ -153,19 +153,17 @@ from .valuation import weighting_matrix
 
 
 class SequenceOutcome:
-    """One swept sequence.  A plain class with slots, not a NamedTuple: the
-    parent builds one per sequence and keeps them all, and an instance
-    takes 56 bytes to the tuple's 64."""
+    """One swept sequence, as its text: its ideal is its label's, which
+    ``PipelineResult.labels_by_fingerprint`` holds.  A plain class with one
+    slot, because the parent builds one per sequence and keeps them all."""
 
-    __slots__ = ("serialized", "label", "fingerprint")
+    __slots__ = ("serialized",)
 
     # run_pipeline raises before it returns a sequence that fails a check
     all_binomial = projection_sound = scalar_matches = True
 
-    def __init__(self, serialized: str, label: Label, fingerprint: Fingerprint):
+    def __init__(self, serialized: str):
         self.serialized = serialized
-        self.label = label
-        self.fingerprint = fingerprint
 
 
 class PipelineResult(NamedTuple):
@@ -188,11 +186,10 @@ class PipelineResult(NamedTuple):
         )
 
 
-def _sweep_chunk(task) -> list[tuple]:
-    """The kernel and the LP of each label of one chunk ``(n, chunk)``, a
-    list of ``(label, levels, base)`` of the label's first sequence in run
-    order: per label ``(label, fingerprint, (serialized, e, e.M), csv of M,
-    pivots, seconds of the LP)``.
+def _sweep_label(task) -> tuple:
+    """The kernel and the LP of one label, from the task ``(n, label, levels,
+    base)`` of its first sequence in run order: ``(label, fingerprint,
+    (serialized, e, e.M), csv of M, pivots, seconds of the LP)``.
 
     ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the scalar check and the soundness of
@@ -200,24 +197,21 @@ def _sweep_chunk(task) -> list[tuple]:
     certificate of ``valuation``.  A row outside 0/1, a failed certificate,
     a non-binomial initial form, a failed LP or any other failure raises
     one RuntimeError that names the sequence, so every flag of an outcome
-    holds.  The LP runs on the kernel's rows and selection.
+    of the label holds.  The LP runs on the kernel's rows and selection.
     """
-    n, chunk = task
+    n, label, levels, base = task
     dim = 3 * (n - 3)
-    swept = []
-    for label, levels, base in chunk:
-        (text,) = serialize_group(n, levels, [base])
-        try:
-            matrix = weighting_matrix(IteratedSequence(n, levels, base))
-            fp, selection = initial_ideal(matrix.rows, n)
-            start = time.perf_counter()
-            e = strict_interior_point(inequalities(selection, dim), dim)
-            point = (text, tuple(e), weight_vector(e, matrix.rows))
-            seconds = time.perf_counter() - start
-            swept.append((label, fp, point, matrix.to_csv(), e.pivots, seconds))
-        except Exception as exc:
-            raise RuntimeError(f"sequence {text}: {exc}") from exc
-    return swept
+    (text,) = serialize_group(n, levels, [base])
+    try:
+        matrix = weighting_matrix(IteratedSequence(n, levels, base))
+        fp, selection = initial_ideal(matrix.rows, n)
+        start = time.perf_counter()
+        e = strict_interior_point(inequalities(selection, dim), dim)
+        point = (text, tuple(e), weight_vector(e, matrix.rows))
+        seconds = time.perf_counter() - start
+        return label, fp, point, matrix.to_csv(), e.pivots, seconds
+    except Exception as exc:
+        raise RuntimeError(f"sequence {text}: {exc}") from exc
 
 
 def _verify_entry(item) -> dict:
@@ -274,20 +268,16 @@ def run_pipeline(
     start = time.perf_counter()
     if sequences is None:
         firsts = {label: representative_sequence(label, n) for label in all_labels(n)}
-        groups = ((levels, BASES) for levels in level_prefixes(n))
+        texts = (text for levels in level_prefixes(n) for text in serialize_group(n, levels, BASES))
     else:
         firsts = {}
         for s in sequences:
             if s.n != n:
                 raise ValueError(f"sequence {s.serialize()} has n={s.n}, but the run has n={n}")
             firsts.setdefault(label_of(s.levels), s)
-        groups = [
-            (levels, tuple(s.base_perm for s in run))
-            for levels, run in itertools.groupby(sequences, attrgetter("levels"))
-        ]
-    items = [(label, s.levels, s.base_perm) for label, s in firsts.items()]
-    size = max(1, -(-len(items) // (jobs * 8)))
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+        texts = map(IteratedSequence.serialize, sequences)
+    tasks = [(n, label, s.levels, s.base_perm) for label, s in firsts.items()]
+    size = max(1, -(-len(tasks) // (jobs * 8)))
     timings["enumerate"] = time.perf_counter() - start
 
     # imported here, so that a CLI command that runs no pipeline pays for
@@ -297,39 +287,32 @@ def run_pipeline(
 
     log = logging.getLogger(__name__)
     start = time.perf_counter()  # the sweep's time includes starting the pool
-    parallel = jobs > 1 and len(items) > 64
+    parallel = jobs > 1 and len(tasks) > 64
     if parallel:
         from multiprocessing import Pool
     with (Pool(jobs) if parallel else nullcontext()) as pool:
         mapper = pool.map if parallel else map
-        # the merge of a chunk overlaps the workers' sweep of later chunks
-        swept = (pool.imap if parallel else map)(_sweep_chunk, [(n, c) for c in chunks])
+        # the parent merges each label while the workers sweep later ones
+        swept = pool.imap(_sweep_label, tasks, size) if parallel else map(_sweep_label, tasks)
         fingerprints: dict[Label, Fingerprint] = {}
         label_weights = {}
         matrices = {}
         pivots = 0
         lp_seconds = 0.0
-        for results in swept:
-            for label, fp, point, csv, lp_pivots, seconds in results:
-                fingerprints[label] = fp
-                label_weights[label] = point
-                matrices[label] = csv
-                pivots += lp_pivots
-                lp_seconds += seconds
-            elapsed = time.perf_counter() - start
+        for label, fp, point, csv, lp_pivots, seconds in swept:
+            fingerprints[label] = fp
+            label_weights[label] = point
+            matrices[label] = csv
+            pivots += lp_pivots
+            lp_seconds += seconds
             done = len(fingerprints)
-            log.info(
-                "swept %d of %d labels in %.1f s, ETA %.1f s",
-                done, len(items), elapsed, elapsed * (len(items) - done) / done,
-            )
-        # every sequence has its label's ideal (module docstring); one label
-        # object per label
-        shared = {label: (label, fp) for label, fp in fingerprints.items()}
-        outcomes = []
-        for levels, bases in groups:
-            label, fp = shared[label_of(levels)]
-            for text in serialize_group(n, levels, bases):
-                outcomes.append(SequenceOutcome(text, label, fp))
+            if done % size == 0 or done == len(tasks):
+                elapsed = time.perf_counter() - start
+                log.info(
+                    "swept %d of %d labels in %.1f s, ETA %.1f s",
+                    done, len(tasks), elapsed, elapsed * (len(tasks) - done) / done,
+                )
+        outcomes = list(map(SequenceOutcome, texts))
         labels_by_fingerprint = labels_by_ideal(fingerprints)
         timings["sweep"] = time.perf_counter() - start
         timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's

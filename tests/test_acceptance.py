@@ -18,6 +18,7 @@ from grassdegen.plucker import all_relations, all_triples
 from grassdegen.sequences import (
     IteratedSequence,
     enumerate_sequences,
+    label_of,
     standard_sequence,
 )
 from grassdegen.valuation import valuation_rows, weighting_matrix
@@ -79,9 +80,16 @@ def test_criterion_2_ideal_count(timed_pipeline6):
     assert len(pipeline6.labels_by_fingerprint) == 240
     # one LP per label, for any worker count
     assert pipeline6.counters["lp_solves"] == 240
+    # a sequence's ideal is its label's: the ideals each label is reported
+    # under, for the label of each sequence's text
+    ideals_of = {}
+    for fp, labels in pipeline6.labels_by_fingerprint.items():
+        for label in labels:
+            ideals_of.setdefault(label, set()).add(fp)
     by_label = {}
     for outcome in pipeline6.outcomes:
-        by_label.setdefault(outcome.label, set()).add(outcome.fingerprint)
+        label = label_of(IteratedSequence.parse(outcome.serialized).levels)
+        by_label.setdefault(label, set()).update(ideals_of[label])
     assert len(by_label) == 240
     assert all(len(ids) == 1 for ids in by_label.values())
     fibers = [next(iter(ids)) for ids in by_label.values()]

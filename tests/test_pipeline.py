@@ -71,6 +71,20 @@ def result_n6():
     return run_pipeline(6, jobs=2)
 
 
+def label_ideals(result):
+    """Each label's ideal, from the ideal -> labels map, which names every
+    label once."""
+    ideals = {
+        label: fp for fp, labels in result.labels_by_fingerprint.items() for label in labels
+    }
+    assert len(ideals) == sum(map(len, result.labels_by_fingerprint.values()))
+    return ideals
+
+
+def text_label(text):
+    return label_of(IteratedSequence.parse(text).levels)
+
+
 def test_pipeline_n5_counts(result_n5):
     assert len(result_n5.outcomes) == 144
     assert len(result_n5.labels_by_fingerprint) == 12
@@ -78,10 +92,10 @@ def test_pipeline_n5_counts(result_n5):
 
 
 def test_pipeline_n5_flags(result_n5):
-    # slots only, for the per-sequence fields: the parent keeps one outcome
-    # per sequence, and the flags are class constants
+    # one slot, the text: the parent keeps one outcome per sequence, the
+    # flags are class constants and the ideal is the label's
     assert not hasattr(result_n5.outcomes[0], "__dict__")
-    assert pipeline.SequenceOutcome.__slots__ == ("serialized", "label", "fingerprint")
+    assert pipeline.SequenceOutcome.__slots__ == ("serialized",)
     for outcome in result_n5.outcomes:
         assert outcome.all_binomial
         assert outcome.projection_sound
@@ -137,9 +151,10 @@ def test_fast_path_matches_reference_fingerprints():
     every relation and applies the height-weighted order term by term."""
     sample = list(enumerate_sequences(6))[::1517]
     result = run_pipeline(6, jobs=1, sequences=sample)
+    ideals = label_ideals(result)
     for outcome in result.outcomes:
         seq = IteratedSequence.parse(outcome.serialized)
-        assert decode(outcome.fingerprint, 6) == brute_force_fingerprint(seq)
+        assert decode(ideals[label_of(seq.levels)], 6) == brute_force_fingerprint(seq)
 
 
 def test_weights_payload_contents(tmp_path):
@@ -179,7 +194,7 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
 
     first = {}
     for outcome in result.outcomes:
-        first.setdefault(outcome.label, outcome.serialized)
+        first.setdefault(text_label(outcome.serialized), outcome.serialized)
     assert {witness for witness, _, _ in result.label_weights.values()} == set(first.values())
     assert set(payload["labels"]) == {format_label(label) for label in first}
     for label, witness in first.items():
@@ -244,10 +259,12 @@ def test_the_lp_builds_no_weighting_matrix_of_its_own(n, monkeypatch):
 
 class CountingPool:
     """Stands in for ``multiprocessing.Pool``: records the size of each pool
-    built and maps in this process, so that no worker is started."""
+    built and the chunksize of each ``imap``, and maps in this process, so
+    that no worker is started."""
 
     def __init__(self, built):
         self.built = built
+        self.chunksizes = []
 
     def __call__(self, processes):
         self.built.append(processes)
@@ -262,16 +279,23 @@ class CountingPool:
     def map(self, fn, items):
         return list(map(fn, items))
 
-    def imap(self, fn, items):
+    def imap(self, fn, items, chunksize):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
-def test_a_run_builds_at_most_one_pool(monkeypatch):
+def test_a_run_builds_at_most_one_pool(monkeypatch, caplog):
     built = []
-    monkeypatch.setattr(multiprocessing, "Pool", CountingPool(built))
+    pool = CountingPool(built)
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caplog.set_level(logging.INFO, logger="grassdegen.pipeline")
     result = run_pipeline(6, jobs=2)
     assert built == [2]
+    # 240 labels, ceil(240 / (8 * 2)) = 15 to a chunk, one progress message
+    # per chunk: a chunksize of 1 would cost a pipe round trip per label
+    assert pool.chunksizes == [15]
+    assert len([r for r in caplog.records if r.name == "grassdegen.pipeline"]) == 16
     assert result.timings.keys() == {"enumerate", "sweep", "lp", "orbits", "verify"}
     del built[:]
     run_pipeline(6, jobs=1)
@@ -503,17 +527,18 @@ def assert_sweep_equals_the_kernel(n, serialized, reference, jobs=1, full=False)
     sequences = None if full else [IteratedSequence.parse(s) for s in serialized]
     result = run_pipeline(n, jobs=jobs, sequences=sequences)
     assert [o.serialized for o in result.outcomes] == serialized
-    for outcome in result.outcomes:
-        assert outcome.fingerprint == reference[outcome.serialized], outcome.serialized
+    ideals = label_ideals(result)
     first = {}
     for text in serialized:
-        first.setdefault(label_of(IteratedSequence.parse(text).levels), text)
+        label = text_label(text)
+        assert ideals[label] == reference[text], text
+        first.setdefault(label, text)
     assert {label: witness for label, (witness, _, _) in result.label_weights.items()} == first
     return result.counters["ideal_selections"]
 
 
 @pytest.mark.parametrize("n", [5, 6])
-def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
+def test_the_label_sweep_equals_each_sequences_own_kernel(n):
     """The full run at --jobs 1 and 2, and a seeded shuffle of its
     sequences, whose labels' first sequences are rarely representatives,
     run one kernel per label and give every sequence its own kernel's
@@ -528,7 +553,7 @@ def test_the_grouped_sweep_equals_the_kernel_on_every_sequence(n):
     assert assert_sweep_equals_the_kernel(n, shuffled, reference) == count_labels(n)
 
 
-def test_the_grouped_sweep_equals_the_kernel_on_four_n7_fibers():
+def test_the_label_sweep_equals_each_sequences_own_kernel_on_four_n7_fibers():
     labels = random.Random(7).sample(list(all_labels(7)), 4)
     serialized = []
     for label in labels:
@@ -558,7 +583,7 @@ def test_manifest_counts_ideal_selections(result_n6, tmp_path):
     assert result_n6.counters["ideal_selections"] == 240
 
 
-def test_chunks_hold_whole_groups_so_counters_do_not_depend_on_jobs(tmp_path):
+def test_a_run_whose_first_sequence_is_no_representative_does_not_depend_on_jobs(tmp_path):
     """Without its first 3 sequences, n = 5 starts at the fourth base of a
     level prefix, so label (1,2)'s first sequence is no representative:
     the counters and the data files are the same at every worker count."""
@@ -595,7 +620,7 @@ def test_progress_is_logged_at_info_and_off_by_default(caplog, capsys, tmp_path)
     caplog.set_level(logging.INFO, logger="grassdegen.pipeline")
     logged = run_pipeline(5, jobs=1)
     messages = [r.getMessage() for r in caplog.records if r.name == logger.name]
-    assert len(messages) == 6  # one per chunk of two labels
+    assert len(messages) == 6  # one per two labels, the chunksize
     assert all(r.levelno == logging.INFO for r in caplog.records)
     assert re.fullmatch(r"swept 12 of 12 labels in \d+\.\d s, ETA 0\.0 s", messages[-1])
     assert messages[0].startswith("swept 2 of 12 labels in ")
