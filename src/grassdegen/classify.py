@@ -238,10 +238,28 @@ def labels_by_ideal(fingerprints: dict[Label, Fingerprint]) -> dict[Fingerprint,
 def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
     """``labels_by_ideal`` of every label of Gr(3,n), under the ideal of its
     representative sequence, which is the ideal of every sequence of the
-    label (the theorem of the ``pipeline`` docstring)."""
-    return labels_by_ideal(
-        {lab: fingerprint(representative_sequence(lab, n)) for lab in all_labels(n)}
-    )
+    label (the theorem of the ``pipeline`` docstring).
+
+    One kernel runs per class of labels under the permutations of 1..4:
+    on the first label of the class in ``all_labels`` order.  The walk over
+    s_1, s_2, s_3 then relabels the pairs of each member and moves its ideal
+    by the same s_i, which gives the image label's ideal (Lemma C of the
+    ``pipeline`` docstring)."""
+    fingerprints: dict[Label, Fingerprint] = {}
+    for first in all_labels(n):
+        if first in fingerprints:
+            continue
+        fingerprints[first] = fingerprint(representative_sequence(first, n))
+        frontier = [first]
+        while frontier:
+            lab = frontier.pop()
+            for i in (1, 2, 3):
+                swap = {i: i + 1, i + 1: i}
+                image = tuple((swap.get(a, a), swap.get(b, b)) for a, b in lab)
+                if image not in fingerprints:
+                    fingerprints[image] = apply_transposition(i, fingerprints[lab], n)
+                    frontier.append(image)
+    return labels_by_ideal(fingerprints)
 
 
 @lru_cache(maxsize=1)

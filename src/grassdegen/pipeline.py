@@ -87,6 +87,36 @@ rows are 0/1, and their rank is the theorem of ``valuation``.  C_S is
 determined by the initial ideal, so it too depends only on the label,
 which the paper shows only in some cases.
 
+Lemma C: relabelling 1..4 carries a label's ideal to its image.  Let
+sigma permute {1,2,3,4} and fix every index >= 5, and let sigma L apply
+sigma to each entry of each pair of a label L.  The pair of level t lies
+in [n-t-1] and n-t-1 >= 4, so sigma L is a label.  Then
+fp(sigma L) = sigma fp(L), where sigma acts as the signed action of
+``classify``, a word in s_1, s_2, s_3.
+
+* Let S have label L, apply sigma to the triple of every level above the
+  base and keep the base; the result sigma S has label sigma L.  Every top
+  index r >= 5 is fixed by sigma, so "r is in the state" and "the first
+  triple entry missing from the state" commute with sigma.  So the descent
+  of sigma K in sigma S is the sigma image of the descent of K in S: the
+  two rows agree above the base.
+* p_K -> +-p_{sigma K} sends each Pluecker relation to +- a relation, and
+  its terms to the images of its terms (``tests/test_classify.py`` checks
+  that the relations of n = 5..7 are closed under s_1, s_2, s_3).
+* By Lemma B, the initial pair of each relation of S lies strictly above
+  its other terms above the base, so the image pair does in sigma S.  The
+  two image terms tie above the base, as their preimages do, and share one
+  content, so by Lemma B's content argument they tie in the base too.  So
+  the initial forms of sigma S are the image binomials, the canonical
+  binomials of sigma fp(L), and by the theorem fp(sigma L) = sigma fp(L).
+
+So ``classify.fingerprint_labels`` runs one kernel per class of labels
+under the permutations of 1..4, 13 of them for the 240 labels at n = 6,
+and moves the ideal over the rest of the class.  The rows of sigma S are
+0/1 and have full rank by the theorem of ``valuation``, and its forms are
+binomial by the lemma, so the kernel's checks on the class's first label
+cover the class.
+
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
 field of an entry is an orbit invariant:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from grassdegen import classify
 from grassdegen.classify import (
     GR36_CLASSES,
     _generators,
@@ -12,10 +13,12 @@ from grassdegen.classify import (
     compute_orbits,
     fingerprint,
     fingerprint_labels,
+    labels_by_ideal,
     orbit_closure,
 )
 from grassdegen.cli import MAX_N
 from grassdegen.initial_forms import canonical_binomial, decode, relation_table
+from grassdegen.plucker import all_relations
 from grassdegen.sequences import (
     IteratedSequence,
     all_labels,
@@ -24,8 +27,9 @@ from grassdegen.sequences import (
     parse_label,
     representative_sequence,
     standard_sequence,
+    validate_label,
 )
-from oracles import reference_closure, reference_transposition
+from oracles import _map_monomial, reference_closure, reference_transposition
 
 
 def apply_word(word, fp, n):
@@ -336,6 +340,107 @@ def test_fingerprints_constant_on_fibers_exhaustive_n5():
     assert all(len(v) == 1 for v in fibers.values())
     distinct = {next(iter(v)) for v in fibers.values()}
     assert len(distinct) == len(fibers) == 12
+
+
+def own_kernel(label, n):
+    """The ideal of a label from its own kernel run."""
+    return fingerprint(representative_sequence(label, n))
+
+
+def relabel(label, sigma):
+    """The label with sigma, a map of 1..4, applied to each entry of each
+    pair; indices outside sigma stay put."""
+    return tuple((sigma.get(a, a), sigma.get(b, b)) for a, b in label)
+
+
+def relabelling_mismatches(i, labels, n):
+    """Apply s_i = (i, i+1) to each label and to its own kernel's ideal:
+    the labels whose image ideal is not the own kernel's ideal of the image
+    label, and the labels whose image is no label."""
+    mismatches, not_labels = [], []
+    for label in labels:
+        image = relabel(label, {i: i + 1, i + 1: i})
+        try:
+            validate_label(image, n)
+        except ValueError:
+            not_labels.append(label)
+            continue
+        if apply_transposition(i, own_kernel(label, n), n) != own_kernel(image, n):
+            mismatches.append(label)
+    return mismatches, not_labels
+
+
+def class_count(n):
+    """The number of classes of labels under the 24 permutations of 1..4:
+    the labels that are the smallest of their images."""
+    sigmas = [dict(zip((1, 2, 3, 4), p)) for p in itertools.permutations((1, 2, 3, 4))]
+    return sum(label == min(relabel(label, s) for s in sigmas) for label in all_labels(n))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_fingerprint_labels_equal_every_labels_own_kernel(n):
+    expected = labels_by_ideal({label: own_kernel(label, n) for label in all_labels(n)})
+    got = fingerprint_labels(n)
+    assert got == expected
+    assert list(got) == list(expected)
+
+
+def test_fingerprint_labels_equal_the_own_kernel_on_sampled_n7_labels():
+    ideal = {label: fp for fp, labels in fingerprint_labels(7).items() for label in labels}
+    assert len(ideal) == 7200
+    for label in random.Random(7).sample(sorted(ideal), 200):
+        assert ideal[label] == own_kernel(label, 7), label
+
+
+def test_relabelling_1_to_4_moves_the_own_kernel_on_sampled_n8_labels():
+    """Lemma C of the ``pipeline`` docstring, checked on kernels alone."""
+    labels = random.Random(8).sample(list(all_labels(8)), 20)
+    for i in (1, 2, 3):
+        assert relabelling_mismatches(i, labels, 8) == ([], [])
+
+
+def test_relabelling_4_and_5_does_not_move_the_ideal():
+    """The negative control of the test above: s_4 moves the top index 5 of
+    level 1 at n = 6, and no image label has the moved ideal."""
+    mismatches, not_labels = relabelling_mismatches(4, all_labels(6), 6)
+    assert len(mismatches) == 120
+    assert len(not_labels) == 120
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_the_relations_are_closed_under_s1_s2_s3_up_to_sign(n):
+    def up_to_sign(poly):
+        """A relation as {monomial: coefficient}, its smallest monomial's
+        coefficient made +1."""
+        lead = poly[min(poly)]
+        return frozenset((monomial, c * lead) for monomial, c in poly.items())
+
+    relations = {
+        up_to_sign({(A, B): sign for sign, A, B in terms}) for _, _, terms in all_relations(n)
+    }
+    for i in (1, 2, 3):
+        for _, _, terms in all_relations(n):
+            moved = {}
+            for sign, A, B in terms:
+                monomial, factor = _map_monomial(i, (A, B))
+                moved[monomial] = sign * factor
+            assert up_to_sign(moved) in relations
+
+
+@pytest.mark.parametrize("n, classes", [(5, 1), (6, 13), (7, 336)])
+def test_fingerprint_labels_runs_one_kernel_per_class(monkeypatch, n, classes):
+    assert class_count(n) == classes
+    calls = []
+    real = classify.fingerprint
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(classify, "fingerprint", counted)
+    fingerprint_labels(n)
+    assert len(calls) == classes
+    assert calls[0] == representative_sequence(next(all_labels(n)), n)
 
 
 def test_orbits_agree_with_full_word_enumeration_n5():
