@@ -47,10 +47,10 @@ from .plucker import all_triples
 from .sequences import (
     IteratedSequence,
     Label,
-    all_labels,
     format_label,
     parse_label,
     representative_sequence,
+    representatives,
 )
 from .valuation import weighting_matrix
 
@@ -61,7 +61,7 @@ def fingerprint(seq: IteratedSequence) -> Fingerprint:
     that is not 0/1, for rows that fail the rank certificate and for a
     relation whose initial form is not a binomial."""
     try:
-        return initial_ideal(weighting_matrix(seq).rows, seq.n)[0]
+        return initial_ideal(weighting_matrix(seq).rows, seq.n)
     except ValueError as exc:
         raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 
@@ -151,10 +151,9 @@ GR36_CLASSES = {
 def _class_seeds() -> dict[Fingerprint, tuple[str, str]]:
     """The ideal of each class representative, with its class and
     isomorphism class."""
-    return {
-        fingerprint(representative_sequence(parse_label(label), 6)): (name, iso)
-        for name, (label, iso) in GR36_CLASSES.items()
-    }
+    named = {parse_label(label): (name, iso) for name, (label, iso) in GR36_CLASSES.items()}
+    ideals, _ = fingerprint_labels({lab: representative_sequence(lab, 6) for lab in named})
+    return {fp: named[lab] for fp, labels in ideals.items() for lab in labels}
 
 
 def _gr36_class(closure: set[Fingerprint], labels: tuple[Label, ...]) -> tuple[str, str]:
@@ -226,30 +225,23 @@ def compute_orbits(
     ]
 
 
-def labels_by_ideal(fingerprints: dict[Label, Fingerprint]) -> dict[Fingerprint, tuple[Label, ...]]:
-    """Each distinct ideal of a label -> ideal map, keys sorted, which is the
-    id order of fingerprints.json, with its labels, sorted."""
-    labels: dict[Fingerprint, list[Label]] = {}
-    for lab in sorted(fingerprints):
-        labels.setdefault(fingerprints[lab], []).append(lab)
-    return {fp: tuple(labels[fp]) for fp in sorted(labels)}
-
-
-def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
-    """``labels_by_ideal`` of every label of Gr(3,n), under the ideal of its
-    representative sequence, which is the ideal of every sequence of the
-    label (the theorem of the ``pipeline`` docstring).
-
-    One kernel runs per class of labels under the permutations of 1..4:
-    on the first label of the class in ``all_labels`` order.  The walk over
-    s_1, s_2, s_3 then relabels the pairs of each member and moves its ideal
-    by the same s_i, which gives the image label's ideal (Lemma C of the
-    ``pipeline`` docstring)."""
+def fingerprint_labels(
+    firsts: dict[Label, IteratedSequence],
+) -> tuple[dict[Fingerprint, tuple[Label, ...]], int]:
+    """Each distinct ideal of the labels of ``firsts``, a map from labels to
+    sequences of one n, keys sorted as fingerprints.json numbers them, with
+    its labels, sorted; and the number of kernel runs.  One kernel runs per
+    class of labels under the permutations of 1..4 that occurs in
+    ``firsts``, on the sequence of its first label there.  The walk over
+    s_1, s_2, s_3 relabels each member of the class and moves its ideal by
+    the same s_i: Lemma C and the theorem of the ``pipeline`` docstring."""
     fingerprints: dict[Label, Fingerprint] = {}
-    for first in all_labels(n):
+    kernels = 0
+    for first, seq in firsts.items():
         if first in fingerprints:
             continue
-        fingerprints[first] = fingerprint(representative_sequence(first, n))
+        fingerprints[first] = fingerprint(seq)
+        kernels += 1
         frontier = [first]
         while frontier:
             lab = frontier.pop()
@@ -257,16 +249,16 @@ def fingerprint_labels(n: int) -> dict[Fingerprint, tuple[Label, ...]]:
                 swap = {i: i + 1, i + 1: i}
                 image = tuple((swap.get(a, a), swap.get(b, b)) for a, b in lab)
                 if image not in fingerprints:
-                    fingerprints[image] = apply_transposition(i, fingerprints[lab], n)
+                    fingerprints[image] = apply_transposition(i, fingerprints[lab], seq.n)
                     frontier.append(image)
-    return labels_by_ideal(fingerprints)
+    labels: dict[Fingerprint, list[Label]] = {}
+    for lab in sorted(firsts):
+        labels.setdefault(fingerprints[lab], []).append(lab)
+    return {fp: tuple(labels[fp]) for fp in sorted(labels)}, kernels
 
 
 @lru_cache(maxsize=1)
 def classify_gr36() -> dict[Label, OrbitReport]:
     """The orbit of each of the 240 labels of Gr(3,6), through its initial ideal."""
-    return {
-        lab: report
-        for report in compute_orbits(fingerprint_labels(6), 6)
-        for lab in report.labels
-    }
+    ideals, _ = fingerprint_labels(representatives(6))
+    return {lab: report for report in compute_orbits(ideals, 6) for lab in report.labels}

@@ -32,6 +32,7 @@ from .sequences import (
     enumerate_sequences,
     format_label,
     parse_label,
+    representatives,
     sequence_count,
     validate_label,
 )
@@ -211,7 +212,7 @@ def cmd_verify(args, parser) -> int:
                 f"verify -n {n} cannot finish: it fingerprints all {count_labels(n):,} "
                 "labels; give --fingerprints instead"
             )
-        labels = fingerprint_labels(n)
+        labels, _ = fingerprint_labels(representatives(n))
         orbits = [r.member_ids for r in compute_orbits(labels, n)]
         fps = [decode(fp, n) for fp in labels]
     _emit(args.output, verify_fingerprints(fps, n, orbits))

@@ -215,21 +215,24 @@ def check_leads(digits: list[bytes], dim: int) -> None:
         raise ValueError(f"rank certificate: no valuation row has its first 1 at position {position}")
 
 
-def initial_ideal(rows, n: int) -> tuple[Fingerprint, Selection]:
-    """The fingerprint of the initial ideal that the valuation rows of
-    Gr(3,n) select, and the selection; raises ValueError for a row outside
-    0/1 (``row_digits``), for rows that fail the rank certificate
-    (``check_leads``) and for a relation whose initial form is not a
-    binomial."""
+def checked_selection(rows, n: int) -> Selection:
+    """The selection that the valuation rows of Gr(3,n) make; raises
+    ValueError for a row outside 0/1 (``row_digits``) and for rows that
+    fail the rank certificate (``check_leads``)."""
     dim = 3 * (n - 3)
     digits = row_digits(rows, dim)
     check_leads(digits, dim)
-    table = relation_table(n)
-    selection = select(pack(digits), table)
-    ids = binomial_ids(selection, table)
+    return select(pack(digits), relation_table(n))
+
+
+def initial_ideal(rows, n: int) -> Fingerprint:
+    """The fingerprint of the initial ideal that the valuation rows of
+    Gr(3,n) select; raises ValueError where ``checked_selection`` does and
+    for a relation whose initial form is not a binomial."""
+    ids = binomial_ids(checked_selection(rows, n), relation_table(n))
     if None in ids:
         raise ValueError("non-binomial initial form")
-    return tuple(sorted(ids)), selection
+    return tuple(sorted(ids))
 
 
 def reduce_content(d: Vector) -> Vector:

@@ -1,27 +1,28 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
 -> toricity evidence, in stages that share one worker pool.
 
-The label is the sweep's unit.  Each label that occurs in the run gets one
-kernel run, ``initial_forms.initial_ideal``, the kernel of
-``classify.fingerprint`` too, and one LP, both on the label's first
-sequence in run order; by the theorem below, that ideal is the ideal of
-every sequence of the label.  For a full run the first sequence of a label
-is ``sequences.representative_sequence(label)``: ``level_prefixes`` runs
-each level through its triples in lex order and ``BASES`` starts at
-(1,2,3), so the first prefix with a label has the smallest free third index
-at every level.  A task is the ``(n, label, levels, base)`` of a label's
-first sequence, and the pool hands each worker about labels / (8 jobs)
-tasks at a time, its chunksize.  A worker parses nothing: it builds the
-sequence through the validating constructor, runs the kernel and the LP on
-it, returns the label's ideal, LP point, matrix and pivots, and raises a
-RuntimeError that names the sequence if it breaks an invariant.  The parent
-merges the labels in order as the pool hands them over, and reports
-progress and an ETA at INFO once per chunksize of labels on the
-``grassdegen.pipeline`` logger; the package adds no handler.  A sequence's
-ideal is its label's, which ``labels_by_fingerprint`` reports once, so each
-``SequenceOutcome`` holds only the sequence's text, in run order; a full
-run writes the texts with ``sequences.serialize_group``.  All emitted
-files are byte-stable across runs and worker counts.
+The label is the sweep's unit.  Before the pool starts, the parent takes
+each label's ideal from ``classify.fingerprint_labels``: one kernel run,
+``initial_forms.initial_ideal``, per class of labels under the permutations
+of 1..4 that occurs in the run, on the first sequence of the class's first
+label in run order, and a walk over the class (Lemma C below).  Each label
+then gets one LP on its first sequence, which for a full run is
+``sequences.representative_sequence(label)``: ``level_prefixes`` runs each
+level through its triples in lex order and ``BASES`` starts at (1,2,3), so
+the first prefix with a label has the smallest free third index at every
+level.  A task is the ``(n, label, levels, base)`` of a label's first
+sequence, and the pool hands each worker about labels / (8 jobs) tasks at a
+time, its chunksize.  A worker parses nothing: it builds the sequence
+through the validating constructor, checks its rows and returns the label's
+LP point, matrix and pivots.  Like a kernel run, it raises a RuntimeError
+that names the sequence.  The parent merges the labels in order as the pool
+hands them over, and reports progress and an ETA at INFO once per chunksize
+of labels on the ``grassdegen.pipeline`` logger; the package adds no
+handler.  A sequence's ideal is its label's, which
+``labels_by_fingerprint`` reports once, so each ``SequenceOutcome`` holds
+only the sequence's text, in run order; a full run writes the texts with
+``sequences.serialize_group``.  All emitted files are byte-stable across
+runs and worker counts.
 
 The theorem rests on two lemmas about the rows of M_S.  A term p_A p_B of a
 relation has the vector r_A + r_B in {0,1,2}^dim, dim = 3(n-3), and the
@@ -81,11 +82,8 @@ differs from H' only in the base, the last level, so the two have equal
 digits above the base.  The selection is binomial, so by Lemma B each
 relation's initial pair lies strictly above its other terms there, and it
 ties in the base of H' too: H' has the same initial terms, the same
-binomial ideal.  The kernel checks the rows and binomiality of the sequence
-it builds, so the other sequences of the label need no kernel run: their
-rows are 0/1, and their rank is the theorem of ``valuation``.  C_S is
-determined by the initial ideal, so it too depends only on the label,
-which the paper shows only in some cases.
+binomial ideal.  C_S is determined by the initial ideal, so it too depends
+only on the label, which the paper shows only in some cases.
 
 Lemma C: relabelling 1..4 carries a label's ideal to its image.  Let
 sigma permute {1,2,3,4} and fix every index >= 5, and let sigma L apply
@@ -111,11 +109,12 @@ fp(sigma L) = sigma fp(L), where sigma acts as the signed action of
   binomials of sigma fp(L), and by the theorem fp(sigma L) = sigma fp(L).
 
 So ``classify.fingerprint_labels`` runs one kernel per class of labels
-under the permutations of 1..4, 13 of them for the 240 labels at n = 6,
-and moves the ideal over the rest of the class.  The rows of sigma S are
-0/1 and have full rank by the theorem of ``valuation``, and its forms are
-binomial by the lemma, so the kernel's checks on the class's first label
-cover the class.
+under the permutations of 1..4 that occurs in its input, 13 for the 240
+labels at n = 6, and moves the ideal over the rest of the class.  The
+kernel checks the rows, rank and binomiality of the one sequence S it
+builds.  Any other sequence S' of the class needs no kernel run: its rows
+are 0/1 and have full rank by the theorem of ``valuation``, and its forms
+are binomial by the theorem, as those of sigma S are by Lemma C.
 
 Verify computes one entry per orbit of the signed S_n action, on the
 orbit's first member, and copies it to every member's id, because every
@@ -163,19 +162,18 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 from typing import NamedTuple
 
 from . import __version__
-from .classify import compute_orbits, labels_by_ideal, OrbitReport
+from .classify import compute_orbits, fingerprint_labels, OrbitReport
 from .cone import strict_interior_point, weight_vector
-from .initial_forms import Binomial, Fingerprint, decode, inequalities, initial_ideal
+from .initial_forms import Binomial, Fingerprint, checked_selection, decode, inequalities
 from .plucker import all_triples, triple_key
 from .sequences import (
     BASES,
     IteratedSequence,
     Label,
-    all_labels,
     format_label,
     label_of,
     level_prefixes,
-    representative_sequence,
+    representatives,
     serialize_group,
 )
 from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
@@ -217,29 +215,29 @@ class PipelineResult(NamedTuple):
 
 
 def _sweep_label(task) -> tuple:
-    """The kernel and the LP of one label, from the task ``(n, label, levels,
-    base)`` of its first sequence in run order: ``(label, fingerprint,
-    (serialized, e, e.M), csv of M, pivots, seconds of the LP)``.
+    """The LP of one label, on the task ``(n, label, levels, base)`` of its
+    first sequence in run order: ``(label, (serialized, e, e.M), csv of M,
+    pivots, seconds of the LP)``.  Its ideal comes from the parent's walk.
 
-    ``initial_ideal`` checks premise (a) of ``initial_forms``, that every
+    ``checked_selection`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the scalar check and the soundness of
     the closed-form point c follow, as (i) and (ii) there, and the rank
-    certificate of ``valuation``.  A row outside 0/1, a failed certificate,
-    a non-binomial initial form, a failed LP or any other failure raises
-    one RuntimeError that names the sequence, so every flag of an outcome
-    of the label holds.  The LP runs on the kernel's rows and selection.
+    certificate of ``valuation``.  The forms are binomial by Lemma C and the
+    theorem (module docstring).  A row outside 0/1, a failed certificate, a
+    failed LP or any other failure raises one RuntimeError that names the
+    sequence, so every flag of an outcome of the label holds.
     """
     n, label, levels, base = task
     dim = 3 * (n - 3)
     (text,) = serialize_group(n, levels, [base])
     try:
         matrix = weighting_matrix(IteratedSequence(n, levels, base))
-        fp, selection = initial_ideal(matrix.rows, n)
+        selection = checked_selection(matrix.rows, n)
         start = time.perf_counter()
         e = strict_interior_point(inequalities(selection, dim), dim)
         point = (text, tuple(e), weight_vector(e, matrix.rows))
         seconds = time.perf_counter() - start
-        return label, fp, point, matrix.to_csv(), e.pivots, seconds
+        return label, point, matrix.to_csv(), e.pivots, seconds
     except Exception as exc:
         raise RuntimeError(f"sequence {text}: {exc}") from exc
 
@@ -297,7 +295,7 @@ def run_pipeline(
 
     start = time.perf_counter()
     if sequences is None:
-        firsts = {label: representative_sequence(label, n) for label in all_labels(n)}
+        firsts = representatives(n)
         texts = (text for levels in level_prefixes(n) for text in serialize_group(n, levels, BASES))
     else:
         firsts = {}
@@ -309,6 +307,10 @@ def run_pipeline(
     tasks = [(n, label, s.levels, s.base_perm) for label, s in firsts.items()]
     size = max(1, -(-len(tasks) // (jobs * 8)))
     timings["enumerate"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    labels_by_fingerprint, kernels = fingerprint_labels(firsts)
+    timings["ideals"] = time.perf_counter() - start
 
     # imported here, so that a CLI command that runs no pipeline pays for
     # neither, and a run without a pool imports no multiprocessing; the
@@ -324,18 +326,16 @@ def run_pipeline(
         mapper = pool.map if parallel else map
         # the parent merges each label while the workers sweep later ones
         swept = pool.imap(_sweep_label, tasks, size) if parallel else map(_sweep_label, tasks)
-        fingerprints: dict[Label, Fingerprint] = {}
         label_weights = {}
         matrices = {}
         pivots = 0
         lp_seconds = 0.0
-        for label, fp, point, csv, lp_pivots, seconds in swept:
-            fingerprints[label] = fp
+        for label, point, csv, lp_pivots, seconds in swept:
             label_weights[label] = point
             matrices[label] = csv
             pivots += lp_pivots
             lp_seconds += seconds
-            done = len(fingerprints)
+            done = len(label_weights)
             if done % size == 0 or done == len(tasks):
                 elapsed = time.perf_counter() - start
                 log.info(
@@ -343,7 +343,6 @@ def run_pipeline(
                     done, len(tasks), elapsed, elapsed * (len(tasks) - done) / done,
                 )
         outcomes = list(map(SequenceOutcome, texts))
-        labels_by_fingerprint = labels_by_ideal(fingerprints)
         timings["sweep"] = time.perf_counter() - start
         timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's
 
@@ -373,8 +372,8 @@ def run_pipeline(
             "lp_solves": len(label_weights),
             # simplex pivots over all LPs, one per label
             "lp_pivots": pivots,
-            # kernel runs: one per label (module docstring)
-            "ideal_selections": len(fingerprints),
+            # kernel runs: one per class of labels that occurs (module docstring)
+            "ideal_selections": kernels,
             # each closure takes 2 images of every member of its orbit, under
             # s_1 and the n-cycle
             "orbit_images": sum(r.ambient_size for r in orbit_reports) * 2,

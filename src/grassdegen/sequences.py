@@ -156,11 +156,16 @@ def all_labels(n: int) -> Iterator[Label]:
 def representative_sequence(label: Label, n: int) -> IteratedSequence:
     """Deterministic sequence with the given label: smallest free third
     index at each level, identity base."""
-    levels = []
-    for t, (a, b) in enumerate(label):
-        third = min(x for x in range(1, n - t) if x not in (a, b))
-        levels.append((a, b, third))
+    levels = [
+        (a, b, min(x for x in range(1, n - t) if x not in (a, b))) for t, (a, b) in enumerate(label)
+    ]
     return IteratedSequence(n, tuple(levels), (1, 2, 3))
+
+
+def representatives(n: int) -> dict[Label, IteratedSequence]:
+    """Each label of Gr(3,n), in ``all_labels`` order, with its
+    representative sequence, its first sequence in a full run."""
+    return {label: representative_sequence(label, n) for label in all_labels(n)}
 
 
 def format_label(label: Label) -> str:

@@ -6,7 +6,9 @@ the height-weighted order behind the lex-max initial-term rule, the
 initial-term selection on tuples of integers with its scalar check, whether a
 packed selection is decided above the base (Lemma B), polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
-triples, the orbit closure over every simple transposition, dense and sparse rational Gaussian elimination, the full Macaulay
+triples, the orbit closure over every simple transposition, the class of a
+label under the permutations of 1..4, the grouping of labels by their
+ideals, dense and sparse rational Gaussian elimination, the full Macaulay
 matrix of the quadratic relations, and semistandard-tableau
 enumeration for graded dimensions.  A sequence is read only through its
 ``n`` and ``triples`` attributes.  The recorded output hashes of
@@ -270,6 +272,24 @@ def reference_closure(fp, moves):
                     fresh.append(image)
         frontier = fresh
     return seen
+
+
+def label_class(label):
+    """The class of a label under the 24 permutations of 1..4, each applied
+    to every entry of every pair, named by its smallest member."""
+    return min(
+        tuple((sigma.get(a, a), sigma.get(b, b)) for a, b in label)
+        for sigma in (dict(zip((1, 2, 3, 4), p)) for p in itertools.permutations((1, 2, 3, 4)))
+    )
+
+
+def labels_by_ideal(ideals):
+    """The ideal -> labels map of a label -> ideal map: one key per distinct
+    ideal, keys sorted, each with its labels, sorted."""
+    return {
+        fp: tuple(sorted(label for label in ideals if ideals[label] == fp))
+        for fp in sorted(set(ideals.values()))
+    }
 
 
 def count_nonzero_relations(n):

@@ -13,7 +13,6 @@ from grassdegen.classify import (
     compute_orbits,
     fingerprint,
     fingerprint_labels,
-    labels_by_ideal,
     orbit_closure,
 )
 from grassdegen.cli import MAX_N
@@ -26,10 +25,17 @@ from grassdegen.sequences import (
     label_of,
     parse_label,
     representative_sequence,
+    representatives,
     standard_sequence,
     validate_label,
 )
-from oracles import _map_monomial, reference_closure, reference_transposition
+from oracles import (
+    _map_monomial,
+    label_class,
+    labels_by_ideal,
+    reference_closure,
+    reference_transposition,
+)
 
 
 def apply_word(word, fp, n):
@@ -46,6 +52,11 @@ def apply_word(word, fp, n):
 def fingerprint_of(binomials, n):
     """The fingerprint, sorted ids, of binomials of the Gr(3,n) table."""
     return tuple(sorted(map(relation_table(n).binomials.index, binomials)))
+
+
+def all_ideals(n):
+    """The ideal -> labels map of every label of Gr(3,n)."""
+    return fingerprint_labels(representatives(n))[0]
 
 
 def label_orbit(label):
@@ -148,7 +159,7 @@ def test_moves_equal_the_tuple_oracle_on_every_table_binomial(n):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_packed_action_equals_the_tuple_oracle_on_every_label(n):
-    for fp in fingerprint_labels(n):
+    for fp in all_ideals(n):
         for i in range(1, n):
             image = decode(apply_transposition(i, fp, n), n)
             assert image == reference_transposition(i, decode(fp, n))
@@ -222,7 +233,7 @@ def test_orbit_closure_n7_equals_the_walk_over_every_transposition(closure_n7):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_orbit_closure_equals_the_walk_over_every_transposition_on_every_orbit(n):
-    unseen = set(fingerprint_labels(n))
+    unseen = set(all_ideals(n))
     orbits = 0
     while unseen:
         fp = min(unseen)
@@ -279,7 +290,7 @@ def test_packed_action_equals_the_tuple_oracle_on_n7_closure_members(closure_n7)
 
 
 def test_fingerprints_are_monomial_free():
-    for fp in fingerprint_labels(6):
+    for fp in all_ideals(6):
         for lead, trail, _ in decode(fp, 6):
             assert lead != trail
 
@@ -371,22 +382,20 @@ def relabelling_mismatches(i, labels, n):
 
 
 def class_count(n):
-    """The number of classes of labels under the 24 permutations of 1..4:
-    the labels that are the smallest of their images."""
-    sigmas = [dict(zip((1, 2, 3, 4), p)) for p in itertools.permutations((1, 2, 3, 4))]
-    return sum(label == min(relabel(label, s) for s in sigmas) for label in all_labels(n))
+    """The number of classes of labels under the 24 permutations of 1..4."""
+    return len(set(map(label_class, all_labels(n))))
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_fingerprint_labels_equal_every_labels_own_kernel(n):
     expected = labels_by_ideal({label: own_kernel(label, n) for label in all_labels(n)})
-    got = fingerprint_labels(n)
+    got = all_ideals(n)
     assert got == expected
     assert list(got) == list(expected)
 
 
 def test_fingerprint_labels_equal_the_own_kernel_on_sampled_n7_labels():
-    ideal = {label: fp for fp, labels in fingerprint_labels(7).items() for label in labels}
+    ideal = {label: fp for fp, labels in all_ideals(7).items() for label in labels}
     assert len(ideal) == 7200
     for label in random.Random(7).sample(sorted(ideal), 200):
         assert ideal[label] == own_kernel(label, 7), label
@@ -438,8 +447,8 @@ def test_fingerprint_labels_runs_one_kernel_per_class(monkeypatch, n, classes):
         return real(seq)
 
     monkeypatch.setattr(classify, "fingerprint", counted)
-    fingerprint_labels(n)
-    assert len(calls) == classes
+    _, kernels = fingerprint_labels(representatives(n))
+    assert len(calls) == kernels == classes
     assert calls[0] == representative_sequence(next(all_labels(n)), n)
 
 

@@ -451,7 +451,9 @@ def drop_the_last_column(monkeypatch):
 
 
 def first_sequence(n):
-    """The sequence that ``fingerprint_labels(n)`` fingerprints first."""
+    """The sequence that ``orbit-of`` and ``verify -n`` fingerprint first:
+    the representative of the first label, on which the first class's
+    kernel runs."""
     from grassdegen.sequences import all_labels, representative_sequence
 
     return representative_sequence(next(all_labels(n)), n).serialize()
@@ -512,6 +514,35 @@ def test_a_seq_run_names_its_sequence_not_the_label_representative(tmp_path, mon
     assert err.startswith(f"error: sequence {serialized}: valuation row (2, ")
     assert "is not a 0/1 vector" in err
     assert "usage:" not in err
+    assert not out.exists()
+
+
+def test_a_seq_run_names_its_sequence_when_the_kernel_fails_on_it(tmp_path, monkeypatch, capsys):
+    """The kernel of the one class of a --seq run runs on the --seq sequence,
+    here not its label's representative.  Unit rows that cycle through the
+    positions, on that sequence alone, pass the rank certificate but leave
+    some relation's initial form no binomial, which only the kernel checks:
+    the run exits 1, names the sequence, prints no usage banner and leaves
+    --out unwritten."""
+    from grassdegen import cli, valuation
+    from grassdegen.sequences import IteratedSequence, label_of, representative_sequence
+
+    serialized = "6:[2,3,5|3,1,4|2,3,1]"
+    levels = IteratedSequence.parse(serialized).levels
+    assert representative_sequence(label_of(levels), 6).serialize() == "6:[2,3,1|3,1,2|1,2,3]"
+    real = valuation.valuation_rows
+
+    def cycling_units(seq, triples):
+        if seq.serialize() != serialized:
+            return real(seq, triples)
+        dim = 3 * (seq.n - 3)
+        return tuple(tuple(int(j == i % dim) for j in range(dim)) for i, _ in enumerate(triples))
+
+    monkeypatch.setattr(valuation, "valuation_rows", cycling_units)
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "-n", "6", "--seq", serialized, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: sequence {serialized}: non-binomial initial form\n"
     assert not out.exists()
 
 

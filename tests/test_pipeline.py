@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from grassdegen import cli, pipeline, valuation
+from grassdegen import classify, cli, pipeline, valuation
 from grassdegen.classify import (
     OrbitReport,
     apply_transposition,
@@ -21,18 +21,18 @@ from grassdegen.classify import (
     fingerprint_labels,
 )
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.initial_forms import decode, inequality_set, initial_ideal
+from grassdegen.initial_forms import checked_selection, decode, inequality_set, initial_ideal
 from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
     BASES,
     IteratedSequence,
     all_labels,
-    count_labels,
     enumerate_sequences,
     format_label,
     label_of,
     representative_sequence,
+    representatives,
     standard_sequence,
 )
 from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
@@ -42,6 +42,7 @@ from oracles import (
     decided_above_base,
     dense_box_lp,
     dense_rank,
+    label_class,
     output_hashes,
     plucker_macaulay_rank,
     recorded_hashes,
@@ -182,9 +183,10 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
     """Only the first sequence of each label in run order solves the LP; its
     point and e.M are what weights.json holds, and its weighting matrix is
     what matrices/ holds.  In the seq case the first two sequences share
-    a label, so the second runs no kernel, and the third sequence, the
-    first of label (1,2;1,2), is not its representative,
-    6:[1,2,3|1,2,3|1,2,3]."""
+    a label, so the second runs no LP, and the third sequence, the first
+    of label (1,2;1,2), is not its representative, 6:[1,2,3|1,2,3|1,2,3].
+    The two labels lie in two classes under the permutations of 1..4, so
+    the run makes two kernel runs."""
     if sequences is not None:
         sequences = [IteratedSequence.parse(s) for s in sequences]
     n = sequences[0].n if sequences else 5
@@ -213,7 +215,7 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
             witness != representative_sequence(label, n).serialize()
             for label, witness in first.items()
         )
-        assert result.counters["ideal_selections"] == 2
+        assert result.counters["ideal_selections"] == class_total(first.values()) == 2
 
 
 def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
@@ -242,18 +244,25 @@ def test_manifest_counts_lp_solves(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_lp_builds_no_weighting_matrix_of_its_own(n, monkeypatch):
-    """Each label's LP runs on the rows and selection of its kernel run: a
-    serial run builds one weighting matrix per label."""
-    calls = []
-    real = pipeline.weighting_matrix
+    """Each label's LP runs on the rows and selection of the one weighting
+    matrix the worker builds for it: a serial run builds one per label in
+    the sweep, and the kernel builds one per class of labels."""
+    calls = {"sweep": [], "kernel": []}
 
-    def counted(seq):
-        calls.append(seq)
-        return real(seq)
+    def counted(module, stage):
+        real = module.weighting_matrix
 
-    monkeypatch.setattr(pipeline, "weighting_matrix", counted)
+        def counting(seq):
+            calls[stage].append(seq)
+            return real(seq)
+
+        monkeypatch.setattr(module, "weighting_matrix", counting)
+
+    counted(pipeline, "sweep")
+    counted(classify, "kernel")
     result = run_pipeline(n, jobs=1)
-    assert len(calls) == result.counters["ideal_selections"] == {5: 12, 6: 240}[n]
+    assert len(calls["sweep"]) == {5: 12, 6: 240}[n]
+    assert len(calls["kernel"]) == result.counters["ideal_selections"] == {5: 1, 6: 13}[n]
     assert result.counters["lp_solves"] == len(result.label_weights) == {5: 12, 6: 240}[n]
 
 
@@ -296,7 +305,7 @@ def test_a_run_builds_at_most_one_pool(monkeypatch, caplog):
     # per chunk: a chunksize of 1 would cost a pipe round trip per label
     assert pool.chunksizes == [15]
     assert len([r for r in caplog.records if r.name == "grassdegen.pipeline"]) == 16
-    assert result.timings.keys() == {"enumerate", "sweep", "lp", "orbits", "verify"}
+    assert result.timings.keys() == {"enumerate", "ideals", "sweep", "lp", "orbits", "verify"}
     del built[:]
     run_pipeline(6, jobs=1)
     assert built == []
@@ -409,8 +418,9 @@ def test_verify_rejects_orbits_that_do_not_partition_the_ids(orbits):
 
 
 def test_fingerprint_labels_equal_the_sweep_map(result_n5):
-    assert fingerprint_labels(5) == result_n5.labels_by_fingerprint
-    assert list(fingerprint_labels(5)) == list(result_n5.labels_by_fingerprint)
+    ideals, _ = fingerprint_labels(representatives(5))
+    assert ideals == result_n5.labels_by_fingerprint
+    assert list(ideals) == list(result_n5.labels_by_fingerprint)
 
 
 def test_manifest_counts_computed_verify_entries(result_n5, tmp_path):
@@ -510,7 +520,7 @@ def test_jobs_below_1_is_rejected_before_the_sweep(jobs, tmp_path, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
-# one kernel run per label
+# one kernel run per class of labels, one LP per label
 
 
 def kernel_reference(serialized):
@@ -519,11 +529,17 @@ def kernel_reference(serialized):
     return {s: fingerprint(IteratedSequence.parse(s)) for s in serialized}
 
 
+def class_total(serialized):
+    """The number of classes of labels under the permutations of 1..4 that
+    the sequences ``serialized`` reach."""
+    return len({label_class(text_label(text)) for text in serialized})
+
+
 def assert_sweep_equals_the_kernel(n, serialized, reference, jobs=1, full=False):
     """Run the sequences ``serialized`` in that order, or with ``full`` the
     full run, whose sequences they are: every sequence has the fingerprint
-    of its own kernel run, and each label's kernel and LP ran on its first
-    sequence in run order; returns the number of kernel runs."""
+    of its own kernel run, and each label's LP ran on its first sequence in
+    run order; returns the run's result."""
     sequences = None if full else [IteratedSequence.parse(s) for s in serialized]
     result = run_pipeline(n, jobs=jobs, sequences=sequences)
     assert [o.serialized for o in result.outcomes] == serialized
@@ -534,23 +550,26 @@ def assert_sweep_equals_the_kernel(n, serialized, reference, jobs=1, full=False)
         assert ideals[label] == reference[text], text
         first.setdefault(label, text)
     assert {label: witness for label, (witness, _, _) in result.label_weights.items()} == first
-    return result.counters["ideal_selections"]
+    return result
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_the_label_sweep_equals_each_sequences_own_kernel(n):
     """The full run at --jobs 1 and 2, and a seeded shuffle of its
     sequences, whose labels' first sequences are rarely representatives,
-    run one kernel per label and give every sequence its own kernel's
-    fingerprint."""
+    run one kernel per class of labels and give every sequence its own
+    kernel's fingerprint."""
     serialized = [s.serialize() for s in enumerate_sequences(n)]
     reference = kernel_reference(serialized)
+    classes = class_total(serialized)
+    assert classes == {5: 1, 6: 13}[n]
     for jobs in (1, 2):
-        kernels = assert_sweep_equals_the_kernel(n, serialized, reference, jobs, full=True)
-        assert kernels == count_labels(n)
+        result = assert_sweep_equals_the_kernel(n, serialized, reference, jobs, full=True)
+        assert result.counters["ideal_selections"] == classes
     shuffled = serialized[:]
     random.Random(n).shuffle(shuffled)
-    assert assert_sweep_equals_the_kernel(n, shuffled, reference) == count_labels(n)
+    result = assert_sweep_equals_the_kernel(n, shuffled, reference)
+    assert result.counters["ideal_selections"] == classes
 
 
 def test_the_label_sweep_equals_each_sequences_own_kernel_on_four_n7_fibers():
@@ -567,20 +586,23 @@ def test_the_label_sweep_equals_each_sequences_own_kernel_on_four_n7_fibers():
         ]
     assert len(serialized) == 4 * 144
     reference = kernel_reference(serialized)
-    assert assert_sweep_equals_the_kernel(7, serialized, reference) == 4
+    classes = class_total(serialized)
+    result = assert_sweep_equals_the_kernel(7, serialized, reference)
+    assert result.counters["ideal_selections"] == classes
     random.Random(77).shuffle(serialized)
-    assert assert_sweep_equals_the_kernel(7, serialized, reference) == 4
+    result = assert_sweep_equals_the_kernel(7, serialized, reference)
+    assert result.counters["ideal_selections"] == classes
 
 
 def test_manifest_counts_ideal_selections(result_n6, tmp_path):
-    """One kernel run per label, 12 at n = 5 for every worker count and 240
-    at n = 6."""
+    """One kernel run per class of labels under the permutations of 1..4:
+    1 at n = 5 for every worker count and 13 at n = 6."""
     for jobs in (1, 2):
         result = run_pipeline(5, jobs=jobs)
         manifest = load_json(write_outputs(result, str(tmp_path / f"jobs{jobs}")))
         jsonschema.validate(manifest, load_schema("manifest.schema.json"))
-        assert manifest["counters"]["ideal_selections"] == 12
-    assert result_n6.counters["ideal_selections"] == 240
+        assert manifest["counters"]["ideal_selections"] == 1
+    assert result_n6.counters["ideal_selections"] == 13
 
 
 def test_a_run_whose_first_sequence_is_no_representative_does_not_depend_on_jobs(tmp_path):
@@ -595,8 +617,78 @@ def test_a_run_whose_first_sequence_is_no_representative_does_not_depend_on_jobs
         counters[jobs] = result.counters
         assert result.label_weights[((1, 2),)][0] == "5:[1,2,3|2,3,1]"
     assert counters[1] == counters[2]
-    assert counters[1]["ideal_selections"] == 12
+    assert counters[1]["ideal_selections"] == 1
     assert output_hashes(tmp_path / "jobs1") == output_hashes(tmp_path / "jobs2")
+
+
+def far_sequence(label, n):
+    """The sequence of a label with the largest free third index at every
+    level and base (3,2,1): no representative."""
+    levels = tuple(
+        (a, b, max(x for x in range(1, n - t) if x not in (a, b))) for t, (a, b) in enumerate(label)
+    )
+    return IteratedSequence(n, levels, (3, 2, 1))
+
+
+def test_a_run_without_the_first_label_of_any_class_gives_each_label_its_own_kernel(tmp_path):
+    """The run holds no class's first label in ``all_labels`` order, so each
+    kernel runs on a later member of its class, on a sequence that is no
+    representative, and the walk starts there.  Two sequences of each of
+    the 227 other labels of Gr(3,6), in order and in a seeded shuffle, at
+    --jobs 1 and 2: each label's ideal is its own kernel's, one kernel runs
+    per class that occurs, and the data files do not depend on the worker
+    count."""
+    labels = [label for label in all_labels(6) if label != label_class(label)]
+    assert len(labels) == 240 - 13
+    serialized = [far_sequence(label, 6).serialize() for label in labels]
+    serialized += [representative_sequence(label, 6).serialize() for label in labels]
+    reference = kernel_reference(serialized)
+    shuffled = serialized[:]
+    random.Random(36).shuffle(shuffled)
+    for order, texts in (("ordered", serialized), ("shuffled", shuffled)):
+        for jobs in (1, 2):
+            result = assert_sweep_equals_the_kernel(6, texts, reference, jobs)
+            assert result.counters["ideal_selections"] == class_total(texts) == 13
+            write_outputs(result, str(tmp_path / f"{order}{jobs}"))
+        assert output_hashes(tmp_path / f"{order}1") == output_hashes(tmp_path / f"{order}2")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda rows: ((2, *rows[0][1:]), *rows[1:]), r"valuation row \(2, .* is not a 0/1 vector"),
+        (
+            lambda rows: tuple((*row[:-1], 0) for row in rows),
+            "rank certificate: no valuation row has its first 1 at position 5",
+        ),
+    ],
+    ids=["row-outside-0-1", "rank-certificate"],
+)
+def test_the_worker_checks_the_rows_of_a_label_that_the_walk_reached(monkeypatch, fault, message):
+    """The kernel of the one class at n = 5 runs on 5:[1,2,3|1,2,3], and the
+    walk gives label (2,1) its ideal, so only the worker reads the rows of
+    5:[2,1,3|1,2,3]: a row outside 0/1 or a failed rank certificate there
+    stops the run and names that sequence."""
+    target = "5:[2,1,3|1,2,3]"
+    real = valuation.valuation_rows
+
+    def broken(seq, triples):
+        rows = real(seq, triples)
+        return fault(rows) if seq.serialize() == target else rows
+
+    kernels = []
+    real_fingerprint = classify.fingerprint
+
+    def recorded(seq):
+        kernels.append(seq.serialize())
+        return real_fingerprint(seq)
+
+    monkeypatch.setattr(valuation, "valuation_rows", broken)
+    monkeypatch.setattr(classify, "fingerprint", recorded)
+    seqs = [IteratedSequence.parse(s) for s in ("5:[1,2,3|1,2,3]", target)]
+    with pytest.raises(RuntimeError, match=rf"^sequence {re.escape(target)}: {message}"):
+        run_pipeline(5, jobs=1, sequences=seqs)
+    assert kernels == ["5:[1,2,3|1,2,3]"]
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -665,7 +757,8 @@ def test_every_pair_of_base_triples_has_its_sigma():
 def selection_key(seq):
     """The fingerprint of a sequence, the max-term pattern of each relation
     and whether the selection is decided above the base."""
-    fp, (slots, maxima) = initial_ideal(weighting_matrix(seq).rows, seq.n)
+    rows = weighting_matrix(seq).rows
+    fp, (slots, maxima) = initial_ideal(rows, seq.n), checked_selection(rows, seq.n)
     patterns = tuple(zip(*(map(operator.eq, slot, maxima) for slot in slots)))
     return fp, patterns, decided_above_base((slots, maxima))
 
@@ -715,7 +808,7 @@ def test_a_tie_above_the_base_is_a_tie_and_every_n6_selection_is_decided():
     (sum // 27) agree in full, so every selection is decided above the
     base."""
     for seq in enumerate_sequences(6):
-        _, selection = initial_ideal(weighting_matrix(seq).rows, 6)
+        selection = checked_selection(weighting_matrix(seq).rows, 6)
         for sums in zip(*selection[0]):
             sums = {x for x in sums if x >= 0}  # the padding term sums to -1
             assert len({x // 27 for x in sums}) == len(sums), seq.serialize()
