@@ -1,11 +1,12 @@
 """From initial forms to a point of the tropical Grassmannian.
 
-Packs each valuation row as a base-3 integer, selects the initial terms of
+Packs each valuation row as a base-5 integer, selects the initial terms of
 all 135 relations as the terms of maximal packed sum, extracts the strict
-inequalities an order-preserving projection must satisfy, solves the cone
-exactly, and checks that the scalar weight vector reproduces every initial
-form.  The closed-form point c_i = -3^(8-i) scores each row by minus its
-packed value.
+inequalities an order-preserving projection must satisfy, each one int
+difference of packed sums unpacked, solves the cone exactly, and checks
+that the scalar weight vector reproduces every initial form.  The
+closed-form point c_i = -5^(8-i) scores each row by minus its packed
+value.
 """
 
 from grassdegen.cone import strict_interior_point, weight_vector
@@ -30,7 +31,7 @@ def main():
     packed = pack(row_digits(M.rows, 9))
     for triple, row, value in list(zip(M.triples, M.rows, packed))[:3]:
         print(f"row {triple_key(triple)} = {row} packs to {value}")
-    certificate = tuple(-(3 ** (8 - i)) for i in range(9))
+    certificate = tuple(-(5 ** (8 - i)) for i in range(9))
     print("c.M == -packed rows:", weight_vector(certificate, M.rows) == tuple(-p for p in packed))
 
     selection = select(packed, table)

@@ -51,8 +51,8 @@ sample of n = 7 labels, some of which switch to the smallest-index rule,
 and seeded small systems, feasible and not, which ``solve-cone`` accepts.
 
 The sweep needs no LP to show that a cone is nonempty: the ``initial_forms``
-docstring shows that e_i = -3^(dim-1-i) gives e.d >= 1 for every d of its
-inequality sets.
+docstring shows that e_i = -5^(dim-1-i) gives e.d >= 1 for every d of its
+inequality sets, from the base-5 packing of the rows.
 """
 
 from __future__ import annotations

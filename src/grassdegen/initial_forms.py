@@ -1,5 +1,5 @@
 """Initial forms of Pluecker relations under a weighting matrix, on packed
-base-3 rows.
+base-5 rows.
 
 Each term p_A * p_B of a relation is valued by row(A) + row(B).  The initial
 form is the set of terms that are minimal in the height-weighted reverse
@@ -11,26 +11,33 @@ order and checks this lemma.  Every non-initial term contributes the strict
 inequality e . (v(term) - v(initial)) > 0 that an order-preserving
 projection e has to satisfy.
 
-Packing.  Read a vector v in {0,1,2}^dim as the base-3 integer
-pack3(v) = sum_i v_i 3^(dim-1-i).  ``row_digits`` writes each valuation row
+Packing.  Read a vector v in {0,...,4}^dim as the base-5 integer
+pack5(v) = sum_i v_i 5^(dim-1-i).  ``row_digits`` writes each valuation row
 as a string of the digits 0 and 1 and rejects a row that is not 0/1 of
-length dim: premise (a).  ``pack`` reads each string as a base-3 numeral.
+length dim: premise (a).  ``pack`` reads each string as a base-5 numeral.
 A term's vector r_A + r_B then has digits at most 2, so the addition never
-carries and pack3(r_A + r_B) = P_A + P_B.  On {0,1,2}^dim lex order is int
-order: if two vectors first differ at position i, with k = dim-1-i, the
-larger digit adds at least 3^k and the later digits differ by at most
-2 (3^(k-1) + ... + 1) = 3^k - 1.  So the initial terms of a relation are the
-terms whose packed sums attain the maximum, and pack3 is injective, so the
-vectors of the inequality set are recovered from the distinct (maximum,
-other) pairs of packed sums, by unpacking each sum in them once.
+carries and pack5(r_A + r_B) = P_A + P_B.  On {0,...,4}^dim lex order is
+int order: if two vectors first differ at position i, with k = dim-1-i, the
+larger digit adds at least 5^k and the later digits differ by at most
+4 (5^(k-1) + ... + 1) = 5^k - 1.  So the initial terms of a relation are
+the terms whose packed sums attain the maximum.
 
-The certificate.  With c_i = -3^(dim-1-i), fact (b) is
-c . row(K) = -pack3(row(K)) for every row K that passes premise (a).  It
+Differences.  A non-initial term v of a relation whose initial vector is
+best has v - best in {-2,...,2}^dim.  With TWOS = pack5(2, ..., 2), their
+packed sums P and Q give P - Q + TWOS = pack5(v - best + 2): each digit
+lies in 0..4, so nothing borrows, and the int determines the vector.
+``inequalities`` unpacks each distinct such int once, three digits at a
+time (dim = 3(n-3)).  The entries of v - best are not all 0, so their gcd
+is 2 if every entry is even and 1 otherwise: halving the even vectors
+reduces each.
+
+The certificate.  With c_i = -5^(dim-1-i), fact (b) is
+c . row(K) = -pack5(row(K)) for every row K that passes premise (a).  It
 needs no check: ``row_digits`` returns a string only for a row of length
 dim whose every entry is 0 or 1, its digits in the row's order, and
-``pack`` returns int(digits, 3) for it, which by the definition of a base-3
-numeral is sum_i r_i 3^(dim-1-i) = -c . r.  A unit test compares both
-sides on every 0/1 row of length 3, 6, 9 and 12.  From (b),
+``pack`` returns int(digits, 5) for it, which by the definition of a base-5
+numeral is sum_i r_i 5^(dim-1-i) = -c . r.  A unit test compares both
+sides on every 0/1 row of length 3 to 12.  From (b),
 c . v = -(P_A + P_B) for every term, and then:
 
 (i) the scalar weights w = c.M score a term by w_A + w_B = -(P_A + P_B), so
@@ -38,16 +45,15 @@ c . v = -(P_A + P_B) for every term, and then:
     terms: the scalar weights reproduce every initial form (the sweep's
     ``scalar_matches``);
 (ii) for a non-initial v and an initial term with vector best,
-     c . (v - best) = pack3(best) - pack3(v) >= 1.  The gcd-reduced
-     d = (v - best) / g has c . d = (pack3(best) - pack3(v)) / g > 0, an
-     integer since c and d are integer vectors, so c . d >= 1, also when
-     g = 2: c lies in the open cone of the inequality set (the sweep's
-     ``projection_sound``).
+     c . (v - best) = pack5(best) - pack5(v) >= 1.  The reduced
+     d = (v - best) / g, g = 1 or 2, has c . d = (pack5(best) - pack5(v)) / g
+     > 0, an integer since c and d are integer vectors, so c . d >= 1: c lies
+     in the open cone of the inequality set (the sweep's ``projection_sound``).
 
 Both follow from premise (a) alone, a check on rows that ``row_digits``
 makes, so no term-level check is needed in the sweep; ``tests/oracles.py``
 holds the term-level tuple kernel, and the test suite compares the two on
-every sequence of n <= 6 and a sample at n = 7.
+every sequence of n <= 6 and samples at n = 7 and 8.
 
 The relation table is the plan of the selection over every relation of
 Gr(3,n), one per n, built on first use: the rows of the two factors of each
@@ -66,9 +72,8 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 from functools import lru_cache
-from operator import add, eq, sub
+from operator import add, eq
 from typing import NamedTuple
 
 from .plucker import Relation, Triple, all_relations, all_triples
@@ -163,22 +168,8 @@ def row_digits(rows, dim: int) -> list[bytes]:
 
 
 def pack(digits: list[bytes]) -> list[int]:
-    """pack3 of each row, from its digit string (``row_digits``)."""
-    return [int(row, 3) for row in digits]
-
-
-# the three base-3 digits of each x in 0..26, most significant first
-_TRIADS = tuple(itertools.product(range(3), repeat=3))
-
-
-def unpack3(x: int, dim: int) -> Vector:
-    """The dim lowest base-3 digits of x, most significant first, three at
-    a time."""
-    digits = ()
-    for _ in range(dim // 3):
-        x, low = divmod(x, 27)
-        digits = _TRIADS[low] + digits
-    return _TRIADS[x % 27][3 - dim % 3 :] + digits
+    """pack5 of each row, from its digit string (``row_digits``)."""
+    return [int(row, 5) for row in digits]
 
 
 Selection = tuple[tuple[list[int], ...], list[int]]
@@ -235,23 +226,29 @@ def initial_ideal(rows, n: int) -> Fingerprint:
     return tuple(sorted(ids))
 
 
-def reduce_content(d: Vector) -> Vector:
-    g = math.gcd(*d)
-    return d if g in (0, 1) else tuple(x // g for x in d)
+# the three digits of each x in 0..124, most significant first, minus 2
+_TRIADS = tuple(itertools.product(range(-2, 3), repeat=3))
 
 
 def inequalities(selection: Selection, dim: int) -> tuple[Vector, ...]:
     """The inequality set: v(non-initial) - v(initial) over all relations,
-    reduced by the gcd of its entries, deduplicated and sorted; the leading
+    halved where every entry is even, deduplicated and sorted; the leading
     nonzero entry of each is negative."""
     slots, maxima = selection
     pairs = set()
     for slot in slots:
         pairs.update(zip(maxima, slot))
-    pairs = [(best, other) for best, other in pairs if 0 <= other < best]
-    vectors = {x: unpack3(x, dim) for pair in pairs for x in pair}
-    diffs = {reduce_content(tuple(map(sub, vectors[other], vectors[best]))) for best, other in pairs}
-    return tuple(sorted(diffs))
+    twos = (5**dim - 1) // 2
+    vectors = set()
+    for x in {other - best + twos for best, other in pairs if 0 <= other < best}:
+        vector = ()
+        for _ in range(dim // 3):
+            x, low = divmod(x, 125)
+            vector = _TRIADS[low] + vector
+        if 1 not in vector and -1 not in vector:
+            vector = tuple(d // 2 for d in vector)
+        vectors.add(vector)
+    return tuple(sorted(vectors))
 
 
 def inequality_set(

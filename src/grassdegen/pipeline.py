@@ -220,8 +220,9 @@ def _sweep_label(task) -> tuple:
     pivots, seconds of the LP)``.  Its ideal comes from the parent's walk.
 
     ``checked_selection`` checks premise (a) of ``initial_forms``, that every
-    valuation row is 0/1, from which the scalar check and the soundness of
-    the closed-form point c follow, as (i) and (ii) there, and the rank
+    valuation row is 0/1, from which the unpacking of the base-5 differences
+    in ``inequalities``, the scalar check and the soundness of the point
+    c_i = -5^(dim-1-i) follow, as (i) and (ii) there, and the rank
     certificate of ``valuation``.  The forms are binomial by Lemma C and the
     theorem (module docstring).  A row outside 0/1, a failed certificate, a
     failed LP or any other failure raises one RuntimeError that names the

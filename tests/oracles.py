@@ -125,16 +125,16 @@ def scalar_matches(weights, relations, initials):
 
 def decided_above_base(selection):
     """Whether a packed selection ``(slots, maxima)`` is decided above the
-    base: every relation's non-initial terms have packed sum // 27 strictly
-    below its maximum's, for a selection whose every relation has exactly
-    two initial terms.  The base triad is the last, so its three digits are
-    the lowest base-3 digits of a packed sum, and sum // 27 is the term's
-    vector without them.  A term's sum // 27 is at least the maximum's
-    exactly when the sum is at least the maximum with its base digits
-    cleared, which counts the two initial terms and every term that ties
-    them above the base."""
+    base: every relation's non-initial terms have packed sum // 125
+    strictly below its maximum's, for a selection whose every relation has
+    exactly two initial terms.  The base triad is the last, so its three
+    digits are the lowest base-5 digits of a packed sum, and sum // 125 is
+    the term's vector without them.  A term's sum // 125 is at least the
+    maximum's exactly when the sum is at least the maximum with its base
+    digits cleared, which counts the two initial terms and every term that
+    ties them above the base."""
     slots, maxima = selection
-    floors = [m - m % 27 for m in maxima]
+    floors = [m - m % 125 for m in maxima]
     return sum(sum(map(operator.ge, slot, floors)) for slot in slots) == 2 * len(maxima)
 
 def root_heights(seq):

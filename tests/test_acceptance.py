@@ -182,7 +182,7 @@ def test_criterion_6_projection_soundness(pipeline6):
     from grassdegen.initial_forms import inequality_set
 
     relations = all_relations(6)
-    certificate = [-(3 ** (8 - i)) for i in range(9)]
+    certificate = [-(5 ** (8 - i)) for i in range(9)]
     assert len(pipeline6.label_weights) == 240
     for witness, e, w in pipeline6.label_weights.values():
         seq = IteratedSequence.parse(witness)

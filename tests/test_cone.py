@@ -156,10 +156,10 @@ def strided_sequences(n, stride):
 @pytest.mark.parametrize("n, stride", [(5, 1), (6, 397), (7, 20011)])
 def test_cone_is_never_empty_on_real_inputs(n, stride):
     """Every inequality set the kernel produces has entries in [-2, 2] and a
-    negative leading entry, so e_i = -3^(dim-1-i) satisfies e.d >= 1; the
+    negative leading entry, so e_i = -5^(dim-1-i) satisfies e.d >= 1; the
     solver must then find a sound point and never report Infeasible."""
     dim = 3 * (n - 3)
-    certificate = tuple(-(3 ** (dim - 1 - i)) for i in range(dim))
+    certificate = tuple(-(5 ** (dim - 1 - i)) for i in range(dim))
     sample = list(strided_sequences(n, stride))
     if n < 7:
         assert sample == list(enumerate_sequences(n))[::stride]

@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -11,11 +13,9 @@ from grassdegen.initial_forms import (
     inequalities_from_csv,
     inequality_set,
     pack,
-    reduce_content,
     relation_table,
     row_digits,
     select,
-    unpack3,
 )
 from grassdegen.plucker import all_relations, all_triples, plucker_relation
 from grassdegen.sequences import IteratedSequence, enumerate_sequences, standard_sequence
@@ -176,10 +176,32 @@ def test_inequality_vectors_have_negative_leading_entry():
         assert lead < 0
 
 
-def test_reduce_content():
-    assert reduce_content((2, -4, 6)) == (1, -2, 3)
-    assert reduce_content((0, 3, 0)) == (0, 1, 0)
-    assert reduce_content((1, -1, 0)) == (1, -1, 0)
+def pair_selection(pairs):
+    """A selection of one relation per (best, other) pair of packed sums:
+    two initial terms of sum best, a third term of sum other and the
+    padding term."""
+    maxima = [best for best, _ in pairs]
+    return (maxima, maxima, [other for _, other in pairs], [-1] * len(pairs)), maxima
+
+
+def reduced(d):
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
+
+
+def test_inequalities_reduce_each_difference_by_its_gcd():
+    """Every pair of term vectors in {0,1,2}^3, in one selection: the
+    differences, each divided by the gcd of its entries and deduplicated
+    after the division.  No sampled label has a difference whose every
+    entry is even, such as (0,0,0) - (2,0,0), so this selection is what
+    reaches the halving."""
+    sums = list(itertools.product(range(3), repeat=3))
+    pairs = [(best, other) for best in sums for other in sums if other < best]
+    raw = [tuple(map(operator.sub, other, best)) for best, other in pairs]
+    assert {math.gcd(*d) for d in raw} == {1, 2}
+    diffs = set(map(reduced, raw))
+    selection = pair_selection([(pack5(best), pack5(other)) for best, other in pairs])
+    assert inequalities(selection, 3) == tuple(sorted(diffs))
 
 
 def test_inequality_csv_roundtrip():
@@ -189,21 +211,24 @@ def test_inequality_csv_roundtrip():
     assert inequalities_from_csv(text) == diffs
 
 
-def pack3(v):
-    return sum(x * 3 ** (len(v) - 1 - i) for i, x in enumerate(v))
+def pack5(v):
+    return sum(x * 5 ** (len(v) - 1 - i) for i, x in enumerate(v))
 
 
-def test_pack3_order_is_lex_order_and_unpack3_inverts_it():
+def test_pack5_order_is_lex_order_and_inequalities_unpack_it():
     rng = random.Random(11)
-    vectors = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(150)]
-    for v in vectors:
-        assert unpack3(pack3(v), 6) == v
+    vectors = [tuple(rng.randrange(5) for _ in range(6)) for _ in range(150)]
     for a in vectors:
         for b in vectors:
-            assert (a < b) == (pack3(a) < pack3(b))
-    rows = [v for v in vectors if max(v) <= 1]
-    assert rows
-    assert pack(row_digits(rows, 6)) == [pack3(v) for v in rows]
+            assert (a < b) == (pack5(a) < pack5(b))
+    sums = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(60)]
+    for best in sums:
+        for other in sums:
+            if other < best:
+                d = tuple(map(operator.sub, other, best))
+                assert inequalities(pair_selection([(pack5(best), pack5(other))]), 6) == (reduced(d),)
+    rows = list(itertools.product((0, 1), repeat=6))
+    assert pack(row_digits(rows, 6)) == [pack5(v) for v in rows]
 
 
 @pytest.mark.parametrize("row", [(0, 2, 0), (0, -1, 1), (0, 1), (1, 0, 0, 1), (0, 1.0, 0), (0, 256, 0)])
@@ -212,11 +237,11 @@ def test_pack_rows_rejects_a_row_outside_0_1(row):
         pack(row_digits([(1, 0, 0), row], 3))
 
 
-@pytest.mark.parametrize("dim", [3, 6, 9, 12])
+@pytest.mark.parametrize("dim", range(3, 13))
 def test_pack_rows_is_minus_the_certificate_weight(dim):
-    """Fact (b) of ``initial_forms``: c . r = -pack3(r) for every 0/1 row r,
-    with c_i = -3^(dim-1-i)."""
-    certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
+    """Fact (b) of ``initial_forms``: c . r = -pack5(r) for every 0/1 row r,
+    with c_i = -5^(dim-1-i)."""
+    certificate = [-(5 ** (dim - 1 - i)) for i in range(dim)]
     rows = list(itertools.product((0, 1), repeat=dim))
     assert pack(row_digits(rows, dim)) == [-x for x in weight_vector(certificate, rows)]
 
@@ -242,32 +267,33 @@ def test_the_rank_certificate_names_the_first_position_no_row_leads(digits, posi
 
 
 def equivalence_sample(n):
-    """Every sequence of n <= 6; 200 seeded sequences at n = 7."""
+    """Every sequence of n <= 6; 200 seeded sequences at n = 7 and 60 at
+    n = 8."""
     if n < 7:
         return list(enumerate_sequences(n))
-    rng = random.Random(2007)
+    rng = random.Random(2000 + n)
     return [
         IteratedSequence(
-            7,
-            tuple(tuple(rng.sample(range(1, 7 - t), 3)) for t in range(3)),
+            n,
+            tuple(tuple(rng.sample(range(1, n - t), 3)) for t in range(n - 4)),
             tuple(rng.sample((1, 2, 3), 3)),
         )
-        for _ in range(200)
+        for _ in range({7: 200, 8: 60}[n])
     ]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_packed_kernel_equals_the_tuple_oracle(n):
     """The packed kernel's fingerprint and exact inequality set equal the
     tuple oracle's.  On the oracle's own terms, the certificate
-    c_i = -3^(dim-1-i) picks the same initial monomials as the matrix order,
+    c_i = -5^(dim-1-i) picks the same initial monomials as the matrix order,
     and c.d >= 1 on every difference: the term-level checks that the
     sweep's row premise replaces."""
     relations = all_relations(n)
     table = relation_table(n)
     triples = all_triples(n)
     dim = 3 * (n - 3)
-    certificate = [-(3 ** (dim - 1 - i)) for i in range(dim)]
+    certificate = [-(5 ** (dim - 1 - i)) for i in range(dim)]
     for seq in equivalence_sample(n):
         rows = valuation_rows(seq, triples)
         initials, diffs = initial_terms(rows, relations)
@@ -281,9 +307,18 @@ def test_packed_kernel_equals_the_tuple_oracle(n):
         assert all(sum(c * x for c, x in zip(certificate, d)) >= 1 for d in diffs)
 
 
-@pytest.mark.parametrize("dim", range(8))
-def test_unpack3_inverts_pack3_in_every_dimension(dim):
-    """Three digits per step, and the one or two leading digits of a dim
-    that is no multiple of 3."""
-    for v in itertools.product(range(3), repeat=dim):
-        assert unpack3(pack3(v), dim) == v
+@pytest.mark.parametrize("dim", [3, 6, 9, 12, 15])
+def test_inequalities_invert_the_offset_packing_in_every_dimension(dim):
+    """Each d in {-2,...,2}^dim with a negative leading entry, as the
+    difference of the sums best = (2, ..., 2) and other = best + d: every d
+    at dim 3 and 6, 2000 seeded ones above."""
+    best = pack5((2,) * dim)
+    if dim <= 6:
+        vectors = itertools.product(range(-2, 3), repeat=dim)
+    else:
+        rng = random.Random(dim)
+        vectors = (tuple(rng.randrange(-2, 3) for _ in range(dim)) for _ in range(2000))
+    for d in vectors:
+        if any(d) and next(x for x in d if x) < 0:
+            selection = pair_selection([(best, best + pack5(d))])
+            assert inequalities(selection, dim) == (reduced(d),)

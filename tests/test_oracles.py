@@ -23,10 +23,10 @@ def test_oracles_import_nothing_from_the_package():
 
 
 def test_a_tie_broken_by_a_base_digit_is_not_decided_above_the_base():
-    """One relation whose initial pair has packed sum 27 * 4 + 5: a third
-    term of sum 27 * 4 + 2 loses only in the base digits, one of sum
-    27 * 3 + 26 loses above them."""
-    pair = 27 * 4 + 5
-    assert not decided_above_base((([pair], [pair], [27 * 4 + 2], [-1]), [pair]))
-    assert decided_above_base((([pair], [pair], [27 * 3 + 26], [-1]), [pair]))
-    assert decided_above_base((([pair], [27 * 3 + 26], [pair], [27 * 2]), [pair]))
+    """One relation whose initial pair has packed sum 125 * 4 + 5: a third
+    term of sum 125 * 4 + 2 loses only in the base digits, one of sum
+    125 * 3 + 124 loses above them."""
+    pair = 125 * 4 + 5
+    assert not decided_above_base((([pair], [pair], [125 * 4 + 2], [-1]), [pair]))
+    assert decided_above_base((([pair], [pair], [125 * 3 + 124], [-1]), [pair]))
+    assert decided_above_base((([pair], [125 * 3 + 124], [pair], [125 * 2]), [pair]))

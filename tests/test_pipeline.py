@@ -21,7 +21,16 @@ from grassdegen.classify import (
     fingerprint_labels,
 )
 from grassdegen.cone import strict_interior_point, weight_vector
-from grassdegen.initial_forms import checked_selection, decode, inequality_set, initial_ideal
+from grassdegen.initial_forms import (
+    checked_selection,
+    decode,
+    inequality_set,
+    initial_ideal,
+    pack,
+    relation_table,
+    row_digits,
+    select,
+)
 from grassdegen.pipeline import PipelineResult, run_pipeline, verify_fingerprints, write_outputs
 from grassdegen.plucker import all_triples, triple_key
 from grassdegen.sequences import (
@@ -485,8 +494,10 @@ def test_a_broken_sequence_stops_the_run_before_the_orbit_stage(monkeypatch):
 
 
 def test_a_valuation_row_outside_0_1_stops_the_run(monkeypatch):
-    """Premise (a) of the packed kernel: a row entry of 2 would carry into
-    the next base-3 digit, so the worker refuses it and names the sequence."""
+    """Premise (a) of the packed kernel: a row entry of 2 no longer carries
+    in base 5, but a difference entry could then leave -2..2 and borrow
+    under the TWOS offset of ``inequalities``, and fact (b) holds for 0/1
+    rows only, so the worker refuses it and names the sequence."""
     real = valuation.valuation_rows
 
     def with_a_two(seq, triples):
@@ -805,13 +816,19 @@ def test_the_swap_harness_sees_every_second_index_swap(n, count):
 def test_a_tie_above_the_base_is_a_tie_and_every_n6_selection_is_decided():
     """Lemma B of the ``pipeline`` docstring on every n = 6 sequence: two
     terms of one relation whose packed sums agree above the base digits
-    (sum // 27) agree in full, so every selection is decided above the
-    base."""
+    agree in full, so every selection is decided above the base.  The base
+    is the last three base-5 digits, so a term's sum // 125 is the packed
+    sum of its rows without them."""
+    assert pack([b"1000"]) == [125]
+    table = relation_table(6)
     for seq in enumerate_sequences(6):
-        selection = checked_selection(weighting_matrix(seq).rows, 6)
-        for sums in zip(*selection[0]):
-            sums = {x for x in sums if x >= 0}  # the padding term sums to -1
-            assert len({x // 27 for x in sums}) == len(sums), seq.serialize()
+        rows = weighting_matrix(seq).rows
+        selection = checked_selection(rows, 6)
+        above, _ = select(pack([row[:-3] for row in row_digits(rows, 9)]), table)
+        for sums, tops in zip(zip(*selection[0]), zip(*above)):
+            assert [x // 125 for x in sums] == list(tops), seq.serialize()
+            # the padding term sums to -1 in both
+            assert len({x for x in tops if x >= 0}) == len({x for x in sums if x >= 0})
         assert decided_above_base(selection), seq.serialize()
 
 
