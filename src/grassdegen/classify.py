@@ -150,10 +150,11 @@ GR36_CLASSES = {
 @lru_cache(maxsize=1)
 def _class_seeds() -> dict[Fingerprint, tuple[str, str]]:
     """The ideal of each class representative, with its class and
-    isomorphism class."""
-    named = {parse_label(label): (name, iso) for name, (label, iso) in GR36_CLASSES.items()}
-    ideals, _ = fingerprint_labels({lab: representative_sequence(lab, 6) for lab in named})
-    return {fp: named[lab] for fp, labels in ideals.items() for lab in labels}
+    isomorphism class: one kernel run per class, and no walk."""
+    return {
+        fingerprint(representative_sequence(parse_label(label), 6)): (name, iso)
+        for name, (label, iso) in GR36_CLASSES.items()
+    }
 
 
 def _gr36_class(closure: set[Fingerprint], labels: tuple[Label, ...]) -> tuple[str, str]:

@@ -86,6 +86,8 @@ def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
             for j in range(top, cols):
                 if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
                     pivot = (i, j)
+            if pivot is not None and abs(m[pivot[0]][pivot[1]]) == 1:
+                break  # no entry is smaller, so the whole scan would keep this one
         if pivot is None:
             break
         i, j = pivot
@@ -113,17 +115,12 @@ def smith_invariant_factors(matrix: list[list[int]]) -> list[int]:
             continue
 
         d = m[top][top]
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % d:
-                    offender = i
-                    break
+        if d > 1:  # a unit divides every entry
+            rest = range(top + 1, rows)
+            offender = next((i for i in rest if any(x % d for x in m[i][top + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            m[top] = [a + b for a, b in zip(m[top], m[offender])]
-            continue
+                m[top] = [a + b for a, b in zip(m[top], m[offender])]
+                continue
 
         factors.append(d)
         top += 1

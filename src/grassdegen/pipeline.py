@@ -1,5 +1,5 @@
 """End-to-end driver: valuations -> initial forms -> cone -> classification
--> toricity evidence, in stages that share one worker pool.
+-> toricity evidence, with a worker pool for the LP stage alone.
 
 The label is the sweep's unit.  Before the pool starts, the parent takes
 each label's ideal from ``classify.fingerprint_labels``: one kernel run,
@@ -10,19 +10,20 @@ then gets one LP on its first sequence, which for a full run is
 ``sequences.representative_sequence(label)``: ``level_prefixes`` runs each
 level through its triples in lex order and ``BASES`` starts at (1,2,3), so
 the first prefix with a label has the smallest free third index at every
-level.  A task is the ``(n, label, levels, base)`` of a label's first
-sequence, and the pool hands each worker about labels / (8 jobs) tasks at a
-time, its chunksize.  A worker parses nothing: it builds the sequence
-through the validating constructor, checks its rows and returns the label's
-LP point, matrix and pivots.  Like a kernel run, it raises a RuntimeError
-that names the sequence.  The parent merges the labels in order as the pool
-hands them over, and reports progress and an ETA at INFO once per chunksize
-of labels on the ``grassdegen.pipeline`` logger; the package adds no
-handler.  A sequence's ideal is its label's, which
-``labels_by_fingerprint`` reports once, so each ``SequenceOutcome`` holds
-only the sequence's text, in run order; a full run writes the texts with
-``sequences.serialize_group``.  All emitted files are byte-stable across
-runs and worker counts.
+level.  A task is a label's first sequence, which unpickling rebuilds
+through the validating constructor, and the pool hands each worker about
+labels / (8 jobs) tasks at a time, its chunksize.  A worker parses nothing:
+it checks the sequence's rows and returns the label's LP point, matrix and
+pivots.  Like a kernel run, it raises a RuntimeError that names the
+sequence.  The parent pairs each label with its result as the pool hands
+them over in task order, closes the pool after the last, and reports
+progress and an ETA at INFO once per chunksize of labels on the
+``grassdegen.pipeline`` logger; the package adds no handler.  The orbit
+and verify stages run in the parent.  A sequence's ideal is its label's,
+which ``labels_by_fingerprint`` reports once, so each ``SequenceOutcome``
+holds only the sequence's text, in run order; a full run writes the texts
+with ``sequences.serialize_group``.  All emitted files are byte-stable
+across runs and worker counts.
 
 The theorem rests on two lemmas about the rows of M_S.  A term p_A p_B of a
 relation has the vector r_A + r_B in {0,1,2}^dim, dim = 3(n-3), and the
@@ -214,10 +215,10 @@ class PipelineResult(NamedTuple):
         )
 
 
-def _sweep_label(task) -> tuple:
-    """The LP of one label, on the task ``(n, label, levels, base)`` of its
-    first sequence in run order: ``(label, (serialized, e, e.M), csv of M,
-    pivots, seconds of the LP)``.  Its ideal comes from the parent's walk.
+def _sweep_label(seq: IteratedSequence) -> tuple:
+    """The LP of one label, on its first sequence in run order: ``(e, e.M,
+    csv of M, pivots, seconds of strict_interior_point)``.  Its ideal comes
+    from the parent's walk, and the parent keeps its label and text.
 
     ``checked_selection`` checks premise (a) of ``initial_forms``, that every
     valuation row is 0/1, from which the unpacking of the base-5 differences
@@ -228,33 +229,20 @@ def _sweep_label(task) -> tuple:
     failed LP or any other failure raises one RuntimeError that names the
     sequence, so every flag of an outcome of the label holds.
     """
-    n, label, levels, base = task
-    dim = 3 * (n - 3)
-    (text,) = serialize_group(n, levels, [base])
+    dim = 3 * (seq.n - 3)
     try:
-        matrix = weighting_matrix(IteratedSequence(n, levels, base))
-        selection = checked_selection(matrix.rows, n)
+        matrix = weighting_matrix(seq)
+        diffs = inequalities(checked_selection(matrix.rows, seq.n), dim)
         start = time.perf_counter()
-        e = strict_interior_point(inequalities(selection, dim), dim)
-        point = (text, tuple(e), weight_vector(e, matrix.rows))
+        e = strict_interior_point(diffs, dim)
         seconds = time.perf_counter() - start
-        return label, point, matrix.to_csv(), e.pivots, seconds
+        return tuple(e), weight_vector(e, matrix.rows), matrix.to_csv(), e.pivots, seconds
     except Exception as exc:
-        raise RuntimeError(f"sequence {text}: {exc}") from exc
-
-
-def _verify_entry(item) -> dict:
-    fp, n = item
-    forms = [binomial_form(g) for g in fp]
-    cert = lattice_saturation(fp)
-    return {
-        "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
-        "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
-    }
+        raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 
 
 def verify_fingerprints(
-    fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]], mapper=map
+    fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]]
 ) -> dict:
     """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
     relation ideal (``toricity.plucker_rank``, from the count of standard
@@ -262,14 +250,19 @@ def verify_fingerprints(
     numbering them in order.  ``orbits`` partitions the ids, else
     ValueError; the entry of an orbit's first member is computed and copied
     to its other members, which the module docstring shows sound for orbits
-    of the signed action.  ``mapper`` maps over the orbits, e.g. a pool's
-    ``map``."""
+    of the signed action.  It runs in the calling process."""
     ids = sorted(i for orbit in orbits for i in orbit)
     if not all(orbits) or ids != list(range(len(fingerprints))):
         raise ValueError(f"orbits do not partition the ids of {len(fingerprints)} fingerprints")
-    computed = mapper(_verify_entry, [(fingerprints[orbit[0]], n) for orbit in orbits])
     entries: list = [None] * len(fingerprints)
-    for orbit, entry in zip(orbits, computed):
+    for orbit in orbits:
+        fp = fingerprints[orbit[0]]
+        forms = [binomial_form(g) for g in fp]
+        cert = lattice_saturation(fp)
+        entry = {
+            "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+            "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
+        }
         for fp_id in orbit:
             entries[fp_id] = {"id": fp_id, **entry}
     return {
@@ -286,8 +279,8 @@ def run_pipeline(
     for a sequence of another n, and RuntimeError, naming the sequence, on
     a bug or on a sequence that breaks an invariant, before the orbit stage.
     ``jobs`` is at least 1, else ValueError, and at most the CPU count,
-    which is its default; the stages share one pool of that many workers
-    when there are more than 64 labels."""
+    which is its default; the LP stage runs in a pool of that many workers
+    when there are more than 64 labels, closed before the orbit stage."""
     cpus = os.cpu_count() or 1
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -305,7 +298,7 @@ def run_pipeline(
                 raise ValueError(f"sequence {s.serialize()} has n={s.n}, but the run has n={n}")
             firsts.setdefault(label_of(s.levels), s)
         texts = map(IteratedSequence.serialize, sequences)
-    tasks = [(n, label, s.levels, s.base_perm) for label, s in firsts.items()]
+    tasks = list(firsts.values())
     size = max(1, -(-len(tasks) // (jobs * 8)))
     timings["enumerate"] = time.perf_counter() - start
 
@@ -323,16 +316,15 @@ def run_pipeline(
     parallel = jobs > 1 and len(tasks) > 64
     if parallel:
         from multiprocessing import Pool
+    label_weights = {}
+    matrices = {}
+    pivots = 0
+    lp_seconds = 0.0
     with (Pool(jobs) if parallel else nullcontext()) as pool:
-        mapper = pool.map if parallel else map
         # the parent merges each label while the workers sweep later ones
         swept = pool.imap(_sweep_label, tasks, size) if parallel else map(_sweep_label, tasks)
-        label_weights = {}
-        matrices = {}
-        pivots = 0
-        lp_seconds = 0.0
-        for label, point, csv, lp_pivots, seconds in swept:
-            label_weights[label] = point
+        for (label, seq), (e, w, csv, lp_pivots, seconds) in zip(firsts.items(), swept):
+            label_weights[label] = (seq.serialize(), e, w)
             matrices[label] = csv
             pivots += lp_pivots
             lp_seconds += seconds
@@ -343,22 +335,19 @@ def run_pipeline(
                     "swept %d of %d labels in %.1f s, ETA %.1f s",
                     done, len(tasks), elapsed, elapsed * (len(tasks) - done) / done,
                 )
-        outcomes = list(map(SequenceOutcome, texts))
-        timings["sweep"] = time.perf_counter() - start
-        timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's
+    outcomes = list(map(SequenceOutcome, texts))
+    timings["sweep"] = time.perf_counter() - start
+    timings["lp"] = lp_seconds  # summed over the workers, so it can exceed the sweep's
 
-        start = time.perf_counter()
-        orbit_reports = compute_orbits(labels_by_fingerprint, n)
-        timings["orbits"] = time.perf_counter() - start
+    start = time.perf_counter()
+    orbit_reports = compute_orbits(labels_by_fingerprint, n)
+    timings["orbits"] = time.perf_counter() - start
 
-        start = time.perf_counter()
-        verify = verify_fingerprints(
-            [decode(fp, n) for fp in labels_by_fingerprint],
-            n,
-            [r.member_ids for r in orbit_reports],
-            mapper,
-        )
-        timings["verify"] = time.perf_counter() - start
+    start = time.perf_counter()
+    verify = verify_fingerprints(
+        [decode(fp, n) for fp in labels_by_fingerprint], n, [r.member_ids for r in orbit_reports]
+    )
+    timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(
         n=n,

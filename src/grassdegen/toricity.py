@@ -52,25 +52,24 @@ def binomial_form(gen: Binomial) -> Form:
     return {lead: 1, trail: sign}
 
 
-def _times(form: Form, variable) -> Form:
-    """A degree-2 form times one variable: a degree-3 Macaulay row."""
-    return {tuple(sorted((*mono, variable))): c for mono, c in form.items()}
-
-
 def graded_rank(generators, degree: int, n: int) -> int:
     """Exact rank of the degree-d Macaulay matrix of degree-2 generators.
 
     Rows are generator * (degree-(d-2) monomial) coefficient vectors against
     degree-d monomial columns; the rank is the dimension of the degree-d
-    graded piece of the generated ideal.
+    graded piece of the generated ideal.  A column is keyed by the int
+    sum of 4^pos(v) over its variables v, pos(v) the index of v in
+    ``all_triples(n)``: its base-4 digits count each variable.  For d <= 3
+    no variable occurs more than 3 times, so no digit carries, distinct
+    monomials get distinct keys, and a degree-3 row is a degree-2 row with
+    4^pos(v) added to every key.
     """
-    if degree == 2:
-        rows = (dict(form) for form in generators)
-    elif degree == 3:
-        variables = all_triples(n)
-        rows = (_times(form, v) for form in generators for v in variables)
-    else:
+    if degree not in (2, 3):
         raise Unsupported(f"degree must be 2 or 3, got {degree}")
+    power = {v: 4**i for i, v in enumerate(all_triples(n))}
+    rows = [{power[a] + power[b]: c for (a, b), c in form.items()} for form in generators]
+    if degree == 3:
+        rows = ({key + p: c for key, c in row.items()} for row in rows for p in power.values())
     return exact_rank(rows)
 
 

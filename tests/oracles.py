@@ -8,10 +8,10 @@ packed selection is decided above the base (Lemma B), polynomial
 expansion with explicit cancellation, the signed transposition on tuples of
 triples, the orbit closure over every simple transposition, the class of a
 label under the permutations of 1..4, the grouping of labels by their
-ideals, dense and sparse rational Gaussian elimination, the full Macaulay
-matrix of the quadratic relations, and semistandard-tableau
-enumeration for graded dimensions.  A sequence is read only through its
-``n`` and ``triples`` attributes.  The recorded output hashes of
+ideals, dense and sparse rational Gaussian elimination, the Smith form
+from determinantal divisors, the full Macaulay matrix of the quadratic
+relations, and semistandard-tableau enumeration for graded dimensions.  A
+sequence is read only through its ``n`` and ``triples`` attributes.  The recorded output hashes of
 ``perfbench/expected/`` are read here too, and only read.
 """
 
@@ -328,6 +328,37 @@ def dense_rank(rows, ncols):
         rank += 1
         col += 1
     return rank
+
+
+def _determinant(matrix):
+    """Determinant of a square integer matrix by Laplace expansion along
+    the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * x * _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, x in enumerate(matrix[0])
+        if x
+    )
+
+
+def smith_by_minors(matrix):
+    """Nonzero invariant factors of an integer matrix from its determinantal
+    divisors: D_k, the gcd of all k x k minors, is d_1 ... d_k, so
+    d_k = D_k / D_(k-1) for every k up to the rank."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    factors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        divisor = math.gcd(*(
+            _determinant([[matrix[i][j] for j in chosen_cols] for i in chosen_rows])
+            for chosen_rows in itertools.combinations(range(rows), k)
+            for chosen_cols in itertools.combinations(range(cols), k)
+        ))
+        if divisor == 0:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
 
 
 def sparse_rank(rows):

@@ -338,6 +338,31 @@ def test_class_representatives_lie_in_four_distinct_orbits():
     assert [r.isomorphism_class for r in reports] == ["EEFF1", "EFFG", "EEFF2", "EEFG"]
 
 
+def test_the_class_seeds_are_their_labels_ideals_from_four_kernels_and_no_walk(monkeypatch):
+    ideal_of = {label: fp for fp, labels in all_ideals(6).items() for label in labels}
+    calls = []
+    real = classify.fingerprint
+
+    def counted(seq):
+        calls.append(seq)
+        return real(seq)
+
+    def unreachable(*args):
+        raise AssertionError("walked a class")
+
+    monkeypatch.setattr(classify, "fingerprint", counted)
+    monkeypatch.setattr(classify, "apply_transposition", unreachable)
+    classify._class_seeds.cache_clear()
+    try:
+        seeds = classify._class_seeds()
+    finally:
+        classify._class_seeds.cache_clear()
+    assert len(calls) == 4
+    assert seeds == {
+        ideal_of[parse_label(label)]: (name, iso) for name, (label, iso) in GR36_CLASSES.items()
+    }
+
+
 def test_label_orbit_membership_unknown_label():
     orbit_of_label = classify_gr36()
     assert set(orbit_of_label) == set(all_labels(6))

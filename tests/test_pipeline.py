@@ -7,6 +7,7 @@ import operator
 import os
 import random
 import re
+import time
 
 import jsonschema
 import pytest
@@ -294,9 +295,6 @@ class CountingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return list(map(fn, items))
-
     def imap(self, fn, items, chunksize):
         self.chunksizes.append(chunksize)
         return map(fn, items)
@@ -321,6 +319,42 @@ def test_a_run_builds_at_most_one_pool(monkeypatch, caplog):
     # the pool threshold counts labels: n=5 has 12 labels and 144 sequences
     run_pipeline(5, jobs=2)
     assert built == []
+
+
+def test_the_pool_is_the_lp_stage_alone(monkeypatch):
+    """A pooled run has closed its pool when the orbit stage starts, and
+    verify runs in the parent, once per orbit."""
+    children, pids = [], []
+    real_orbits, real_saturation = pipeline.compute_orbits, pipeline.lattice_saturation
+
+    def orbits(*args):
+        children.append(multiprocessing.active_children())
+        return real_orbits(*args)
+
+    def saturation(fp):
+        pids.append(os.getpid())
+        return real_saturation(fp)
+
+    monkeypatch.setattr(pipeline, "compute_orbits", orbits)
+    monkeypatch.setattr(pipeline, "lattice_saturation", saturation)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_pipeline(6, jobs=2)
+    assert children == [[]]
+    assert pids == [os.getpid()] * 4
+
+
+def test_the_lp_timing_counts_only_the_lp(monkeypatch):
+    real = pipeline.inequalities
+
+    def slow(selection, dim):
+        time.sleep(0.05)
+        return real(selection, dim)
+
+    monkeypatch.setattr(pipeline, "inequalities", slow)
+    result = run_pipeline(5, jobs=1)
+    # 12 labels sleep 0.6 s in the sweep, all of it outside the LP
+    assert result.timings["sweep"] >= 0.6
+    assert result.timings["lp"] < 0.6
 
 
 def test_jobs_is_clamped_to_the_cpu_count(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from grassdegen.classify import fingerprint
 from grassdegen.exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from grassdegen.initial_forms import decode
-from grassdegen.plucker import all_relations
+from grassdegen.plucker import all_relations, all_triples
 from grassdegen.sequences import representative_sequence, standard_sequence
 from grassdegen.toricity import (
     Unsupported,
@@ -22,6 +22,8 @@ from oracles import (
     dense_rank,
     expand_relation,
     plucker_macaulay_rank,
+    smith_by_minors,
+    sparse_rank,
     ssyt_count,
 )
 
@@ -103,6 +105,43 @@ def test_plucker_rank_equals_monomials_minus_tableaux(n, degree):
 def test_plucker_rank_rejects_other_degrees():
     with pytest.raises(Unsupported):
         plucker_rank(4, 6)
+
+
+def macaulay_rows(forms, degree, n):
+    """The degree-d Macaulay rows of degree-2 forms, built out: each column
+    is keyed by the sorted tuple of its variables."""
+    if degree == 2:
+        return [{tuple(sorted(m)): c for m, c in form.items()} for form in forms]
+    return [
+        {tuple(sorted((*m, v))): c for m, c in form.items()}
+        for form in forms
+        for v in all_triples(n)
+    ]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_graded_rank_equals_elimination_on_random_forms(n, degree):
+    """The power-sum column keys against the rank of the rows built out, on
+    seeded binomials, 3- and 4-term forms and squares p_t^2: a degree-3 row
+    of a square holds the cube p_t^3, a base-4 digit of 3, which no Pluecker
+    relation reaches."""
+    rng = random.Random(100 * n + degree)
+    triples = all_triples(n)
+    for _ in range(25):
+        # 3 variables or more give the 6 monomials a 4-term form may need
+        variables = rng.sample(triples, min(len(triples), rng.randrange(3, 7)))
+        forms = []
+        for _ in range(rng.randrange(1, 8)):
+            t = rng.choice(variables)
+            monomials = {(t, t)}
+            size = rng.choice((2, 3, 4))
+            while len(monomials) < size:
+                monomials.add(tuple(sorted(rng.choices(variables, k=2))))
+            if rng.random() < 0.5:  # half the forms hold no square
+                monomials.discard((t, t))
+            forms.append({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials})
+        assert graded_rank(forms, degree, n) == sparse_rank(macaulay_rows(forms, degree, n))
 
 
 def test_fingerprint_ranks_match_plucker_ranks():
@@ -221,3 +260,17 @@ def test_smith_form_examples():
     assert smith_invariant_factors([[2, 1], [0, 3]]) == [1, 6]
     factors = smith_invariant_factors([[6, 0], [0, 10], [0, 0]])
     assert factors == [2, 30]
+
+
+def test_smith_form_equals_the_determinantal_divisors_on_random_matrices():
+    """Seeded matrices of up to 4 x 5, some with no unit entry, so that the
+    form meets both its unit pivots and its non-unit pivots."""
+    rng = random.Random(36)
+    for _ in range(200):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        scale = rng.choice((1, 1, 2, 3))
+        matrix = [
+            [scale * rng.randrange(-4, 5) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        assert smith_invariant_factors(matrix) == smith_by_minors(matrix)
