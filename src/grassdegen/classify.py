@@ -58,11 +58,12 @@ from .valuation import weighting_matrix
 def fingerprint(seq: IteratedSequence) -> Fingerprint:
     """Sorted ids of the canonical initial binomials of all nonzero
     relations; raises RuntimeError, naming the sequence, for a valuation row
-    that is not 0/1, for rows that fail the rank certificate and for a
-    relation whose initial form is not a binomial."""
+    that is not 0/1, for rows that fail the rank certificate, for a
+    relation whose initial form is not a binomial and for any other
+    failure, as the sweep's ``pipeline._sweep_label`` does."""
     try:
         return initial_ideal(weighting_matrix(seq).rows, seq.n)
-    except ValueError as exc:
+    except Exception as exc:
         raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 
 

@@ -118,13 +118,7 @@ def cmd_pipeline(args, parser) -> int:
     # a run never mixes its files with those of an earlier run
     if os.path.lexists(args.out) and (not os.path.isdir(args.out) or os.listdir(args.out)):
         parser.error(f"--out {args.out} exists and is not an empty directory")
-    sequences = None
-    if args.seq:
-        try:
-            seq = IteratedSequence.parse(args.seq)
-        except ValueError as exc:
-            parser.error(str(exc))
-        sequences = [seq]
+    sequences = [IteratedSequence.parse(args.seq)] if args.seq else None
     result = run_pipeline(args.n, jobs=args.jobs, sequences=sequences)
     write_outputs(result, args.out)
     print(result.summary())
@@ -132,11 +126,8 @@ def cmd_pipeline(args, parser) -> int:
 
 
 def cmd_orbit_of(args, parser) -> int:
-    try:
-        label = parse_label(args.label)
-        validate_label(label, 6)
-    except ValueError as exc:
-        parser.error(str(exc))
+    label = parse_label(args.label)
+    validate_label(label, 6)
     report = classify_gr36()[label]
     print(
         f"label={format_label(label)} orbit={report.orbit_id} class={report.name} "

@@ -63,8 +63,9 @@ k * count + r; a relation with three terms has a padding fourth term whose
 packed sum is negative); and for each relation a map from its max-term
 pattern, one bool per slot, to the id of its canonical binomial.  Binomial
 ids number the table's binomials in sorted order; a fingerprint is the
-sorted tuple of its binomials' ids.  The inequality set of a list of
-relations keeps their slots of the one table's selection.
+sorted tuple of its binomials' ids.  ``inequality_set`` takes the checked
+selection, so its rows pass premise (a) and the rank certificate, and
+given a list of relations it keeps their slots of that one selection.
 """
 
 from __future__ import annotations
@@ -256,17 +257,17 @@ def inequality_set(
     matrix: WeightingMatrix,
     relations: list[Relation] | None = None,
 ) -> tuple[Vector, ...]:
-    """The inequality set of the given relations, by default all of Gr(3,n):
-    ``select`` runs on the one table, and each given relation keeps its
-    slots and maximum, found by its (I, J) in ``all_relations`` order."""
-    dim = 3 * (seq.n - 3)
-    slots, maxima = select(pack(row_digits(matrix.rows, dim)), relation_table(seq.n))
+    """The inequality set of the given relations, by default all of Gr(3,n),
+    from the ``checked_selection`` of the matrix's rows, and so raising
+    ValueError where it does: each given relation keeps its slots and
+    maximum, found by its (I, J) in ``all_relations`` order."""
+    slots, maxima = checked_selection(matrix.rows, seq.n)
     if relations is not None:
         index = {(I, J): r for r, (I, J, _) in enumerate(all_relations(seq.n))}
         kept = [index[I, J] for I, J, _ in relations]
         slots = tuple([slot[r] for r in kept] for slot in slots)
         maxima = [maxima[r] for r in kept]
-    return inequalities((slots, maxima), dim)
+    return inequalities((slots, maxima), 3 * (seq.n - 3))
 
 
 def inequalities_from_csv(text: str) -> tuple[Vector, ...]:

@@ -165,7 +165,7 @@ from typing import NamedTuple
 from . import __version__
 from .classify import compute_orbits, fingerprint_labels, OrbitReport
 from .cone import strict_interior_point, weight_vector
-from .initial_forms import Binomial, Fingerprint, checked_selection, decode, inequalities
+from .initial_forms import Binomial, Fingerprint, decode, inequality_set
 from .plucker import all_triples, triple_key
 from .sequences import (
     BASES,
@@ -177,7 +177,7 @@ from .sequences import (
     representatives,
     serialize_group,
 )
-from .toricity import binomial_form, graded_rank, lattice_saturation, plucker_rank
+from .toricity import graded_rank, lattice_saturation, plucker_rank
 from .valuation import weighting_matrix
 
 
@@ -220,21 +220,21 @@ def _sweep_label(seq: IteratedSequence) -> tuple:
     csv of M, pivots, seconds of strict_interior_point)``.  Its ideal comes
     from the parent's walk, and the parent keeps its label and text.
 
-    ``checked_selection`` checks premise (a) of ``initial_forms``, that every
-    valuation row is 0/1, from which the unpacking of the base-5 differences
-    in ``inequalities``, the scalar check and the soundness of the point
-    c_i = -5^(dim-1-i) follow, as (i) and (ii) there, and the rank
-    certificate of ``valuation``.  The forms are binomial by Lemma C and the
-    theorem (module docstring).  A row outside 0/1, a failed certificate, a
-    failed LP or any other failure raises one RuntimeError that names the
-    sequence, so every flag of an outcome of the label holds.
+    ``inequality_set`` selects through ``checked_selection``, which checks
+    premise (a) of ``initial_forms``, that every valuation row is 0/1, from
+    which the unpacking of the base-5 differences, the scalar check and the
+    soundness of the point c_i = -5^(dim-1-i) follow, as (i) and (ii)
+    there, and the rank certificate of ``valuation``.  The forms are
+    binomial by Lemma C and the theorem (module docstring).  A row outside
+    0/1, a failed certificate, a failed LP or any other failure raises one
+    RuntimeError that names the sequence, so every flag of an outcome of the
+    label holds.
     """
-    dim = 3 * (seq.n - 3)
     try:
         matrix = weighting_matrix(seq)
-        diffs = inequalities(checked_selection(matrix.rows, seq.n), dim)
+        diffs = inequality_set(seq, matrix)
         start = time.perf_counter()
-        e = strict_interior_point(diffs, dim)
+        e = strict_interior_point(diffs, 3 * (seq.n - 3))
         seconds = time.perf_counter() - start
         return tuple(e), weight_vector(e, matrix.rows), matrix.to_csv(), e.pivots, seconds
     except Exception as exc:
@@ -257,10 +257,9 @@ def verify_fingerprints(
     entries: list = [None] * len(fingerprints)
     for orbit in orbits:
         fp = fingerprints[orbit[0]]
-        forms = [binomial_form(g) for g in fp]
         cert = lattice_saturation(fp)
         entry = {
-            "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+            "rank2": graded_rank(fp, 2, n), "rank3": graded_rank(fp, 3, n),
             "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
         }
         for fp_id in orbit:

@@ -1,13 +1,15 @@
 """Flatness and toricity evidence for binomial initial ideals.
 
-Two necessary conditions are checked for each fingerprint: the dimensions of
-the degree-2 and degree-3 graded pieces of the generated ideal, exact
-Macaulay-matrix ranks, must match those of the full quadratic relation
-ideal, and the lattice spanned by the exponent differences of the
-generators must be saturated (all Smith invariant factors equal to 1), which
-is necessary for the corresponding lattice ideal to be prime.  A third
-check asks whether a variable rescaling p_i -> (-1)^{x_i} p_i turns every
-generator into a pure difference m_a - m_b, a lattice binomial.
+Two necessary conditions are checked for each fingerprint, read as its
+binomials (lead, trail, sign) (``initial_forms.Binomial``): the dimensions
+of the degree-2 and degree-3 graded pieces of the ideal they generate,
+exact Macaulay-matrix ranks, must match those of the full quadratic
+relation ideal (``plucker_rank``), and the lattice spanned by the exponent
+differences of the generators must be saturated (all Smith invariant
+factors equal to 1), which is necessary for the corresponding lattice ideal
+to be prime.  A third check asks whether a variable rescaling
+p_i -> (-1)^{x_i} p_i turns every generator into a pure difference
+m_a - m_b, a lattice binomial.
 
 It maps a generator m_a + s m_b to (-1)^{a.x} (m_a + s (-1)^{(a-b).x} m_b),
 a pure difference exactly when (a - b).x = (1 + s)/2 mod 2.  So a rescaling
@@ -40,34 +42,31 @@ from .exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from .initial_forms import Binomial
 from .plucker import all_triples
 
-Form = dict  # degree-2 monomial (pair of variable triples) -> int coefficient
-
 
 class Unsupported(ValueError):
     """Graded ranks are only computed in degrees 2 and 3."""
 
 
-def binomial_form(gen: Binomial) -> Form:
-    lead, trail, sign = gen
-    return {lead: 1, trail: sign}
+def graded_rank(binomials, degree: int, n: int) -> int:
+    """Exact rank of the degree-d Macaulay matrix of degree-2 binomials
+    lead + sign * trail, given as ``initial_forms.Binomial`` tuples.
 
-
-def graded_rank(generators, degree: int, n: int) -> int:
-    """Exact rank of the degree-d Macaulay matrix of degree-2 generators.
-
-    Rows are generator * (degree-(d-2) monomial) coefficient vectors against
+    Rows are binomial * (degree-(d-2) monomial) coefficient vectors against
     degree-d monomial columns; the rank is the dimension of the degree-d
     graded piece of the generated ideal.  A column is keyed by the int
     sum of 4^pos(v) over its variables v, pos(v) the index of v in
     ``all_triples(n)``: its base-4 digits count each variable.  For d <= 3
     no variable occurs more than 3 times, so no digit carries, distinct
     monomials get distinct keys, and a degree-3 row is a degree-2 row with
-    4^pos(v) added to every key.
+    4^pos(v) added to every key.  The degree-2 row is {key(lead): 1,
+    key(trail): sign}, and {key: 1 + sign} when lead and trail are one
+    monomial, its two factors written in either order.
     """
     if degree not in (2, 3):
         raise Unsupported(f"degree must be 2 or 3, got {degree}")
     power = {v: 4**i for i, v in enumerate(all_triples(n))}
-    rows = [{power[a] + power[b]: c for (a, b), c in form.items()} for form in generators]
+    keys = ((power[a] + power[b], power[c] + power[d], s) for (a, b), (c, d), s in binomials)
+    rows = [{x: 1, y: s} if x != y else {x: 1 + s} for x, y, s in keys]
     if degree == 3:
         rows = ({key + p: c for key, c in row.items()} for row in rows for p in power.values())
     return exact_rank(rows)

@@ -490,6 +490,42 @@ def test_a_broken_invariant_exits_1_on_every_command(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_a_kernel_failure_of_any_kind_names_its_sequence_on_every_command(
+    tmp_path, monkeypatch, capsys
+):
+    """A base level that never trades its top index 4 stops the descent of
+    p_(1,2,4) with a RuntimeError of ``valuation``, not a ValueError: each
+    command still exits 1, names the sequence its first kernel runs on,
+    prints no usage banner and leaves --out unwritten."""
+    from grassdegen import classify, cli, valuation
+
+    from test_valuation import STUCK_AT_THE_BASE
+
+    scope = {}
+    exec(STUCK_AT_THE_BASE, scope)
+    monkeypatch.setattr(valuation, "_transitions", scope["stuck_at_the_base"])
+    out = tmp_path / "out"
+    commands = [
+        (["pipeline", "-n", "5", "--seq", "5:[1,2,3|1,2,3]", "--out", str(out)], "5:[1,2,3|1,2,3]"),
+        (["orbit-of", "(1,2;3,4)"], first_sequence(6)),
+        (["verify", "-n", "5"], first_sequence(5)),
+    ]
+    classify.classify_gr36.cache_clear()
+    classify._class_seeds.cache_clear()
+    try:
+        for argv, serialized in commands:
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: sequence {serialized}: "
+                "the descent of p_(1, 2, 4) ends at (1, 2, 4), not at (1, 2, 3)\n"
+            )
+    finally:
+        classify.classify_gr36.cache_clear()
+        classify._class_seeds.cache_clear()
+    assert not out.exists()
+
+
 def test_a_seq_run_names_its_sequence_not_the_label_representative(tmp_path, monkeypatch, capsys):
     """The one kernel run of a label is on its first sequence in run order,
     here the --seq sequence, which is not the label's representative.  A

@@ -58,17 +58,63 @@ def test_every_name_perfbench_imports_from_the_package_exists():
     assert missing == []
 
 
-def test_the_trace_targets_the_package_lacks_are_the_two_stale_ones():
-    """``tracing.TARGETS`` is read without installing the tracer."""
+def load_tracing():
+    """``perfbench/tracing.py`` as a module, without installing the tracer."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py")
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_the_trace_targets_the_package_lacks_are_the_two_stale_ones():
+    """``tracing.TARGETS`` is read without installing the tracer."""
     missing = {
         f"{layer}.{name}"
-        for layer, names in tracing.TARGETS.items()
+        for layer, names in load_tracing().TARGETS.items()
         for name in names
         if not hasattr(importlib.import_module(f"grassdegen.{layer}"), name)
     }
     assert missing == {"valuation.compute_valuation", "initial_forms.initial_form"}
+
+
+def test_a_run_reaches_every_trace_target_the_package_defines(tmp_path, monkeypatch, capsys):
+    """A full n = 6 run, its outputs and one ``orbit-of`` query call every
+    trace target that the package defines, each wrapped with a counter in
+    every loaded ``grassdegen`` module, as ``Tracer.install`` wraps it.  The
+    caches of the Gr(3,6) classes are cleared first, so that the query
+    fingerprints and walks its orbits again."""
+    from grassdegen import classify, cli, pipeline
+
+    classify.classify_gr36.cache_clear()
+    classify._class_seeds.cache_clear()
+    modules = [
+        module
+        for key, module in list(sys.modules.items())
+        if key == "grassdegen" or key.startswith("grassdegen.")
+    ]
+    counts = {}
+    for layer, names in load_tracing().TARGETS.items():
+        home = importlib.import_module(f"grassdegen.{layer}")
+        for fname in names:
+            original = getattr(home, fname, None)
+            if original is None:
+                continue
+            name = f"{layer}.{fname}"
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, obj in list(vars(module).items()):
+                    if obj is original:
+                        monkeypatch.setattr(module, key, counted)
+    result = pipeline.run_pipeline(6, jobs=1)
+    pipeline.write_outputs(result, str(tmp_path / "out"))
+    assert cli.main(["orbit-of", "(1,2;3,4)"]) == 0
+    assert capsys.readouterr().out.startswith("label=(1,2;3,4) ")
+    assert "initial_forms.inequality_set" in counts
+    assert [name for name, count in counts.items() if count < 1] == []

@@ -45,7 +45,7 @@ from grassdegen.sequences import (
     representatives,
     standard_sequence,
 )
-from grassdegen.toricity import binomial_form, graded_rank, lattice_saturation
+from grassdegen.toricity import graded_rank, lattice_saturation
 from grassdegen.valuation import weighting_matrix
 from oracles import (
     brute_force_fingerprint,
@@ -344,13 +344,13 @@ def test_the_pool_is_the_lp_stage_alone(monkeypatch):
 
 
 def test_the_lp_timing_counts_only_the_lp(monkeypatch):
-    real = pipeline.inequalities
+    real = pipeline.inequality_set
 
-    def slow(selection, dim):
+    def slow(seq, matrix):
         time.sleep(0.05)
-        return real(selection, dim)
+        return real(seq, matrix)
 
-    monkeypatch.setattr(pipeline, "inequalities", slow)
+    monkeypatch.setattr(pipeline, "inequality_set", slow)
     result = run_pipeline(5, jobs=1)
     # 12 labels sleep 0.6 s in the sweep, all of it outside the LP
     assert result.timings["sweep"] >= 0.6
@@ -420,10 +420,9 @@ def test_manifest_inputs_hash(result_n5, tmp_path):
 
 def direct_entry(fp_id, fp, n) -> dict:
     """One verify.json entry computed on its own fingerprint, with no orbit."""
-    forms = [binomial_form(g) for g in fp]
     cert = lattice_saturation(fp)
     return {
-        "id": fp_id, "rank2": graded_rank(forms, 2, n), "rank3": graded_rank(forms, 3, n),
+        "id": fp_id, "rank2": graded_rank(fp, 2, n), "rank3": graded_rank(fp, 3, n),
         "snf_ok": cert.saturated, "pure_difference": cert.pure_difference,
     }
 

@@ -11,10 +11,6 @@ import grassdegen
 PACKAGE_DIR = os.path.dirname(grassdegen.__file__)
 
 ALLOWED = {
-    "apply_transposition": "the one public form of each s_i; orbit_closure walks s_1 and the n-cycle",
-    "inequality_set": (
-        "perfbench's fiber draw and tracing call it; ROADMAP item 1 removes its `relations` argument"
-    ),
     "standard_sequence": "the paper's standard sequence, the example of most tests and demos",
 }
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -7,15 +8,9 @@ import pytest
 from grassdegen.classify import fingerprint
 from grassdegen.exactlinalg import exact_rank, rank_mod2, smith_invariant_factors
 from grassdegen.initial_forms import decode
-from grassdegen.plucker import all_relations, all_triples
+from grassdegen.plucker import all_triples
 from grassdegen.sequences import representative_sequence, standard_sequence
-from grassdegen.toricity import (
-    Unsupported,
-    binomial_form,
-    graded_rank,
-    lattice_saturation,
-    plucker_rank,
-)
+from grassdegen.toricity import Unsupported, graded_rank, lattice_saturation, plucker_rank
 
 from oracles import (
     degree2_monomial_index,
@@ -31,10 +26,6 @@ from oracles import (
 DIM_RING = {(6, 2): 175, (6, 3): 980, (5, 2): 50, (5, 3): 175}
 # 210 - 175 and 1540 - 980 for n = 6
 PLUCKER_RANKS_N6 = (35, 560)
-
-
-def relation_form(relation):
-    return {(A, B): sign for sign, A, B in relation[2]}
 
 
 def test_ssyt_oracle_reproduces_frozen_dimensions():
@@ -53,8 +44,7 @@ def test_unsupported_degree():
 
 
 def test_plucker_degree2_rank_against_independent_oracles():
-    forms = [relation_form(R) for R in all_relations(6)]
-    rank = graded_rank(forms, 2, 6)
+    rank = plucker_rank(2, 6)
     assert rank == PLUCKER_RANKS_N6[0]
     # independent route 1: dense rational elimination
     index = degree2_monomial_index(6)
@@ -72,15 +62,13 @@ def test_plucker_degree2_rank_against_independent_oracles():
 
 
 def test_plucker_degree3_rank_matches_ring_dimension():
-    forms = [relation_form(R) for R in all_relations(6)]
-    rank = graded_rank(forms, 3, 6)
+    rank = plucker_rank(3, 6)
     assert rank == PLUCKER_RANKS_N6[1] == 1540 - DIM_RING[(6, 3)]
 
 
 @pytest.mark.parametrize("n,expected", [(5, (5, 45))])
 def test_plucker_ranks_smaller_grassmannian(n, expected):
-    forms = [relation_form(R) for R in all_relations(n)]
-    assert (graded_rank(forms, 2, n), graded_rank(forms, 3, n)) == expected
+    assert (plucker_rank(2, n), plucker_rank(3, n)) == expected
     assert expected[0] == 55 - DIM_RING[(5, 2)]
     assert expected[1] == 220 - DIM_RING[(5, 3)]
 
@@ -107,49 +95,54 @@ def test_plucker_rank_rejects_other_degrees():
         plucker_rank(4, 6)
 
 
-def macaulay_rows(forms, degree, n):
-    """The degree-d Macaulay rows of degree-2 forms, built out: each column
-    is keyed by the sorted tuple of its variables."""
-    if degree == 2:
-        return [{tuple(sorted(m)): c for m, c in form.items()} for form in forms]
-    return [
-        {tuple(sorted((*m, v))): c for m, c in form.items()}
-        for form in forms
-        for v in all_triples(n)
-    ]
+def macaulay_rows(binomials, degree, n):
+    """The degree-d Macaulay rows of binomials lead + sign * trail, built
+    out: each column is keyed by the sorted tuple of its variables, and the
+    coefficients that land in one column are summed."""
+    cofactors = [()] if degree == 2 else [(v,) for v in all_triples(n)]
+    rows = []
+    for lead, trail, sign in binomials:
+        for cofactor in cofactors:
+            row = collections.Counter()
+            row[tuple(sorted((*lead, *cofactor)))] += 1
+            row[tuple(sorted((*trail, *cofactor)))] += sign
+            rows.append(dict(row))
+    return rows
 
 
 @pytest.mark.parametrize("degree", [2, 3])
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_graded_rank_equals_elimination_on_random_forms(n, degree):
     """The power-sum column keys against the rank of the rows built out, on
-    seeded binomials, 3- and 4-term forms and squares p_t^2: a degree-3 row
-    of a square holds the cube p_t^3, a base-4 digit of 3, which no Pluecker
-    relation reaches."""
+    seeded binomials with both signs, among them squares p_t^2, whose
+    degree-3 rows hold the cube p_t^3, a base-4 digit of 3 that no Pluecker
+    relation reaches, and binomials whose lead and trail are one monomial
+    written in two orders: p_a p_b - p_b p_a is 0 and p_a p_b + p_b p_a is
+    2 p_a p_b."""
     rng = random.Random(100 * n + degree)
     triples = all_triples(n)
+    seen = set()
     for _ in range(25):
-        # 3 variables or more give the 6 monomials a 4-term form may need
-        variables = rng.sample(triples, min(len(triples), rng.randrange(3, 7)))
-        forms = []
+        variables = rng.sample(triples, min(len(triples), rng.randrange(2, 7)))
+        binomials = []
         for _ in range(rng.randrange(1, 8)):
-            t = rng.choice(variables)
-            monomials = {(t, t)}
-            size = rng.choice((2, 3, 4))
-            while len(monomials) < size:
-                monomials.add(tuple(sorted(rng.choices(variables, k=2))))
-            if rng.random() < 0.5:  # half the forms hold no square
-                monomials.discard((t, t))
-            forms.append({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials})
-        assert graded_rank(forms, degree, n) == sparse_rank(macaulay_rows(forms, degree, n))
+            a, b, c, d = rng.choices(variables, k=4)
+            kind = rng.choice(("square", "swapped", "other"))
+            lead = (a, a) if kind == "square" else (a, b)
+            trail = (b, a) if kind == "swapped" else (c, d)
+            sign = rng.choice((1, -1))
+            binomials.append((lead, trail, sign))
+            seen.add((kind, sign))
+        rank = graded_rank(binomials, degree, n)
+        assert rank == sparse_rank(macaulay_rows(binomials, degree, n)), binomials
+    assert {("square", s) for s in (1, -1)} | {("swapped", s) for s in (1, -1)} <= seen
 
 
 def test_fingerprint_ranks_match_plucker_ranks():
     for label in [((1, 2), (1, 2)), ((2, 4), (3, 1)), ((5, 1), (2, 3))]:
         fp = decode(fingerprint(representative_sequence(label, 6)), 6)
-        forms = [binomial_form(g) for g in fp]
-        assert graded_rank(forms, 2, 6) == PLUCKER_RANKS_N6[0]
-        assert graded_rank(forms, 3, 6) == PLUCKER_RANKS_N6[1]
+        assert graded_rank(fp, 2, 6) == PLUCKER_RANKS_N6[0]
+        assert graded_rank(fp, 3, 6) == PLUCKER_RANKS_N6[1]
 
 
 def test_single_primitive_binomial_passes():
