@@ -3,9 +3,10 @@
 Packs each valuation row as a base-5 integer, selects the initial terms of
 all 135 relations as the terms of maximal packed sum, extracts the strict
 inequalities an order-preserving projection must satisfy, each one int
-difference of packed sums unpacked, solves the cone exactly, and checks
-that the scalar weight vector reproduces every initial form.  The
-closed-form point c_i = -5^(8-i) scores each row by minus its packed
+difference of packed sums unpacked, solves the cone exactly in integers
+(``strict_interior_point`` returns the point and its LP's pivot count),
+and checks that the scalar weight vector reproduces every initial form.
+The closed-form point c_i = -5^(8-i) scores each row by minus its packed
 value.
 """
 
@@ -42,8 +43,8 @@ def main():
     diffs = inequalities(selection, 9)
     print(f"\n{len(diffs)} distinct strict inequalities, e.g. {diffs[0]}")
 
-    e = strict_interior_point(diffs, 9)
-    print("projection e =", e)
+    e, pivots = strict_interior_point(diffs, 9)
+    print(f"projection e = {e} after {pivots} simplex pivots")
     print("slacks:", sorted({sum(a * b for a, b in zip(e, d)) for d in diffs}))
 
     w = weight_vector(e, M.rows)

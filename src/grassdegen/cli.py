@@ -217,7 +217,7 @@ def cmd_solve_cone(args, parser) -> int:
         matrix = WeightingMatrix.from_csv(fh.read())
     if not matrix.rows:
         parser.error(f"{args.matrix} has no matrix rows")
-    e = strict_interior_point(diffs, len(matrix.rows[0]))
+    e, _ = strict_interior_point(diffs, len(matrix.rows[0]))
     w = weight_vector(e, matrix.rows)
     _emit(args.output, {"e": list(e), "w": dict(zip(map(triple_key, matrix.triples), w))})
     return 0

@@ -1,6 +1,6 @@
 """Exact feasibility for the open cone {e : e.d > 0 for all d}.
 
-The strict system is solved as a slack-maximization LP over the rationals:
+The strict system is solved as a slack-maximization LP, in integers only:
 
     maximize t   subject to   e.d >= t for all d,   -1 <= e_i <= 1,
 
@@ -45,10 +45,17 @@ row's own denominator does not change, over the same candidates:
 * The stall count compares the objective value with the last one by
   cross-multiplying numerators and denominators.
 
+The optimum is read over one common denominator D, the lcm of the row
+denominators, which divides |det B| for the final basis B: t* = T / D and
+e* = E / D.  The point is E over its gcd, the one primitive integer vector
+on the ray of e*, which clearing the reduced denominators of e* first
+gives too.  As e*.d >= t* > 0, the integer e.d is at least 1.
+
 ``tests/test_cone.py`` checks (t*, e*) and the pivot count against the
 dense solver in ``tests/oracles.py`` on every n = 5 and n = 6 label, a
 sample of n = 7 labels, some of which switch to the smallest-index rule,
-and seeded small systems, feasible and not, which ``solve-cone`` accepts.
+and seeded small systems, feasible and not, which ``solve-cone`` accepts,
+and that the point is the primitive vector of the dense e*.
 
 The sweep needs no LP to show that a cone is nonempty: the ``initial_forms``
 docstring shows that e_i = -5^(dim-1-i) gives e.d >= 1 for every d of its
@@ -72,10 +79,8 @@ class Infeasible(Exception):
 
 
 def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
-    """Max-slack LP over the unit box; returns (t*, e*, pivots), t* and e*
-    as Fractions."""
-    from fractions import Fraction  # imported here: only an LP loads it
-
+    """Max-slack LP over the unit box; returns (D, T, E, pivots), the
+    optimum t* = T / D and e* = E / D over one common denominator D > 0."""
     nvars = 2 * dim + 1
     m = len(diffs) + 2 * dim
     rhs = nvars  # the last column
@@ -146,25 +151,19 @@ def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
         stall = stall + 1 if num * last_den == last_num * den else 0
         last_num, last_den = num, den
 
-    t_value = Fraction(rows[m][rhs], dens[m])
-    solution = [Fraction(0)] * nvars
+    common = math.lcm(*dens)
+    solution = [0] * nvars
     for i, v in enumerate(basis):
         if v < nvars:
-            solution[v] = Fraction(rows[i][rhs], dens[i])
+            solution[v] = rows[i][rhs] * (common // dens[i])
     e = [solution[i] - solution[dim + i] for i in range(dim)]
-    return t_value, e, pivots
+    return common, rows[m][rhs] * (common // dens[m]), e, pivots
 
 
-class InteriorPoint(tuple):
-    """An integer point of the open cone, a plain tuple of its coordinates
-    that also carries ``pivots``, the number of simplex pivots its LP took
-    (0 when no LP ran)."""
-
-    pivots: int = 0
-
-
-def strict_interior_point(diffs, dim: int) -> InteriorPoint:
-    """Integer e with e.d >= 1 for every d; all-ones when no constraints.
+def strict_interior_point(diffs, dim: int) -> tuple[Vector, int]:
+    """``(e, pivots)``: e, the primitive integer vector on the ray of the
+    LP optimum e*, has e.d >= 1 for every d, and pivots is the number of
+    simplex pivots its LP took; ``((1,) * dim, 0)`` with no constraints.
 
     Raises Infeasible when the LP optimum is zero.
     """
@@ -172,21 +171,16 @@ def strict_interior_point(diffs, dim: int) -> InteriorPoint:
     if any(len(d) != dim for d in diffs):
         raise DimensionError(f"all inequality vectors must have length {dim}")
     if not diffs:
-        return InteriorPoint((1,) * dim)
+        return (1,) * dim, 0
 
-    t_value, e, pivots = _solve_box_lp(diffs, dim)
-    if t_value <= 0:
-        raise Infeasible(f"open cone is empty (slack optimum {t_value})")
-    scale = math.lcm(*(x.denominator for x in e))
-    cleared = [int(x * scale) for x in e]
-    g = math.gcd(*cleared)
-    if g > 1:
-        cleared = [x // g for x in cleared]
-    point = InteriorPoint(cleared)
+    _, t_num, e, pivots = _solve_box_lp(diffs, dim)
+    if t_num <= 0:  # t is a nonnegative variable, so t* = 0
+        raise Infeasible("open cone is empty (slack optimum 0)")
+    g = math.gcd(*e)
+    point = tuple(x // g for x in e)
     if any(sum(a * b for a, b in zip(point, d)) < 1 for d in diffs):
         raise RuntimeError(f"solver returned unsound projection {point}")
-    point.pivots = pivots
-    return point
+    return point, pivots
 
 
 def weight_vector(e: Vector, rows) -> Vector:

@@ -217,8 +217,9 @@ class PipelineResult(NamedTuple):
 
 def _sweep_label(seq: IteratedSequence) -> tuple:
     """The LP of one label, on its first sequence in run order: ``(e, e.M,
-    csv of M, pivots, seconds of strict_interior_point)``.  Its ideal comes
-    from the parent's walk, and the parent keeps its label and text.
+    csv of M, pivots, seconds of strict_interior_point)``, where e and
+    pivots are the pair that ``strict_interior_point`` returns.  Its ideal
+    comes from the parent's walk, and the parent keeps its label and text.
 
     ``inequality_set`` selects through ``checked_selection``, which checks
     premise (a) of ``initial_forms``, that every valuation row is 0/1, from
@@ -234,9 +235,9 @@ def _sweep_label(seq: IteratedSequence) -> tuple:
         matrix = weighting_matrix(seq)
         diffs = inequality_set(seq, matrix)
         start = time.perf_counter()
-        e = strict_interior_point(diffs, 3 * (seq.n - 3))
+        e, pivots = strict_interior_point(diffs, 3 * (seq.n - 3))
         seconds = time.perf_counter() - start
-        return tuple(e), weight_vector(e, matrix.rows), matrix.to_csv(), e.pivots, seconds
+        return e, weight_vector(e, matrix.rows), matrix.to_csv(), pivots, seconds
     except Exception as exc:
         raise RuntimeError(f"sequence {seq.serialize()}: {exc}") from exc
 

@@ -110,14 +110,19 @@ def sequence_count(n: int) -> int:
 BASES: tuple[Triple, ...] = tuple(itertools.permutations((1, 2, 3)))
 
 
+def _level_product(n: int, k: int) -> Iterator[tuple]:
+    """Every choice of an ordered k-tuple of distinct entries of [n-t-1] at
+    each level t, in lexicographic order, level 0 most significant."""
+    if n < 4:
+        raise InvalidSize(f"need n >= 4, got {n}")
+    return itertools.product(*(itertools.permutations(range(1, n - t), k) for t in range(n - 4)))
+
+
 def level_prefixes(n: int) -> Iterator[tuple[Triple, ...]]:
     """The levels of every iterated sequence, each once, in lexicographic
     order: level-0 triple, then level-1 triple, ..., each running through
     ordered triples lexicographically."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
-    pools = [list(itertools.permutations(range(1, n - t), 3)) for t in range(n - 4)]
-    return itertools.product(*pools)
+    return _level_product(n, 3)
 
 
 def enumerate_sequences(n: int) -> Iterator[IteratedSequence]:
@@ -139,18 +144,14 @@ def label_of(levels: tuple[Triple, ...]) -> Label:
 
 def count_labels(n: int) -> int:
     """Number of distinct labels: prod over levels of (n-l-1)(n-l-2)."""
-    if n < 5:
-        raise InvalidSize(f"need n >= 5, got {n}")
+    if n < 4:
+        raise InvalidSize(f"need n >= 4, got {n}")
     return math.prod((n - l - 1) * (n - l - 2) for l in range(n - 4))
 
 
 def all_labels(n: int) -> Iterator[Label]:
     """Every label in lexicographic order (level-0 pair most significant)."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
-    pools = [list(itertools.permutations(range(1, n - t), 2)) for t in range(n - 4)]
-    for combo in itertools.product(*pools):
-        yield tuple(combo)
+    return _level_product(n, 2)
 
 
 def representative_sequence(label: Label, n: int) -> IteratedSequence:

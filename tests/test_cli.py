@@ -204,6 +204,22 @@ def test_solve_cone_roundtrip(tmp_path):
     assert all(sum(a * b for a, b in zip(payload["e"], d)) >= 1 for d in diffs)
 
 
+def test_solve_cone_prints_the_point_the_pipeline_writes(tmp_path):
+    """The standard n=6 sequence is the first of label (1,2;1,2), so a
+    ``pipeline --seq`` run solves the LP of its inequality set: ``solve-cone``
+    on its inequality and matrix CSVs prints the e and w of weights.json."""
+    ineq_path, matrix_path = write_cone_inputs(tmp_path)
+    proc = run_cli(
+        "solve-cone", "--inequalities", str(ineq_path), "--matrix", str(matrix_path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "run"
+    run = run_cli("pipeline", "-n", "6", "--seq", "6:[1,2,3|1,2,3|1,2,3]", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    entry = load_json(out / "weights.json")["labels"]["(1,2;1,2)"]
+    assert json.loads(proc.stdout) == {"e": entry["e"], "w": entry["w"]}
+
+
 @pytest.mark.parametrize("command", ["verify", "solve-cone"])
 def test_stdout_and_the_output_file_hold_the_same_json_text(command, tmp_path):
     if command == "verify":
@@ -229,7 +245,7 @@ def test_solve_cone_infeasible_exit_code(tmp_path):
     matrix.write_text(weighting_matrix(standard_sequence(6)).to_csv())
     proc = run_cli("solve-cone", "--inequalities", str(ineq), "--matrix", str(matrix))
     assert proc.returncode == 1
-    # the one output that prints a Fraction: no usage text, no traceback
+    # no usage text, no traceback
     assert proc.stderr == "error: open cone is empty (slack optimum 0)\n"
 
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +26,27 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def primitive(e):
+    """The primitive integer vector on the ray of a nonzero rational vector:
+    its reduced denominators cleared, then divided by the gcd."""
+    scale = math.lcm(*(x.denominator for x in e))
+    cleared = [int(x * scale) for x in e]
+    g = math.gcd(*cleared)
+    return tuple(x // g for x in cleared)
+
+
+def dense_checked_lp(diffs, dim):
+    """The dense solver's (t*, e*, pivots, largest stall), after checking
+    that the condensed solver's optimum, read over its common denominator
+    D > 0, and its pivot count are the dense ones."""
+    t_value, e, pivots, stall = dense_box_lp(diffs, dim)
+    common, t_num, e_num, lp_pivots = cone._solve_box_lp(diffs, dim)
+    assert common > 0
+    condensed = (Fraction(t_num, common), [Fraction(x, common) for x in e_num], lp_pivots)
+    assert condensed == (t_value, e, pivots), diffs
+    return t_value, e, pivots, stall
+
+
 def count_lp_solves(monkeypatch):
     """Wrap the solver's LP so each call is recorded; returns the call list."""
     calls = []
@@ -38,7 +61,7 @@ def count_lp_solves(monkeypatch):
 
 
 def test_empty_set_gives_all_ones():
-    assert strict_interior_point((), 9) == (1,) * 9
+    assert strict_interior_point((), 9) == ((1,) * 9, 0)
 
 
 def test_contradictory_constraints_are_infeasible():
@@ -64,15 +87,13 @@ def test_standard_sequence_cone():
     S = standard_sequence(6)
     M = weighting_matrix(S)
     diffs = inequality_set(S, M)
-    e = strict_interior_point(diffs, 9)
+    e, _ = strict_interior_point(diffs, 9)
     assert all(dot(e, d) >= 1 for d in diffs)
 
 
 def test_output_is_gcd_normalized():
-    e = strict_interior_point(((2, 0), (0, 2)), 2)
-    from math import gcd
-
-    assert gcd(*e) == 1
+    e, _ = strict_interior_point(((2, 0), (0, 2)), 2)
+    assert math.gcd(*e) == 1
     assert all(dot(e, d) >= 1 for d in ((2, 0), (0, 2)))
 
 
@@ -98,7 +119,7 @@ def test_random_feasible_cones(monkeypatch):
             if dot(witness, d) >= 1:
                 diffs.append(d)
         del calls[:]
-        e = strict_interior_point(tuple(diffs), dim)
+        e, _ = strict_interior_point(tuple(diffs), dim)
         assert all(dot(e, d) >= 1 for d in diffs)
         assert len(calls) == 1
 
@@ -109,7 +130,7 @@ def test_weight_vector_examples():
     zero = weight_vector((0,) * 9, M.rows)
     assert zero == (0,) * 20
     diffs = inequality_set(S, M)
-    e = strict_interior_point(diffs, 9)
+    e, _ = strict_interior_point(diffs, 9)
     w = weight_vector(e, M.rows)
     assert w[M.triples.index((1, 2, 3))] == 0
     with pytest.raises(DimensionError):
@@ -124,7 +145,7 @@ def test_scalar_weights_reproduce_matrix_initial_forms():
     for seq in sample:
         M = weighting_matrix(seq)
         diffs = inequality_set(seq, M, relations)
-        e = strict_interior_point(diffs, 9)
+        e, _ = strict_interior_point(diffs, 9)
         w = weight_vector(e, M.rows)
         lookup = dict(zip(M.triples, w))
         row = dict(M.items())
@@ -167,7 +188,7 @@ def test_cone_is_never_empty_on_real_inputs(n, stride):
         diffs = inequality_set(seq, weighting_matrix(seq))
         assert all(-2 <= x <= 2 for d in diffs for x in d)
         assert min(dot(certificate, d) for d in diffs) >= 1
-        e = strict_interior_point(diffs, dim)
+        e, _ = strict_interior_point(diffs, dim)
         assert all(dot(e, d) >= 1 for d in diffs)
 
 
@@ -185,11 +206,11 @@ def test_condensed_simplex_takes_the_dense_pivots_on_every_label(n):
     """Dropping the basic columns and keeping a denominator per row change
     no pricing, ratio or stall decision (``cone`` docstring), so the
     condensed solver ends at the dense solver's optimum after as many
-    pivots."""
+    pivots, and the point is the primitive integer vector of the dense e*."""
     dim = 3 * (n - 3)
     for diffs in first_sequence_lp_inputs(n):
-        t_value, e, pivots, _ = dense_box_lp(diffs, dim)
-        assert cone._solve_box_lp(diffs, dim) == (t_value, e, pivots)
+        _, e, pivots, _ = dense_checked_lp(diffs, dim)
+        assert strict_interior_point(diffs, dim) == (primitive(e), pivots)
 
 
 def test_condensed_simplex_takes_the_dense_pivots_on_sampled_n7_labels():
@@ -202,24 +223,25 @@ def test_condensed_simplex_takes_the_dense_pivots_on_sampled_n7_labels():
     for label in labels:
         seq = representative_sequence(label, 7)
         diffs = inequality_set(seq, weighting_matrix(seq))
-        t_value, e, pivots, stall = dense_box_lp(diffs, 12)
-        assert cone._solve_box_lp(diffs, 12) == (t_value, e, pivots)
+        _, e, pivots, stall = dense_checked_lp(diffs, 12)
+        assert strict_interior_point(diffs, 12) == (primitive(e), pivots)
         stalls.append(stall)
     assert max(stalls) >= cone._STALL_LIMIT
 
 
 def test_the_point_carries_its_pivot_count():
     diffs = inequality_set(standard_sequence(6), weighting_matrix(standard_sequence(6)))
-    point = strict_interior_point(diffs, 9)
-    assert point.pivots == dense_box_lp(diffs, 9)[2] > 0
-    assert strict_interior_point((), 3).pivots == 0
+    _, pivots = strict_interior_point(diffs, 9)
+    assert pivots == dense_box_lp(diffs, 9)[2] > 0
+    assert strict_interior_point((), 3)[1] == 0
 
 
 def test_condensed_simplex_takes_the_dense_pivots_on_random_systems():
     """``solve-cone`` takes any inequality CSV, not only the kernel's: on
     seeded systems of dims 1..6 with up to 12 vectors, entries in -3..3,
     duplicates and zero vectors among them, the solver equals the dense one,
-    and ``strict_interior_point`` raises Infeasible exactly when t* <= 0."""
+    and ``strict_interior_point`` raises Infeasible exactly when t* <= 0 and
+    else returns the primitive integer vector of the dense e*."""
     rng = random.Random(2029)
     seen = {"duplicate": 0, "zero": 0, "feasible": 0, "infeasible": 0}
     for _ in range(1500):
@@ -236,14 +258,14 @@ def test_condensed_simplex_takes_the_dense_pivots_on_random_systems():
             else:
                 diffs.append(tuple(rng.randrange(-3, 4) for _ in range(dim)))
         diffs = tuple(diffs)
-        t_value, e, pivots, _ = dense_box_lp(diffs, dim)
-        assert cone._solve_box_lp(diffs, dim) == (t_value, e, pivots), diffs
+        t_value, e, pivots, _ = dense_checked_lp(diffs, dim)
         if t_value > 0:
-            point = strict_interior_point(diffs, dim)
+            point, point_pivots = strict_interior_point(diffs, dim)
             assert all(dot(point, d) >= 1 for d in diffs)
+            assert (point, point_pivots) == (primitive(e), pivots), diffs
             seen["feasible"] += 1
         else:
-            with pytest.raises(Infeasible):
+            with pytest.raises(Infeasible, match=r"^open cone is empty \(slack optimum 0\)$"):
                 strict_interior_point(diffs, dim)
             seen["infeasible"] += 1
     assert min(seen.values()) >= 100, seen

@@ -212,7 +212,7 @@ def test_written_weights_are_the_lp_point_of_each_labels_first_sequence(
     for label, witness in first.items():
         seq = IteratedSequence.parse(witness)
         matrix = weighting_matrix(seq)
-        e = strict_interior_point(inequality_set(seq, matrix), 3 * (n - 3))
+        e, _ = strict_interior_point(inequality_set(seq, matrix), 3 * (n - 3))
         w = weight_vector(e, matrix.rows)
         entry = payload["labels"][format_label(label)]
         assert entry["e"] == list(e)

@@ -64,7 +64,10 @@ def test_rejects_small_n():
     with pytest.raises(InvalidSize):
         level_prefixes(3)
     with pytest.raises(InvalidSize):
-        count_labels(4)
+        all_labels(3)
+    with pytest.raises(InvalidSize):
+        count_labels(3)
+    assert count_labels(4) == len(list(all_labels(4))) == 1
 
 
 def test_invalid_sequences_rejected():
