@@ -44,7 +44,8 @@ from .valuation import WeightingMatrix
 MAX_N = 8
 # A full sweep at n = 8 has 217,728,000 sequences: more than a run can
 # enumerate and hold, so pipeline takes n = 8 only with --seq, and verify -n
-# refuses it (302,400 labels to fingerprint, then the orbits of their ideals).
+# refuses it: its 13,320 kernels are cheap, but it would hold the ideals of
+# all 302,400 labels and close their orbits.
 MAX_SWEEP_N = 7
 
 
@@ -194,19 +195,19 @@ def cmd_verify(args, parser) -> int:
     if args.fingerprints is not None:
         n, fps = _fingerprints_from_file(parser, args.fingerprints)
         # a file need not be closed under the action: every entry is computed
-        orbits = [(i,) for i in range(len(fps))]
+        count, orbits = len(fps), [(fp, (i,)) for i, fp in enumerate(fps)]
     else:
         n = args.n
         _check_n(parser, n)
         if n > MAX_SWEEP_N:
             parser.error(
-                f"verify -n {n} cannot finish: it fingerprints all {count_labels(n):,} "
-                "labels; give --fingerprints instead"
+                f"verify -n {n} cannot finish: it would hold the ideals of all "
+                f"{count_labels(n):,} labels and close their orbits; give --fingerprints instead"
             )
         labels, _ = fingerprint_labels(representatives(n))
-        orbits = [r.member_ids for r in compute_orbits(labels, n)]
-        fps = [decode(fp, n) for fp in labels]
-    _emit(args.output, verify_fingerprints(fps, n, orbits))
+        count = len(labels)
+        orbits = [(decode(r.members[0], n), r.member_ids) for r in compute_orbits(labels, n)]
+    _emit(args.output, verify_fingerprints(count, n, orbits))
     return 0
 
 

@@ -10,52 +10,44 @@ decides it.  A positive optimum is scaled to an integer certificate with
 e.d >= 1 everywhere; an optimum of zero certifies that the open cone is
 empty.
 
-The simplex tableau is exact and condensed: it stores only the 2 dim + 1
-nonbasic columns, because a basic column is a unit column.  Each row is one
-list of integers, those columns and then the rhs, over the row's own
-positive denominator.  ``var[j]`` is the variable of column j and
-``basis[i]`` the basic variable of row i.  A pivot on the entry p of row r
-and column c exchanges var[c] and basis[r]; p > 0, by the ratio test, so
-every denominator stays positive.  Column c then holds the leaving
-variable, whose dense column after the pivot is 1 / P in row r and -F / P
-in row i, for the values P = p / d_r and F = f / d_i of the entries in
-column c:
+The simplex tableau is exact and fraction-free (Edmonds; Bareiss): every
+entry is an integer numerator over one common denominator D > 0, which
+starts at 1.  It is condensed: it stores only the 2 dim + 1 nonbasic
+columns, because a basic column is D times a unit column.  Each row is one
+list of integers, those columns and then the rhs.  ``var[j]`` is the
+variable of column j and ``basis[i]`` the basic variable of row i.  A pivot
+on the entry p of row r and column c exchanges var[c] and basis[r]; p > 0,
+by the ratio test, so D stays positive.  With b the pivot row's entry in
+the same column:
 
-* row r keeps its integers and gets denominator p, with d_r in column c;
-* a row i with an entry f in column c becomes (row * p - f * pivot row)
-  over d_i * p, with -f d_r in column c, and is divided by the gcd of its
-  entries and denominator; a row with a zero there is not touched.
+* row r is kept, with the old D in column c;
+* a row i with an entry f != 0 in column c becomes (a p - f b) // D, with
+  -f in column c;
+* a row with a zero in column c becomes a p // D;
+* then D = p.
 
-When p = 1, which is most pivots, only the pivot row's nonzero columns
-change, and a row over denominator 1 needs no gcd.  At n = 7 a pivot row
-has about 9 nonzeros in 26 columns.
+Column c now holds the leaving variable, whose dense column D e_r goes to
+exactly these entries.  By Sylvester's identity each new entry is, up to
+sign, a minor of the starting tableau, so every division is exact.  When
+p = D, which is most pivots, a row with f != 0 changes only on the pivot
+row's nonzero columns, by f b // D, and a row with f = 0 is not touched.
+At n = 7 a pivot row has about 9 nonzeros in 26 columns.
 
-The pivots are those of a dense tableau with one common denominator and a
-column per variable, because every decision compares rationals that a
-row's own denominator does not change, over the same candidates:
-
-* A dense basic column is 0 in the objective row, so pricing looks only
-  at the nonbasic columns.  Dantzig pricing takes the most negative entry,
-  and the smallest-index rule the negative entry of the smallest variable:
-  both compare entries of one row, whose denominator is positive, and a
-  tie goes to the smaller variable var[j], the dense column's index.
-* The ratio test compares rhs_i / coeff_i across rows by cross-multiplying,
-  in which row i's denominator cancels, and breaks ties by the smaller
-  basic variable.
-* The stall count compares the objective value with the last one by
-  cross-multiplying numerators and denominators.
-
-The optimum is read over one common denominator D, the lcm of the row
-denominators, which divides |det B| for the final basis B: t* = T / D and
+Every numerator is the one of the dense tableau in ``tests/oracles.py``,
+which keeps a column per variable over the same D, so every pricing, ratio
+and stall decision is its comparison over the same candidates: a basic
+column is 0 in the objective row, and ties go to the smaller variable,
+var[j] being the dense column's index.  The optimum is t* = T / D and
 e* = E / D.  The point is E over its gcd, the one primitive integer vector
-on the ray of e*, which clearing the reduced denominators of e* first
-gives too.  As e*.d >= t* > 0, the integer e.d is at least 1.
+on the ray of e*.  As e*.d >= t* > 0, the integer e.d is at least 1.
 
 ``tests/test_cone.py`` checks (t*, e*) and the pivot count against the
 dense solver in ``tests/oracles.py`` on every n = 5 and n = 6 label, a
 sample of n = 7 labels, some of which switch to the smallest-index rule,
 and seeded small systems, feasible and not, which ``solve-cone`` accepts,
-and that the point is the primitive vector of the dense e*.
+and that the point is the primitive vector of the dense e*.  As the dense
+solver divides as this one does, it also checks t* against vertex
+enumeration over Fraction, which shares no update with either.
 
 The sweep needs no LP to show that a cone is nonempty: the ``initial_forms``
 docstring shows that e_i = -5^(dim-1-i) gives e.d >= 1 for every d of its
@@ -92,11 +84,10 @@ def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
         row[i] = row[rhs] = 1
         rows.append(row)
     rows.append([0] * (2 * dim) + [-1, 0])  # the objective, max t
-    dens = [1] * (m + 1)
     var = list(range(nvars))  # the variable of each column
     basis = list(range(nvars, nvars + m))  # the slacks
 
-    pivots = stall = 0
+    D, pivots, stall = 1, 0, 0
     last_num, last_den = 0, 1
     while True:
         obj = rows[m]
@@ -122,42 +113,40 @@ def _solve_box_lp(diffs: tuple[Vector, ...], dim: int):
         if r == -1:
             raise RuntimeError("boxed LP cannot be unbounded")
 
-        pivot_row, p, pivot_den = rows[r], column[r], dens[r]
-        if p == 1:
+        pivot_row, p = rows[r], column[r]
+        if p == D:
             support = [j for j, b in enumerate(pivot_row) if b and j != c]
-        for i, f in enumerate(column):
-            if not f or i == r:
-                continue
-            row, den = rows[i], dens[i]
-            if p == 1:
-                for j in support:
-                    row[j] -= f * pivot_row[j]
-            else:
-                row = [a * p - f * b for a, b in zip(row, pivot_row)]
-                den *= p
-            row[c] = -f * pivot_den
-            if den != 1:
-                g = math.gcd(den, *row)
-                if g > 1:
-                    row = [a // g for a in row]
-                    den //= g
-            rows[i], dens[i] = row, den
-        pivot_row[c] = pivot_den
-        dens[r] = p
+            for i, f in enumerate(column):
+                if f and i != r:
+                    row = rows[i]
+                    for j in support:
+                        row[j] -= f * pivot_row[j] // D
+                    row[c] = -f
+        else:
+            for i, f in enumerate(column):
+                if i == r:
+                    continue
+                if f:
+                    row = [(a * p - f * b) // D for a, b in zip(rows[i], pivot_row)]
+                    row[c] = -f
+                    rows[i] = row
+                else:
+                    rows[i] = [a * p // D for a in rows[i]]
+        pivot_row[c] = D
+        D = p
         var[c], basis[r] = basis[r], var[c]
         pivots += 1
 
-        num, den = rows[m][rhs], dens[m]
-        stall = stall + 1 if num * last_den == last_num * den else 0
-        last_num, last_den = num, den
+        num = rows[m][rhs]
+        stall = stall + 1 if num * last_den == last_num * D else 0
+        last_num, last_den = num, D
 
-    common = math.lcm(*dens)
     solution = [0] * nvars
     for i, v in enumerate(basis):
         if v < nvars:
-            solution[v] = rows[i][rhs] * (common // dens[i])
+            solution[v] = rows[i][rhs]
     e = [solution[i] - solution[dim + i] for i in range(dim)]
-    return common, rows[m][rhs] * (common // dens[m]), e, pivots
+    return D, rows[m][rhs], e, pivots
 
 
 def strict_interior_point(diffs, dim: int) -> tuple[Vector, int]:

@@ -243,21 +243,21 @@ def _sweep_label(seq: IteratedSequence) -> tuple:
 
 
 def verify_fingerprints(
-    fingerprints: list[tuple[Binomial, ...]], n: int, orbits: list[tuple[int, ...]]
+    count: int, n: int, orbits: list[tuple[tuple[Binomial, ...], tuple[int, ...]]]
 ) -> dict:
     """The verify.json document: degree-2 and degree-3 ranks of the Pluecker
     relation ideal (``toricity.plucker_rank``, from the count of standard
-    monomials), and the entry of each decoded fingerprint, with ids
-    numbering them in order.  ``orbits`` partitions the ids, else
-    ValueError; the entry of an orbit's first member is computed and copied
-    to its other members, which the module docstring shows sound for orbits
-    of the signed action.  It runs in the calling process."""
-    ids = sorted(i for orbit in orbits for i in orbit)
-    if not all(orbits) or ids != list(range(len(fingerprints))):
-        raise ValueError(f"orbits do not partition the ids of {len(fingerprints)} fingerprints")
-    entries: list = [None] * len(fingerprints)
-    for orbit in orbits:
-        fp = fingerprints[orbit[0]]
+    monomials), and the entries of ``count`` fingerprints with ids
+    0..count-1.  ``orbits`` pairs the decoded fingerprint of each orbit's
+    first id with the orbit's ids, which partition the ids, else
+    ValueError; the entry of that fingerprint is computed and copied to the
+    orbit's other ids, which the module docstring shows sound for orbits of
+    the signed action.  It runs in the calling process."""
+    ids = sorted(i for _, orbit in orbits for i in orbit)
+    if not all(orbit for _, orbit in orbits) or ids != list(range(count)):
+        raise ValueError(f"orbits do not partition the ids of {count} fingerprints")
+    entries: list = [None] * count
+    for fp, orbit in orbits:
         cert = lattice_saturation(fp)
         entry = {
             "rank2": graded_rank(fp, 2, n), "rank3": graded_rank(fp, 3, n),
@@ -344,9 +344,8 @@ def run_pipeline(
     timings["orbits"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    verify = verify_fingerprints(
-        [decode(fp, n) for fp in labels_by_fingerprint], n, [r.member_ids for r in orbit_reports]
-    )
+    orbits = [(decode(r.members[0], n), r.member_ids) for r in orbit_reports]
+    verify = verify_fingerprints(len(labels_by_fingerprint), n, orbits)
     timings["verify"] = time.perf_counter() - start
 
     return PipelineResult(

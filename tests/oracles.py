@@ -10,7 +10,9 @@ triples, the orbit closure over every simple transposition, the class of a
 label under the permutations of 1..4, the grouping of labels by their
 ideals, dense and sparse rational Gaussian elimination, the Smith form
 from determinantal divisors, the full Macaulay matrix of the quadratic
-relations, and semistandard-tableau enumeration for graded dimensions.  A
+relations, semistandard-tableau enumeration for graded dimensions, and
+the max-slack cone LP on a dense fraction-free tableau and, apart from
+any tableau, by vertex enumeration.  A
 sequence is read only through its ``n`` and ``triples`` attributes.  The recorded output hashes of
 ``perfbench/expected/`` are read here too, and only read.
 """
@@ -528,3 +530,43 @@ def dense_box_lp(diffs, dim):
             solution[var] = Fraction(tableau[i][rhs], denom)
     e = [solution[i] - solution[dim + i] for i in range(dim)]
     return t_value, e, pivots, max_stall
+
+
+def _solve_square(matrix, rhs):
+    """The one solution of a square rational system, or None if singular."""
+    size = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(size):
+            if i != col and rows[i][col]:
+                f = rows[i][col] / rows[col][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [rows[i][size] / rows[i][i] for i in range(size)]
+
+
+def vertex_max_slack(diffs, dim):
+    """The optimum t* of the max-slack LP over the unit box,
+
+        maximize t   subject to   e.d >= t for all d,   -1 <= e_i <= 1,   t >= 0,
+
+    by vertex enumeration over Fraction, with no tableau: every dim + 1 of
+    the constraints, taken as equalities in (e, t), that meet in one
+    feasible point give a vertex, and t* is the largest t among them."""
+    # each constraint as (a, b), meaning a.(e, t) <= b
+    constraints = [(tuple(-x for x in d) + (1,), 0) for d in diffs]
+    for i in range(dim):
+        unit = tuple(int(j == i) for j in range(dim))
+        constraints += [(unit + (0,), 1), (tuple(-x for x in unit) + (0,), 1)]
+    constraints.append(((0,) * dim + (-1,), 0))
+    best = None
+    for subset in itertools.combinations(constraints, dim + 1):
+        point = _solve_square([a for a, _ in subset], [b for _, b in subset])
+        if point is None:
+            continue
+        if all(sum(x * y for x, y in zip(a, point)) <= b for a, b in constraints):
+            best = point[dim] if best is None else max(best, point[dim])
+    return best

@@ -367,7 +367,10 @@ def test_verify_n8_is_refused_before_fingerprinting(monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify", "-n", "8"])
     assert info.value.code == 2
-    assert "verify -n 8 cannot finish: it fingerprints all 302,400 labels" in capsys.readouterr().err
+    assert (
+        "verify -n 8 cannot finish: it would hold the ideals of all 302,400 labels"
+        " and close their orbits" in capsys.readouterr().err
+    )
 
 
 def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
@@ -377,7 +380,7 @@ def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
     monkeypatch.setattr(
         cli,
         "verify_fingerprints",
-        lambda fps, n, orbits: {"n": n, "count": len(fps), "orbits": orbits},
+        lambda count, n, orbits: {"n": n, "count": count, "orbits": [ids for _, ids in orbits]},
     )
     generator = {"lead": ["123", "456"], "trail": ["124", "356"], "sign": -1}
     path = tmp_path / "fingerprints.json"

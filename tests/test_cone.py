@@ -19,7 +19,7 @@ from grassdegen.sequences import (
     standard_sequence,
 )
 from grassdegen.valuation import DimensionError, weighting_matrix
-from oracles import DENSE_STALL_LIMIT, dense_box_lp
+from oracles import DENSE_STALL_LIMIT, dense_box_lp, vertex_max_slack
 
 
 def dot(a, b):
@@ -37,7 +37,7 @@ def primitive(e):
 
 def dense_checked_lp(diffs, dim):
     """The dense solver's (t*, e*, pivots, largest stall), after checking
-    that the condensed solver's optimum, read over its common denominator
+    that the condensed solver's optimum, read over its one denominator
     D > 0, and its pivot count are the dense ones."""
     t_value, e, pivots, stall = dense_box_lp(diffs, dim)
     common, t_num, e_num, lp_pivots = cone._solve_box_lp(diffs, dim)
@@ -203,10 +203,11 @@ def first_sequence_lp_inputs(n):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_condensed_simplex_takes_the_dense_pivots_on_every_label(n):
-    """Dropping the basic columns and keeping a denominator per row change
-    no pricing, ratio or stall decision (``cone`` docstring), so the
-    condensed solver ends at the dense solver's optimum after as many
-    pivots, and the point is the primitive integer vector of the dense e*."""
+    """Dropping the basic columns, which are D times unit columns, changes
+    no numerator of the fraction-free update and so no pricing, ratio or
+    stall decision (``cone`` docstring): the condensed solver ends at the
+    dense solver's optimum after as many pivots, and the point is the
+    primitive integer vector of the dense e*."""
     dim = 3 * (n - 3)
     for diffs in first_sequence_lp_inputs(n):
         _, e, pivots, _ = dense_checked_lp(diffs, dim)
@@ -269,3 +270,25 @@ def test_condensed_simplex_takes_the_dense_pivots_on_random_systems():
                 strict_interior_point(diffs, dim)
             seen["infeasible"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_lp_optimum_equals_vertex_enumeration_on_random_systems():
+    """The dense solver divides exactly as the condensed one does, so a
+    division that was not exact could pass both; vertex enumeration over
+    Fraction shares no update with them.  On seeded systems of dims 1..3
+    with 1..6 vectors, entries in -3..3, t* = T / D is the largest slack of
+    any vertex, and e* = E / D lies in the box with min e*.d = t*."""
+    rng = random.Random(4141)
+    seen = {"feasible": 0, "infeasible": 0}
+    for _ in range(150):
+        dim = rng.randrange(1, 4)
+        diffs = tuple(
+            tuple(rng.randrange(-3, 4) for _ in range(dim)) for _ in range(rng.randrange(1, 7))
+        )
+        common, t_num, e_num, _ = cone._solve_box_lp(diffs, dim)
+        t_value, e = Fraction(t_num, common), [Fraction(x, common) for x in e_num]
+        assert t_value == vertex_max_slack(diffs, dim), diffs
+        assert all(-1 <= x <= 1 for x in e)
+        assert min(dot(e, d) for d in diffs) == t_value, diffs
+        seen["feasible" if t_value > 0 else "infeasible"] += 1
+    assert min(seen.values()) >= 40, seen

@@ -448,7 +448,7 @@ def test_verify_copies_an_n7_entry_to_its_orbit_image():
     image = apply_transposition(1, fp, 7)
     assert image != fp
     members = [decode(fp, 7), decode(image, 7)]
-    entries = verify_fingerprints(members, 7, [(0, 1)])["fingerprints"]
+    entries = verify_fingerprints(2, 7, [(members[0], (0, 1))])["fingerprints"]
     assert entries == [direct_entry(i, member, 7) for i, member in enumerate(members)]
 
 
@@ -456,7 +456,7 @@ def test_verify_copies_an_n7_entry_to_its_orbit_image():
 def test_verify_rejects_orbits_that_do_not_partition_the_ids(orbits):
     fp = decode(fingerprint(standard_sequence(5)), 5)
     with pytest.raises(ValueError, match="do not partition the ids of 2 fingerprints"):
-        verify_fingerprints([fp, fp], 5, orbits)
+        verify_fingerprints(2, 5, [(fp, orbit) for orbit in orbits])
 
 
 def test_fingerprint_labels_equal_the_sweep_map(result_n5):
