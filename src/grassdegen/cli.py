@@ -1,9 +1,11 @@
 """Command-line driver: enumerate, pipeline, orbit-of, verify, solve-cone,
 version.
 
-Exit codes: 0 on success (also when the reader closes stdout early, as
-``| head`` does), 1 on an empty open cone for ``solve-cone`` and on an
-internal invariant violation, 2 on usage errors.
+Every command but ``pipeline`` prints to stdout; ``pipeline --out`` is the
+one that writes files.  Exit codes: 0 on success (also when the reader
+closes stdout early, as ``| head`` does), 1 on an empty open cone for
+``solve-cone`` and on an internal invariant violation, 2 on usage errors,
+which include every ValueError.
 n must be in 4..8; ``pipeline -n 8`` needs ``--seq``, and ``verify -n 8`` is
 refused (``verify --fingerprints`` takes an n=8 file); ``pipeline --out``
 must be missing or an empty directory; ``pipeline --jobs`` sets the worker
@@ -18,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 
 from . import __version__
 from .classify import classify_gr36, compute_orbits, fingerprint_labels
@@ -59,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all iterated sequences")
     p.set_defaults(run=cmd_enumerate)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-o", "--output", help="write sequences here instead of stdout")
 
     p = sub.add_parser("pipeline", help="run the full degeneration pipeline")
     p.set_defaults(run=cmd_pipeline)
@@ -76,13 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
     p.add_argument("--fingerprints", help="fingerprints.json from a pipeline run")
     p.add_argument("-n", type=int, help="compute fingerprints for this n instead")
-    p.add_argument("-o", "--output", help="write the report here instead of stdout")
 
     p = sub.add_parser("solve-cone", help="interior point for an inequality CSV")
     p.set_defaults(run=cmd_solve_cone)
     p.add_argument("--inequalities", required=True)
     p.add_argument("--matrix", required=True, help="weighting-matrix CSV")
-    p.add_argument("-o", "--output", help="write the JSON here instead of stdout")
 
     p = sub.add_parser("version", help="print the tool version")
     p.set_defaults(run=cmd_version)
@@ -96,15 +94,11 @@ def _check_n(parser, n: int, where: str = ""):
 
 def cmd_enumerate(args, parser) -> int:
     _check_n(parser, args.n)
-    out = open(args.output, "w") if args.output else sys.stdout
+    out = sys.stdout
     count = 0
-    try:
-        for seq in enumerate_sequences(args.n):
-            out.write(seq.serialize() + "\n")
-            count += 1
-    finally:
-        if args.output:
-            out.close()
+    for seq in enumerate_sequences(args.n):
+        out.write(seq.serialize() + "\n")
+        count += 1
     print(f"count={count}", file=sys.stderr)
     return 0
 
@@ -183,12 +177,6 @@ def _fingerprints_from_file(parser, path: str):
     return n, fps
 
 
-def _emit(path: str | None, payload) -> None:
-    """Write a JSON document to ``path``, or to stdout when it is None."""
-    with open(path, "w") if path else nullcontext(sys.stdout) as out:
-        out.writelines(json_chunks(payload))
-
-
 def cmd_verify(args, parser) -> int:
     if (args.fingerprints is None) == (args.n is None):
         parser.error("give exactly one of --fingerprints or -n")
@@ -207,7 +195,7 @@ def cmd_verify(args, parser) -> int:
         labels, _ = fingerprint_labels(representatives(n))
         count = len(labels)
         orbits = [(decode(r.members[0], n), r.member_ids) for r in compute_orbits(labels, n)]
-    _emit(args.output, verify_fingerprints(count, n, orbits))
+    sys.stdout.writelines(json_chunks(verify_fingerprints(count, n, orbits)))
     return 0
 
 
@@ -215,12 +203,16 @@ def cmd_solve_cone(args, parser) -> int:
     with open(args.inequalities) as fh:
         diffs = inequalities_from_csv(fh.read())
     with open(args.matrix) as fh:
-        matrix = WeightingMatrix.from_csv(fh.read())
+        try:
+            matrix = WeightingMatrix.from_csv(fh.read())
+        except ValueError as exc:
+            parser.error(f"{args.matrix}: {exc}")
     if not matrix.rows:
         parser.error(f"{args.matrix} has no matrix rows")
     e, _ = strict_interior_point(diffs, len(matrix.rows[0]))
     w = weight_vector(e, matrix.rows)
-    _emit(args.output, {"e": list(e), "w": dict(zip(map(triple_key, matrix.triples), w))})
+    payload = {"e": list(e), "w": dict(zip(map(triple_key, matrix.triples), w))}
+    sys.stdout.writelines(json_chunks(payload))
     return 0
 
 

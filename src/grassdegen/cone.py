@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 
-from .valuation import DimensionError, Vector
+from .valuation import Vector
 
 # Dantzig pricing is used while the objective moves; after this many pivots
 # without improvement the rule switches to smallest-index (Bland), which
@@ -158,7 +158,7 @@ def strict_interior_point(diffs, dim: int) -> tuple[Vector, int]:
     """
     diffs = tuple(tuple(d) for d in diffs)
     if any(len(d) != dim for d in diffs):
-        raise DimensionError(f"all inequality vectors must have length {dim}")
+        raise ValueError(f"all inequality vectors must have length {dim}")
     if not diffs:
         return (1,) * dim, 0
 
@@ -175,5 +175,5 @@ def strict_interior_point(diffs, dim: int) -> tuple[Vector, int]:
 def weight_vector(e: Vector, rows) -> Vector:
     """Scalar weights e . row(K), one per row of a weighting matrix."""
     if any(len(row) != len(e) for row in rows):
-        raise DimensionError("projection length does not match matrix rows")
+        raise ValueError("projection length does not match matrix rows")
     return tuple(sum(a * b for a, b in zip(e, row)) for row in rows)

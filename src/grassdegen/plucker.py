@@ -21,8 +21,12 @@ Term = tuple[int, Triple, Triple]
 Relation = tuple[tuple[int, ...], tuple[int, ...], tuple[Term, ...]]
 
 
-class InvalidSize(ValueError):
-    """Ambient size n is too small for the requested construction."""
+def check_size(n: int) -> None:
+    """Raise ValueError unless n >= 4: the smallest Grassmannian with a
+    Pluecker relation, and the PBW base of every iterated sequence, is
+    Gr(3,4)."""
+    if n < 4:
+        raise ValueError(f"need n >= 4, got {n}")
 
 
 def triple_key(t) -> str:
@@ -55,8 +59,7 @@ def all_triples(n: int) -> list[Triple]:
 def all_relations(n: int) -> tuple[Relation, ...]:
     """Every nonzero R_{I,J} in lexicographic (I, J) order, built once per
     n."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    check_size(n)
     relations = (
         plucker_relation(I, J)
         for I in itertools.combinations(range(1, n + 1), 2)

@@ -16,7 +16,7 @@ import re
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .plucker import InvalidSize
+from .plucker import check_size
 
 Triple = tuple[int, int, int]
 Label = tuple[tuple[int, int], ...]
@@ -46,8 +46,7 @@ class IteratedSequence(_SequenceFields):
     __slots__ = ()
 
     def __new__(cls, n: int, levels: tuple[Triple, ...], base_perm: Triple):
-        if n < 4:
-            raise InvalidSize(f"need n >= 4, got {n}")
+        check_size(n)
         if len(levels) != n - 4:
             raise ValueError(f"expected {n - 4} levels, got {len(levels)}")
         for t, triple in enumerate(levels):
@@ -102,8 +101,7 @@ def standard_sequence(n: int) -> IteratedSequence:
 
 def sequence_count(n: int) -> int:
     """Closed form for the number of iterated sequences."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    check_size(n)
     return math.prod((n - l - 1) * (n - l - 2) * (n - l - 3) for l in range(n - 3))
 
 
@@ -113,8 +111,7 @@ BASES: tuple[Triple, ...] = tuple(itertools.permutations((1, 2, 3)))
 def _level_product(n: int, k: int) -> Iterator[tuple]:
     """Every choice of an ordered k-tuple of distinct entries of [n-t-1] at
     each level t, in lexicographic order, level 0 most significant."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    check_size(n)
     return itertools.product(*(itertools.permutations(range(1, n - t), k) for t in range(n - 4)))
 
 
@@ -144,8 +141,7 @@ def label_of(levels: tuple[Triple, ...]) -> Label:
 
 def count_labels(n: int) -> int:
     """Number of distinct labels: prod over levels of (n-l-1)(n-l-2)."""
-    if n < 4:
-        raise InvalidSize(f"need n >= 4, got {n}")
+    check_size(n)
     return math.prod((n - l - 1) * (n - l - 2) for l in range(n - 4))
 
 

@@ -43,10 +43,6 @@ from .initial_forms import Binomial
 from .plucker import all_triples
 
 
-class Unsupported(ValueError):
-    """Graded ranks are only computed in degrees 2 and 3."""
-
-
 def graded_rank(binomials, degree: int, n: int) -> int:
     """Exact rank of the degree-d Macaulay matrix of degree-2 binomials
     lead + sign * trail, given as ``initial_forms.Binomial`` tuples.
@@ -63,7 +59,7 @@ def graded_rank(binomials, degree: int, n: int) -> int:
     monomial, its two factors written in either order.
     """
     if degree not in (2, 3):
-        raise Unsupported(f"degree must be 2 or 3, got {degree}")
+        raise ValueError(f"degree must be 2 or 3, got {degree}")
     power = {v: 4**i for i, v in enumerate(all_triples(n))}
     keys = ((power[a] + power[b], power[c] + power[d], s) for (a, b), (c, d), s in binomials)
     rows = [{x: 1, y: s} if x != y else {x: 1 + s} for x, y, s in keys]
@@ -88,7 +84,7 @@ def plucker_rank(degree: int, n: int) -> int:
     relations of Gr(3,n), d = 2 or 3: the degree-d monomials less the
     standard ones (module docstring)."""
     if degree not in (2, 3):
-        raise Unsupported(f"degree must be 2 or 3, got {degree}")
+        raise ValueError(f"degree must be 2 or 3, got {degree}")
     return math.comb(math.comb(n, 3) + degree - 1, degree) - _tableaux(degree, n)
 
 

@@ -50,10 +50,6 @@ _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _ZERO = (0, 0, 0)
 
 
-class DimensionError(ValueError):
-    """Vector length does not match 3(n-3)."""
-
-
 @lru_cache(maxsize=None)
 def _transitions(top: int, triple: tuple[int, int, int]) -> tuple[dict, dict]:
     """The charged triad and the next multi-index of every 3-subset of
@@ -102,11 +98,21 @@ class WeightingMatrix(NamedTuple):
 
     @classmethod
     def from_csv(cls, text: str) -> "WeightingMatrix":
+        """The matrix of ``to_csv`` text.  A row's key must be three strictly
+        increasing digits in 1..9, and no key may repeat."""
+        keys = {triple_key(t): t for t in all_triples(9)}
         triples, rows = [], []
         for record in csv.reader(io.StringIO(text)):
             if not record:
                 continue
-            triples.append(tuple(int(c) for c in record[0]))
+            key = record[0]
+            if key not in keys:
+                raise ValueError(
+                    f"triple key {key!r} is not three strictly increasing digits in 1..9"
+                )
+            if keys[key] in triples:
+                raise ValueError(f"triple key {key!r} repeats")
+            triples.append(keys[key])
             rows.append(tuple(int(x) for x in record[1:]))
         return cls(tuple(triples), tuple(rows))
 

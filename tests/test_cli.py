@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -73,12 +74,32 @@ def test_enumerate_into_a_pipe_closed_early_ends_quietly():
     assert err == ""
 
 
-def test_enumerate_to_file(tmp_path):
-    target = tmp_path / "seqs.txt"
-    proc = run_cli("enumerate", "-n", "5", "-o", str(target))
-    assert proc.returncode == 0
-    assert proc.stdout == ""
-    assert len(target.read_text().splitlines()) == 144
+def test_each_command_takes_exactly_these_options():
+    """The command line's whole surface: only ``pipeline`` writes files,
+    through ``--out``; every other command prints to stdout."""
+    from grassdegen.cli import _build_parser
+
+    (commands,) = [
+        action.choices for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: [
+            option
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings or [action.dest]
+        ]
+        for name, command in commands.items()
+    }
+    assert surface == {
+        "enumerate": ["-n"],
+        "pipeline": ["-n", "--out", "--seq", "--jobs"],
+        "orbit-of": ["label"],
+        "verify": ["--fingerprints", "-n"],
+        "solve-cone": ["--inequalities", "--matrix"],
+        "version": [],
+    }
 
 
 def test_pipeline_n4_degenerate(tmp_path):
@@ -197,6 +218,7 @@ def test_solve_cone_roundtrip(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     schema = load_json(os.path.join(SCHEMA_DIR, "cone_solution.schema.json"))
     jsonschema.validate(payload, schema)
     assert payload["w"]["123"] == 0
@@ -220,21 +242,6 @@ def test_solve_cone_prints_the_point_the_pipeline_writes(tmp_path):
     assert json.loads(proc.stdout) == {"e": entry["e"], "w": entry["w"]}
 
 
-@pytest.mark.parametrize("command", ["verify", "solve-cone"])
-def test_stdout_and_the_output_file_hold_the_same_json_text(command, tmp_path):
-    if command == "verify":
-        args = ["verify", "-n", "5"]
-    else:
-        ineq_path, matrix_path = write_cone_inputs(tmp_path)
-        args = ["solve-cone", "--inequalities", str(ineq_path), "--matrix", str(matrix_path)]
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stderr
-    out = tmp_path / "out.json"
-    assert run_cli(*args, "-o", str(out)).returncode == 0
-    assert proc.stdout == out.read_text()
-    assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2, sort_keys=True) + "\n"
-
-
 def test_solve_cone_infeasible_exit_code(tmp_path):
     ineq = tmp_path / "bad.csv"
     ineq.write_text("1,0,0,0,0,0,0,0,0\n-1,0,0,0,0,0,0,0,0\n")
@@ -247,6 +254,37 @@ def test_solve_cone_infeasible_exit_code(tmp_path):
     assert proc.returncode == 1
     # no usage text, no traceback
     assert proc.stderr == "error: open cone is empty (slack optimum 0)\n"
+
+
+def test_solve_cone_refuses_a_repeated_matrix_key(tmp_path):
+    # two rows under one key would leave one row out of w
+    ineq = tmp_path / "ineq.csv"
+    ineq.write_text("1,0\n")
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("123,1,0\n123,0,1\n")
+    proc = run_cli("solve-cone", "--inequalities", str(ineq), "--matrix", str(matrix))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{matrix}: triple key '123' repeats" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["321", "12", "1234", "103", "1a3", " 123"],
+    ids=["decreasing", "two-digits", "four-digits", "zero", "letter", "space"],
+)
+def test_solve_cone_refuses_a_matrix_key_that_is_not_a_triple(tmp_path, key):
+    ineq = tmp_path / "ineq.csv"
+    ineq.write_text("1,0\n")
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(f"{key},1,0\n124,0,1\n")
+    proc = run_cli("solve-cone", "--inequalities", str(ineq), "--matrix", str(matrix))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert (
+        f"{matrix}: triple key {key!r} is not three strictly increasing digits in 1..9"
+        in proc.stderr
+    )
 
 
 def test_solve_cone_empty_matrix_is_usage_error(tmp_path):
@@ -267,17 +305,14 @@ def test_verify_from_fingerprints_file(tmp_path):
     out = tmp_path / "run"
     proc = run_cli("pipeline", "-n", "5", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    proc = run_cli(
-        "verify", "--fingerprints", str(out / "fingerprints.json"),
-        "-o", str(tmp_path / "verify.json"),
-    )
+    proc = run_cli("verify", "--fingerprints", str(out / "fingerprints.json"))
     assert proc.returncode == 0, proc.stderr
-    payload = load_json(tmp_path / "verify.json")
+    payload = json.loads(proc.stdout)
     schema = load_json(os.path.join(SCHEMA_DIR, "verify.schema.json"))
     jsonschema.validate(payload, schema)
     assert payload["plucker"] == {"rank2": 5, "rank3": 45}
     assert all(f["rank2"] == 5 and f["rank3"] == 45 for f in payload["fingerprints"])
-    assert (out / "verify.json").read_bytes() == (tmp_path / "verify.json").read_bytes()
+    assert (out / "verify.json").read_text() == proc.stdout
 
 
 GOOD_GENERATOR = {"lead": ["123", "145"], "trail": ["124", "135"], "sign": -1}
@@ -373,7 +408,7 @@ def test_verify_n8_is_refused_before_fingerprinting(monkeypatch, capsys):
     )
 
 
-def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
+def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch, capsys):
     from grassdegen import cli
 
     # the file's own size bounds the work, so only the report is stubbed
@@ -385,9 +420,8 @@ def test_verify_accepts_an_n8_fingerprints_file(tmp_path, monkeypatch):
     generator = {"lead": ["123", "456"], "trail": ["124", "356"], "sign": -1}
     path = tmp_path / "fingerprints.json"
     path.write_text(json.dumps({"n": 8, "fingerprints": [{"generators": [generator]}]}))
-    out = tmp_path / "verify.json"
-    assert cli.main(["verify", "--fingerprints", str(path), "-o", str(out)]) == 0
-    assert load_json(out) == {"n": 8, "count": 1, "orbits": [[0]]}
+    assert cli.main(["verify", "--fingerprints", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 8, "count": 1, "orbits": [[0]]}
 
 
 def test_verify_fingerprints_file_computes_every_entry(tmp_path):

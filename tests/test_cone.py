@@ -18,7 +18,7 @@ from grassdegen.sequences import (
     sequence_count,
     standard_sequence,
 )
-from grassdegen.valuation import DimensionError, weighting_matrix
+from grassdegen.valuation import weighting_matrix
 from oracles import DENSE_STALL_LIMIT, dense_box_lp, vertex_max_slack
 
 
@@ -133,7 +133,7 @@ def test_weight_vector_examples():
     e, _ = strict_interior_point(diffs, 9)
     w = weight_vector(e, M.rows)
     assert w[M.triples.index((1, 2, 3))] == 0
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="^projection length does not match matrix rows$"):
         weight_vector((1, 2), M.rows)
 
 

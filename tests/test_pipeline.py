@@ -428,7 +428,7 @@ def direct_entry(fp_id, fp, n) -> dict:
 
 
 @pytest.mark.parametrize("n, orbits", [(5, 1), (6, 4)])
-def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, tmp_path):
+def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, capsys):
     result = run_pipeline(n, jobs=2)
     direct = {
         "n": n,
@@ -439,8 +439,8 @@ def test_verify_per_orbit_equals_every_entry_computed_directly(n, orbits, tmp_pa
     }
     assert result.verify == direct
     assert result.counters["verify_entries"] == len(result.orbit_reports) == orbits
-    assert cli.main(["verify", "-n", str(n), "-o", str(tmp_path / "verify.json")]) == 0
-    assert load_json(tmp_path / "verify.json") == direct
+    assert cli.main(["verify", "-n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out) == direct
 
 
 def test_verify_copies_an_n7_entry_to_its_orbit_image():

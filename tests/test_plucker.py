@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from grassdegen.plucker import InvalidSize, all_relations, plucker_relation
+from grassdegen.plucker import all_relations, plucker_relation
 
 from oracles import count_nonzero_relations, expand_relation
 
@@ -40,7 +40,7 @@ def test_relation_counts_match_expansion_oracle(n, expected):
 
 
 def test_all_relations_rejects_small_n():
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
         all_relations(3)
 
 

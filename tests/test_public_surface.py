@@ -4,6 +4,7 @@ belongs with them, not in ``src/``.
 """
 
 import ast
+import builtins
 import os
 
 import grassdegen
@@ -53,6 +54,35 @@ def test_every_public_name_is_used_inside_the_package():
     ]
     assert unused == []
     assert set(ALLOWED) <= {node.name for _, node in public}
+
+
+def is_builtin_exception(name):
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def test_every_exception_class_is_caught_by_name_inside_the_package():
+    """An exception class earns its place by a handler that tells it apart:
+    ``cli.main`` turns every ValueError into exit 2, so a subclass of it that
+    no ``except`` names is a second name for ValueError."""
+    nodes = [node for _, node in top_level_nodes()]
+    defined = set()
+    for node in nodes:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and (base.id in defined or is_builtin_exception(base.id))
+            for base in node.bases
+        ):
+            defined.add(node.name)
+    caught = {
+        name.id
+        for node in nodes
+        for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in ast.walk(handler.type)
+        if isinstance(name, ast.Name)
+    }
+    assert sorted(defined - caught) == []
+    assert defined == {"Infeasible"}
 
 
 def test_only_the_renderer_indents_json():

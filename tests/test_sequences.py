@@ -5,7 +5,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from grassdegen.plucker import InvalidSize
 from grassdegen.sequences import (
     BASES,
     IteratedSequence,
@@ -59,14 +58,16 @@ def test_enumeration_is_the_level_prefixes_times_the_bases(n):
 
 
 def test_rejects_small_n():
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
         list(enumerate_sequences(3))
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
         level_prefixes(3)
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
         all_labels(3)
-    with pytest.raises(InvalidSize):
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
         count_labels(3)
+    with pytest.raises(ValueError, match="^need n >= 4, got 3$"):
+        sequence_count(3)
     assert count_labels(4) == len(list(all_labels(4))) == 1
 
 
@@ -82,7 +83,7 @@ def test_invalid_sequences_rejected():
 
 
 INVALID = [
-    ((3, (), (1, 2, 3)), InvalidSize, "need n >= 4, got 3"),
+    ((3, (), (1, 2, 3)), ValueError, "need n >= 4, got 3"),
     ((6, ((1, 2, 5),), (1, 2, 3)), ValueError, "expected 2 levels, got 1"),
     ((6, ((1, 2, 7), (1, 2, 3)), (1, 2, 3)), ValueError,
      "level-0 triple (1, 2, 7) has entries outside 1..5"),

@@ -10,7 +10,7 @@ from grassdegen.exactlinalg import exact_rank, rank_mod2, smith_invariant_factor
 from grassdegen.initial_forms import decode
 from grassdegen.plucker import all_triples
 from grassdegen.sequences import representative_sequence, standard_sequence
-from grassdegen.toricity import Unsupported, graded_rank, lattice_saturation, plucker_rank
+from grassdegen.toricity import graded_rank, lattice_saturation, plucker_rank
 
 from oracles import (
     degree2_monomial_index,
@@ -39,7 +39,7 @@ def test_empty_generators_have_rank_zero():
 
 
 def test_unsupported_degree():
-    with pytest.raises(Unsupported):
+    with pytest.raises(ValueError, match="^degree must be 2 or 3, got 4$"):
         graded_rank([], 4, 6)
 
 
@@ -91,7 +91,7 @@ def test_plucker_rank_equals_monomials_minus_tableaux(n, degree):
 
 
 def test_plucker_rank_rejects_other_degrees():
-    with pytest.raises(Unsupported):
+    with pytest.raises(ValueError, match="^degree must be 2 or 3, got 4$"):
         plucker_rank(4, 6)
 
 
